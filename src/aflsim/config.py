@@ -277,6 +277,8 @@ def resolve_config(raw: dict) -> ScenarioConfig:
     if not isinstance(seeds_raw, (list, tuple)) or len(seeds_raw) == 0:
         raise ConfigError("seeds", "seed list must be nonempty")
     seeds = tuple(int(s) for s in seeds_raw)
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds", "seeds must be unique")
 
     return ScenarioConfig(
         n_dos=n_dos,

@@ -229,16 +229,3 @@ def validate_state(state: DataOwnerState) -> ValidationResult:
     if state.positive_ratings_Mp < 0:
         return ValidationResult(False, "positive_ratings_Mp")
     return ValidationResult(True)
-
-
-def validate_decision(state: DataOwnerState, decision: StepDecision) -> ValidationResult:
-    """Check a StepDecision against the invariants of the deciding DO."""
-    if decision.accept_x not in (0, 1):
-        return ValidationResult(False, "accept_x")
-    if not (0 <= decision.work_theta <= state.theta_max):
-        return ValidationResult(False, "work_theta")
-    if not (0 <= decision.subdelegate_s <= min(state.s_max, state.pending_q)):
-        return ValidationResult(False, "subdelegate_s")
-    if decision.price_p < state.reserve_price_p_min:
-        return ValidationResult(False, "price_p")
-    return ValidationResult(True)

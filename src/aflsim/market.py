@@ -21,7 +21,7 @@ comparison faces the identical bidder population and random streams.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,7 +36,7 @@ from .core import (
 )
 from .demand import expected_demand, realize_demand, zeta
 from .policy_baselines import decide_for_policy, resolve_policy
-from .policy_pas import DelegateQuote, DelegationContext, eligible_delegates
+from .policy_pas import DelegationContext, eligible_delegates
 from .queues import update_pending_queue, update_urgency_queue, utility
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -237,29 +237,32 @@ def route_subdelegations(
     pending: dict[int, list[Task]],
     decisions: dict[int, StepDecision],
     network: TrustNetwork,
-    quoted_prices: dict[int, float],
-    quoted_reps: dict[int, float],
+    prices: np.ndarray,
+    reps: np.ndarray,
     capacity_left: dict[int, int],
     depth_max: int,
     step_index: int,
 ) -> RoutingOutcome:
     """Move each delegator's highest-payment tasks to eligible neighbours.
 
-    Delegates are chosen cheapest-first (ties by id) at the prices quoted
-    when the decision was made; the delegator pays that quote per task.
-    Transfers stop early once a task finds no eligible delegate.  Transferred
-    tasks join the delegate's queue as arrivals next step with their payment
-    rewritten to what the delegate was paid.
+    Delegates are chosen cheapest-first (ties by id) at the snapshot prices
+    and reputations the decisions saw; the delegator pays that price per
+    task.  Transfers stop early once a task finds no eligible delegate.
+    Transferred tasks join the delegate's queue as arrivals next step with
+    their payment rewritten to what the delegate was paid.
     """
     incoming: dict[int, list[Task]] = {i: [] for i in do_states}
     s_realized = {i: 0 for i in do_states}
     payments: list[tuple[int, int, float]] = []
+    price_of = prices.tolist()
+    rep_of = reps.tolist()
 
     for do_id in sorted(do_states):
         goal = decisions[do_id].subdelegate_s
         if goal <= 0:
             continue
-        state = do_states[do_id]
+        r_min = do_states[do_id].rep_threshold_r_min
+        trusted = [k for k in network.neighbor_set(do_id) if rep_of[k] >= r_min]
         candidates = [t for t in pending[do_id] if t.delegation_depth < depth_max]
         candidates.sort(key=lambda t: (-t.unit_payment_p_tau, t.task_id))
         moved_ids = set()
@@ -267,11 +270,9 @@ def route_subdelegations(
             if s_realized[do_id] >= goal:
                 break
             quotes = [
-                (quoted_prices[k], k)
-                for k in network.neighbor_set(do_id)
-                if quoted_reps[k] >= state.rep_threshold_r_min
-                and quoted_prices[k] <= task.unit_payment_p_tau
-                and capacity_left[k] > 0
+                (price_of[k], k)
+                for k in trusted
+                if price_of[k] <= task.unit_payment_p_tau and capacity_left[k] > 0
             ]
             if not quotes:
                 break
@@ -293,21 +294,19 @@ def route_subdelegations(
 class World:
     """Mutable simulation state for one seeded run."""
 
-    def __init__(self, config: "ScenarioConfig", seed: int, policy_override: str | None = None,
-                 keep_trace: bool = False):
+    def __init__(self, config: "ScenarioConfig", seed: int, policy_override: str | None = None):
         self.config = config
         self.seed = seed
         self.t = 0
         self.constants = config.constants
-        self.keep_trace = keep_trace
-        self.trace: list[dict] = []
 
         self.network = generate_trust_network(
             config.n_dos, config.trust_edge_prob, np.random.default_rng([seed, _STREAM_GRAPH])
         )
-        adj = self.network.adjacency_matrix().astype(float)
-        self._adj = adj
-        self._deg = adj.sum(axis=1)
+        adjacency = self.network.adjacency_matrix()
+        self._neighbors = [np.flatnonzero(row) for row in adjacency]
+        self._adj = adjacency.astype(float)
+        self._deg = self._adj.sum(axis=1)
 
         self.rep_params = ReputationParams(
             ema_beta=config.reputation.ema_beta,
@@ -334,7 +333,6 @@ class World:
         }
 
         if policy_override is not None:
-            resolve_policy(policy_override)
             self.policy_specs = {i: resolve_policy(policy_override) for i in range(config.n_dos)}
         else:
             self.policy_specs = {
@@ -435,15 +433,17 @@ class World:
                 return base * float(schedule.get("low_scale", 0.5))
         return base
 
-    def _build_contexts(self) -> dict[int, DelegationContext]:
+    def _build_contexts(self, prices: np.ndarray, reps: np.ndarray) -> dict[int, DelegationContext]:
+        """Every DO's delegation context against the step's price and reputation snapshot.
+
+        Eligibility is only asked of a DO that may delegate this step, and is
+        judged against its best-paying task below the delegation-depth cap.
+        """
         cfg = self.config
-        n = cfg.n_dos
-        prices = np.fromiter(
-            (self.states[i].current_price_p for i in range(n)), dtype=float, count=n
-        )
+        depth_max = cfg.market.delegation_depth_max
         sums = self._adj @ prices
         contexts = {}
-        for i in range(n):
+        for i in range(cfg.n_dos):
             state = self.states[i]
             avg = sums[i] / self._deg[i] if self._deg[i] > 0 else math.inf
             floor_q = int(state.pending_q)
@@ -451,21 +451,17 @@ class World:
                 may_delegate = floor_q > 0
             else:
                 may_delegate = floor_q > state.theta_max
-            quotes: tuple[DelegateQuote, ...] = ()
+            eligible = False
             if may_delegate:
                 routable = [
-                    t for t in self.pending[i]
-                    if t.delegation_depth < cfg.market.delegation_depth_max
+                    t.unit_payment_p_tau for t in self.pending[i] if t.delegation_depth < depth_max
                 ]
                 if routable:
-                    ref = max(t.unit_payment_p_tau for t in routable)
-                    quotes = tuple(
-                        eligible_delegates(
-                            self.network, i, self.states, ref, state.rep_threshold_r_min
-                        )
+                    found = eligible_delegates(
+                        self._neighbors[i], prices, reps, max(routable), state.rep_threshold_r_min
                     )
-            cheapest = quotes[0].price if quotes else None
-            contexts[i] = DelegationContext(avg, quotes, cheapest)
+                    eligible = len(found) > 0
+            contexts[i] = DelegationContext(avg, eligible)
         return contexts
 
 
@@ -530,11 +526,9 @@ def step(world: World) -> list[MetricsRecord]:
     ids = range(n)
 
     # 1. Snapshot the decision inputs; policies must only see last step's market.
-    snap_prices = {i: world.states[i].current_price_p for i in ids}
-    snap_reps = {i: world.states[i].reputation_r for i in ids}
-    contexts = world._build_contexts()
-    if world.keep_trace:
-        snap_states = {i: replace(world.states[i]) for i in ids}
+    prices = np.fromiter((world.states[i].current_price_p for i in ids), dtype=float, count=n)
+    reps = np.fromiter((world.states[i].reputation_r for i in ids), dtype=float, count=n)
+    contexts = world._build_contexts(prices, reps)
 
     # 2. Joint decisions.
     decisions: dict[int, StepDecision] = {}
@@ -581,8 +575,8 @@ def step(world: World) -> list[MetricsRecord]:
         world.pending,
         decisions,
         world.network,
-        snap_prices,
-        snap_reps,
+        prices,
+        reps,
         capacity_left,
         cfg.market.delegation_depth_max,
         t,
@@ -600,11 +594,9 @@ def step(world: World) -> list[MetricsRecord]:
             raise MarketInvariantError(
                 f"DO {i} planned {theta_goal} completions with only {len(queue)} pending"
             )
-        on_time = 0
-        for _ in range(theta_goal):
-            task = queue.pop(0)
-            if t - task.arrival_step <= world.rep_params.on_time_window:
-                on_time += 1
+        window = world.rep_params.on_time_window
+        on_time = sum(1 for task in queue[:theta_goal] if t - task.arrival_step <= window)
+        del queue[:theta_goal]
         theta_done = theta_goal
         world.completed_tasks += theta_done
 
@@ -673,17 +665,6 @@ def step(world: World) -> list[MetricsRecord]:
 
     _run_step_audits(world, auction, routing, decisions)
 
-    if world.keep_trace:
-        world.trace.append(
-            {
-                "step": t,
-                "snapshot_states": snap_states,
-                "snapshot_prices": snap_prices,
-                "contexts": contexts,
-                "decisions": decisions,
-            }
-        )
-
     world.t += 1
     return records
 
@@ -717,11 +698,6 @@ def _run_step_audits(world: World, auction: AuctionOutcome, routing: RoutingOutc
     world.audit_checks += 1
 
 
-def build_world(
-    config: "ScenarioConfig",
-    seed: int,
-    policy_override: str | None = None,
-    keep_trace: bool = False,
-) -> World:
+def build_world(config: "ScenarioConfig", seed: int, policy_override: str | None = None) -> World:
     """Construct a deterministic world for one (config, seed) pair."""
-    return World(config, seed, policy_override=policy_override, keep_trace=keep_trace)
+    return World(config, seed, policy_override=policy_override)

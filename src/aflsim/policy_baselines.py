@@ -58,7 +58,7 @@ def subdel_rand(state: DataOwnerState, ctx: DelegationContext, theta: int, rng) 
     within the per-step cap.  No randomness is consumed when nothing could be
     delegated anyway, keeping downstream draws aligned across variants."""
     cap = _subdel_cap(state, theta)
-    if cap <= 0 or not ctx.eligible_delegates:
+    if cap <= 0 or not ctx.has_eligible_delegate:
         return 0
     if rng.random() < 0.5:
         return 0
@@ -68,7 +68,7 @@ def subdel_rand(state: DataOwnerState, ctx: DelegationContext, theta: int, rng) 
 def subdel_greedy(state: DataOwnerState, ctx: DelegationContext, theta: int) -> int:
     """Delegate as much of the leftover backlog as the cap allows."""
     cap = _subdel_cap(state, theta)
-    if cap <= 0 or not ctx.eligible_delegates:
+    if cap <= 0 or not ctx.has_eligible_delegate:
         return 0
     return cap
 
@@ -166,17 +166,3 @@ def decide_for_policy(
         work_theta=theta,
         price_degenerate=degenerate,
     )
-
-
-def baseline_joint(
-    policy_name: str,
-    state: DataOwnerState,
-    ctx: DelegationContext,
-    rng,
-    markup_max: float = DEFAULT_MARKUP_MAX,
-    lin_gain: float = DEFAULT_LIN_GAIN,
-) -> StepDecision:
-    """Joint decision for one of the six baseline strategies."""
-    if policy_name not in BASELINE_NAMES:
-        raise ValueError(f"unknown baseline policy: {policy_name!r}")
-    return decide_for_policy(POLICIES[policy_name], state, ctx, rng, markup_max, lin_gain)

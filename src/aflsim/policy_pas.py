@@ -8,91 +8,51 @@ point of the per-step pricing objective clamped at the reserve price.  That
 objective is strictly convex in price, so the clamped stationary point is its
 minimum over p >= p_min, not its maximum.  The ordering matters: the
 sub-delegation rule consumes the work amount and the acceptance rule consumes
-the just-set price.
+the just-set price.  The rules see the market only through a two-field
+`DelegationContext`, which the market builds once per step for every DO.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .core import DataOwnerState, StepDecision, TrustNetwork
+import numpy as np
+
+from .core import DataOwnerState
 from .demand import R_FLOOR_DEFAULT
-
-
-class DelegateQuote(NamedTuple):
-    do_id: int
-    price: float
-    reputation: float
 
 
 @dataclass(frozen=True)
 class DelegationContext:
-    """Snapshot of the neighbourhood a DO delegates into.
+    """What the sub-delegation rules read of a DO's neighbourhood.
 
     `avg_neighbor_price` is the mean posted price over *all* neighbours and
     is +inf when the DO has no neighbours, which forces the sub-delegation
-    threshold to keep every task local.
+    threshold to keep every task local.  `has_eligible_delegate` says whether
+    some neighbour could take the DO's best-paying delegable task; the
+    market's router picks the actual delegate of each task.
     """
 
     avg_neighbor_price: float
-    eligible_delegates: tuple[DelegateQuote, ...]
-    cheapest_eligible_price: float | None
+    has_eligible_delegate: bool
 
 
 def eligible_delegates(
-    network: TrustNetwork,
-    do_id: int,
-    all_states: dict[int, DataOwnerState],
+    neighbors: np.ndarray,
+    prices: np.ndarray,
+    reps: np.ndarray,
     reference_payment: float,
     r_min: float,
-) -> list[DelegateQuote]:
-    """Neighbours trusted enough and cheap enough to take a task paying `reference_payment`.
-
-    Sorted by price ascending, ties broken by DO id ascending.
-    """
-    quotes = []
-    for k in network.neighbor_set(do_id):
-        state_k = all_states[k]
-        if state_k.reputation_r >= r_min and state_k.current_price_p <= reference_payment:
-            quotes.append(DelegateQuote(k, state_k.current_price_p, state_k.reputation_r))
-    quotes.sort(key=lambda quote: (quote.price, quote.do_id))
-    return quotes
-
-
-def build_delegation_context(
-    network: TrustNetwork,
-    do_id: int,
-    all_states: dict[int, DataOwnerState],
-    reference_payment: float | None,
-) -> DelegationContext:
-    """Assemble the delegation snapshot for one DO.
-
-    `reference_payment` is the most generous payment among the DO's pending
-    tasks; None means the queue holds nothing delegable, so no neighbour can
-    qualify.
-    """
-    neighbors = network.neighbor_set(do_id)
-    if neighbors:
-        avg_price = sum(all_states[k].current_price_p for k in neighbors) / len(neighbors)
-    else:
-        avg_price = math.inf
-    if reference_payment is None:
-        quotes: tuple[DelegateQuote, ...] = ()
-    else:
-        quotes = tuple(
-            eligible_delegates(
-                network, do_id, all_states, reference_payment, all_states[do_id].rep_threshold_r_min
-            )
-        )
-    cheapest = quotes[0].price if quotes else None
-    return DelegationContext(avg_price, quotes, cheapest)
+) -> np.ndarray:
+    """Ids in `neighbors` trusted enough and cheap enough to take a task paying
+    `reference_payment`; `prices` and `reps` are snapshots indexed by DO id."""
+    return neighbors[(reps[neighbors] >= r_min) & (prices[neighbors] <= reference_payment)]
 
 
 def decide_subdelegation(state: DataOwnerState, ctx: DelegationContext, theta: int) -> int:
     """Threshold rule: keep tasks local while availability-weighted neighbour
     prices outweigh the combined queue pressure; otherwise offload the backlog
     left after this step's work, within the per-step cap."""
-    if not ctx.eligible_delegates:
+    if not ctx.has_eligible_delegate:
         return 0
     if state.availability_rho * ctx.avg_neighbor_price - state.pending_q - state.urgency_Q >= 0:
         return 0
@@ -141,24 +101,3 @@ def decide_work(state: DataOwnerState, mode: str = "greedy") -> int:
             return 0
         return cap
     raise ValueError(f"unknown work mode: {mode!r}")
-
-
-def decide_joint(
-    state: DataOwnerState,
-    ctx: DelegationContext,
-    work_mode: str = "greedy",
-    r_floor: float = R_FLOOR_DEFAULT,
-) -> StepDecision:
-    """Compose work -> sub-delegation -> pricing -> acceptance into one decision."""
-    theta = decide_work(state, work_mode)
-    s = decide_subdelegation(state, ctx, theta)
-    price = decide_price(state, r_floor)
-    degenerate = price_is_degenerate(state, r_floor)
-    x = decide_acceptance(state, price)
-    return StepDecision(
-        accept_x=x,
-        price_p=price,
-        subdelegate_s=s,
-        work_theta=theta,
-        price_degenerate=degenerate,
-    )

@@ -6,6 +6,11 @@ Verbs:
   ablate    the joint policy vs its five single-component ablations
   plotdata  post-process run artifacts into plot-ready tabular files
 
+The first three share one runner, `run_preset`, over policies x seeds:
+`run` passes no policy names and writes flat into its output directory,
+`compare` and `ablate` pass registry names and write one directory per
+policy.
+
 Every output byte is determined by (config, seed): metrics are one CSV per
 seed with a fixed column order and 9-significant-digit floats, and each run
 directory carries a manifest embedding the resolved config.
@@ -54,7 +59,6 @@ class RunResult:
     records: list | None = None
     initial_q: dict[int, float] | None = None
     initial_Q: dict[int, float] | None = None
-    initial_kappa_bar: dict[int, float] | None = None
 
 
 @dataclass
@@ -84,7 +88,6 @@ def run_scenario(
     seed: int,
     policy: str | None = None,
     retain_records: bool = False,
-    keep_trace: bool = False,
     csv_path=None,
 ) -> RunResult:
     """Run one seeded world for the configured horizon.
@@ -92,11 +95,10 @@ def run_scenario(
     With `csv_path` set, metrics stream to disk as they are produced; with
     `retain_records` they are also kept in memory (small scenarios only).
     """
-    world = build_world(config, seed, policy_override=policy, keep_trace=keep_trace)
+    world = build_world(config, seed, policy_override=policy)
     kept = [] if retain_records else None
     initial_q = {i: s.pending_q for i, s in world.states.items()}
     initial_Q = {i: s.urgency_Q for i, s in world.states.items()}
-    initial_kbar = {i: s.avg_demand_kappa_bar for i, s in world.states.items()}
 
     mean_q = np.empty(config.horizon_T)
     max_Q = np.empty(config.horizon_T)
@@ -137,7 +139,6 @@ def run_scenario(
         records=kept,
         initial_q=initial_q,
         initial_Q=initial_Q,
-        initial_kappa_bar=initial_kbar,
     )
 
 
@@ -182,84 +183,50 @@ def _write_summary(out_dir: Path, summary: RunSummary) -> None:
     (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def run_experiment(
-    config: ScenarioConfig,
-    out_dir=None,
-    policy: str | None = None,
-    seed_offset: int = 0,
-    quiet: bool = True,
-) -> RunSummary:
-    """Run every configured seed for one policy assignment, writing artifacts.
-
-    Produces one metrics CSV per seed plus a manifest, and returns the
-    cross-seed summary (also written as summary.json).
-    """
-    out = Path(out_dir if out_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    seeds = [s + seed_offset for s in config.seeds]
-    policy_name = policy or str(config.policy.assignment)
-
-    results = []
-    for seed in seeds:
-        csv_path = out / f"metrics_seed{seed}.csv"
-        try:
-            result = run_scenario(config, seed, policy=policy, csv_path=csv_path)
-        except OSError as exc:
-            raise OSError(f"failed writing metrics to {csv_path}: {exc}") from exc
-        results.append(result)
-        if not quiet:
-            print(
-                f"[aflsim] policy={policy_name} seed={seed} "
-                f"mean_utility={result.mean_utility:.6g} "
-                f"acceptance_rate={result.acceptance_rate:.3f}"
-            )
-
-    _write_manifest(out, config, policy_name, seeds)
-    summary = RunSummary(rows=[_summarize(policy_name, results)])
-    _write_summary(out, summary)
-    return summary
-
-
-def run_policy_matrix(
-    config: ScenarioConfig,
-    policies,
-    seed_offset: int = 0,
-    quiet: bool = True,
-    out_dir=None,
-) -> dict[str, list[RunResult]]:
-    """Run a set of policies over shared seeds; optionally write artifacts."""
-    matrix: dict[str, list[RunResult]] = {}
-    seeds = [s + seed_offset for s in config.seeds]
-    for policy in policies:
-        policy_dir = None
-        if out_dir is not None:
-            policy_dir = Path(out_dir) / policy
-            policy_dir.mkdir(parents=True, exist_ok=True)
-        results = []
-        for seed in seeds:
-            csv_path = policy_dir / f"metrics_seed{seed}.csv" if policy_dir else None
-            results.append(run_scenario(config, seed, policy=policy, csv_path=csv_path))
-        if policy_dir is not None:
-            _write_manifest(policy_dir, config, policy, seeds)
-        matrix[policy] = results
-        if not quiet:
-            mean_u = statistics.fmean(r.mean_utility for r in results)
-            print(f"[aflsim] policy={policy} mean_utility={mean_u:.6g} over {len(seeds)} seeds")
-    return matrix
-
-
 def run_preset(
     config: ScenarioConfig,
-    policies,
+    policies=None,
     out_dir=None,
     seed_offset: int = 0,
     quiet: bool = True,
 ) -> RunSummary:
-    """Run a multi-policy preset over shared seeds and summarize per policy."""
-    matrix = run_policy_matrix(config, policies, seed_offset=seed_offset, quiet=quiet, out_dir=out_dir)
-    summary = RunSummary(rows=[_summarize(p, matrix[p]) for p in policies])
-    if out_dir is not None:
-        _write_summary(Path(out_dir), summary)
+    """Run each policy over every configured seed, writing artifacts and a summary.
+
+    With `policies` None the config's own assignment runs and writes its
+    metrics CSVs and manifest flat into `out_dir`; named registry policies
+    each write into `out_dir/<policy>/`.  `summary.json`, one row per
+    policy, goes to `out_dir` either way, which defaults to the config's
+    `output_dir`.
+    """
+    out = Path(out_dir if out_dir is not None else config.output_dir)
+    seeds = [s + seed_offset for s in config.seeds]
+    if policies is None:
+        cells = [(None, str(config.policy.assignment), out)]
+    else:
+        cells = [(policy, policy, out / policy) for policy in policies]
+
+    rows = []
+    for override, name, cell_dir in cells:
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        results = []
+        for seed in seeds:
+            csv_path = cell_dir / f"metrics_seed{seed}.csv"
+            try:
+                result = run_scenario(config, seed, policy=override, csv_path=csv_path)
+            except OSError as exc:
+                raise OSError(f"failed writing metrics to {csv_path}: {exc}") from exc
+            results.append(result)
+            if not quiet:
+                print(
+                    f"[aflsim] policy={name} seed={seed} "
+                    f"mean_utility={result.mean_utility:.6g} "
+                    f"acceptance_rate={result.acceptance_rate:.3f}"
+                )
+        _write_manifest(cell_dir, config, name, seeds)
+        rows.append(_summarize(name, results))
+
+    summary = RunSummary(rows=rows)
+    _write_summary(out, summary)
     return summary
 
 
@@ -394,7 +361,7 @@ def main(argv=None) -> int:
             config = _load_config_arg(args.config)
             if not args.quiet:
                 print(json.dumps(config_to_dict(config), indent=2, sort_keys=True))
-            summary = run_experiment(
+            summary = run_preset(
                 config, out_dir=args.out, seed_offset=args.seed_offset, quiet=args.quiet
             )
             _print_summary(summary, args.quiet)

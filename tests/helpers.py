@@ -1,7 +1,7 @@
-"""Shared builders for test states and contexts."""
+"""Shared builders for test states and contexts, and test-side reference checks."""
 
-from aflsim.core import DataOwnerState
-from aflsim.policy_pas import DelegateQuote, DelegationContext
+from aflsim.core import DataOwnerState, StepDecision, ValidationResult
+from aflsim.policy_pas import DelegationContext
 
 
 def make_state(**overrides) -> DataOwnerState:
@@ -27,12 +27,20 @@ def make_state(**overrides) -> DataOwnerState:
     return DataOwnerState(**base)
 
 
-def make_ctx(avg_neighbor_price=1.0, eligible=(), cheapest=None) -> DelegationContext:
-    quotes = tuple(DelegateQuote(*q) if not isinstance(q, DelegateQuote) else q for q in eligible)
-    if cheapest is None and quotes:
-        cheapest = min(q.price for q in quotes)
+def make_ctx(avg_neighbor_price=1.0, eligible=False) -> DelegationContext:
     return DelegationContext(
-        avg_neighbor_price=avg_neighbor_price,
-        eligible_delegates=quotes,
-        cheapest_eligible_price=cheapest,
+        avg_neighbor_price=avg_neighbor_price, has_eligible_delegate=bool(eligible)
     )
+
+
+def validate_decision(state: DataOwnerState, decision: StepDecision) -> ValidationResult:
+    """Check a StepDecision against the invariants of the deciding DO."""
+    if decision.accept_x not in (0, 1):
+        return ValidationResult(False, "accept_x")
+    if not (0 <= decision.work_theta <= state.theta_max):
+        return ValidationResult(False, "work_theta")
+    if not (0 <= decision.subdelegate_s <= min(state.s_max, state.pending_q)):
+        return ValidationResult(False, "subdelegate_s")
+    if decision.price_p < state.reserve_price_p_min:
+        return ValidationResult(False, "price_p")
+    return ValidationResult(True)

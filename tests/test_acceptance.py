@@ -27,7 +27,7 @@ from aflsim.demand import zeta
 from aflsim.market import build_world
 from aflsim.policy_baselines import ABLATION_NAMES, BASELINE_NAMES
 from aflsim.policy_pas import decide_price, decide_subdelegation
-from aflsim.simcli import run_experiment, run_scenario
+from aflsim.simcli import run_preset, run_scenario
 from helpers import make_ctx, make_state
 
 
@@ -88,8 +88,7 @@ def test_c1_subdelegation_closed_form_matches_enumeration():
         )
         pbar = float(rng.uniform(0.2, 5.0))
         has_delegate = bool(rng.integers(2))
-        ctx = make_ctx(avg_neighbor_price=pbar,
-                       eligible=[(1, 0.2, 0.9)] if has_delegate else [])
+        ctx = make_ctx(avg_neighbor_price=pbar, eligible=has_delegate)
 
         decided = decide_subdelegation(state, ctx, theta)
 
@@ -332,8 +331,8 @@ def test_c7_conservation_audits_all_clean(compare_matrix, ablate_matrix, drift_r
 
 def test_c8_identical_reruns_are_byte_identical(tmp_path):
     cfg = resolve_config({"seeds": [12345]})
-    run_experiment(cfg, out_dir=tmp_path / "first", policy="pas-afl")
-    run_experiment(cfg, out_dir=tmp_path / "second", policy="pas-afl")
+    run_preset(cfg, out_dir=tmp_path / "first")
+    run_preset(cfg, out_dir=tmp_path / "second")
     first = (tmp_path / "first" / "metrics_seed12345.csv").read_bytes()
     second = (tmp_path / "second" / "metrics_seed12345.csv").read_bytes()
 

@@ -7,10 +7,9 @@ from aflsim.core import (
     StepDecision,
     Task,
     TrustNetwork,
-    validate_decision,
     validate_state,
 )
-from helpers import make_state
+from helpers import make_state, validate_decision
 
 
 def test_market_constants_accept_positive_coefficients():

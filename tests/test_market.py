@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from aflsim import market
 from aflsim.config import resolve_config
-from aflsim.core import StepDecision, Task
+from aflsim.core import StepDecision, Task, TrustNetwork
 from aflsim.market import (
     ModelUser,
     ReputationParams,
@@ -15,7 +17,7 @@ from aflsim.market import (
     step,
     update_reputation,
 )
-from aflsim.policy_baselines import POLICIES, decide_for_policy
+from aflsim.policy_baselines import POLICIES
 from aflsim.simcli import run_scenario
 from helpers import make_state
 
@@ -155,8 +157,6 @@ def _routing_setup(payments, neighbor_price=0.5, depth=0):
         1: make_state(id=1, current_price_p=neighbor_price,
                       reserve_price_p_min=min(neighbor_price, 1.0), reputation_r=0.9),
     }
-    from aflsim.core import TrustNetwork
-
     network = TrustNetwork(2, edges=[(0, 1)])
     pending = {
         0: [
@@ -166,10 +166,10 @@ def _routing_setup(payments, neighbor_price=0.5, depth=0):
         ],
         1: [],
     }
-    quoted_prices = {0: states[0].current_price_p, 1: neighbor_price}
-    quoted_reps = {0: states[0].reputation_r, 1: 0.9}
+    prices = np.array([states[0].current_price_p, neighbor_price])
+    reps = np.array([states[0].reputation_r, 0.9])
     capacity = {0: 4, 1: 4}
-    return states, pending, network, quoted_prices, quoted_reps, capacity
+    return states, pending, network, prices, reps, capacity
 
 
 def test_routing_noop_without_delegations():
@@ -224,6 +224,23 @@ def test_routing_respects_receiver_capacity():
     assert cap[1] == 0
 
 
+def test_routing_breaks_price_ties_by_lower_id():
+    states = {0: make_state(id=0, pending_q=1.0, s_max=5, rep_threshold_r_min=0.5)}
+    for k, price in ((1, 0.8), (2, 0.5), (3, 0.5)):
+        states[k] = make_state(id=k, current_price_p=price, reserve_price_p_min=price,
+                               reputation_r=0.9)
+    network = TrustNetwork(4, edges=[(0, 3), (0, 1), (0, 2)])
+    pending = {0: [Task(task_id=0, origin_mu=0, unit_payment_p_tau=2.0, arrival_step=0,
+                        delegation_depth=0, holder=0)], 1: [], 2: [], 3: []}
+    decisions = {i: StepDecision(1, 1.0, 1 if i == 0 else 0, 0) for i in states}
+    prices = np.array([s.current_price_p for s in states.values()])
+    reps = np.array([s.reputation_r for s in states.values()])
+    capacity = {i: 4 for i in states}
+    outcome = route_subdelegations(states, pending, decisions, network, prices, reps, capacity, 3, 0)
+    assert outcome.payments == [(0, 2, 0.5)]
+    assert [t.task_id for t in outcome.incoming[2]] == [0]
+
+
 def test_zero_mu_world_earns_nothing():
     cfg = resolve_config({
         "n_dos": 8, "horizon_T": 12, "seeds": [1],
@@ -270,18 +287,29 @@ def test_step_queue_updates_match_recurrences():
             kn += 1
 
 
-def test_step_decisions_depend_only_on_snapshot():
+def test_step_decisions_depend_only_on_snapshot(monkeypatch):
+    real_decide = market.decide_for_policy
+    seen = []
+
+    def recording_decide(spec, state, ctx, *args, **kwargs):
+        decision = real_decide(spec, state, ctx, *args, **kwargs)
+        seen.append((state.id, ctx, decision))
+        return decision
+
+    monkeypatch.setattr(market, "decide_for_policy", recording_decide)
     cfg = resolve_config({"n_dos": 10, "horizon_T": 15, "seeds": [2]})
     for policy in ("pas-afl", "lin-greedy"):
-        world = build_world(cfg, 2, policy_override=policy, keep_trace=True)
+        world = build_world(cfg, 2, policy_override=policy)
         for _ in range(cfg.horizon_T):
+            snapshot = {i: replace(state) for i, state in world.states.items()}
+            seen.clear()
             step(world)
-        for frame in world.trace:
-            for i, decision in frame["decisions"].items():
-                replayed = decide_for_policy(
+            assert sorted(i for i, _, _ in seen) == list(range(cfg.n_dos))
+            for i, ctx, decision in seen:
+                replayed = real_decide(
                     POLICIES[policy],
-                    frame["snapshot_states"][i],
-                    frame["contexts"][i],
+                    snapshot[i],
+                    ctx,
                     np.random.default_rng(0),  # unused: both policies are rng-free
                     work_mode=cfg.policy.work_mode,
                     r_floor=cfg.market.r_floor,

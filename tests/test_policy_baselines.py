@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from aflsim.core import validate_decision
 from aflsim.policy_baselines import (
     ABLATION_NAMES,
     BASELINE_NAMES,
     POLICIES,
-    baseline_joint,
     decide_for_policy,
     price_ampp,
     price_lin,
@@ -15,7 +13,7 @@ from aflsim.policy_baselines import (
     subdel_greedy,
     subdel_rand,
 )
-from helpers import make_ctx, make_state
+from helpers import make_ctx, make_state, validate_decision
 
 
 def test_price_rand_degenerate_interval():
@@ -60,21 +58,21 @@ def test_price_lin_values():
 
 def test_subdel_rand_trivial_zeros():
     rng = np.random.default_rng(5)
-    ctx = make_ctx(eligible=[(1, 0.5, 0.9)])
+    ctx = make_ctx(eligible=True)
     assert subdel_rand(make_state(pending_q=0.0), ctx, 0, rng) == 0
     assert subdel_rand(make_state(pending_q=6.0), make_ctx(), 1, rng) == 0
 
 
 def test_subdel_rand_support_is_exact():
     state = make_state(pending_q=6.0, s_max=3)
-    ctx = make_ctx(eligible=[(1, 0.5, 0.9)])
+    ctx = make_ctx(eligible=True)
     rng = np.random.default_rng(6)
     seen = {subdel_rand(state, ctx, 1, rng) for _ in range(100_000)}
     assert seen == {0, 1, 2, 3}
 
 
 def test_subdel_greedy_values():
-    ctx = make_ctx(eligible=[(1, 0.5, 0.9)])
+    ctx = make_ctx(eligible=True)
     assert subdel_greedy(make_state(pending_q=6.0, s_max=3), ctx, 1) == 3
     assert subdel_greedy(make_state(pending_q=1.0, s_max=3), ctx, 1) == 0
     assert subdel_greedy(make_state(pending_q=6.0, s_max=3), make_ctx(), 1) == 0
@@ -83,8 +81,8 @@ def test_subdel_greedy_values():
 def test_baseline_joint_lin_greedy_composition():
     state = make_state(pending_q=6.0, s_max=3, theta_max=1, reserve_price_p_min=2.0,
                        current_price_p=2.0)
-    ctx = make_ctx(avg_neighbor_price=1.0, eligible=[(1, 0.5, 0.9)])
-    decision = baseline_joint("lin-greedy", state, ctx, np.random.default_rng(7))
+    ctx = make_ctx(avg_neighbor_price=1.0, eligible=True)
+    decision = decide_for_policy(POLICIES["lin-greedy"], state, ctx, np.random.default_rng(7))
     assert decision.accept_x == 1
     assert decision.price_p == 3.0
     assert decision.work_theta == 1
@@ -94,7 +92,7 @@ def test_baseline_joint_lin_greedy_composition():
 
 def test_baseline_joint_zero_state():
     state = make_state(pending_q=0.0)
-    decision = baseline_joint("rand-rand", state, make_ctx(), np.random.default_rng(8))
+    decision = decide_for_policy(POLICIES["rand-rand"], state, make_ctx(), np.random.default_rng(8))
     assert decision.accept_x == 1
     assert decision.subdelegate_s == 0
     assert decision.work_theta == 0
@@ -102,15 +100,13 @@ def test_baseline_joint_zero_state():
 
 def test_baseline_joint_is_reproducible():
     state = make_state(pending_q=6.0, s_max=3, theta_max=1)
-    ctx = make_ctx(avg_neighbor_price=1.0, eligible=[(1, 0.5, 0.9)])
-    one = baseline_joint("rand-rand", state, ctx, np.random.default_rng(99))
-    two = baseline_joint("rand-rand", state, ctx, np.random.default_rng(99))
+    ctx = make_ctx(avg_neighbor_price=1.0, eligible=True)
+    one = decide_for_policy(POLICIES["rand-rand"], state, ctx, np.random.default_rng(99))
+    two = decide_for_policy(POLICIES["rand-rand"], state, ctx, np.random.default_rng(99))
     assert one == two
 
 
 def test_baseline_joint_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        baseline_joint("pas-afl", make_state(), make_ctx(), np.random.default_rng(0))
     with pytest.raises(ValueError):
         resolve_policy("nonsense")
 
@@ -132,10 +128,10 @@ def test_every_baseline_emits_valid_decisions():
         )
         ctx = make_ctx(
             avg_neighbor_price=float(rng.uniform(0.2, 5.0)),
-            eligible=[(1, 0.5, 0.9)] if rng.integers(2) else [],
+            eligible=rng.integers(2),
         )
         name = BASELINE_NAMES[int(rng.integers(len(BASELINE_NAMES)))]
-        decision = baseline_joint(name, state, ctx, policy_rng)
+        decision = decide_for_policy(POLICIES[name], state, ctx, policy_rng)
         result = validate_decision(state, decision)
         assert result.ok, f"{name} violated {result.violation}"
 
@@ -165,8 +161,7 @@ def test_ablation_decision_traces_share_unablated_components():
             theta_max=3,
             s_max=3,
         )
-        ctx = make_ctx(avg_neighbor_price=float(rng.uniform(0.2, 5.0)),
-                       eligible=[(1, 0.5, 0.9)])
+        ctx = make_ctx(avg_neighbor_price=float(rng.uniform(0.2, 5.0)), eligible=True)
         pas = decide_for_policy(POLICIES["pas-afl"], state, ctx, np.random.default_rng(1))
         # pricing ablations keep the work and sub-delegation decisions
         for name in ("pas-nopricing-rand", "pas-nopricing-ampp", "pas-nopricing-lin"):

@@ -3,89 +3,106 @@ import math
 import numpy as np
 import pytest
 
-from aflsim.core import TrustNetwork, validate_decision
+from aflsim.config import resolve_config
+from aflsim.core import TrustNetwork
+from aflsim.market import build_world
+from aflsim.policy_baselines import POLICIES, decide_for_policy
 from aflsim.policy_pas import (
-    build_delegation_context,
     decide_acceptance,
-    decide_joint,
     decide_price,
     decide_subdelegation,
     decide_work,
     eligible_delegates,
     price_is_degenerate,
 )
-from helpers import make_ctx, make_state
+from helpers import make_ctx, make_state, validate_decision
+
+PAS = POLICIES["pas-afl"]
+
+
+def _neighbors(net: TrustNetwork, do_id: int) -> np.ndarray:
+    return np.flatnonzero(net.adjacency_matrix()[do_id])
 
 
 def test_eligible_delegates_basic_constraint():
     net = TrustNetwork(2, edges=[(0, 1)])
-    states = {0: make_state(id=0), 1: make_state(id=1, reputation_r=0.9, current_price_p=1.0)}
-    quotes = eligible_delegates(net, 0, states, reference_payment=2.0, r_min=0.5)
-    assert [q.do_id for q in quotes] == [1]
+    prices, reps = np.array([1.0, 1.0]), np.array([0.6, 0.9])
+    found = eligible_delegates(_neighbors(net, 0), prices, reps, reference_payment=2.0, r_min=0.5)
+    assert found.tolist() == [1]
 
 
 def test_eligible_delegates_empty_neighborhood():
     net = TrustNetwork(2)
-    states = {0: make_state(id=0), 1: make_state(id=1)}
-    assert eligible_delegates(net, 0, states, 2.0, 0.5) == []
+    prices, reps = np.array([1.0, 1.0]), np.array([0.6, 0.6])
+    assert eligible_delegates(_neighbors(net, 0), prices, reps, 2.0, 0.5).tolist() == []
 
 
 def test_eligible_delegates_reputation_gate():
     net = TrustNetwork(2, edges=[(0, 1)])
-    states = {0: make_state(id=0), 1: make_state(id=1, reputation_r=0.4, current_price_p=0.1,
-                                                 reserve_price_p_min=0.1)}
-    assert eligible_delegates(net, 0, states, 2.0, 0.5) == []
+    prices, reps = np.array([1.0, 0.1]), np.array([0.6, 0.4])
+    assert eligible_delegates(_neighbors(net, 0), prices, reps, 2.0, 0.5).tolist() == []
 
 
-def test_eligible_delegates_sorted_by_price_then_id():
-    net = TrustNetwork(4, edges=[(0, 1), (0, 2), (0, 3)])
-    states = {
-        0: make_state(id=0),
-        1: make_state(id=1, current_price_p=1.5),
-        2: make_state(id=2, current_price_p=1.2),
-        3: make_state(id=3, current_price_p=1.2),
-    }
-    quotes = eligible_delegates(net, 0, states, reference_payment=2.0, r_min=0.0)
-    assert [q.do_id for q in quotes] == [2, 3, 1]
+def _tiny_world(n_dos: int, edge_prob: float):
+    """Every DO holds five tasks paying 1.5, works two per step and trusts
+    neighbours with reputation >= 0.5, so each DO may delegate."""
+    cfg = resolve_config({
+        "n_dos": n_dos,
+        "trust_edge_prob": edge_prob,
+        "seeds": [1],
+        "do_params": {
+            "p_min": [1.0, 1.0],
+            "r_min": [0.5, 0.5],
+            "theta_max": [2, 2],
+            "q0": [5, 5],
+            "q0_payment_markup": [1.5, 1.5],
+        },
+    })
+    return build_world(cfg, 1)
 
 
 def test_delegation_context_uses_infinite_sentinel_without_neighbors():
-    net = TrustNetwork(1)
-    states = {0: make_state(id=0)}
-    ctx = build_delegation_context(net, 0, states, reference_payment=None)
+    world = _tiny_world(1, 0.0)
+    ctx = world._build_contexts(np.array([1.0]), np.array([0.9]))[0]
     assert ctx.avg_neighbor_price == math.inf
-    assert ctx.eligible_delegates == ()
-    assert ctx.cheapest_eligible_price is None
+    assert not ctx.has_eligible_delegate
 
 
 def test_delegation_context_averages_all_neighbors():
-    net = TrustNetwork(3, edges=[(0, 1), (0, 2)])
-    states = {
-        0: make_state(id=0),
-        1: make_state(id=1, current_price_p=1.0),
-        2: make_state(id=2, current_price_p=3.0),
-    }
-    ctx = build_delegation_context(net, 0, states, reference_payment=1.5)
+    world = _tiny_world(3, 1.0)
+    reps = np.array([0.9, 0.9, 0.9])
+    ctx = world._build_contexts(np.array([1.0, 1.0, 3.0]), reps)[0]
     assert ctx.avg_neighbor_price == 2.0
-    assert [q.do_id for q in ctx.eligible_delegates] == [1]
-    assert ctx.cheapest_eligible_price == 1.0
+    assert ctx.has_eligible_delegate  # DO 1 asks 1.0 <= 1.5
+    ctx = world._build_contexts(np.array([1.0, 2.0, 3.0]), reps)[0]
+    assert ctx.avg_neighbor_price == 2.5
+    assert not ctx.has_eligible_delegate  # both neighbours ask more than 1.5
+
+
+def test_delegation_context_ignores_tasks_at_depth_cap():
+    world = _tiny_world(3, 1.0)
+    for task in world.pending[0]:
+        task.delegation_depth = world.config.market.delegation_depth_max
+    contexts = world._build_contexts(np.array([1.0, 1.0, 1.0]), np.array([0.9, 0.9, 0.9]))
+    assert not contexts[0].has_eligible_delegate
+    assert contexts[1].has_eligible_delegate
 
 
 def test_subdelegation_holds_when_neighbors_expensive():
     state = make_state(availability_rho=1.0, pending_q=3.0, urgency_Q=2.0, s_max=5)
-    ctx = make_ctx(avg_neighbor_price=10.0, eligible=[(1, 1.0, 0.9)])
+    ctx = make_ctx(avg_neighbor_price=10.0, eligible=True)
     assert decide_subdelegation(state, ctx, theta=0) == 0
 
 
 def test_subdelegation_offloads_leftover_backlog():
     state = make_state(availability_rho=1.0, pending_q=3.0, urgency_Q=2.0, s_max=5)
-    ctx = make_ctx(avg_neighbor_price=1.0, eligible=[(1, 1.0, 0.9)])
+    ctx = make_ctx(avg_neighbor_price=1.0, eligible=True)
     assert decide_subdelegation(state, ctx, theta=1) == 2
 
 
 def test_subdelegation_empty_queue():
     state = make_state(pending_q=0.0)
-    ctx = make_ctx(avg_neighbor_price=0.1, eligible=[(1, 0.1, 0.9)])
+    ctx = make_ctx(avg_neighbor_price=0.1, eligible=True)
     assert decide_subdelegation(state, ctx, theta=0) == 0
 
 
@@ -96,7 +113,7 @@ def test_subdelegation_requires_eligible_delegate():
 
 def test_subdelegation_respects_cap():
     state = make_state(availability_rho=1.0, pending_q=9.0, urgency_Q=5.0, s_max=3)
-    ctx = make_ctx(avg_neighbor_price=0.5, eligible=[(1, 0.5, 0.9)])
+    ctx = make_ctx(avg_neighbor_price=0.5, eligible=True)
     assert decide_subdelegation(state, ctx, theta=2) == 3
 
 
@@ -144,8 +161,8 @@ def test_work_greedy_and_threshold_modes():
 def test_joint_composes_component_rules():
     state = make_state(availability_rho=1.0, reputation_r=0.5, pending_q=3.0, urgency_Q=2.0,
                        theta_max=1, s_max=5, reserve_price_p_min=1.0)
-    ctx = make_ctx(avg_neighbor_price=1.0, eligible=[(1, 1.0, 0.9)])
-    decision = decide_joint(state, ctx)
+    ctx = make_ctx(avg_neighbor_price=1.0, eligible=True)
+    decision = decide_for_policy(PAS, state, ctx, None)
     assert decision.work_theta == 1
     assert decision.subdelegate_s == 2
     assert decision.price_p == 3.0  # max(1, 3 / (2 * 1 * 0.5))
@@ -156,17 +173,17 @@ def test_joint_composes_component_rules():
 
 def test_joint_zero_queue_accepts_iff_reserve_revenue_positive():
     state = make_state(pending_q=0.0, availability_rho=1.0, reputation_r=0.5)
-    decision = decide_joint(state, make_ctx())
+    decision = decide_for_policy(PAS, state, make_ctx(), None)
     assert decision.accept_x == 1
     assert decision.price_p == state.reserve_price_p_min
     zero_rho = make_state(pending_q=0.0, availability_rho=0.0)
-    assert decide_joint(zero_rho, make_ctx()).accept_x == 0
+    assert decide_for_policy(PAS, zero_rho, make_ctx(), None).accept_x == 0
 
 
 def test_joint_without_network_never_delegates():
     state = make_state(pending_q=8.0, urgency_Q=9.0, theta_max=1, s_max=5)
     ctx = make_ctx(avg_neighbor_price=math.inf)
-    decision = decide_joint(state, ctx)
+    decision = decide_for_policy(PAS, state, ctx, None)
     assert decision.subdelegate_s == 0
     assert decision.work_theta == 1
 
@@ -202,8 +219,7 @@ def test_longer_queue_never_cancels_delegation():
     rng = np.random.default_rng(31)
     for _ in range(1000):
         state = _random_state(rng)
-        ctx = make_ctx(avg_neighbor_price=float(rng.uniform(0.2, 6.0)),
-                       eligible=[(1, 0.2, 0.9)])
+        ctx = make_ctx(avg_neighbor_price=float(rng.uniform(0.2, 6.0)), eligible=True)
         theta = 0
         before = decide_subdelegation(state, ctx, theta)
         bumped = make_state(**{**state.to_dict(), "pending_q": state.pending_q + 1.0})
@@ -240,8 +256,8 @@ def test_price_scale_invariance():
             assert decide_price(scaled) == pytest.approx(lam * decide_price(state), rel=1e-12)
 
             pbar = float(rng.uniform(0.2, 5.0))
-            ctx = make_ctx(avg_neighbor_price=pbar, eligible=[(1, 0.1, 0.9)])
-            ctx_scaled = make_ctx(avg_neighbor_price=lam * pbar, eligible=[(1, 0.1, 0.9)])
+            ctx = make_ctx(avg_neighbor_price=pbar, eligible=True)
+            ctx_scaled = make_ctx(avg_neighbor_price=lam * pbar, eligible=True)
             base_holds = decide_subdelegation(state, ctx, 0) == 0
             scaled_holds = decide_subdelegation(scaled, ctx_scaled, 0) == 0
             assert base_holds == scaled_holds

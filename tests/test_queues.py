@@ -1,14 +1,11 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from aflsim.core import StepDecision
+from aflsim.core import DataOwnerState, StepDecision
 from aflsim.queues import (
-    average_demand,
-    drift_bound,
-    lyapunov_value,
-    objective_value,
     subdelegation_cost,
     training_cost,
     update_pending_queue,
@@ -16,6 +13,74 @@ from aflsim.queues import (
     utility,
 )
 from helpers import make_state
+
+
+@dataclass(frozen=True)
+class DriftBoundParts:
+    """Decomposed upper bound on the one-step growth of the queue energy."""
+
+    xi: float      # constant term (theta_max + s_max)**2 + kappa_max**2
+    q_term: float  # q * (arrivals - theta - s)
+    Q_term: float  # Q * (kappa_bar - theta - s)
+    bound: float   # xi + q_term + Q_term
+
+
+def average_demand(kappa_history) -> float:
+    """Arithmetic mean of the arrival counts observed so far."""
+    history = list(kappa_history)
+    if not history:
+        raise ValueError("kappa_history must be nonempty")
+    return sum(history) / len(history)
+
+
+def lyapunov_value(q: float, Q: float) -> float:
+    """Quadratic queue energy (q**2 + Q**2) / 2."""
+    return 0.5 * (q * q + Q * Q)
+
+
+def drift_bound(state: DataOwnerState, decision: StepDecision, arrivals: int) -> DriftBoundParts:
+    """Upper bound on the one-step energy drift for the realized arrivals.
+
+    `arrivals` is the realized admission count (acceptance already applied),
+    and the urgency term uses the state's running average demand.
+    """
+    xi = float((state.theta_max + state.s_max) ** 2 + state.kappa_max**2)
+    moved = decision.work_theta + decision.subdelegate_s
+    q_term = state.pending_q * (arrivals - moved)
+    Q_term = state.urgency_Q * (state.avg_demand_kappa_bar - moved)
+    return DriftBoundParts(xi=xi, q_term=q_term, Q_term=Q_term, bound=xi + q_term + Q_term)
+
+
+def objective_value(
+    state: DataOwnerState,
+    decision: StepDecision,
+    demand_f: float,
+    avg_neighbor_price: float,
+) -> float:
+    """Per-step objective that the closed-form decision rules are derived from.
+
+    Decomposes into a sub-delegation term, the constant drift headroom, a
+    work term, and the joint acceptance/pricing term; each decision variable
+    enters linearly except the price, which also scales the demand factor.
+    The work, sub-delegation and acceptance rules maximize their terms.  The
+    price does not: with demand linear in price the pricing term is strictly
+    convex in p, and the price rule returns its minimum over p >= p_min.
+    """
+    rho = state.availability_rho
+    q = state.pending_q
+    Q = state.urgency_Q
+    xi = float((state.theta_max + state.s_max) ** 2 + state.kappa_max**2)
+
+    if decision.subdelegate_s == 0:
+        s_term = 0.0  # guard against the +inf no-neighbour sentinel
+    else:
+        s_term = decision.subdelegate_s * (rho * avg_neighbor_price - q - Q)
+    theta_term = decision.work_theta * (rho * state.unit_cost_c - q - Q)
+    x_term = (
+        rho * decision.accept_x * decision.price_p * state.reputation_r * demand_f
+        - q * decision.accept_x * demand_f
+    )
+    return -s_term - xi - theta_term + x_term
 
 
 def test_pending_queue_hand_values():

@@ -7,10 +7,10 @@ import pytest
 
 from aflsim.config import ConfigError, load_config, resolve_config
 from aflsim.simcli import (
+    COMPARE_POLICIES,
     MissingArtifactError,
     emit_plot_data,
     main,
-    run_experiment,
     run_preset,
 )
 
@@ -42,6 +42,12 @@ def test_bad_edge_probability_names_field():
 def test_empty_seed_list_names_field():
     with pytest.raises(ConfigError) as err:
         resolve_config({"seeds": []})
+    assert err.value.field == "seeds"
+
+
+def test_duplicate_seeds_name_field():
+    with pytest.raises(ConfigError) as err:
+        resolve_config({"seeds": [1, 2, 1]})
     assert err.value.field == "seeds"
 
 
@@ -90,9 +96,13 @@ def test_load_config_reports_parse_position(tmp_path):
     assert "line" in str(err.value)
 
 
-def test_run_experiment_writes_artifacts_and_summary(tmp_path):
-    cfg = resolve_config(TINY)
-    summary = run_experiment(cfg, out_dir=tmp_path, policy="pas-afl")
+def with_policy(name: str):
+    return resolve_config({**TINY, "policy": {"assignment": name}})
+
+
+def test_run_preset_writes_flat_artifacts_for_the_config_assignment(tmp_path):
+    cfg = with_policy("pas-afl")
+    summary = run_preset(cfg, out_dir=tmp_path)
     assert (tmp_path / "metrics_seed1.csv").exists()
     assert (tmp_path / "metrics_seed2.csv").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -107,9 +117,9 @@ def test_run_experiment_writes_artifacts_and_summary(tmp_path):
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    cfg = resolve_config(TINY)
-    run_experiment(cfg, out_dir=tmp_path / "a", policy="rand-rand")
-    run_experiment(cfg, out_dir=tmp_path / "b", policy="rand-rand")
+    cfg = with_policy("rand-rand")
+    run_preset(cfg, out_dir=tmp_path / "a")
+    run_preset(cfg, out_dir=tmp_path / "b")
     for seed in (1, 2):
         a = (tmp_path / "a" / f"metrics_seed{seed}.csv").read_bytes()
         b = (tmp_path / "b" / f"metrics_seed{seed}.csv").read_bytes()
@@ -118,15 +128,15 @@ def test_rerun_is_byte_identical(tmp_path):
 
 def test_seed_offset_shifts_all_seeds(tmp_path):
     cfg = resolve_config(TINY)
-    run_experiment(cfg, out_dir=tmp_path, policy="pas-afl", seed_offset=100)
+    run_preset(cfg, out_dir=tmp_path, seed_offset=100)
     assert (tmp_path / "metrics_seed101.csv").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["seeds"] == [101, 102]
 
 
 def test_summary_matches_independent_csv_pass(tmp_path):
-    cfg = resolve_config(TINY)
-    summary = run_experiment(cfg, out_dir=tmp_path, policy="ampp-rand")
+    cfg = with_policy("ampp-rand")
+    summary = run_preset(cfg, out_dir=tmp_path)
     utilities, backlogs, prices = [], [], []
     for seed in (1, 2):
         with open(tmp_path / f"metrics_seed{seed}.csv", newline="") as handle:
@@ -151,7 +161,7 @@ def test_plot_data_requires_artifacts(tmp_path):
 
 def test_plot_data_series_covers_horizon(tmp_path):
     cfg = resolve_config({**TINY, "seeds": [1]})
-    run_experiment(cfg, out_dir=tmp_path / "runs", policy="pas-afl")
+    run_preset(cfg, out_dir=tmp_path / "runs")
     emit_plot_data(tmp_path / "runs", tmp_path / "plots")
     with open(tmp_path / "plots" / "utility_vs_time.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
@@ -160,8 +170,6 @@ def test_plot_data_series_covers_horizon(tmp_path):
 
 
 def test_comparison_preset_yields_seven_rows(tmp_path):
-    from aflsim.simcli import COMPARE_POLICIES
-
     cfg = resolve_config({"n_dos": 5, "horizon_T": 5, "seeds": [1]})
     summary = run_preset(cfg, COMPARE_POLICIES, out_dir=tmp_path / "runs")
     assert [row.policy for row in summary.rows] == list(COMPARE_POLICIES)
