@@ -4,7 +4,8 @@ Each case runs one CLI verb on a small world (20 DOs, 50 steps, seeds 1 and
 2) and pins the SHA-256 of every `metrics_seed*.csv`, `manifest.json` and
 `summary.json` it writes, keyed by the path relative to `--out`.  Together
 the cases cover all twelve registered policies, both arrival modes, both
-work modes, the square availability schedule, a per-DO mixed assignment
+work modes, the square availability schedule, a delegation-depth cap that
+binds (a task delegated once may not move again), a per-DO mixed assignment
 under `run`, and both output layouts: flat for `run`, one directory per
 policy for `compare` and `ablate`.
 
@@ -43,6 +44,7 @@ CASES = {
         },
     ),
     "compare-auction-greedy": ("compare", {}),
+    "compare-auction-greedy-depth1": ("compare", {"market": {"delegation_depth_max": 1}}),
     "compare-demand-threshold-square": (
         "compare",
         {
@@ -184,6 +186,52 @@ GOLDEN = {
             "e75787e564767d28e3d75a27e30b297e8d7b09aabcb3a542de511b1f663b3b44",
         "summary.json":
             "b29bc73f343e78341572b5d6f6c0161ab63d7e0ec1850e3219110657ba9e4e6b",
+    },
+    "compare-auction-greedy-depth1": {
+        "ampp-greedy/manifest.json":
+            "860dce3474ba14c17120f74c9c3c5f88de64556c20bcb9f79552be6dc61622e2",
+        "ampp-greedy/metrics_seed1.csv":
+            "cd21a96079dcc8d966f6458e9aa016c5f3b4c20964b535f176f3eb436b9d4a5c",
+        "ampp-greedy/metrics_seed2.csv":
+            "3b24867fe242864819e8b7de0aa2e9b4ae96d35dad5700d6873e31bd81cf40fd",
+        "ampp-rand/manifest.json":
+            "576598305f96d47ebc908d5054fc32c54b1c15106b37faf3424751ce92ec3b1b",
+        "ampp-rand/metrics_seed1.csv":
+            "59ba16c750333b8c8ebcba63a9d5fe6fa6c9ee865c9e70c1e52542b21e7fb1f0",
+        "ampp-rand/metrics_seed2.csv":
+            "3f73a737b6d21f37c4f991f054549e011725c98a09c448f977c288cd6588dbe4",
+        "lin-greedy/manifest.json":
+            "5b7d81553cd81e228bb218ea3c9c8b8e6f0419fd629ad713fb7fd994df85a0cd",
+        "lin-greedy/metrics_seed1.csv":
+            "7ab5a8479a3550193c356d89eb0eb36bf5cc3f9a96761519aa0811c4723bdd0b",
+        "lin-greedy/metrics_seed2.csv":
+            "d7de979706becec739f151a545c21271f2c98b50698bcc9cb21504e76bbb5971",
+        "lin-rand/manifest.json":
+            "3538713a8c4eaaea745e0352002fc7a4b3ec9f2ed6f9fa9c495b4fea80eb5fc7",
+        "lin-rand/metrics_seed1.csv":
+            "7534faab495ac16ac0d3ee99124483aaf7a0712549ea4eecebf774e711f98c0a",
+        "lin-rand/metrics_seed2.csv":
+            "3348b5e007ce6f9bdbe68a3c1e394231cdb4da4d274baffa4fbc744b8d22b51d",
+        "pas-afl/manifest.json":
+            "de148aa42db1e7260638fac7043c08077eb6450312763911bc440b5965275a60",
+        "pas-afl/metrics_seed1.csv":
+            "231f469904fb7082d25b58d197800e4a91c7803a7149a398d485ade8ec024d72",
+        "pas-afl/metrics_seed2.csv":
+            "1da9c045754edfb7c80c77a44be49ceab1ecb6e98eab67f14315037ce1d34999",
+        "rand-greedy/manifest.json":
+            "c42f77294a451bab4147cc838c588e2620b5b4e36d85b5cd9bb7ef1027804b25",
+        "rand-greedy/metrics_seed1.csv":
+            "2b952423c2a3d144e0df49cf40c1835be1238c97fd669fd9fce3e58b653c25f9",
+        "rand-greedy/metrics_seed2.csv":
+            "8fdac9208a6237c915ea9bc6f6e1f076bb6518c8968a0165441ef251fed73166",
+        "rand-rand/manifest.json":
+            "e33d9ea6c7e284dd88b431d446d52bd8bd838f17524e2bf99cf4be9f656fb3b7",
+        "rand-rand/metrics_seed1.csv":
+            "d9e43bbc60f07fa653733bae50d7052f3e0495103b2639800ad0d3eed71f9fb0",
+        "rand-rand/metrics_seed2.csv":
+            "3ea3d1e5a0139ce9312b6dd13ae271f02d34e0184aa74db7b9164e2877f79ac0",
+        "summary.json":
+            "b00f1d1e1bc4170f6b4ca6da105535e4148f5e5d6f406e5020fd9e361e44f151",
     },
     "compare-demand-threshold-square": {
         "ampp-greedy/manifest.json":
