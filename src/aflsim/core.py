@@ -7,7 +7,7 @@ copy between execution contexts.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,13 +83,6 @@ class DataOwnerState:
     current_price_p: float         # most recently posted unit price
     data_size: int                 # local training samples held
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DataOwnerState":
-        return cls(**payload)
-
 
 @dataclass
 class Task:
@@ -115,46 +108,30 @@ class Task:
 
 
 class TrustNetwork:
-    """Undirected, irreflexive adjacency over integer data-owner ids."""
+    """Undirected, irreflexive trust graph over data-owner ids 0..n_dos-1.
+
+    `adjacency` is the symmetric boolean matrix and `neighbors[i]` the
+    ascending ids DO i trusts; both are built once from the edge pairs.
+    """
 
     def __init__(self, n_dos: int, edges=()):
         if n_dos < 1:
             raise ValueError("n_dos must be >= 1")
-        self.n_dos = n_dos
-        self._neighbors: dict[int, set[int]] = {i: set() for i in range(n_dos)}
-        for a, b in edges:
-            self.add_edge(a, b)
-        self._matrix: np.ndarray | None = None
-
-    def add_edge(self, a: int, b: int) -> None:
-        if a == b:
+        pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        outside = pairs[(pairs < 0) | (pairs >= n_dos)]
+        if outside.size:
+            raise ValueError(f"node {outside[0]} out of range")
+        if (pairs[:, 0] == pairs[:, 1]).any():
             raise ValueError("self loops are not allowed")
-        for node in (a, b):
-            if not 0 <= node < self.n_dos:
-                raise ValueError(f"node {node} out of range")
-        self._neighbors[a].add(b)
-        self._neighbors[b].add(a)
-        self._matrix = None
-
-    def neighbor_set(self, do_id: int) -> tuple[int, ...]:
-        return tuple(sorted(self._neighbors[do_id]))
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return b in self._neighbors[a]
+        adjacency = np.zeros((n_dos, n_dos), dtype=bool)
+        adjacency[pairs[:, 0], pairs[:, 1]] = True
+        adjacency |= adjacency.T
+        self.adjacency = adjacency
+        self.neighbors = [np.flatnonzero(row) for row in adjacency]
 
     @property
     def n_edges(self) -> int:
-        return sum(len(v) for v in self._neighbors.values()) // 2
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense symmetric boolean matrix, cached between queries."""
-        if self._matrix is None:
-            m = np.zeros((self.n_dos, self.n_dos), dtype=bool)
-            for i, nbrs in self._neighbors.items():
-                for j in nbrs:
-                    m[i, j] = True
-            self._matrix = m
-        return self._matrix
+        return int(np.count_nonzero(self.adjacency)) // 2
 
 
 @dataclass

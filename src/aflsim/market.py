@@ -1,4 +1,4 @@
-"""Per-step market engine: trust graph, bidders, auction clearing, task routing.
+"""Per-step market engine: trust-graph sampling, bidders, auction clearing, task routing.
 
 One simulation step runs a fixed pipeline:
 
@@ -11,9 +11,11 @@ One simulation step runs a fixed pipeline:
   7. reputations and rating counts update from on-time completions,
   8. metrics records are emitted.
 
-Everything is deterministic given the scenario seed.  Conservation audits
-(task ledger, payment flows, admission caps, state invariants) run every
-step and raise immediately on violation.
+The context builder and the router both read a DO's trusted neighbours from
+`TrustNetwork.neighbors`.  Everything is deterministic given the scenario
+seed.  Audits (task conservation, admission caps, state invariants, and the
+payment ledgers against admitted and moved task counts) run every step and
+raise immediately on violation.
 
 The six model-user bidding strategies are parameterized stand-ins: each gets
 a distinct target ordering and bid shape, and every data-owner policy in a
@@ -21,6 +23,7 @@ comparison faces the identical bidder population and random streams.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -86,14 +89,9 @@ def generate_trust_network(n_dos: int, edge_prob: float, rng) -> TrustNetwork:
         raise ValueError("n_dos must be >= 1")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge_prob must lie in [0, 1]")
-    network = TrustNetwork(n_dos)
-    if n_dos == 1:
-        return network
     rows, cols = np.triu_indices(n_dos, k=1)
     mask = rng.random(rows.shape[0]) < edge_prob
-    for a, b in zip(rows[mask], cols[mask]):
-        network.add_edge(int(a), int(b))
-    return network
+    return TrustNetwork(n_dos, np.column_stack((rows[mask], cols[mask])))
 
 
 def update_reputation(
@@ -255,14 +253,13 @@ def route_subdelegations(
     s_realized = {i: 0 for i in do_states}
     payments: list[tuple[int, int, float]] = []
     price_of = prices.tolist()
-    rep_of = reps.tolist()
 
     for do_id in sorted(do_states):
         goal = decisions[do_id].subdelegate_s
         if goal <= 0:
             continue
-        r_min = do_states[do_id].rep_threshold_r_min
-        trusted = [k for k in network.neighbor_set(do_id) if rep_of[k] >= r_min]
+        neighbors = network.neighbors[do_id]
+        trusted = neighbors[reps[neighbors] >= do_states[do_id].rep_threshold_r_min].tolist()
         candidates = [t for t in pending[do_id] if t.delegation_depth < depth_max]
         candidates.sort(key=lambda t: (-t.unit_payment_p_tau, t.task_id))
         moved_ids = set()
@@ -298,14 +295,11 @@ class World:
         self.config = config
         self.seed = seed
         self.t = 0
-        self.constants = config.constants
 
         self.network = generate_trust_network(
             config.n_dos, config.trust_edge_prob, np.random.default_rng([seed, _STREAM_GRAPH])
         )
-        adjacency = self.network.adjacency_matrix()
-        self._neighbors = [np.flatnonzero(row) for row in adjacency]
-        self._adj = adjacency.astype(float)
+        self._adj = self.network.adjacency.astype(float)
         self._deg = self._adj.sum(axis=1)
 
         self.rep_params = ReputationParams(
@@ -340,7 +334,6 @@ class World:
             }
 
         self.kappa_sum = {i: 0.0 for i in range(config.n_dos)}
-        self.kappa_n = {i: 0 for i in range(config.n_dos)}
 
         self.audit_checks = 0
         self.degenerate_price_steps = 0
@@ -348,7 +341,6 @@ class World:
         self.price_sum = 0.0
         self.backlog_sum = 0.0
         self.accept_count = 0
-        self.record_count = 0
 
     def _build_data_owners(self, rng) -> None:
         cfg = self.config
@@ -441,6 +433,7 @@ class World:
         """
         cfg = self.config
         depth_max = cfg.market.delegation_depth_max
+        neighbors = self.network.neighbors
         sums = self._adj @ prices
         contexts = {}
         for i in range(cfg.n_dos):
@@ -458,7 +451,7 @@ class World:
                 ]
                 if routable:
                     found = eligible_delegates(
-                        self._neighbors[i], prices, reps, max(routable), state.rep_threshold_r_min
+                        neighbors[i], prices, reps, max(routable), state.rep_threshold_r_min
                     )
                     eligible = len(found) > 0
             contexts[i] = DelegationContext(avg, eligible)
@@ -501,21 +494,6 @@ def _demand_model_arrivals(world: World, decisions) -> tuple[AuctionOutcome, int
             payments.append((DEMAND_MODEL_ORIGIN, i, decision.price_p))
             next_id += 1
     return AuctionOutcome(kappa=kappa, tasks=tasks, payments=payments), next_id
-
-
-def _audit_payments(entries: list[tuple[int, int, float]], label: str) -> None:
-    """Payer-side and payee-side ledgers must account for the same money."""
-    paid: dict[int, list[float]] = {}
-    received: dict[int, list[float]] = {}
-    for payer, payee, amount in entries:
-        paid.setdefault(payer, []).append(amount)
-        received.setdefault(payee, []).append(amount)
-    total_paid = math.fsum(math.fsum(v) for _k, v in sorted(paid.items()))
-    total_received = math.fsum(math.fsum(v) for _k, v in sorted(received.items()))
-    if abs(total_paid - total_received) > 1e-9 * max(1.0, abs(total_paid)):
-        raise MarketInvariantError(
-            f"{label} payment conservation broken: paid={total_paid} received={total_received}"
-        )
 
 
 def step(world: World) -> list[MetricsRecord]:
@@ -653,15 +631,13 @@ def step(world: World) -> list[MetricsRecord]:
         state.reputation_r = new_r
         state.positive_ratings_Mp = new_mp
         world.kappa_sum[i] += arrivals_total
-        world.kappa_n[i] += 1
-        state.avg_demand_kappa_bar = world.kappa_sum[i] / world.kappa_n[i]
+        state.avg_demand_kappa_bar = world.kappa_sum[i] / (t + 1)
         state.availability_rho = world._rho_value(world.rho_base[i], t + 1)
 
         world.utility_sum += u
         world.price_sum += decision.price_p
         world.backlog_sum += new_q
         world.accept_count += decision.accept_x
-        world.record_count += 1
 
     _run_step_audits(world, auction, routing, decisions)
 
@@ -677,10 +653,32 @@ def _run_step_audits(world: World, auction: AuctionOutcome, routing: RoutingOutc
             f"completed={world.completed_tasks} pending={pending_total}"
         )
 
-    _audit_payments(auction.payments, "auction")
-    _audit_payments(routing.payments, "delegation")
+    # The payment ledgers are checked against the admitted and moved task
+    # counts, which the ledgers are not summed from.
+    auction_paid = Counter()
+    for _payer, payee, amount in auction.payments:
+        if amount != decisions[payee].price_p:
+            raise MarketInvariantError(
+                f"DO {payee} was paid {amount} for a task posted at {decisions[payee].price_p}"
+            )
+        auction_paid[payee] += 1
+    delegations_paid = Counter(payer for payer, _payee, _amount in routing.payments)
+    delegations_received = Counter(payee for _payer, payee, _amount in routing.payments)
 
     for i, state in world.states.items():
+        if auction_paid[i] != auction.kappa[i]:
+            raise MarketInvariantError(
+                f"DO {i} was paid for {auction_paid[i]} of {auction.kappa[i]} admitted tasks"
+            )
+        if delegations_paid[i] != routing.s_realized[i]:
+            raise MarketInvariantError(
+                f"DO {i} paid for {delegations_paid[i]} of {routing.s_realized[i]} delegated tasks"
+            )
+        if delegations_received[i] != len(routing.incoming[i]):
+            raise MarketInvariantError(
+                f"DO {i} was paid for {delegations_received[i]} of "
+                f"{len(routing.incoming[i])} received tasks"
+            )
         if routing.s_realized[i] > decisions[i].subdelegate_s:
             raise MarketInvariantError(f"DO {i} routed more tasks than it decided to delegate")
         cap = min(state.theta_max, state.kappa_max - 1)

@@ -81,23 +81,22 @@ class PolicySpec:
     price_rule: str    # "lyapunov" | "rand" | "ampp" | "lin"
     subdel_rule: str   # "threshold" | "rand" | "greedy"
     accept_rule: str   # "lyapunov" | "always"
-    work_rule: str     # "greedy" | "threshold"
 
 
 POLICIES: dict[str, PolicySpec] = {
-    "pas-afl": PolicySpec("pas-afl", "lyapunov", "threshold", "lyapunov", "greedy"),
-    "rand-rand": PolicySpec("rand-rand", "rand", "rand", "always", "greedy"),
-    "rand-greedy": PolicySpec("rand-greedy", "rand", "greedy", "always", "greedy"),
-    "ampp-rand": PolicySpec("ampp-rand", "ampp", "rand", "always", "greedy"),
-    "ampp-greedy": PolicySpec("ampp-greedy", "ampp", "greedy", "always", "greedy"),
-    "lin-rand": PolicySpec("lin-rand", "lin", "rand", "always", "greedy"),
-    "lin-greedy": PolicySpec("lin-greedy", "lin", "greedy", "always", "greedy"),
+    "pas-afl": PolicySpec("pas-afl", "lyapunov", "threshold", "lyapunov"),
+    "rand-rand": PolicySpec("rand-rand", "rand", "rand", "always"),
+    "rand-greedy": PolicySpec("rand-greedy", "rand", "greedy", "always"),
+    "ampp-rand": PolicySpec("ampp-rand", "ampp", "rand", "always"),
+    "ampp-greedy": PolicySpec("ampp-greedy", "ampp", "greedy", "always"),
+    "lin-rand": PolicySpec("lin-rand", "lin", "rand", "always"),
+    "lin-greedy": PolicySpec("lin-greedy", "lin", "greedy", "always"),
     # Ablated variants of the joint policy, one component swapped each.
-    "pas-nopricing-rand": PolicySpec("pas-nopricing-rand", "rand", "threshold", "lyapunov", "greedy"),
-    "pas-nopricing-ampp": PolicySpec("pas-nopricing-ampp", "ampp", "threshold", "lyapunov", "greedy"),
-    "pas-nopricing-lin": PolicySpec("pas-nopricing-lin", "lin", "threshold", "lyapunov", "greedy"),
-    "pas-nosubdel-rand": PolicySpec("pas-nosubdel-rand", "lyapunov", "rand", "lyapunov", "greedy"),
-    "pas-nosubdel-greedy": PolicySpec("pas-nosubdel-greedy", "lyapunov", "greedy", "lyapunov", "greedy"),
+    "pas-nopricing-rand": PolicySpec("pas-nopricing-rand", "rand", "threshold", "lyapunov"),
+    "pas-nopricing-ampp": PolicySpec("pas-nopricing-ampp", "ampp", "threshold", "lyapunov"),
+    "pas-nopricing-lin": PolicySpec("pas-nopricing-lin", "lin", "threshold", "lyapunov"),
+    "pas-nosubdel-rand": PolicySpec("pas-nosubdel-rand", "lyapunov", "rand", "lyapunov"),
+    "pas-nosubdel-greedy": PolicySpec("pas-nosubdel-greedy", "lyapunov", "greedy", "lyapunov"),
 }
 
 BASELINE_NAMES = ("rand-rand", "rand-greedy", "ampp-rand", "ampp-greedy", "lin-rand", "lin-greedy")
@@ -124,11 +123,11 @@ def decide_for_policy(
     rng,
     markup_max: float = DEFAULT_MARKUP_MAX,
     lin_gain: float = DEFAULT_LIN_GAIN,
-    work_mode: str | None = None,
+    work_mode: str = "greedy",
     r_floor: float = 1e-3,
 ) -> StepDecision:
     """Evaluate one composed policy on one DO against a market snapshot."""
-    theta = decide_work(state, work_mode or spec.work_rule)
+    theta = decide_work(state, work_mode)
 
     if spec.subdel_rule == "threshold":
         s = decide_subdelegation(state, ctx, theta)

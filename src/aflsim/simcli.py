@@ -42,7 +42,7 @@ class MissingArtifactError(FileNotFoundError):
 
 @dataclass
 class RunResult:
-    """Aggregates from one seeded run; heavy per-record data is optional."""
+    """Aggregates from one seeded run."""
 
     policy: str
     seed: int
@@ -56,9 +56,6 @@ class RunResult:
     per_step_max_Q: np.ndarray
     audit_checks: int
     price_degenerate_steps: int
-    records: list | None = None
-    initial_q: dict[int, float] | None = None
-    initial_Q: dict[int, float] | None = None
 
 
 @dataclass
@@ -87,18 +84,13 @@ def run_scenario(
     config: ScenarioConfig,
     seed: int,
     policy: str | None = None,
-    retain_records: bool = False,
     csv_path=None,
 ) -> RunResult:
     """Run one seeded world for the configured horizon.
 
-    With `csv_path` set, metrics stream to disk as they are produced; with
-    `retain_records` they are also kept in memory (small scenarios only).
+    With `csv_path` set, metrics stream to disk as they are produced.
     """
     world = build_world(config, seed, policy_override=policy)
-    kept = [] if retain_records else None
-    initial_q = {i: s.pending_q for i, s in world.states.items()}
-    initial_Q = {i: s.urgency_Q for i, s in world.states.items()}
 
     mean_q = np.empty(config.horizon_T)
     max_Q = np.empty(config.horizon_T)
@@ -116,13 +108,11 @@ def run_scenario(
             max_Q[t] = max(r.urgency_Q for r in records)
             if writer is not None:
                 writer.writerows(r.to_csv_row() for r in records)
-            if kept is not None:
-                kept.extend(records)
     finally:
         if handle is not None:
             handle.close()
 
-    denom = max(world.record_count, 1)
+    denom = config.n_dos * config.horizon_T
     return RunResult(
         policy=policy or str(config.policy.assignment),
         seed=seed,
@@ -136,9 +126,6 @@ def run_scenario(
         per_step_max_Q=max_Q,
         audit_checks=world.audit_checks,
         price_degenerate_steps=world.degenerate_price_steps,
-        records=kept,
-        initial_q=initial_q,
-        initial_Q=initial_Q,
     )
 
 

@@ -1,6 +1,7 @@
-"""Shared builders for test states and contexts, and test-side reference checks."""
+"""Shared builders for test states, contexts and runs, and test-side reference checks."""
 
-from aflsim.core import DataOwnerState, StepDecision, ValidationResult
+from aflsim.core import DataOwnerState, MetricsRecord, StepDecision, ValidationResult
+from aflsim.market import World, step
 from aflsim.policy_pas import DelegationContext
 
 
@@ -31,6 +32,15 @@ def make_ctx(avg_neighbor_price=1.0, eligible=False) -> DelegationContext:
     return DelegationContext(
         avg_neighbor_price=avg_neighbor_price, has_eligible_delegate=bool(eligible)
     )
+
+
+def run_world(world: World) -> tuple[dict[int, tuple[float, float]], list[MetricsRecord]]:
+    """Step `world` through its horizon; return each DO's initial (q, Q) and every record."""
+    initial = {i: (s.pending_q, s.urgency_Q) for i, s in world.states.items()}
+    records = []
+    for _ in range(world.config.horizon_T):
+        records.extend(step(world))
+    return initial, records
 
 
 def validate_decision(state: DataOwnerState, decision: StepDecision) -> ValidationResult:

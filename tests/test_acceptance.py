@@ -28,6 +28,7 @@ from aflsim.market import build_world
 from aflsim.policy_baselines import ABLATION_NAMES, BASELINE_NAMES
 from aflsim.policy_pas import decide_price, decide_subdelegation
 from aflsim.simcli import run_preset, run_scenario
+from helpers import run_world
 from helpers import make_ctx, make_state
 
 
@@ -63,9 +64,10 @@ def ablate_matrix(compare_matrix):
 def drift_run():
     cfg = resolve_config({})
     start = time.perf_counter()
-    result = run_scenario(cfg, 12345, policy="pas-afl", retain_records=True)
+    world = build_world(cfg, 12345, policy_override="pas-afl")
+    initial, records = run_world(world)
     elapsed = time.perf_counter() - start
-    return cfg, result, elapsed
+    return cfg, world, initial, records, elapsed
 
 
 # --- C1: sub-delegation closed form vs enumeration oracle ---
@@ -193,14 +195,13 @@ def test_c2_pricing_closed_form_matches_grid_search():
 
 
 def test_c3_drift_never_exceeds_bound(drift_run):
-    cfg, result, elapsed = drift_run
-    world = build_world(cfg, 12345, policy_override="pas-afl")
+    cfg, world, initial, records, elapsed = drift_run
     caps = {
         i: (s.theta_max, s.s_max, s.kappa_max) for i, s in world.states.items()
     }
 
     by_do: dict[int, list] = {}
-    for rec in result.records:
+    for rec in records:
         by_do.setdefault(rec.do_id, []).append(rec)
 
     violations = 0
@@ -210,8 +211,7 @@ def test_c3_drift_never_exceeds_bound(drift_run):
         recs.sort(key=lambda r: r.step)
         theta_max, s_max, kappa_max = caps[do_id]
         xi = (theta_max + s_max) ** 2 + kappa_max**2
-        q_pre = result.initial_q[do_id]
-        Q_pre = result.initial_Q[do_id]
+        q_pre, Q_pre = initial[do_id]
         ksum, kn = 0.0, 0
         for rec in recs:
             kappa_bar = cfg.market.kappa_bar_prior if kn == 0 else ksum / kn
@@ -309,21 +309,22 @@ def test_c6_joint_policy_beats_every_ablation(ablate_matrix):
 def test_c7_conservation_audits_all_clean(compare_matrix, ablate_matrix, drift_run):
     cfg, compare, _ = compare_matrix
     _, ablate = ablate_matrix[0], ablate_matrix[1]
-    _, drift_result, _ = drift_run
+    drift_cfg, drift_world, _, _, _ = drift_run
 
     # every step of every run performed its ledger audits; a violation would
     # have raised and failed the fixtures before reaching this point
     runs = [r for results in compare.values() for r in results]
     runs += [r for name, results in ablate.items() if name != "pas-afl" for r in results]
-    runs.append(drift_result)
-    total_checks = sum(r.audit_checks for r in runs)
-    per_run_ok = all(r.audit_checks == r.horizon for r in runs)
+    audited = [(r.audit_checks, r.horizon) for r in runs]
+    audited.append((drift_world.audit_checks, drift_cfg.horizon_T))
+    total_checks = sum(checks for checks, _ in audited)
+    per_run_ok = all(checks == horizon for checks, horizon in audited)
 
     ok = per_run_ok and total_checks > 0
-    _report("C7 task and payment conservation", ok,
-            f"{len(runs)} runs, {total_checks} audited steps, 0 violations")
+    _report("C7 task conservation and payment ledgers", ok,
+            f"{len(audited)} runs, {total_checks} audited steps, 0 violations")
     assert per_run_ok
-    assert total_checks == sum(r.horizon for r in runs)
+    assert total_checks == sum(horizon for _, horizon in audited)
 
 
 # --- C8: byte-identical reruns ---
@@ -388,11 +389,11 @@ def test_c9_three_step_trace_matches_hand_simulation():
         "reputation": {"ema_beta": 0.9, "on_time_window": 8},
         "seeds": [7],
     })
-    result = run_scenario(cfg, 7, policy="pas-afl", retain_records=True)
+    _, records = run_world(build_world(cfg, 7, policy_override="pas-afl"))
     observed = [
         (r.step, r.utility_u, r.pending_q, r.urgency_Q, r.accepted_kappa,
          r.completed_theta, r.subdelegated_s, r.price_p, r.reputation_r)
-        for r in sorted(result.records, key=lambda r: r.step)
+        for r in sorted(records, key=lambda r: r.step)
     ]
 
     ok = True

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from aflsim.core import (
@@ -57,12 +55,6 @@ def test_validate_state_requires_kappa_cap_at_least_one():
     assert validate_state(make_state(kappa_max=0)).violation == "kappa_max"
 
 
-def test_state_round_trips_through_dict():
-    state = make_state(pending_q=3.0, urgency_Q=1.5, positive_ratings_Mp=7)
-    clone = type(state).from_dict(state.to_dict())
-    assert dataclasses.asdict(clone) == dataclasses.asdict(state)
-
-
 def test_task_rejects_nonpositive_payment():
     with pytest.raises(ValueError):
         Task(task_id=0, origin_mu=0, unit_payment_p_tau=0.0, arrival_step=0,
@@ -74,14 +66,19 @@ def test_trust_network_rejects_self_loops():
         TrustNetwork(3, edges=[(1, 1)])
 
 
+@pytest.mark.parametrize("edge", [(0, 3), (-1, 2)], ids=["too-large", "negative"])
+def test_trust_network_rejects_out_of_range_ids(edge):
+    with pytest.raises(ValueError, match="out of range"):
+        TrustNetwork(3, edges=[(0, 1), edge])
+
+
 def test_trust_network_is_symmetric():
-    net = TrustNetwork(4, edges=[(0, 2), (2, 3)])
-    assert net.neighbor_set(2) == (0, 3)
-    assert net.has_edge(2, 0) and net.has_edge(0, 2)
+    net = TrustNetwork(4, edges=[(0, 2), (2, 3), (3, 2)])
+    assert [row.tolist() for row in net.neighbors] == [[2], [], [0, 3], [2]]
+    assert net.adjacency[2, 0] and net.adjacency[0, 2]
     assert net.n_edges == 2
-    matrix = net.adjacency_matrix()
-    assert (matrix == matrix.T).all()
-    assert not matrix.diagonal().any()
+    assert (net.adjacency == net.adjacency.T).all()
+    assert not net.adjacency.diagonal().any()
 
 
 def test_decision_validation_covers_all_bounds():

@@ -8,6 +8,7 @@ from aflsim import market
 from aflsim.config import resolve_config
 from aflsim.core import StepDecision, Task, TrustNetwork
 from aflsim.market import (
+    MarketInvariantError,
     ModelUser,
     ReputationParams,
     build_world,
@@ -19,7 +20,7 @@ from aflsim.market import (
 )
 from aflsim.policy_baselines import POLICIES
 from aflsim.simcli import run_scenario
-from helpers import make_state
+from helpers import make_state, run_world
 
 GAINS = {"lin": 1.25, "bmub": 1.45, "fedbidder-simple": 1.1, "fedbidder-complex": 1.35}
 
@@ -27,6 +28,12 @@ GAINS = {"lin": 1.25, "bmub": 1.45, "fedbidder-simple": 1.1, "fedbidder-complex"
 def test_graph_zero_probability_has_no_edges():
     net = generate_trust_network(50, 0.0, np.random.default_rng(0))
     assert net.n_edges == 0
+
+
+def test_graph_of_one_do_has_no_edges():
+    net = generate_trust_network(1, 1.0, np.random.default_rng(0))
+    assert net.n_edges == 0
+    assert net.neighbors[0].tolist() == []
 
 
 def test_graph_full_probability_is_complete():
@@ -47,9 +54,8 @@ def test_graph_edge_count_matches_binomial_mean():
 def test_graph_is_deterministic_per_seed():
     a = generate_trust_network(30, 0.5, np.random.default_rng(123))
     b = generate_trust_network(30, 0.5, np.random.default_rng(123))
-    assert {(i, j) for i in range(30) for j in a.neighbor_set(i)} == {
-        (i, j) for i in range(30) for j in b.neighbor_set(i)
-    }
+    assert (a.adjacency == b.adjacency).all()
+    assert [row.tolist() for row in a.neighbors] == [row.tolist() for row in b.neighbors]
 
 
 def test_reputation_unchanged_when_nothing_due():
@@ -247,8 +253,8 @@ def test_zero_mu_world_earns_nothing():
         "mu": {"strategies": [], "budget_per_step": 0.0},
         "n_mus": 0,
     })
-    result = run_scenario(cfg, 1, policy="pas-afl", retain_records=True)
-    assert all(r.utility_u <= 0.0 for r in result.records)
+    _, records = run_world(build_world(cfg, 1, policy_override="pas-afl"))
+    assert all(r.utility_u <= 0.0 for r in records)
 
 
 def test_step_keeps_virtual_and_physical_queues_aligned():
@@ -264,15 +270,14 @@ def test_step_keeps_virtual_and_physical_queues_aligned():
 def test_step_queue_updates_match_recurrences():
     # reconstruct both queue recurrences from the emitted records
     cfg = resolve_config({"n_dos": 15, "horizon_T": 40, "seeds": [5]})
-    res = run_scenario(cfg, 5, policy="rand-greedy", retain_records=True)
+    initial, records = run_world(build_world(cfg, 5, policy_override="rand-greedy"))
     prior = cfg.market.kappa_bar_prior
     by_do = {}
-    for rec in res.records:
+    for rec in records:
         by_do.setdefault(rec.do_id, []).append(rec)
     for do_id, recs in by_do.items():
         recs.sort(key=lambda r: r.step)
-        q_pre = res.initial_q[do_id]
-        Q_pre = res.initial_Q[do_id]
+        q_pre, Q_pre = initial[do_id]
         ksum, kn = 0.0, 0
         for rec in recs:
             kbar = prior if kn == 0 else ksum / kn
@@ -322,18 +327,14 @@ def test_demand_model_arrivals_respect_caps_and_determinism():
         "n_dos": 10, "horizon_T": 20, "seeds": [9],
         "market": {"arrival_mode": "demand-model"},
     })
-    first = run_scenario(cfg, 9, policy="pas-afl", retain_records=True)
-    second = run_scenario(cfg, 9, policy="pas-afl", retain_records=True)
-    assert [r.__dict__ for r in first.records] == [r.__dict__ for r in second.records]
     world = build_world(cfg, 9, policy_override="pas-afl")
-    caps = {i: min(s.theta_max, s.kappa_max - 1) for i, s in world.states.items()}
-    for _ in range(cfg.horizon_T):
-        step(world)
+    _, first = run_world(world)
+    _, second = run_world(build_world(cfg, 9, policy_override="pas-afl"))
+    assert first == second
     # audits inside step() already enforce the admission caps; spot-check records
-    for rec in first.records:
+    for rec in first:
         assert rec.accepted_kappa <= world.states[rec.do_id].kappa_max - 1
-    assert any(r.accepted_kappa > 0 for r in first.records)
-    assert caps  # caps existed for every DO
+    assert any(r.accepted_kappa > 0 for r in first)
 
 
 def test_demand_model_round_integerization_is_deterministic():
@@ -341,9 +342,9 @@ def test_demand_model_round_integerization_is_deterministic():
         "n_dos": 6, "horizon_T": 10, "seeds": [2],
         "market": {"arrival_mode": "demand-model", "integerization": "round"},
     })
-    a = run_scenario(cfg, 2, policy="lin-greedy", retain_records=True)
-    b = run_scenario(cfg, 2, policy="lin-greedy", retain_records=True)
-    assert [r.__dict__ for r in a.records] == [r.__dict__ for r in b.records]
+    _, a = run_world(build_world(cfg, 2, policy_override="lin-greedy"))
+    _, b = run_world(build_world(cfg, 2, policy_override="lin-greedy"))
+    assert a == b
 
 
 def test_price_degeneracy_is_counted():
@@ -354,3 +355,54 @@ def test_price_degeneracy_is_counted():
     res = run_scenario(cfg, 1, policy="pas-afl")
     assert res.price_degenerate_steps == 4 * 5
     assert res.acceptance_rate == 0.0
+
+
+def _step_until_tampered(monkeypatch, name, tamper, policy, match):
+    """Step a small world with `market.<name>` wrapped so that `tamper` edits
+    the first ledger it sees with an entry, and expect an audit matching `match`."""
+    real = getattr(market, name)
+    tampered = []
+
+    def wrapped(*args, **kwargs):
+        result = real(*args, **kwargs)
+        outcome = result[0] if isinstance(result, tuple) else result
+        if outcome.payments and not tampered:
+            tamper(outcome.payments)
+            tampered.append(True)
+        return result
+
+    monkeypatch.setattr(market, name, wrapped)
+    cfg = resolve_config({"n_dos": 10, "horizon_T": 30, "seeds": [1]})
+    world = build_world(cfg, 1, policy_override=policy)
+    with pytest.raises(MarketInvariantError, match=match):
+        for _ in range(cfg.horizon_T):
+            step(world)
+    assert tampered
+
+
+def _overpay(payments):
+    payer, payee, amount = payments[0]
+    payments[0] = (payer, payee, amount * 1.5)
+
+
+def _redirect(payments):
+    payer, payee, amount = payments[0]
+    payments[0] = (payer, (payee + 1) % 10, amount)  # another of the world's 10 DOs
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [(_overpay, "posted at"), (list.pop, "admitted tasks")],
+    ids=["overpaid", "dropped"],
+)
+def test_auction_ledger_audit_catches_a_tampered_entry(monkeypatch, tamper, message):
+    _step_until_tampered(monkeypatch, "run_auction", tamper, "pas-afl", message)
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [(list.pop, "(delegated|received) tasks"), (_redirect, "received tasks")],
+    ids=["dropped", "redirected"],
+)
+def test_delegation_ledger_audit_catches_a_tampered_entry(monkeypatch, tamper, message):
+    _step_until_tampered(monkeypatch, "route_subdelegations", tamper, "lin-greedy", message)

@@ -142,7 +142,7 @@ def test_ablations_differ_from_joint_policy_in_exactly_one_component():
         spec = POLICIES[name]
         diffs = [
             field
-            for field in ("price_rule", "subdel_rule", "accept_rule", "work_rule")
+            for field in ("price_rule", "subdel_rule", "accept_rule")
             if getattr(spec, field) != getattr(reference, field)
         ]
         assert len(diffs) == 1, f"{name} differs in {diffs}"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,27 +21,23 @@ from helpers import make_ctx, make_state, validate_decision
 PAS = POLICIES["pas-afl"]
 
 
-def _neighbors(net: TrustNetwork, do_id: int) -> np.ndarray:
-    return np.flatnonzero(net.adjacency_matrix()[do_id])
-
-
 def test_eligible_delegates_basic_constraint():
     net = TrustNetwork(2, edges=[(0, 1)])
     prices, reps = np.array([1.0, 1.0]), np.array([0.6, 0.9])
-    found = eligible_delegates(_neighbors(net, 0), prices, reps, reference_payment=2.0, r_min=0.5)
+    found = eligible_delegates(net.neighbors[0], prices, reps, reference_payment=2.0, r_min=0.5)
     assert found.tolist() == [1]
 
 
 def test_eligible_delegates_empty_neighborhood():
     net = TrustNetwork(2)
     prices, reps = np.array([1.0, 1.0]), np.array([0.6, 0.6])
-    assert eligible_delegates(_neighbors(net, 0), prices, reps, 2.0, 0.5).tolist() == []
+    assert eligible_delegates(net.neighbors[0], prices, reps, 2.0, 0.5).tolist() == []
 
 
 def test_eligible_delegates_reputation_gate():
     net = TrustNetwork(2, edges=[(0, 1)])
     prices, reps = np.array([1.0, 0.1]), np.array([0.6, 0.4])
-    assert eligible_delegates(_neighbors(net, 0), prices, reps, 2.0, 0.5).tolist() == []
+    assert eligible_delegates(net.neighbors[0], prices, reps, 2.0, 0.5).tolist() == []
 
 
 def _tiny_world(n_dos: int, edge_prob: float):
@@ -222,7 +219,7 @@ def test_longer_queue_never_cancels_delegation():
         ctx = make_ctx(avg_neighbor_price=float(rng.uniform(0.2, 6.0)), eligible=True)
         theta = 0
         before = decide_subdelegation(state, ctx, theta)
-        bumped = make_state(**{**state.to_dict(), "pending_q": state.pending_q + 1.0})
+        bumped = replace(state, pending_q=state.pending_q + 1.0)
         after = decide_subdelegation(bumped, ctx, theta)
         if before > 0:
             assert after > 0
@@ -245,14 +242,14 @@ def test_price_scale_invariance():
             s_max=int(rng.integers(1, 5)),
         )
         for lam in (2.0, 0.5, 7.3):
-            scaled = make_state(**{
-                **state.to_dict(),
-                "reserve_price_p_min": lam * state.reserve_price_p_min,
-                "current_price_p": lam * state.current_price_p,
-                "unit_cost_c": lam * state.unit_cost_c,
-                "pending_q": lam * state.pending_q,
-                "urgency_Q": lam * state.urgency_Q,
-            })
+            scaled = replace(
+                state,
+                reserve_price_p_min=lam * state.reserve_price_p_min,
+                current_price_p=lam * state.current_price_p,
+                unit_cost_c=lam * state.unit_cost_c,
+                pending_q=lam * state.pending_q,
+                urgency_Q=lam * state.urgency_Q,
+            )
             assert decide_price(scaled) == pytest.approx(lam * decide_price(state), rel=1e-12)
 
             pbar = float(rng.uniform(0.2, 5.0))
