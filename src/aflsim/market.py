@@ -668,15 +668,16 @@ def _run_step_audits(world: World, auction: AuctionOutcome, routing: RoutingOutc
     for i, state in world.states.items():
         if auction_paid[i] != auction.kappa[i]:
             raise MarketInvariantError(
-                f"DO {i} was paid for {auction_paid[i]} of {auction.kappa[i]} admitted tasks"
+                f"DO {i} has {auction_paid[i]} payments for {auction.kappa[i]} admitted tasks"
             )
         if delegations_paid[i] != routing.s_realized[i]:
             raise MarketInvariantError(
-                f"DO {i} paid for {delegations_paid[i]} of {routing.s_realized[i]} delegated tasks"
+                f"DO {i} made {delegations_paid[i]} payments for "
+                f"{routing.s_realized[i]} delegated tasks"
             )
         if delegations_received[i] != len(routing.incoming[i]):
             raise MarketInvariantError(
-                f"DO {i} was paid for {delegations_received[i]} of "
+                f"DO {i} got {delegations_received[i]} payments for "
                 f"{len(routing.incoming[i])} received tasks"
             )
         if routing.s_realized[i] > decisions[i].subdelegate_s:
