@@ -1,17 +1,21 @@
 """Scenario configuration: schema, defaults, loading, and validation.
 
-Configs are human-editable JSON.  Every field has a default, so `{}` is a
-valid scenario; the resolved config is echoed into each run's manifest so
+Configs are human-editable JSON.  The dataclasses below are the schema: each
+field's name and default are written there and nowhere else, so `{}` is a
+valid scenario, and `resolve_config` reads every field by the dataclass that
+declares it.  The resolved config is echoed into each run's manifest so
 experiments stay self-describing.  Per-DO numeric parameters are given as
 [low, high] ranges sampled per data owner; a degenerate range [v, v] pins the
 value exactly, which the tests use for hand-sized scenarios.
 """
 
 import json
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import partial
 
-from .core import MarketConstants
-from .policy_baselines import POLICIES
+from .demand import R_FLOOR_DEFAULT
+from .policy_baselines import DEFAULT_LIN_GAIN, DEFAULT_MARKUP_MAX, POLICIES
 
 MU_STRATEGY_NAMES = (
     "random",
@@ -29,6 +33,16 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field = field_name
+
+
+@dataclass(frozen=True)
+class MarketConstants:
+    """Demand-model coefficients: expected offers are exp(a0 + a3*eps) * Mp**a2 * p / r**a1."""
+
+    a0: float = 0.1
+    a1: float = 1.0   # reputation exponent
+    a2: float = 0.3
+    a3: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -76,7 +90,7 @@ class ReputationConfig:
 class MarketParams:
     delegation_depth_max: int = 3
     kappa_bar_prior: float = 1.0   # average-demand estimate before any arrivals
-    r_floor: float = 1e-3
+    r_floor: float = R_FLOOR_DEFAULT
     arrival_mode: str = "auction"  # "auction" | "demand-model"
     integerization: str = "poisson"  # arrival rounding in demand-model mode
 
@@ -85,21 +99,19 @@ class MarketParams:
 class PolicyParams:
     assignment: str | tuple[str, ...] = "pas-afl"  # one name, or one name per DO
     work_mode: str = "greedy"
-    markup_max: float = 1.0
-    lin_gain: float = 1.5
+    markup_max: float = DEFAULT_MARKUP_MAX
+    lin_gain: float = DEFAULT_LIN_GAIN
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     n_dos: int = 100
-    n_mus: int = 6
+    n_mus: int = len(MU_STRATEGY_NAMES)  # must equal len(mu.strategies)
     horizon_T: int = 500
     trust_edge_prob: float = 0.7
     data_size_range: tuple[int, int] = (1000, 10000)
-    constants: MarketConstants = field(
-        default_factory=lambda: MarketConstants(a0=0.1, a1=1.0, a2=0.3, a3=0.5, horizon_T=500)
-    )
-    do: DoParamRanges = field(default_factory=DoParamRanges)
+    constants: MarketConstants = field(default_factory=MarketConstants)
+    do_params: DoParamRanges = field(default_factory=DoParamRanges)
     mu: MuParams = field(default_factory=MuParams)
     reputation: ReputationConfig = field(default_factory=ReputationConfig)
     market: MarketParams = field(default_factory=MarketParams)
@@ -113,188 +125,157 @@ class ScenarioConfig:
         return self.policy.assignment[do_id]
 
 
-def _as_range(name, raw, kind=float):
+def _as(kind, path, value):
+    """`value` coerced to `kind`, or a ConfigError naming `path`; floats must be finite."""
+    try:
+        coerced = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(path, f"expected {kind.__name__}, got {value!r}") from None
+    if kind is float and not math.isfinite(coerced):
+        raise ConfigError(path, "must be finite")
+    return coerced
+
+
+def _as_range(path, raw, kind=float):
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-        raise ConfigError(name, "expected a [low, high] pair")
-    lo, hi = kind(raw[0]), kind(raw[1])
+        raise ConfigError(path, "expected a [low, high] pair")
+    lo, hi = _as(kind, path, raw[0]), _as(kind, path, raw[1])
     if lo > hi:
-        raise ConfigError(name, "low bound exceeds high bound")
+        raise ConfigError(path, "low bound exceeds high bound")
+    if kind is int and hi >= 2**63:  # numpy draws the per-DO values as int64
+        raise ConfigError(path, "must be below 2**63")
     return (lo, hi)
 
 
-def _check_known_keys(name, raw, allowed):
-    unknown = set(raw) - set(allowed)
+def _as_tuple(kind, path, raw):
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(path, "expected a list")
+    return tuple(_as(kind, path, item) for item in raw)
+
+
+def _as_object(path, raw):
+    if not isinstance(raw, dict):
+        raise ConfigError(path or "config", "expected a JSON object")
+    return raw
+
+
+def _section(cls, name, raw, **given):
+    """The dataclass `cls` read from the JSON object `raw` found at `name`.
+
+    A field missing from `raw` keeps its dataclass default.  A present one is
+    resolved by its function in `given`, called with (path, value), or else
+    coerced to its default's type: a nested section recursively, a tuple as a
+    [low, high] range.
+    """
+    defaults = cls()
+    unknown = set(_as_object(name, raw)) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(name, f"unknown keys: {sorted(unknown)}")
+        raise ConfigError(name or "config", f"unknown keys: {sorted(unknown)}")
+    values = {}
+    for key, value in raw.items():
+        path = f"{name}.{key}" if name else key
+        default = getattr(defaults, key)
+        if key in given:
+            values[key] = given[key](path, value)
+        elif is_dataclass(default):
+            values[key] = _section(type(default), path, value)
+        elif isinstance(default, tuple):
+            values[key] = _as_range(path, value, type(default[0]))
+        else:
+            values[key] = _as(type(default), path, value)
+    return replace(defaults, **values)
+
+
+def _rho_schedule(path, raw):
+    """The schedule as written plus the square wave's default low_scale; its
+    numbers are only checked here, the engine converts them as it reads them."""
+    schedule = dict(_as_object(path, raw))
+    if schedule.get("kind") == "square":
+        schedule.setdefault("low_scale", 0.5)
+        _as(int, f"{path}.period", schedule.get("period", 0))
+        _as(float, f"{path}.low_scale", schedule["low_scale"])
+    return schedule
+
+
+def _gains(path, raw):
+    """The default gains, overridden per strategy; the values stay as written."""
+    return {**MuParams().gains, **_as_object(path, raw)}
+
+
+def _assignment(path, raw):
+    return raw if isinstance(raw, str) else _as_tuple(str, path, raw)
+
+
+def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
+    """(field, ok, message) for every constraint a resolved config must meet."""
+    do, mu, market, policy, c = cfg.do_params, cfg.mu, cfg.market, cfg.policy, cfg.constants
+    schedule = do.rho_schedule
+    square = schedule.get("kind") == "square"
+    names = (policy.assignment,) if isinstance(policy.assignment, str) else policy.assignment
+    return [
+        ("n_dos", cfg.n_dos >= 1, "must be >= 1"),
+        ("n_mus", cfg.n_mus == len(mu.strategies), "must equal the length of mu.strategies"),
+        ("horizon_T", cfg.horizon_T >= 1, "must be >= 1"),
+        ("trust_edge_prob", 0.0 <= cfg.trust_edge_prob <= 1.0, "must lie in [0, 1]"),
+        ("data_size_range", cfg.data_size_range[0] >= 0, "must be >= 0"),
+        ("constants.a0", c.a0 >= 0, "must be >= 0"),
+        ("constants.a1", c.a1 > 0, "must be > 0"),
+        ("constants.a2", c.a2 >= 0, "must be >= 0"),
+        ("constants.a3", c.a3 >= 0, "must be >= 0"),
+        ("do_params.p_min", do.p_min[0] > 0, "must be > 0"),
+        ("do_params.unit_cost_frac", do.unit_cost_frac[0] >= 0, "must be >= 0"),
+        ("do_params.rho", do.rho[0] >= 0, "must be >= 0"),
+        ("do_params.r0", 0 <= do.r0[0] and do.r0[1] <= 1, "must lie in [0, 1]"),
+        ("do_params.r_min", 0 <= do.r_min[0] and do.r_min[1] <= 1, "must lie in [0, 1]"),
+        ("do_params.theta_max", do.theta_max[0] >= 0, "must be >= 0"),
+        ("do_params.s_max", do.s_max[0] >= 0, "must be >= 0"),
+        ("do_params.kappa_hat", do.kappa_hat[0] >= 1, "must be >= 1"),
+        ("do_params.epsilon", do.epsilon[0] >= 0, "must be >= 0"),
+        ("do_params.m_positive", do.m_positive[0] >= 0, "must be >= 0"),
+        ("do_params.q0", do.q0[0] >= 0, "must be >= 0"),
+        ("do_params.q0_payment_markup", do.q0_payment_markup[0] > 0, "must be > 0"),
+        ("do_params.rho_schedule", schedule.get("kind") in ("constant", "square"), "kind must be 'constant' or 'square'"),
+        ("do_params.rho_schedule.period", not square or int(schedule.get("period", 0)) >= 1, "must be >= 1"),
+        ("do_params.rho_schedule.low_scale", not square or float(schedule["low_scale"]) >= 0, "must be >= 0"),
+        ("mu.budget_per_step", mu.budget_per_step >= 0, "must be >= 0"),
+        ("mu.valuation_markup", mu.valuation_markup[0] >= 0, "must be >= 0"),
+        ("mu.strategies", all(s in MU_STRATEGY_NAMES for s in mu.strategies), f"unknown strategy in {list(mu.strategies)}"),
+        ("mu.gains", all(isinstance(g, (int, float)) and 0 < g < math.inf for g in mu.gains.values()), "must be finite and > 0"),
+        ("reputation.ema_beta", 0.0 <= cfg.reputation.ema_beta < 1.0, "must lie in [0, 1)"),
+        ("reputation.on_time_window", cfg.reputation.on_time_window >= 0, "must be >= 0"),
+        ("market.delegation_depth_max", market.delegation_depth_max >= 0, "must be >= 0"),
+        ("market.kappa_bar_prior", market.kappa_bar_prior >= 0, "must be >= 0"),
+        ("market.r_floor", market.r_floor > 0, "must be > 0"),
+        ("market.arrival_mode", market.arrival_mode in ("auction", "demand-model"), "must be 'auction' or 'demand-model'"),
+        ("market.integerization", market.integerization in ("poisson", "round"), "must be 'poisson' or 'round'"),
+        ("policy.assignment", all(n in POLICIES for n in names), f"unknown policy in {list(names)}"),
+        ("policy.assignment", isinstance(policy.assignment, str) or len(names) == cfg.n_dos, "per-DO list must have one name per DO"),
+        ("policy.work_mode", policy.work_mode in ("greedy", "threshold"), "must be 'greedy' or 'threshold'"),
+        ("policy.markup_max", policy.markup_max > 0, "must be > 0"),
+        ("policy.lin_gain", policy.lin_gain > 0, "must be > 0"),
+        ("seeds", len(cfg.seeds) > 0, "seed list must be nonempty"),
+        ("seeds", len(set(cfg.seeds)) == len(cfg.seeds), "seeds must be unique"),
+        ("seeds", all(s >= 0 for s in cfg.seeds), "seeds must be >= 0"),
+    ]
 
 
 def resolve_config(raw: dict) -> ScenarioConfig:
     """Fill defaults, coerce types, and validate a raw config dictionary."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config", "top-level value must be an object")
-    _check_known_keys(
-        "config",
+    cfg = _section(
+        ScenarioConfig,
+        "",
         raw,
-        [
-            "n_dos",
-            "n_mus",
-            "horizon_T",
-            "trust_edge_prob",
-            "data_size_range",
-            "constants",
-            "do_params",
-            "mu",
-            "reputation",
-            "market",
-            "policy",
-            "seeds",
-            "output_dir",
-        ],
+        do_params=partial(_section, DoParamRanges, rho_schedule=_rho_schedule),
+        mu=partial(_section, MuParams, strategies=partial(_as_tuple, str), gains=_gains),
+        policy=partial(_section, PolicyParams, assignment=_assignment),
+        seeds=partial(_as_tuple, int),
     )
-
-    n_dos = int(raw.get("n_dos", 100))
-    if n_dos < 1:
-        raise ConfigError("n_dos", "must be >= 1")
-    horizon = int(raw.get("horizon_T", 500))
-    if horizon < 1:
-        raise ConfigError("horizon_T", "must be >= 1")
-    edge_prob = float(raw.get("trust_edge_prob", 0.7))
-    if not 0.0 <= edge_prob <= 1.0:
-        raise ConfigError("trust_edge_prob", "must lie in [0, 1]")
-    data_size_range = _as_range("data_size_range", raw.get("data_size_range", [1000, 10000]), int)
-
-    const_raw = dict(raw.get("constants", {}))
-    _check_known_keys("constants", const_raw, ["a0", "a1", "a2", "a3"])
-    try:
-        constants = MarketConstants(
-            a0=float(const_raw.get("a0", 0.1)),
-            a1=float(const_raw.get("a1", 1.0)),
-            a2=float(const_raw.get("a2", 0.3)),
-            a3=float(const_raw.get("a3", 0.5)),
-            horizon_T=horizon,
-        )
-    except ValueError as exc:
-        raise ConfigError("constants", str(exc)) from None
-
-    do_raw = dict(raw.get("do_params", {}))
-    do_defaults = DoParamRanges()
-    _check_known_keys("do_params", do_raw, list(asdict(do_defaults)))
-    do_kwargs = {}
-    for fname, default in asdict(do_defaults).items():
-        if fname == "rho_schedule":
-            continue
-        kind = int if isinstance(default[0], int) else float
-        do_kwargs[fname] = _as_range(f"do_params.{fname}", do_raw.get(fname, list(default)), kind)
-    schedule = dict(do_raw.get("rho_schedule", {"kind": "constant"}))
-    if schedule.get("kind") not in ("constant", "square"):
-        raise ConfigError("do_params.rho_schedule", "kind must be 'constant' or 'square'")
-    if schedule.get("kind") == "square":
-        if int(schedule.get("period", 0)) < 1:
-            raise ConfigError("do_params.rho_schedule", "square schedule needs period >= 1")
-        schedule.setdefault("low_scale", 0.5)
-    do_params = DoParamRanges(rho_schedule=schedule, **do_kwargs)
-
-    mu_raw = dict(raw.get("mu", {}))
-    _check_known_keys("mu", mu_raw, ["budget_per_step", "valuation_markup", "strategies", "gains"])
-    strategies = tuple(mu_raw.get("strategies", MU_STRATEGY_NAMES))
-    for s in strategies:
-        if s not in MU_STRATEGY_NAMES:
-            raise ConfigError("mu.strategies", f"unknown strategy {s!r}")
-    gains = {**MuParams().gains, **dict(mu_raw.get("gains", {}))}
-    mu_params = MuParams(
-        budget_per_step=float(mu_raw.get("budget_per_step", 60.0)),
-        valuation_markup=_as_range("mu.valuation_markup", mu_raw.get("valuation_markup", [1.05, 1.55])),
-        strategies=strategies,
-        gains=gains,
-    )
-    if mu_params.budget_per_step < 0:
-        raise ConfigError("mu.budget_per_step", "must be >= 0")
-
-    n_mus = int(raw.get("n_mus", len(strategies)))
-    if n_mus != len(strategies):
-        raise ConfigError("n_mus", "must equal the length of the MU strategy roster")
-
-    rep_raw = dict(raw.get("reputation", {}))
-    _check_known_keys("reputation", rep_raw, ["ema_beta", "on_time_window"])
-    rep = ReputationConfig(
-        ema_beta=float(rep_raw.get("ema_beta", 0.9)),
-        on_time_window=int(rep_raw.get("on_time_window", 8)),
-    )
-    if not 0.0 <= rep.ema_beta < 1.0:
-        raise ConfigError("reputation.ema_beta", "must lie in [0, 1)")
-    if rep.on_time_window < 0:
-        raise ConfigError("reputation.on_time_window", "must be >= 0")
-
-    market_raw = dict(raw.get("market", {}))
-    _check_known_keys(
-        "market",
-        market_raw,
-        ["delegation_depth_max", "kappa_bar_prior", "r_floor", "arrival_mode", "integerization"],
-    )
-    market = MarketParams(
-        delegation_depth_max=int(market_raw.get("delegation_depth_max", 3)),
-        kappa_bar_prior=float(market_raw.get("kappa_bar_prior", 1.0)),
-        r_floor=float(market_raw.get("r_floor", 1e-3)),
-        arrival_mode=str(market_raw.get("arrival_mode", "auction")),
-        integerization=str(market_raw.get("integerization", "poisson")),
-    )
-    if market.delegation_depth_max < 0:
-        raise ConfigError("market.delegation_depth_max", "must be >= 0")
-    if market.kappa_bar_prior < 0:
-        raise ConfigError("market.kappa_bar_prior", "must be >= 0")
-    if market.arrival_mode not in ("auction", "demand-model"):
-        raise ConfigError("market.arrival_mode", "must be 'auction' or 'demand-model'")
-    if market.integerization not in ("poisson", "round"):
-        raise ConfigError("market.integerization", "must be 'poisson' or 'round'")
-
-    policy_raw = dict(raw.get("policy", {}))
-    _check_known_keys("policy", policy_raw, ["assignment", "work_mode", "markup_max", "lin_gain"])
-    assignment = policy_raw.get("assignment", "pas-afl")
-    if isinstance(assignment, str):
-        if assignment not in POLICIES:
-            raise ConfigError("policy.assignment", f"unknown policy {assignment!r}")
-    else:
-        assignment = tuple(assignment)
-        if len(assignment) != n_dos:
-            raise ConfigError("policy.assignment", "per-DO list must have one name per DO")
-        for name in assignment:
-            if name not in POLICIES:
-                raise ConfigError("policy.assignment", f"unknown policy {name!r}")
-    policy = PolicyParams(
-        assignment=assignment,
-        work_mode=str(policy_raw.get("work_mode", "greedy")),
-        markup_max=float(policy_raw.get("markup_max", 1.0)),
-        lin_gain=float(policy_raw.get("lin_gain", 1.5)),
-    )
-    if policy.work_mode not in ("greedy", "threshold"):
-        raise ConfigError("policy.work_mode", "must be 'greedy' or 'threshold'")
-    if policy.markup_max <= 0:
-        raise ConfigError("policy.markup_max", "must be > 0")
-    if policy.lin_gain <= 0:
-        raise ConfigError("policy.lin_gain", "must be > 0")
-
-    seeds_raw = raw.get("seeds", list(range(1, 11)))
-    if not isinstance(seeds_raw, (list, tuple)) or len(seeds_raw) == 0:
-        raise ConfigError("seeds", "seed list must be nonempty")
-    seeds = tuple(int(s) for s in seeds_raw)
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds", "seeds must be unique")
-
-    return ScenarioConfig(
-        n_dos=n_dos,
-        n_mus=n_mus,
-        horizon_T=horizon,
-        trust_edge_prob=edge_prob,
-        data_size_range=data_size_range,
-        constants=constants,
-        do=do_params,
-        mu=mu_params,
-        reputation=rep,
-        market=market,
-        policy=policy,
-        seeds=seeds,
-        output_dir=str(raw.get("output_dir", "runs_out")),
-    )
+    if "n_mus" not in raw:
+        cfg = replace(cfg, n_mus=len(cfg.mu.strategies))
+    for path, ok, message in _checks(cfg):
+        if not ok:
+            raise ConfigError(path, message)
+    return cfg
 
 
 def load_config(path) -> ScenarioConfig:
@@ -305,11 +286,3 @@ def load_config(path) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
     return resolve_config(raw)
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    """Resolved config as a JSON-serializable dictionary (manifest payload)."""
-    payload = asdict(cfg)
-    payload["constants"].pop("horizon_T")  # mirrored from the top-level field
-    payload["do_params"] = payload.pop("do")
-    return payload

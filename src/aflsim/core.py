@@ -33,29 +33,6 @@ class ValidationResult:
     violation: str | None = None
 
 
-@dataclass(frozen=True)
-class MarketConstants:
-    """Demand-model coefficients plus the simulation horizon.
-
-    a1 is the reputation exponent in the demand curve and must be strictly
-    positive; the other coefficients only need to be nonnegative.
-    """
-
-    a0: float
-    a1: float
-    a2: float
-    a3: float
-    horizon_T: int
-
-    def __post_init__(self):
-        if self.a0 < 0 or self.a2 < 0 or self.a3 < 0:
-            raise ValueError("demand coefficients a0, a2, a3 must be >= 0")
-        if self.a1 <= 0:
-            raise ValueError("reputation exponent a1 must be > 0")
-        if self.horizon_T < 1:
-            raise ValueError("horizon_T must be >= 1")
-
-
 @dataclass
 class DataOwnerState:
     """Full per-step state of one data owner.

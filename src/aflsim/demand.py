@@ -8,14 +8,16 @@ are scenario inputs, not fitted values.
 """
 
 import math
+from typing import TYPE_CHECKING
 
-from .core import MarketConstants
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from .config import MarketConstants
 
 # Reputation floor guarding the 1/r**a1 factor, which blows up as r -> 0.
 R_FLOOR_DEFAULT = 1e-3
 
 
-def zeta(constants: MarketConstants, alignment_epsilon: float, positive_ratings_Mp: int) -> float:
+def zeta(constants: "MarketConstants", alignment_epsilon: float, positive_ratings_Mp: int) -> float:
     """Demand multiplier exp(a0 + a3*eps) * Mp**a2 (with 0**0 == 1)."""
     if positive_ratings_Mp < 0:
         raise ValueError("positive_ratings_Mp must be >= 0")

@@ -37,7 +37,7 @@ from .core import (
     TrustNetwork,
     validate_state,
 )
-from .demand import expected_demand, realize_demand, zeta
+from .demand import R_FLOOR_DEFAULT, expected_demand, realize_demand, zeta
 from .policy_baselines import decide_for_policy, resolve_policy
 from .policy_pas import DelegationContext, eligible_delegates
 from .queues import update_pending_queue, update_urgency_queue, utility
@@ -59,18 +59,6 @@ DEMAND_MODEL_ORIGIN = -2
 
 class MarketInvariantError(RuntimeError):
     """A step-level audit (conservation, caps, state validity) failed."""
-
-
-@dataclass
-class ReputationParams:
-    """Reputation update parameters: EMA weight and the on-time window."""
-
-    ema_beta: float = 0.9
-    on_time_window: int = 5
-
-    def __post_init__(self):
-        if not 0.0 <= self.ema_beta < 1.0:
-            raise ValueError("ema_beta must lie in [0, 1)")
 
 
 @dataclass
@@ -98,10 +86,11 @@ def update_reputation(
     state: DataOwnerState,
     completed_on_time: int,
     due: int,
-    params: ReputationParams,
-    r_floor: float = 1e-3,
+    ema_beta: float,
+    r_floor: float = R_FLOOR_DEFAULT,
 ) -> tuple[float, int]:
-    """EMA of the on-time completion ratio; rating count grows with on-time work.
+    """EMA of the on-time completion ratio, weighting the old reputation by
+    `ema_beta`; rating count grows with on-time work.
 
     Returns the new (reputation, positive_ratings) pair; reputation is
     clamped to [r_floor, 1] and left unchanged when nothing was due.
@@ -112,7 +101,7 @@ def update_reputation(
         new_r = state.reputation_r
     else:
         ratio = completed_on_time / due
-        new_r = params.ema_beta * state.reputation_r + (1.0 - params.ema_beta) * ratio
+        new_r = ema_beta * state.reputation_r + (1.0 - ema_beta) * ratio
     new_r = min(1.0, max(r_floor, new_r))
     return new_r, state.positive_ratings_Mp + completed_on_time
 
@@ -302,11 +291,6 @@ class World:
         self._adj = self.network.adjacency.astype(float)
         self._deg = self._adj.sum(axis=1)
 
-        self.rep_params = ReputationParams(
-            ema_beta=config.reputation.ema_beta,
-            on_time_window=config.reputation.on_time_window,
-        )
-
         self.states: dict[int, DataOwnerState] = {}
         self.pending: dict[int, list[Task]] = {}
         self.rho_base: dict[int, float] = {}
@@ -344,19 +328,20 @@ class World:
 
     def _build_data_owners(self, rng) -> None:
         cfg = self.config
+        do = cfg.do_params
         ds_lo, ds_hi = cfg.data_size_range
         for i in range(cfg.n_dos):
-            p_min = float(rng.uniform(*cfg.do.p_min))
-            cost = float(rng.uniform(*cfg.do.unit_cost_frac)) * p_min
-            rho = float(rng.uniform(*cfg.do.rho))
-            r0 = float(rng.uniform(*cfg.do.r0))
-            r_min = float(rng.uniform(*cfg.do.r_min))
-            theta_max = int(rng.integers(cfg.do.theta_max[0], cfg.do.theta_max[1] + 1))
-            s_max = int(rng.integers(cfg.do.s_max[0], cfg.do.s_max[1] + 1))
-            kappa_hat = int(rng.integers(cfg.do.kappa_hat[0], cfg.do.kappa_hat[1] + 1))
-            eps = float(rng.uniform(*cfg.do.epsilon))
-            m0 = int(rng.integers(cfg.do.m_positive[0], cfg.do.m_positive[1] + 1))
-            q0 = int(rng.integers(cfg.do.q0[0], cfg.do.q0[1] + 1))
+            p_min = float(rng.uniform(*do.p_min))
+            cost = float(rng.uniform(*do.unit_cost_frac)) * p_min
+            rho = float(rng.uniform(*do.rho))
+            r0 = float(rng.uniform(*do.r0))
+            r_min = float(rng.uniform(*do.r_min))
+            theta_max = int(rng.integers(do.theta_max[0], do.theta_max[1] + 1))
+            s_max = int(rng.integers(do.s_max[0], do.s_max[1] + 1))
+            kappa_hat = int(rng.integers(do.kappa_hat[0], do.kappa_hat[1] + 1))
+            eps = float(rng.uniform(*do.epsilon))
+            m0 = int(rng.integers(do.m_positive[0], do.m_positive[1] + 1))
+            q0 = int(rng.integers(do.q0[0], do.q0[1] + 1))
             data_size = int(rng.integers(ds_lo, ds_hi + 1))
 
             self.rho_base[i] = rho
@@ -380,7 +365,7 @@ class World:
             )
             backlog = []
             for _ in range(q0):
-                markup = float(rng.uniform(*cfg.do.q0_payment_markup))
+                markup = float(rng.uniform(*do.q0_payment_markup))
                 backlog.append(
                     Task(
                         task_id=self.next_task_id,
@@ -418,11 +403,11 @@ class World:
         return mus
 
     def _rho_value(self, base: float, t: int) -> float:
-        schedule = self.config.do.rho_schedule
+        schedule = self.config.do_params.rho_schedule
         if schedule.get("kind") == "square":
             period = int(schedule["period"])
             if (t // period) % 2 == 1:
-                return base * float(schedule.get("low_scale", 0.5))
+                return base * float(schedule["low_scale"])
         return base
 
     def _build_contexts(self, prices: np.ndarray, reps: np.ndarray) -> dict[int, DelegationContext]:
@@ -572,7 +557,7 @@ def step(world: World) -> list[MetricsRecord]:
             raise MarketInvariantError(
                 f"DO {i} planned {theta_goal} completions with only {len(queue)} pending"
             )
-        window = world.rep_params.on_time_window
+        window = cfg.reputation.on_time_window
         on_time = sum(1 for task in queue[:theta_goal] if t - task.arrival_step <= window)
         del queue[:theta_goal]
         theta_done = theta_goal
@@ -605,7 +590,7 @@ def step(world: World) -> list[MetricsRecord]:
         u = utility(state, realized, float(kappa_auc), contexts[i].avg_neighbor_price)
 
         new_r, new_mp = update_reputation(
-            state, on_time, theta_done, world.rep_params, cfg.market.r_floor
+            state, on_time, theta_done, cfg.reputation.ema_beta, cfg.market.r_floor
         )
 
         records.append(

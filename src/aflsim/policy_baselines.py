@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DataOwnerState, StepDecision
+from .demand import R_FLOOR_DEFAULT
 from .policy_pas import (
     DelegationContext,
     decide_acceptance,
@@ -124,7 +125,7 @@ def decide_for_policy(
     markup_max: float = DEFAULT_MARKUP_MAX,
     lin_gain: float = DEFAULT_LIN_GAIN,
     work_mode: str = "greedy",
-    r_floor: float = 1e-3,
+    r_floor: float = R_FLOOR_DEFAULT,
 ) -> StepDecision:
     """Evaluate one composed policy on one DO against a market snapshot."""
     theta = decide_work(state, work_mode)

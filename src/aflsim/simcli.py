@@ -21,13 +21,13 @@ import csv
 import json
 import statistics
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ScenarioConfig, config_to_dict, load_config, resolve_config
+from .config import ConfigError, ScenarioConfig, load_config, resolve_config
 from .core import CSV_COLUMNS
 from .market import build_world, step
 from .policy_baselines import ABLATION_NAMES, BASELINE_NAMES
@@ -147,7 +147,7 @@ def _write_manifest(out_dir: Path, config: ScenarioConfig, policy: str, seeds) -
         "package_version": __version__,
         "policy": policy,
         "seeds": list(seeds),
-        "resolved_config": config_to_dict(config),
+        "resolved_config": asdict(config),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -347,7 +347,7 @@ def main(argv=None) -> int:
         if args.verb == "run":
             config = _load_config_arg(args.config)
             if not args.quiet:
-                print(json.dumps(config_to_dict(config), indent=2, sort_keys=True))
+                print(json.dumps(asdict(config), indent=2, sort_keys=True))
             summary = run_preset(
                 config, out_dir=args.out, seed_offset=args.seed_offset, quiet=args.quiet
             )

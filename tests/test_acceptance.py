@@ -21,8 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from aflsim.config import resolve_config
-from aflsim.core import MarketConstants
+from aflsim.config import MarketConstants, resolve_config
 from aflsim.demand import zeta
 from aflsim.market import build_world
 from aflsim.policy_baselines import ABLATION_NAMES, BASELINE_NAMES
@@ -138,7 +137,6 @@ def test_c2_pricing_closed_form_matches_grid_search():
             a1=a1,
             a2=float(rng.uniform(0.0, 0.7)),
             a3=float(rng.uniform(0.0, 1.0)),
-            horizon_T=1,
         )
         z = zeta(constants, float(rng.uniform(0.0, 1.0)), int(rng.integers(1, 50)))
         state = make_state(

@@ -1,0 +1,125 @@
+import math
+from dataclasses import fields, is_dataclass
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from aflsim.config import ConfigError, ScenarioConfig, resolve_config
+from aflsim.simcli import run_scenario
+
+SECTIONS = ("constants", "do_params", "mu", "reputation", "market", "policy")
+
+
+@pytest.mark.parametrize("section", ("config",) + SECTIONS)
+def test_unknown_keys_rejected(section):
+    raw = {"surprise": 1} if section == "config" else {section: {"surprise": 1}}
+    with pytest.raises(ConfigError) as err:
+        resolve_config(raw)
+    assert err.value.field == section
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ({"n_dos": "abc"}, "n_dos"),
+        ({"n_dos": None}, "n_dos"),
+        ({"horizon_T": math.inf}, "horizon_T"),
+        ({"market": [1]}, "market"),
+        ([], "config"),
+        ({"do_params": {"rho": ["a", 1]}}, "do_params.rho"),
+        ({"do_params": {"rho_schedule": 5}}, "do_params.rho_schedule"),
+        (
+            {"do_params": {"rho_schedule": {"kind": "square", "period": "x"}}},
+            "do_params.rho_schedule.period",
+        ),
+        ({"mu": {"strategies": 5}}, "mu.strategies"),
+        ({"mu": {"gains": [1]}}, "mu.gains"),
+        ({"policy": {"assignment": 5}}, "policy.assignment"),
+        ({"seeds": [None]}, "seeds"),
+    ],
+)
+def test_wrong_types_name_field(raw, field):
+    with pytest.raises(ConfigError) as err:
+        resolve_config(raw)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ({"do_params": {"p_min": [0.0, 0.0]}}, "do_params.p_min"),
+        ({"do_params": {"q0_payment_markup": [0.0, 1.0]}}, "do_params.q0_payment_markup"),
+        ({"do_params": {"rho": [-1.0, 1.0]}}, "do_params.rho"),
+        ({"do_params": {"unit_cost_frac": [-0.1, 0.1]}}, "do_params.unit_cost_frac"),
+        ({"do_params": {"epsilon": [-1.0, 0.0]}}, "do_params.epsilon"),
+        (
+            {"do_params": {"rho_schedule": {"kind": "square", "period": 5, "low_scale": -0.5}}},
+            "do_params.rho_schedule.low_scale",
+        ),
+        ({"do_params": {"rho": [math.nan, math.nan]}}, "do_params.rho"),
+        ({"mu": {"budget_per_step": math.inf}}, "mu.budget_per_step"),
+        ({"do_params": {"r0": [1.5, 1.5]}}, "do_params.r0"),
+        ({"do_params": {"r_min": [-0.1, 0.5]}}, "do_params.r_min"),
+        ({"do_params": {"theta_max": [-1, 2]}}, "do_params.theta_max"),
+        ({"do_params": {"s_max": [-1, 2]}}, "do_params.s_max"),
+        ({"do_params": {"q0": [-1, 2]}}, "do_params.q0"),
+        ({"do_params": {"m_positive": [-1, 2]}}, "do_params.m_positive"),
+        ({"do_params": {"kappa_hat": [0, 0]}}, "do_params.kappa_hat"),
+        ({"do_params": {"s_max": [0, 2**63]}}, "do_params.s_max"),
+        ({"market": {"r_floor": 0.0}}, "market.r_floor"),
+        ({"mu": {"gains": {"lin": -1.0}}}, "mu.gains"),
+        ({"mu": {"valuation_markup": [-1.0, 1.0]}}, "mu.valuation_markup"),
+        ({"data_size_range": [-5, 5]}, "data_size_range"),
+        ({"seeds": [-1]}, "seeds"),
+        ({"constants": {"a0": -1.0}}, "constants.a0"),
+        ({"constants": {"a2": -1.0}}, "constants.a2"),
+        ({"constants": {"a3": -1.0}}, "constants.a3"),
+    ],
+)
+def test_out_of_bounds_values_name_field(raw, field):
+    with pytest.raises(ConfigError) as err:
+        resolve_config(raw)
+    assert err.value.field == field
+
+
+def _paths(obj, name=""):
+    """The dotted path of every field and section of a config."""
+    for f in fields(obj):
+        path = f"{name}.{f.name}" if name else f.name
+        yield path
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _paths(value, path)
+
+
+# n_dos and horizon_T size the run itself and are drawn small below.
+PATHS = sorted(p for p in _paths(ScenarioConfig()) if p not in ("n_dos", "horizon_T"))
+BAD = st.one_of(
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-9, allow_infinity=False),
+    st.sampled_from([0, 0.0, math.nan, math.inf, -math.inf, 1e300]),
+    st.integers(min_value=2**63, max_value=2**80),
+    st.sampled_from(["abc", None, {}, True]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    path=st.sampled_from(PATHS),
+    value=st.one_of(BAD, BAD.map(lambda v: [v, v])),
+    n_dos=st.integers(1, 4),
+    horizon=st.integers(1, 3),
+)
+def test_one_bad_field_is_rejected_by_name_or_runs_clean(path, value, n_dos, horizon):
+    raw = {"n_dos": n_dos, "horizon_T": horizon, "seeds": [1]}
+    *sections, key = path.split(".")
+    node = raw
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    try:
+        cfg = resolve_config(raw)
+    except ConfigError as err:
+        assert err.field == path or err.field.startswith(path + "."), (err.field, path)
+        return
+    assert run_scenario(cfg, cfg.seeds[0]).audit_checks == horizon

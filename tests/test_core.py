@@ -1,7 +1,7 @@
 import pytest
 
+from aflsim.config import ConfigError, resolve_config
 from aflsim.core import (
-    MarketConstants,
     StepDecision,
     Task,
     TrustNetwork,
@@ -11,18 +11,20 @@ from helpers import make_state, validate_decision
 
 
 def test_market_constants_accept_positive_coefficients():
-    c = MarketConstants(a0=0.1, a1=1.0, a2=0.3, a3=0.5, horizon_T=10)
-    assert c.a1 == 1.0
+    cfg = resolve_config({"constants": {"a0": 0.1, "a1": 1.0, "a2": 0.3, "a3": 0.5}, "horizon_T": 10})
+    assert cfg.constants.a1 == 1.0
 
 
 def test_market_constants_reject_nonpositive_a1():
-    with pytest.raises(ValueError):
-        MarketConstants(a0=0.0, a1=0.0, a2=0.0, a3=0.0, horizon_T=1)
+    with pytest.raises(ConfigError) as err:
+        resolve_config({"constants": {"a0": 0.0, "a1": 0.0, "a2": 0.0, "a3": 0.0}})
+    assert err.value.field == "constants.a1"
 
 
 def test_market_constants_reject_bad_horizon():
-    with pytest.raises(ValueError):
-        MarketConstants(a0=0.0, a1=1.0, a2=0.0, a3=0.0, horizon_T=0)
+    with pytest.raises(ConfigError) as err:
+        resolve_config({"constants": {"a0": 0.0, "a1": 1.0, "a2": 0.0, "a3": 0.0}, "horizon_T": 0})
+    assert err.value.field == "horizon_T"
 
 
 def test_validate_state_accepts_midpoint_state():

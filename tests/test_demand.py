@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from aflsim.core import MarketConstants
+from aflsim.config import MarketConstants
 from aflsim.demand import expected_demand, realize_demand, zeta
 
 
 def consts(a0=0.0, a1=1.0, a2=0.0, a3=0.0):
-    return MarketConstants(a0=a0, a1=a1, a2=a2, a3=a3, horizon_T=1)
+    return MarketConstants(a0=a0, a1=a1, a2=a2, a3=a3)
 
 
 def test_zeta_identity_case():
@@ -83,7 +83,7 @@ def test_demand_matches_loglinear_form():
         mp = int(rng.integers(1, 200))
         r = float(rng.uniform(1e-3, 1.0))
         p = float(rng.uniform(0.01, 20.0))
-        c = MarketConstants(a0=float(a0), a1=a1, a2=float(a2), a3=float(a3), horizon_T=1)
+        c = MarketConstants(a0=float(a0), a1=a1, a2=float(a2), a3=float(a3))
         f = expected_demand(p, r, zeta(c, eps, mp), a1)
         expected_log = a0 + a2 * math.log(mp) + a3 * eps - a1 * math.log(r) + math.log(p)
         assert math.log(f) == pytest.approx(expected_log, rel=1e-12, abs=1e-12)

@@ -10,7 +10,6 @@ from aflsim.core import StepDecision, Task, TrustNetwork
 from aflsim.market import (
     MarketInvariantError,
     ModelUser,
-    ReputationParams,
     build_world,
     generate_trust_network,
     route_subdelegations,
@@ -60,24 +59,23 @@ def test_graph_is_deterministic_per_seed():
 
 def test_reputation_unchanged_when_nothing_due():
     state = make_state(reputation_r=0.5)
-    r, mp = update_reputation(state, 0, 0, ReputationParams())
+    r, mp = update_reputation(state, 0, 0, ema_beta=0.9)
     assert r == 0.5
     assert mp == state.positive_ratings_Mp
 
 
 def test_reputation_ema_hand_value():
     state = make_state(reputation_r=0.5, positive_ratings_Mp=3)
-    r, mp = update_reputation(state, 2, 2, ReputationParams(ema_beta=0.9))
+    r, mp = update_reputation(state, 2, 2, ema_beta=0.9)
     assert r == pytest.approx(0.55)
     assert mp == 5
 
 
 def test_reputation_contracts_to_floor_under_failures():
     state = make_state(reputation_r=0.5)
-    params = ReputationParams(ema_beta=0.9)
     prev = state.reputation_r
     for _ in range(200):
-        r, _ = update_reputation(state, 0, 1, params, r_floor=1e-3)
+        r, _ = update_reputation(state, 0, 1, ema_beta=0.9, r_floor=1e-3)
         assert r <= prev
         state.reputation_r = r
         prev = r
@@ -86,7 +84,7 @@ def test_reputation_contracts_to_floor_under_failures():
 
 def test_reputation_rejects_impossible_counts():
     with pytest.raises(ValueError):
-        update_reputation(make_state(), 2, 1, ReputationParams())
+        update_reputation(make_state(), 2, 1, ema_beta=0.9)
 
 
 def _single_market(price, valuation, x=1):

@@ -69,11 +69,6 @@ def test_inverted_range_rejected():
     assert err.value.field == "do_params.rho"
 
 
-def test_unknown_keys_rejected():
-    with pytest.raises(ConfigError):
-        resolve_config({"surprise": 1})
-
-
 def test_per_do_assignment_must_cover_every_do():
     with pytest.raises(ConfigError) as err:
         resolve_config({"n_dos": 3, "policy": {"assignment": ["pas-afl", "lin-rand"]}})
@@ -193,6 +188,14 @@ def test_cli_reports_config_errors_with_code_2(tmp_path):
     config_path.write_text(json.dumps({"trust_edge_prob": 2.0}))
     code = main(["--quiet", "run", "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert code == 2
+
+
+def test_cli_reports_wrong_typed_config_with_code_2(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"n_dos": "abc"}))
+    code = main(["--quiet", "run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error: n_dos:" in capsys.readouterr().err
 
 
 def test_cli_reports_missing_artifacts_with_code_3(tmp_path):
