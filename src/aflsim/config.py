@@ -11,9 +11,13 @@ value exactly, which the tests use for hand-sized scenarios.
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
 
+import numpy as np
+
+from .core import TASK
 from .demand import R_FLOOR_DEFAULT
 from .policy_baselines import DEFAULT_LIN_GAIN, DEFAULT_MARKUP_MAX, POLICIES
 
@@ -25,6 +29,17 @@ MU_STRATEGY_NAMES = (
     "fedbidder-simple",
     "fedbidder-complex",
 )
+
+
+# The memory, in bytes, that a config may ask the engine to allocate for each
+# of the structures its size fields set, checked before anything is built:
+# `n_dos` sets the n_dos**2 trust adjacency, held once as booleans and once as
+# floats (ADJACENCY_BYTES per pair); `n_dos * do_params.q0` sets the initial
+# task queue (TASK.itemsize bytes per task); `horizon_T` sets the two float
+# per-step series a run returns (SERIES_BYTES per step).
+MEMORY_BUDGET = 2**30
+ADJACENCY_BYTES = np.dtype(bool).itemsize + np.dtype(float).itemsize
+SERIES_BYTES = 2 * np.dtype(float).itemsize
 
 
 class ConfigError(ValueError):
@@ -212,10 +227,15 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
     schedule = do.rho_schedule
     square = schedule.get("kind") == "square"
     names = (policy.assignment,) if isinstance(policy.assignment, str) else policy.assignment
+    budget = f"must fit the {MEMORY_BUDGET}-byte memory budget"
+    # Only the demand model evaluates exp(a0 + a3*eps) and r**a1.
+    demand = market.arrival_mode == "demand-model"
     return [
         ("n_dos", cfg.n_dos >= 1, "must be >= 1"),
+        ("n_dos", cfg.n_dos**2 * ADJACENCY_BYTES <= MEMORY_BUDGET, f"its trust adjacency {budget}"),
         ("n_mus", cfg.n_mus == len(mu.strategies), "must equal the length of mu.strategies"),
         ("horizon_T", cfg.horizon_T >= 1, "must be >= 1"),
+        ("horizon_T", cfg.horizon_T * SERIES_BYTES <= MEMORY_BUDGET, f"its per-step series {budget}"),
         ("trust_edge_prob", 0.0 <= cfg.trust_edge_prob <= 1.0, "must lie in [0, 1]"),
         ("data_size_range", cfg.data_size_range[0] >= 0, "must be >= 0"),
         ("constants.a0", c.a0 >= 0, "must be >= 0"),
@@ -233,6 +253,7 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
         ("do_params.epsilon", do.epsilon[0] >= 0, "must be >= 0"),
         ("do_params.m_positive", do.m_positive[0] >= 0, "must be >= 0"),
         ("do_params.q0", do.q0[0] >= 0, "must be >= 0"),
+        ("do_params.q0", cfg.n_dos * do.q0[1] * TASK.itemsize <= MEMORY_BUDGET, f"its initial task queue {budget}"),
         ("do_params.q0_payment_markup", do.q0_payment_markup[0] > 0, "must be > 0"),
         ("do_params.rho_schedule", schedule.get("kind") in ("constant", "square"), "kind must be 'constant' or 'square'"),
         ("do_params.rho_schedule.period", not square or int(schedule.get("period", 0)) >= 1, "must be >= 1"),
@@ -256,6 +277,16 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
         ("seeds", len(cfg.seeds) > 0, "seed list must be nonempty"),
         ("seeds", len(set(cfg.seeds)) == len(cfg.seeds), "seeds must be unique"),
         ("seeds", all(s >= 0 for s in cfg.seeds), "seeds must be >= 0"),
+        (
+            "constants.a0",
+            not demand or c.a0 + c.a3 * do.epsilon[1] <= math.log(sys.float_info.max),
+            "a0 + a3 * epsilon_high must not overflow exp() in demand-model mode",
+        ),
+        (
+            "constants.a1",
+            not demand or c.a1 <= 0 or not 0 < market.r_floor < 1 or market.r_floor**c.a1 > 0,
+            "r_floor ** a1 must not underflow to 0 in demand-model mode",
+        ),
     ]
 
 

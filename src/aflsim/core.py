@@ -1,13 +1,13 @@
 """Shared value types for the auction-based federated learning market.
 
-Everything here is a plain record: construction plus validation, no market
-behaviour.  The policies, the market engine, and the CLI all communicate
-through these types, so they are kept free of simulator state and safe to
-copy between execution contexts.
+The market holds its state as numpy columns: one record of `STATE` per data
+owner and one record of `TASK` per pending task.  `DataOwnerState` is the
+per-step view of one data owner that the policies read, and `StepDecision` is
+what a policy returns.  Everything here is plain data plus validation, no
+market behaviour.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,22 +25,15 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    """Outcome of a validation pass; `violation` names the first failed field."""
-
-    ok: bool
-    violation: str | None = None
-
-
 @dataclass
 class DataOwnerState:
-    """Full per-step state of one data owner.
+    """Full per-step state of one data owner, as the policies see it.
 
-    `pending_q` and `urgency_Q` are virtual queues stored as nonnegative
-    reals: the urgency queue accumulates the real-valued average demand, so
-    integer storage would be lossy.  Physical task counts moved in a step
-    (work, sub-delegations, arrivals) are integers.
+    The market keeps these fields as the columns of a `STATE` array and builds
+    a fresh view per DO each step.  `pending_q` and `urgency_Q` are virtual
+    queues stored as nonnegative reals: the urgency queue accumulates the
+    real-valued average demand, so integer storage would be lossy.  Physical
+    task counts moved in a step (work, sub-delegations, arrivals) are integers.
     """
 
     id: int
@@ -61,27 +54,53 @@ class DataOwnerState:
     data_size: int                 # local training samples held
 
 
-@dataclass
-class Task:
-    """One federated-learning task instance held by a data owner.
+# One record per DO, with DataOwnerState's fields in its order, so that a
+# record's values are a view's constructor arguments.
+STATE = np.dtype([(f.name, f.type) for f in fields(DataOwnerState)])
 
-    `unit_payment_p_tau` is the payment the *current holder* received for the
-    task and `arrival_step` is when it entered the current holder's queue;
-    both are rewritten when the task is sub-delegated.
+# One record per pending task.  The market keeps its tasks grouped by owner,
+# each owner's in FIFO order.  `payment` is what the current owner was paid
+# for the task and `arrival` the step it joined the owner's queue; both are
+# rewritten when the task is sub-delegated.
+TASK = np.dtype(
+    [("owner", np.intp), ("payment", float), ("arrival", np.int64), ("depth", np.int64), ("id", np.int64)]
+)
+
+
+def validate_states(states: np.ndarray) -> tuple[int, str] | None:
+    """The first (DO, field) of a `STATE` array that breaks an invariant of
+    DataOwnerState, or None when every record holds them all."""
+    s = states
+    checks = (
+        ("reputation_r", (0.0 <= s["reputation_r"]) & (s["reputation_r"] <= 1.0)),
+        ("rep_threshold_r_min", (0.0 <= s["rep_threshold_r_min"]) & (s["rep_threshold_r_min"] <= 1.0)),
+        ("pending_q", np.isfinite(s["pending_q"]) & (s["pending_q"] >= 0.0)),
+        ("urgency_Q", np.isfinite(s["urgency_Q"]) & (s["urgency_Q"] >= 0.0)),
+        ("avg_demand_kappa_bar", np.isfinite(s["avg_demand_kappa_bar"]) & (s["avg_demand_kappa_bar"] >= 0.0)),
+        ("availability_rho", s["availability_rho"] >= 0.0),
+        ("unit_cost_c", s["unit_cost_c"] >= 0.0),
+        ("reserve_price_p_min", s["reserve_price_p_min"] > 0.0),
+        ("current_price_p", s["current_price_p"] >= s["reserve_price_p_min"]),
+        ("theta_max", s["theta_max"] >= 0),
+        ("s_max", s["s_max"] >= 0),
+        ("kappa_max", s["kappa_max"] >= 1),
+        ("alignment_epsilon", s["alignment_epsilon"] >= 0.0),
+        ("positive_ratings_Mp", s["positive_ratings_Mp"] >= 0),
+    )
+    for name, ok in checks:
+        if not ok.all():
+            return int(np.argmin(ok)), name
+    return None
+
+
+def sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
+    """`start + values[0] + values[1] + ...`, added left to right.
+
+    `np.sum` adds pairwise, which rounds differently; the run aggregates keep
+    the left-to-right order so that their bytes do not depend on the engine's
+    layout.  `np.cumsum` is a sequential scan.
     """
-
-    task_id: int
-    origin_mu: int
-    unit_payment_p_tau: float
-    arrival_step: int
-    delegation_depth: int
-    holder: int
-
-    def __post_init__(self):
-        if self.unit_payment_p_tau <= 0:
-            raise ValueError("unit_payment_p_tau must be > 0")
-        if self.delegation_depth < 0:
-            raise ValueError("delegation_depth must be >= 0")
+    return float(np.cumsum(np.concatenate(([start], values)))[-1])
 
 
 class TrustNetwork:
@@ -120,66 +139,3 @@ class StepDecision:
     subdelegate_s: int
     work_theta: int
     price_degenerate: bool = False  # diagnostic: price rule fell back to the reserve
-
-
-@dataclass
-class MetricsRecord:
-    """Per-step, per-DO observables; fields echo the post-step state."""
-
-    step: int
-    do_id: int
-    utility_u: float
-    pending_q: float
-    urgency_Q: float
-    accepted_kappa: int
-    completed_theta: int
-    subdelegated_s: int
-    price_p: float
-    reputation_r: float
-
-    def to_csv_row(self) -> list[str]:
-        return [
-            str(self.step),
-            str(self.do_id),
-            f"{self.utility_u:.9g}",
-            f"{self.pending_q:.9g}",
-            f"{self.urgency_Q:.9g}",
-            str(self.accepted_kappa),
-            str(self.completed_theta),
-            str(self.subdelegated_s),
-            f"{self.price_p:.9g}",
-            f"{self.reputation_r:.9g}",
-        ]
-
-
-def validate_state(state: DataOwnerState) -> ValidationResult:
-    """Check every DataOwnerState invariant; report the first violation by field name."""
-    if not (0.0 <= state.reputation_r <= 1.0):
-        return ValidationResult(False, "reputation_r")
-    if not (0.0 <= state.rep_threshold_r_min <= 1.0):
-        return ValidationResult(False, "rep_threshold_r_min")
-    if not (math.isfinite(state.pending_q) and state.pending_q >= 0.0):
-        return ValidationResult(False, "pending_q")
-    if not (math.isfinite(state.urgency_Q) and state.urgency_Q >= 0.0):
-        return ValidationResult(False, "urgency_Q")
-    if not (math.isfinite(state.avg_demand_kappa_bar) and state.avg_demand_kappa_bar >= 0.0):
-        return ValidationResult(False, "avg_demand_kappa_bar")
-    if state.availability_rho < 0.0:
-        return ValidationResult(False, "availability_rho")
-    if state.unit_cost_c < 0.0:
-        return ValidationResult(False, "unit_cost_c")
-    if state.reserve_price_p_min <= 0.0:
-        return ValidationResult(False, "reserve_price_p_min")
-    if state.current_price_p < state.reserve_price_p_min:
-        return ValidationResult(False, "current_price_p")
-    if state.theta_max < 0:
-        return ValidationResult(False, "theta_max")
-    if state.s_max < 0:
-        return ValidationResult(False, "s_max")
-    if state.kappa_max < 1:
-        return ValidationResult(False, "kappa_max")
-    if state.alignment_epsilon < 0.0:
-        return ValidationResult(False, "alignment_epsilon")
-    if state.positive_ratings_Mp < 0:
-        return ValidationResult(False, "positive_ratings_Mp")
-    return ValidationResult(True)

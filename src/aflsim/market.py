@@ -9,13 +9,17 @@ One simulation step runs a fixed pipeline:
   5. work completes pending tasks oldest-first,
   6. the two virtual queues advance,
   7. reputations and rating counts update from on-time completions,
-  8. metrics records are emitted.
+  8. the step's metrics are emitted, one array per CSV column.
 
-The context builder and the router both read a DO's trusted neighbours from
-`TrustNetwork.neighbors`.  Everything is deterministic given the scenario
-seed.  Audits (task conservation, admission caps, state invariants, and the
-payment ledgers against admitted and moved task counts) run every step and
-raise immediately on violation.
+The world holds its state as numpy columns: a `STATE` record per data owner
+and one `TASK` array of every pending task, grouped by owner in FIFO order.
+Each phase is a whole-array pass; Python loops remain only where the number
+of random draws depends on the data (random-MU bids, random policies,
+demand-model arrivals) and in capacity-coupled routing.  Everything is
+deterministic given the scenario seed.  Audits (task conservation, admission
+caps, state invariants, delegation depth, and the payment ledgers against
+admitted and moved task counts, bids, budgets and carried payments) run every
+step and raise immediately on violation.
 
 The six model-user bidding strategies are parameterized stand-ins: each gets
 a distinct target ordering and bid shape, and every data-owner policy in a
@@ -23,19 +27,20 @@ comparison faces the identical bidder population and random streams.
 """
 
 import math
-from collections import Counter
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (
+    STATE,
+    TASK,
     DataOwnerState,
-    MetricsRecord,
     StepDecision,
-    Task,
     TrustNetwork,
-    validate_state,
+    sequential_sum,
+    validate_states,
 )
 from .demand import R_FLOOR_DEFAULT, expected_demand, realize_demand, zeta
 from .policy_baselines import decide_for_policy, resolve_policy
@@ -52,9 +57,14 @@ _STREAM_MU = 3
 _STREAM_POLICY = 4
 _STREAM_DEMAND = 5
 
-# Synthetic origin id for tasks that did not come from a model user.
-PREEXISTING_ORIGIN = -1
-DEMAND_MODEL_ORIGIN = -2
+# The largest mean numpy's Generator.poisson accepts.
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
+# One payment per row: who paid whom how much, and the offer the amount must
+# not exceed.  For an auction payment the offer is the model user's bid; for a
+# sub-delegation it is the payment of the task handed on.  The demand model
+# pays with payer -1 and offers exactly the posted price.
+LEDGER = np.dtype([("payer", np.intp), ("payee", np.intp), ("amount", float), ("offer", float)])
 
 
 class MarketInvariantError(RuntimeError):
@@ -68,7 +78,7 @@ class ModelUser:
     id: int
     strategy_name: str
     budget_per_step: float
-    valuation_per_do: dict[int, float]
+    valuation_per_do: np.ndarray  # indexed by DO id
 
 
 def generate_trust_network(n_dos: int, edge_prob: float, rng) -> TrustNetwork:
@@ -82,93 +92,153 @@ def generate_trust_network(n_dos: int, edge_prob: float, rng) -> TrustNetwork:
     return TrustNetwork(n_dos, np.column_stack((rows[mask], cols[mask])))
 
 
+def _records(dtype: np.dtype, n: int, **columns) -> np.ndarray:
+    """`n` records of `dtype`, each named column set from an array or a scalar."""
+    rows = np.empty(n, dtype)
+    for name, values in columns.items():
+        rows[name] = values
+    return rows
+
+
+def _new_tasks(owner, payment, step_index: int, next_task_id: int) -> tuple[np.ndarray, int]:
+    """Fresh undelegated tasks (TASK) for `owner`, paying `payment`, numbered
+    from `next_task_id`; and the next free task id."""
+    end = next_task_id + len(owner)
+    ids = np.arange(next_task_id, end)
+    return _records(TASK, len(owner), owner=owner, payment=payment, arrival=step_index, depth=0, id=ids), end
+
+
+def _rank_within(keys: np.ndarray) -> np.ndarray:
+    """For each element, how many earlier elements share its key."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    rank = np.empty(len(keys), np.intp)
+    rank[order] = np.arange(len(keys)) - np.searchsorted(ranked, ranked)
+    return rank
+
+
+def _group_starts(owner: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first row, row count) of each owner's group in an owner-grouped array."""
+    counts = np.bincount(owner, minlength=n)
+    return np.cumsum(counts) - counts, counts
+
+
 def update_reputation(
-    state: DataOwnerState,
-    completed_on_time: int,
-    due: int,
+    states: np.ndarray,
+    completed_on_time: np.ndarray,
+    due: np.ndarray,
     ema_beta: float,
     r_floor: float = R_FLOOR_DEFAULT,
-) -> tuple[float, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """EMA of the on-time completion ratio, weighting the old reputation by
-    `ema_beta`; rating count grows with on-time work.
+    `ema_beta`; rating count grows with on-time work.  Elementwise over the
+    DOs of `states`.
 
-    Returns the new (reputation, positive_ratings) pair; reputation is
+    Returns the new (reputation, positive_ratings) columns; reputation is
     clamped to [r_floor, 1] and left unchanged when nothing was due.
     """
-    if completed_on_time > due:
+    if np.any(completed_on_time > due):
         raise ValueError("completed_on_time cannot exceed due")
-    if due <= 0:
-        new_r = state.reputation_r
-    else:
-        ratio = completed_on_time / due
-        new_r = ema_beta * state.reputation_r + (1.0 - ema_beta) * ratio
-    new_r = min(1.0, max(r_floor, new_r))
-    return new_r, state.positive_ratings_Mp + completed_on_time
+    reputation = states["reputation_r"]
+    worked = due > 0
+    ratio = np.divide(completed_on_time, due, out=np.zeros(np.shape(due)), where=worked)
+    ema = ema_beta * reputation + (1.0 - ema_beta) * ratio
+    new_r = np.minimum(1.0, np.maximum(r_floor, np.where(worked, ema, reputation)))
+    return new_r, states["positive_ratings_Mp"] + completed_on_time
+
+
+def settle(states, x, price, theta, s, kappa, delegated_in, on_time, avg_neighbor_price, ema_beta, r_floor):
+    """One step's queues, utility and reputation for every DO of `states`.
+
+    `theta` tasks were worked, `on_time` of them within the window, `s`
+    delegated out and `delegated_in` received; `kappa` arrived from the
+    market.  Returns the new columns (utility, pending_q, urgency_Q,
+    reputation_r, positive_ratings_Mp).  Utility uses the decision-time
+    reputation and the realized auction demand, and prices delegation at the
+    snapshot neighbour mean.
+    """
+    q = states["pending_q"]
+    # Urgency grows only when the step left backlog unserved; work that
+    # clears the whole queue means nothing "remained incomplete".
+    carried_over = q - theta - s > 0
+    new_q = update_pending_queue(q, theta, s, x, kappa) + delegated_in
+    new_Q = update_urgency_queue(states["urgency_Q"], theta, s, states["avg_demand_kappa_bar"], carried_over)
+    u = utility(x, price, states["reputation_r"], kappa, avg_neighbor_price, s, states["unit_cost_c"], theta)
+    return (u, new_q, new_Q, *update_reputation(states, on_time, theta, ema_beta, r_floor))
 
 
 @dataclass
 class AuctionOutcome:
-    kappa: dict[int, int]                       # auction-admitted tasks per DO
-    tasks: dict[int, list[Task]]                # the admitted task objects
-    payments: list[tuple[int, int, float]]      # (mu_id, do_id, amount)
+    kappa: dict[int, int]     # admitted tasks per DO
+    tasks: np.ndarray         # the admitted tasks (TASK), in clearing order
+    payments: np.ndarray      # one LEDGER row per admitted task
 
 
-def _mu_requests(mu: ModelUser, states, decisions, rng, gains) -> list[tuple[float, int, int, int]]:
-    """One MU's (bid, mu_id, seq, do_id) requests for the step, budget-bounded.
+def _mu_requests(mu: ModelUser, states: np.ndarray, price: np.ndarray, rng, gains) -> np.ndarray:
+    """One MU's requests for the step as LEDGER rows in submission order, with
+    the DO as payee and the bid as offer.
 
     The MU walks its strategy-specific target order and stops once the next
     bid would push total submitted bids past its per-step budget.
     """
-    ids = sorted(states)
+    rep = states["reputation_r"]
+    p_min = states["reserve_price_p_min"]
     valuation = mu.valuation_per_do
     strategy = mu.strategy_name
 
     if strategy == "random":
-        order = [ids[j] for j in rng.permutation(len(ids))]
-    elif strategy == "greedy":
-        order = sorted(ids, key=lambda i: (-states[i].reputation_r / decisions[i].price_p, i))
+        # The walk draws one bid per DO it reaches, so it stays a loop.  Each
+        # bid is uniform on [0, valuation): valuation * rng.random() is the
+        # value rng.uniform(0.0, valuation) returns, from the same draw.
+        picked, bids = [], []
+        submitted = 0.0
+        limits = valuation.tolist()
+        for do_id in rng.permutation(len(states)).tolist():
+            bid = limits[do_id] * rng.random()
+            if bid <= 0.0:
+                continue
+            if submitted + bid > mu.budget_per_step:
+                break
+            picked.append(do_id)
+            bids.append(bid)
+            submitted += bid
+        return _records(LEDGER, len(picked), payer=mu.id, payee=picked, amount=0.0, offer=bids)
+
+    # Ties keep ascending DO id: the sort is stable.
+    if strategy == "greedy":
+        key = -rep / price
     elif strategy == "lin":
-        order = sorted(ids, key=lambda i: (states[i].reserve_price_p_min, i))
+        key = p_min
     elif strategy == "bmub":
-        order = sorted(ids, key=lambda i: (-states[i].reputation_r, i))
+        key = -rep
     elif strategy == "fedbidder-simple":
-        order = sorted(ids, key=lambda i: (decisions[i].price_p, i))
+        key = price
     elif strategy == "fedbidder-complex":
-        order = sorted(
-            ids,
-            key=lambda i: (-states[i].reputation_r * valuation[i] / decisions[i].price_p, i),
-        )
+        key = -rep * valuation / price
     else:
         raise ValueError(f"unknown MU strategy: {strategy!r}")
+    order = np.argsort(key, kind="stable")
 
-    requests = []
-    submitted = 0.0
-    seq = 0
-    for do_id in order:
-        if strategy == "random":
-            bid = float(rng.uniform(0.0, valuation[do_id]))
-        elif strategy == "greedy":
-            bid = valuation[do_id]
-        elif strategy == "fedbidder-complex":
-            gain = gains["fedbidder-complex"] * (0.5 + 0.5 * states[do_id].reputation_r)
-            bid = min(gain * states[do_id].reserve_price_p_min, valuation[do_id])
-        else:
-            bid = min(gains[strategy] * states[do_id].reserve_price_p_min, valuation[do_id])
-        if bid <= 0.0:
-            continue
-        if submitted + bid > mu.budget_per_step:
-            break
-        requests.append((bid, mu.id, seq, do_id))
-        submitted += bid
-        seq += 1
-    return requests
+    if strategy == "greedy":
+        bids = valuation[order]
+    elif strategy == "fedbidder-complex":
+        gain = gains["fedbidder-complex"] * (0.5 + 0.5 * rep[order])
+        bids = np.minimum(gain * p_min[order], valuation[order])
+    else:
+        bids = np.minimum(gains[strategy] * p_min[order], valuation[order])
+    positive = bids > 0.0
+    order, bids = order[positive], bids[positive]
+    # The walk skips nonpositive bids and adds the rest in order, as cumsum does.
+    n_sent = np.searchsorted(np.cumsum(bids), mu.budget_per_step, side="right")
+    return _records(LEDGER, n_sent, payer=mu.id, payee=order[:n_sent], amount=0.0, offer=bids[:n_sent])
 
 
 def run_auction(
     mu_list: list[ModelUser],
-    do_states: dict[int, DataOwnerState],
-    do_decisions: dict[int, StepDecision],
-    mu_rngs: dict[int, np.random.Generator],
+    states: np.ndarray,
+    price: np.ndarray,
+    accept: np.ndarray,
+    mu_rngs,
     step_index: int,
     next_task_id: int,
     gains: dict[str, float],
@@ -177,56 +247,43 @@ def run_auction(
 
     Requests clear in (bid descending, MU id ascending, submission order)
     until each accepting DO reaches its admission cap; cleared tasks pay the
-    DO's posted price for the step.
+    DO's posted price for the step.  A request clears iff its DO accepts,
+    its bid meets the price, and fewer earlier such requests than the DO's
+    cap went to that DO.
     """
-    requests: list[tuple[float, int, int, int]] = []
-    for mu in sorted(mu_list, key=lambda m: m.id):
-        requests.extend(_mu_requests(mu, do_states, do_decisions, mu_rngs[mu.id], gains))
-    requests.sort(key=lambda req: (-req[0], req[1], req[2]))
+    requests = np.concatenate(
+        [np.empty(0, LEDGER)]
+        + [_mu_requests(mu, states, price, mu_rngs[mu.id], gains) for mu in sorted(mu_list, key=lambda m: m.id)],
+        dtype=LEDGER,
+    )
+    requests = requests[np.argsort(-requests["offer"], kind="stable")]
+    do = requests["payee"]
+    requests = requests[(accept[do] == 1) & (requests["offer"] >= price[do])]
+    cap = np.minimum(states["theta_max"], states["kappa_max"] - 1)
+    cleared = requests[_rank_within(requests["payee"]) < cap[requests["payee"]]]
+    cleared["amount"] = price[cleared["payee"]]
 
-    kappa = {i: 0 for i in do_states}
-    tasks: dict[int, list[Task]] = {i: [] for i in do_states}
-    payments: list[tuple[int, int, float]] = []
-    for bid, mu_id, _seq, do_id in requests:
-        state = do_states[do_id]
-        decision = do_decisions[do_id]
-        if decision.accept_x != 1:
-            continue
-        if bid < decision.price_p:
-            continue
-        if kappa[do_id] >= min(state.theta_max, state.kappa_max - 1):
-            continue
-        kappa[do_id] += 1
-        tasks[do_id].append(
-            Task(
-                task_id=next_task_id,
-                origin_mu=mu_id,
-                unit_payment_p_tau=decision.price_p,
-                arrival_step=step_index,
-                delegation_depth=0,
-                holder=do_id,
-            )
-        )
-        payments.append((mu_id, do_id, decision.price_p))
-        next_task_id += 1
-    return AuctionOutcome(kappa=kappa, tasks=tasks, payments=payments), next_task_id
+    tasks, next_task_id = _new_tasks(cleared["payee"], cleared["amount"], step_index, next_task_id)
+    kappa = np.bincount(cleared["payee"], minlength=len(states))
+    return AuctionOutcome(kappa=dict(enumerate(kappa.tolist())), tasks=tasks, payments=cleared), next_task_id
 
 
 @dataclass
 class RoutingOutcome:
-    incoming: dict[int, list[Task]]             # tasks arriving at each delegate next step
-    s_realized: dict[int, int]                  # tasks actually moved out per delegator
-    payments: list[tuple[int, int, float]]      # (delegator, delegate, amount)
+    moved: np.ndarray                 # queue rows of the tasks moved out
+    incoming: np.ndarray              # the moved tasks (TASK) as their delegates hold them
+    s_realized: dict[int, int]        # tasks actually moved out per delegator
+    payments: np.ndarray              # one LEDGER row per moved task
 
 
 def route_subdelegations(
-    do_states: dict[int, DataOwnerState],
-    pending: dict[int, list[Task]],
+    states: np.ndarray,
+    queue: np.ndarray,
     decisions: dict[int, StepDecision],
     network: TrustNetwork,
     prices: np.ndarray,
     reps: np.ndarray,
-    capacity_left: dict[int, int],
+    capacity_left: np.ndarray,
     depth_max: int,
     step_index: int,
 ) -> RoutingOutcome:
@@ -236,45 +293,72 @@ def route_subdelegations(
     and reputations the decisions saw; the delegator pays that price per
     task.  Transfers stop early once a task finds no eligible delegate.
     Transferred tasks join the delegate's queue as arrivals next step with
-    their payment rewritten to what the delegate was paid.
+    their payment rewritten to what the delegate was paid.  `capacity_left`
+    is debited in place.  The loop stays in Python because each transfer
+    uses up capacity the next one sees.
     """
-    incoming: dict[int, list[Task]] = {i: [] for i in do_states}
-    s_realized = {i: 0 for i in do_states}
-    payments: list[tuple[int, int, float]] = []
-    price_of = prices.tolist()
+    n = len(states)
+    s_realized = dict.fromkeys(range(n), 0)
+    moved, delegates, paid = [], [], []
+    goals = {do_id: d.subdelegate_s for do_id, d in decisions.items() if d.subdelegate_s > 0}
+    if goals:
+        starts, counts = _group_starts(queue["owner"], n)
+        capacity = capacity_left.tolist()
+        price_of = prices.tolist()
 
-    for do_id in sorted(do_states):
-        goal = decisions[do_id].subdelegate_s
-        if goal <= 0:
-            continue
+    for do_id, goal in goals.items():
+        rows = np.arange(starts[do_id], starts[do_id] + counts[do_id])
+        rows = rows[queue["depth"][rows] < depth_max]
+        rows = rows[np.lexsort((queue["id"][rows], -queue["payment"][rows]))]
         neighbors = network.neighbors[do_id]
-        trusted = neighbors[reps[neighbors] >= do_states[do_id].rep_threshold_r_min].tolist()
-        candidates = [t for t in pending[do_id] if t.delegation_depth < depth_max]
-        candidates.sort(key=lambda t: (-t.unit_payment_p_tau, t.task_id))
-        moved_ids = set()
-        for task in candidates:
+        trusted = neighbors[reps[neighbors] >= states["rep_threshold_r_min"][do_id]]
+        trusted = trusted[np.argsort(prices[trusted], kind="stable")].tolist()
+        for row, payment in zip(rows.tolist(), queue["payment"][rows].tolist()):
             if s_realized[do_id] >= goal:
                 break
-            quotes = [
-                (price_of[k], k)
-                for k in trusted
-                if price_of[k] <= task.unit_payment_p_tau and capacity_left[k] > 0
-            ]
-            if not quotes:
+            delegate = next((k for k in trusted if capacity[k] > 0), None)
+            if delegate is None or price_of[delegate] > payment:
                 break
-            price_k, delegate = min(quotes)
-            task.holder = delegate
-            task.delegation_depth += 1
-            task.unit_payment_p_tau = price_k
-            task.arrival_step = step_index + 1
-            incoming[delegate].append(task)
-            payments.append((do_id, delegate, price_k))
-            capacity_left[delegate] -= 1
-            moved_ids.add(task.task_id)
+            moved.append(row)
+            delegates.append(delegate)
+            paid.append(price_of[delegate])
+            capacity[delegate] -= 1
             s_realized[do_id] += 1
-        if moved_ids:
-            pending[do_id] = [t for t in pending[do_id] if t.task_id not in moved_ids]
-    return RoutingOutcome(incoming=incoming, s_realized=s_realized, payments=payments)
+
+    if moved:
+        capacity_left[:] = capacity
+    moved = np.array(moved, dtype=np.intp)
+    carried = queue[moved]
+    incoming = _records(
+        TASK,
+        len(moved),
+        owner=delegates,
+        payment=paid,
+        arrival=step_index + 1,
+        depth=carried["depth"] + 1,
+        id=carried["id"],
+    )
+    payments = _records(
+        LEDGER, len(moved), payer=carried["owner"], payee=delegates, amount=paid, offer=carried["payment"]
+    )
+    return RoutingOutcome(moved=moved, incoming=incoming, s_realized=s_realized, payments=payments)
+
+
+# The STATE columns `World._build_data_owners` samples, in drawing order.
+_DRAWN_COLUMNS = (
+    "reserve_price_p_min",
+    "unit_cost_c",
+    "availability_rho",
+    "reputation_r",
+    "rep_threshold_r_min",
+    "theta_max",
+    "s_max",
+    "kappa_max",
+    "alignment_epsilon",
+    "positive_ratings_Mp",
+    "pending_q",
+    "data_size",
+)
 
 
 class World:
@@ -284,40 +368,35 @@ class World:
         self.config = config
         self.seed = seed
         self.t = 0
+        n = config.n_dos
+        self.ids = np.arange(n)
 
         self.network = generate_trust_network(
-            config.n_dos, config.trust_edge_prob, np.random.default_rng([seed, _STREAM_GRAPH])
+            n, config.trust_edge_prob, np.random.default_rng([seed, _STREAM_GRAPH])
         )
         self._adj = self.network.adjacency.astype(float)
         self._deg = self._adj.sum(axis=1)
 
-        self.states: dict[int, DataOwnerState] = {}
-        self.pending: dict[int, list[Task]] = {}
-        self.rho_base: dict[int, float] = {}
-        self.next_task_id = 0
-        self.created_tasks = 0
-        self.completed_tasks = 0
         self._build_data_owners(np.random.default_rng([seed, _STREAM_DO_PARAMS]))
+        self.created_tasks = len(self.queue)
+        self.completed_tasks = 0
+        self.kappa_sum = np.zeros(n)
 
         self.mus = self._build_model_users(seed)
         self.mu_rngs = {
             mu.id: np.random.default_rng([seed, _STREAM_MU, mu.id, 1000]) for mu in self.mus
         }
-        self.policy_rngs = {
-            i: np.random.default_rng([seed, _STREAM_POLICY, i]) for i in range(config.n_dos)
-        }
-        self.demand_rngs = {
-            i: np.random.default_rng([seed, _STREAM_DEMAND, i]) for i in range(config.n_dos)
-        }
-
-        if policy_override is not None:
-            self.policy_specs = {i: resolve_policy(policy_override) for i in range(config.n_dos)}
-        else:
-            self.policy_specs = {
-                i: resolve_policy(config.policy_name_for(i)) for i in range(config.n_dos)
-            }
-
-        self.kappa_sum = {i: 0.0 for i in range(config.n_dos)}
+        names = [policy_override or config.policy_name_for(i) for i in range(n)]
+        self.policy_specs = [resolve_policy(name) for name in names]
+        # Generators are built only for the streams a run draws from; each is
+        # seeded per DO, so which others exist changes none of its numbers.
+        self.policy_rngs = [
+            np.random.default_rng([seed, _STREAM_POLICY, i]) if spec.draws else None
+            for i, spec in enumerate(self.policy_specs)
+        ]
+        self.demand_rngs = None
+        if config.market.arrival_mode == "demand-model":
+            self.demand_rngs = [np.random.default_rng([seed, _STREAM_DEMAND, i]) for i in range(n)]
 
         self.audit_checks = 0
         self.degenerate_price_steps = 0
@@ -327,215 +406,201 @@ class World:
         self.accept_count = 0
 
     def _build_data_owners(self, rng) -> None:
+        """Sample every DO's parameters and initial backlog.  The draws stay
+        interleaved per DO, in the order the seeded streams were recorded."""
         cfg = self.config
         do = cfg.do_params
         ds_lo, ds_hi = cfg.data_size_range
-        for i in range(cfg.n_dos):
+        drawn, payments = [], []
+        for _ in range(cfg.n_dos):
             p_min = float(rng.uniform(*do.p_min))
-            cost = float(rng.uniform(*do.unit_cost_frac)) * p_min
-            rho = float(rng.uniform(*do.rho))
-            r0 = float(rng.uniform(*do.r0))
-            r_min = float(rng.uniform(*do.r_min))
-            theta_max = int(rng.integers(do.theta_max[0], do.theta_max[1] + 1))
-            s_max = int(rng.integers(do.s_max[0], do.s_max[1] + 1))
-            kappa_hat = int(rng.integers(do.kappa_hat[0], do.kappa_hat[1] + 1))
-            eps = float(rng.uniform(*do.epsilon))
-            m0 = int(rng.integers(do.m_positive[0], do.m_positive[1] + 1))
-            q0 = int(rng.integers(do.q0[0], do.q0[1] + 1))
-            data_size = int(rng.integers(ds_lo, ds_hi + 1))
-
-            self.rho_base[i] = rho
-            self.states[i] = DataOwnerState(
-                id=i,
-                reputation_r=r0,
-                pending_q=float(q0),
-                urgency_Q=0.0,
-                avg_demand_kappa_bar=cfg.market.kappa_bar_prior,
-                availability_rho=self._rho_value(rho, 0),
-                unit_cost_c=cost,
-                reserve_price_p_min=p_min,
-                rep_threshold_r_min=r_min,
-                theta_max=theta_max,
-                s_max=s_max,
-                kappa_max=kappa_hat,
-                alignment_epsilon=eps,
-                positive_ratings_Mp=m0,
-                current_price_p=p_min,
-                data_size=data_size,
+            row = (
+                p_min,
+                float(rng.uniform(*do.unit_cost_frac)) * p_min,
+                float(rng.uniform(*do.rho)),
+                float(rng.uniform(*do.r0)),
+                float(rng.uniform(*do.r_min)),
+                int(rng.integers(do.theta_max[0], do.theta_max[1] + 1)),
+                int(rng.integers(do.s_max[0], do.s_max[1] + 1)),
+                int(rng.integers(do.kappa_hat[0], do.kappa_hat[1] + 1)),
+                float(rng.uniform(*do.epsilon)),
+                int(rng.integers(do.m_positive[0], do.m_positive[1] + 1)),
+                int(rng.integers(do.q0[0], do.q0[1] + 1)),
+                int(rng.integers(ds_lo, ds_hi + 1)),
             )
-            backlog = []
-            for _ in range(q0):
-                markup = float(rng.uniform(*do.q0_payment_markup))
-                backlog.append(
-                    Task(
-                        task_id=self.next_task_id,
-                        origin_mu=PREEXISTING_ORIGIN,
-                        unit_payment_p_tau=markup * p_min,
-                        arrival_step=0,
-                        delegation_depth=0,
-                        holder=i,
-                    )
-                )
-                self.next_task_id += 1
-            self.pending[i] = backlog
-            self.created_tasks += q0
+            drawn.append(row)
+            payments.append(rng.uniform(*do.q0_payment_markup, size=row[-2]) * p_min)
+
+        states = np.zeros(cfg.n_dos, STATE)
+        for name, column in zip(_DRAWN_COLUMNS, zip(*drawn)):
+            states[name] = column
+        states["id"] = self.ids
+        states["avg_demand_kappa_bar"] = cfg.market.kappa_bar_prior
+        states["current_price_p"] = states["reserve_price_p_min"]
+        self.states = states
+        self.rho_base = states["availability_rho"].copy()  # the schedule starts high
+
+        owner = np.repeat(self.ids, states["pending_q"].astype(np.intp))
+        self.queue, self.next_task_id = _new_tasks(owner, np.concatenate(payments), 0, 0)
 
     def _build_model_users(self, seed: int) -> list[ModelUser]:
         cfg = self.config
         ds_lo, ds_hi = cfg.data_size_range
         span = max(ds_hi - ds_lo, 1)
+        p_min = self.states["reserve_price_p_min"]
+        data_factor = 0.9 + 0.2 * (self.states["data_size"] - ds_lo) / span
         mus = []
         for j, strategy in enumerate(cfg.mu.strategies):
             rng = np.random.default_rng([seed, _STREAM_MU, j])
-            valuations = {}
-            for i in range(cfg.n_dos):
-                markup = float(rng.uniform(*cfg.mu.valuation_markup))
-                data_factor = 0.9 + 0.2 * (self.states[i].data_size - ds_lo) / span
-                valuations[i] = markup * self.states[i].reserve_price_p_min * data_factor
+            markup = rng.uniform(*cfg.mu.valuation_markup, size=cfg.n_dos)
             mus.append(
                 ModelUser(
                     id=j,
                     strategy_name=strategy,
                     budget_per_step=cfg.mu.budget_per_step,
-                    valuation_per_do=valuations,
+                    valuation_per_do=markup * p_min * data_factor,
                 )
             )
         return mus
 
-    def _rho_value(self, base: float, t: int) -> float:
+    def _rho_scale(self, t: int) -> float:
+        """The availability schedule's factor on every DO's base at step t."""
         schedule = self.config.do_params.rho_schedule
         if schedule.get("kind") == "square":
             period = int(schedule["period"])
             if (t // period) % 2 == 1:
-                return base * float(schedule["low_scale"])
-        return base
+                return float(schedule["low_scale"])
+        return 1.0
 
-    def _build_contexts(self, prices: np.ndarray, reps: np.ndarray) -> dict[int, DelegationContext]:
+    def views(self) -> list[DataOwnerState]:
+        """A fresh DataOwnerState per DO, read from the state columns."""
+        columns = (self.states[name].tolist() for name in STATE.names)
+        return list(map(DataOwnerState, *columns))
+
+    def _build_contexts(self, prices: np.ndarray, reps: np.ndarray) -> list[DelegationContext]:
         """Every DO's delegation context against the step's price and reputation snapshot.
 
         Eligibility is only asked of a DO that may delegate this step, and is
         judged against its best-paying task below the delegation-depth cap.
         """
         cfg = self.config
-        depth_max = cfg.market.delegation_depth_max
-        neighbors = self.network.neighbors
-        sums = self._adj @ prices
-        contexts = {}
-        for i in range(cfg.n_dos):
-            state = self.states[i]
-            avg = sums[i] / self._deg[i] if self._deg[i] > 0 else math.inf
-            floor_q = int(state.pending_q)
-            if cfg.policy.work_mode == "threshold":
-                may_delegate = floor_q > 0
-            else:
-                may_delegate = floor_q > state.theta_max
-            eligible = False
-            if may_delegate:
-                routable = [
-                    t.unit_payment_p_tau for t in self.pending[i] if t.delegation_depth < depth_max
-                ]
-                if routable:
-                    found = eligible_delegates(
-                        neighbors[i], prices, reps, max(routable), state.rep_threshold_r_min
-                    )
-                    eligible = len(found) > 0
-            contexts[i] = DelegationContext(avg, eligible)
-        return contexts
+        states = self.states
+        n = len(states)
+        avg = np.divide(self._adj @ prices, self._deg, out=np.full(n, math.inf), where=self._deg > 0)
 
+        floor_q = np.floor(states["pending_q"])
+        if cfg.policy.work_mode == "threshold":
+            may_delegate = floor_q > 0
+        else:
+            may_delegate = floor_q > states["theta_max"]
+        queue = self.queue
+        routable = queue["depth"] < cfg.market.delegation_depth_max
+        best = np.full(n, -math.inf)
+        np.maximum.at(best, queue["owner"][routable], queue["payment"][routable])
+        asked = np.flatnonzero(may_delegate & (best > -math.inf))
 
-def _demand_model_arrivals(world: World, decisions) -> tuple[AuctionOutcome, int]:
-    """Synthetic arrival source replacing the bidders: integer draws around
-    the expected-demand curve, paid at the posted price."""
-    cfg = world.config
-    kappa = {}
-    tasks: dict[int, list[Task]] = {}
-    payments = []
-    next_id = world.next_task_id
-    for i in sorted(world.states):
-        state = world.states[i]
-        decision = decisions[i]
-        tasks[i] = []
-        if decision.accept_x != 1:
-            kappa[i] = 0
-            continue
-        z = zeta(cfg.constants, state.alignment_epsilon, state.positive_ratings_Mp)
-        f = expected_demand(
-            decision.price_p, state.reputation_r, z, cfg.constants.a1, cfg.market.r_floor
+        eligible = np.zeros(n, dtype=bool)
+        eligible[asked] = eligible_delegates(
+            self.network.adjacency[asked], prices, reps, best[asked], states["rep_threshold_r_min"][asked]
         )
-        draw = realize_demand(f, state.kappa_max, world.demand_rngs[i], cfg.market.integerization)
-        admitted = min(draw, state.theta_max, state.kappa_max - 1)
-        kappa[i] = admitted
-        for _ in range(admitted):
-            tasks[i].append(
-                Task(
-                    task_id=next_id,
-                    origin_mu=DEMAND_MODEL_ORIGIN,
-                    unit_payment_p_tau=decision.price_p,
-                    arrival_step=world.t,
-                    delegation_depth=0,
-                    holder=i,
-                )
+        return list(map(DelegationContext, avg.tolist(), eligible.tolist()))
+
+
+def _demand_model_arrivals(world: World, price: np.ndarray, accept: np.ndarray) -> tuple[AuctionOutcome, int]:
+    """Synthetic arrival source replacing the bidders: integer draws around
+    the expected-demand curve, paid at the posted price.
+
+    A mean that overflows, is not finite, or (for Poisson draws) exceeds
+    what numpy can draw is a MarketInvariantError naming the DO and step.
+    """
+    cfg = world.config
+    constants = cfg.constants
+    mode = cfg.market.integerization
+    limit = _POISSON_LAM_MAX if mode == "poisson" else sys.float_info.max
+    s = world.states
+    admitted = np.zeros(len(s), dtype=np.intp)
+    columns = zip(
+        price.tolist(),
+        accept.tolist(),
+        s["reputation_r"].tolist(),
+        s["alignment_epsilon"].tolist(),
+        s["positive_ratings_Mp"].tolist(),
+        s["theta_max"].tolist(),
+        s["kappa_max"].tolist(),
+    )
+    for i, (p, x, r, eps, mp, theta_max, kappa_max) in enumerate(columns):
+        if x != 1:
+            continue
+        try:
+            f = expected_demand(p, r, zeta(constants, eps, mp), constants.a1, cfg.market.r_floor)
+        except (OverflowError, ZeroDivisionError):
+            f = math.inf
+        if not f <= limit:
+            raise MarketInvariantError(
+                f"DO {i} at step {world.t}: expected demand {f} is not a mean a {mode} draw can take"
             )
-            payments.append((DEMAND_MODEL_ORIGIN, i, decision.price_p))
-            next_id += 1
-    return AuctionOutcome(kappa=kappa, tasks=tasks, payments=payments), next_id
+        draw = realize_demand(f, kappa_max, world.demand_rngs[i], mode)
+        admitted[i] = min(draw, theta_max, kappa_max - 1)
+
+    owner = np.repeat(world.ids, admitted)
+    tasks, next_task_id = _new_tasks(owner, price[owner], world.t, world.next_task_id)
+    payments = _records(LEDGER, len(owner), payer=-1, payee=owner, amount=price[owner], offer=price[owner])
+    return AuctionOutcome(kappa=dict(enumerate(admitted.tolist())), tasks=tasks, payments=payments), next_task_id
 
 
-def step(world: World) -> list[MetricsRecord]:
-    """Advance the world one step and return the per-DO metrics records."""
+def step(world: World) -> dict[str, np.ndarray]:
+    """Advance the world one step and return its metrics, one array per CSV column."""
     cfg = world.config
     t = world.t
-    n = cfg.n_dos
-    ids = range(n)
+    states = world.states
+    n = len(states)
 
     # 1. Snapshot the decision inputs; policies must only see last step's market.
-    prices = np.fromiter((world.states[i].current_price_p for i in ids), dtype=float, count=n)
-    reps = np.fromiter((world.states[i].reputation_r for i in ids), dtype=float, count=n)
+    prices = states["current_price_p"].copy()
+    reps = states["reputation_r"].copy()
     contexts = world._build_contexts(prices, reps)
 
-    # 2. Joint decisions.
-    decisions: dict[int, StepDecision] = {}
-    for i in ids:
-        decision = decide_for_policy(
-            world.policy_specs[i],
-            world.states[i],
-            contexts[i],
-            world.policy_rngs[i],
+    # 2. Joint decisions, one call per DO against its view of the columns.
+    decisions = {
+        i: decide_for_policy(
+            spec,
+            state,
+            ctx,
+            rng,
             markup_max=cfg.policy.markup_max,
             lin_gain=cfg.policy.lin_gain,
             work_mode=cfg.policy.work_mode,
             r_floor=cfg.market.r_floor,
         )
-        decisions[i] = decision
-        if decision.price_degenerate:
-            world.degenerate_price_steps += 1
+        for i, (spec, state, ctx, rng) in enumerate(
+            zip(world.policy_specs, world.views(), contexts, world.policy_rngs)
+        )
+    }
+    x, price, s_goal, theta, degenerate = np.array(
+        [(d.accept_x, d.price_p, d.subdelegate_s, d.work_theta, d.price_degenerate) for d in decisions.values()],
+        dtype=float,
+    ).T
+    x, s_goal, theta = (column.astype(np.intp) for column in (x, s_goal, theta))
+    world.degenerate_price_steps += int(degenerate.sum())
 
     # 3. Post the fresh prices; these are the asks the auction clears against.
-    for i in ids:
-        world.states[i].current_price_p = decisions[i].price_p
+    states["current_price_p"] = price
 
     # 4. Arrivals.
     if cfg.market.arrival_mode == "auction":
         auction, world.next_task_id = run_auction(
-            world.mus,
-            world.states,
-            decisions,
-            world.mu_rngs,
-            t,
-            world.next_task_id,
-            cfg.mu.gains,
+            world.mus, states, price, x, world.mu_rngs, t, world.next_task_id, cfg.mu.gains
         )
     else:
-        auction, world.next_task_id = _demand_model_arrivals(world, decisions)
-    world.created_tasks += sum(auction.kappa.values())
+        auction, world.next_task_id = _demand_model_arrivals(world, price, x)
+    kappa = np.fromiter(auction.kappa.values(), dtype=np.intp, count=n)
+    world.created_tasks += int(kappa.sum())
 
     # 5. Sub-delegation routing, capped by each receiver's arrival headroom.
-    capacity_left = {
-        i: (world.states[i].kappa_max - 1) - auction.kappa[i] for i in ids
-    }
+    capacity_left = (states["kappa_max"] - 1) - kappa
     routing = route_subdelegations(
-        world.states,
-        world.pending,
+        states,
+        world.queue,
         decisions,
         world.network,
         prices,
@@ -545,140 +610,133 @@ def step(world: World) -> list[MetricsRecord]:
         t,
     )
 
-    # 6-9. Work, queue updates, reputation, metrics.
-    records = []
-    for i in ids:
-        state = world.states[i]
-        decision = decisions[i]
-        queue = world.pending[i]
+    # 6. Work: each DO completes the front of what routing left it.
+    kept = np.ones(len(world.queue), dtype=bool)
+    kept[routing.moved] = False
+    queue = world.queue[kept]
+    starts, counts = _group_starts(queue["owner"], n)
+    short = np.flatnonzero(theta > counts)
+    if short.size:
+        i = short[0]
+        raise MarketInvariantError(f"DO {i} planned {theta[i]} completions with only {counts[i]} pending")
+    owner = queue["owner"]
+    worked = np.arange(len(queue)) - starts[owner] < theta[owner]
+    in_window = t - queue["arrival"] <= cfg.reputation.on_time_window
+    on_time = np.bincount(owner[worked & in_window], minlength=n)
+    world.completed_tasks += int(theta.sum())
 
-        theta_goal = decision.work_theta
-        if theta_goal > len(queue):
-            raise MarketInvariantError(
-                f"DO {i} planned {theta_goal} completions with only {len(queue)} pending"
-            )
-        window = cfg.reputation.on_time_window
-        on_time = sum(1 for task in queue[:theta_goal] if t - task.arrival_step <= window)
-        del queue[:theta_goal]
-        theta_done = theta_goal
-        world.completed_tasks += theta_done
+    # 7. Queues, utility and reputation.
+    s_done = np.fromiter(routing.s_realized.values(), dtype=np.intp, count=n)
+    delegated_in = np.bincount(routing.incoming["owner"], minlength=n)
+    avg_neighbor_price = np.array([ctx.avg_neighbor_price for ctx in contexts])
+    u, new_q, new_Q, new_r, new_mp = settle(
+        states, x, price, theta, s_done, kappa, delegated_in, on_time,
+        avg_neighbor_price, cfg.reputation.ema_beta, cfg.market.r_floor,
+    )
+    arrivals_total = x * kappa + delegated_in
 
-        s_done = routing.s_realized[i]
-        kappa_auc = auction.kappa[i]
-        delegated_in = len(routing.incoming[i])
-        arrivals_total = decision.accept_x * kappa_auc + delegated_in
+    # 8. Commit: survivors, then auction arrivals, then delegated tasks.
+    queue = np.concatenate((queue[~worked], auction.tasks, routing.incoming), dtype=TASK)
+    world.queue = queue[np.argsort(queue["owner"], kind="stable")]
+    states["pending_q"] = new_q
+    states["urgency_Q"] = new_Q
+    states["reputation_r"] = new_r
+    states["positive_ratings_Mp"] = new_mp
+    world.kappa_sum += arrivals_total
+    states["avg_demand_kappa_bar"] = world.kappa_sum / (t + 1)
+    states["availability_rho"] = world.rho_base * world._rho_scale(t + 1)
 
-        # Urgency grows only when the step left backlog unserved; work that
-        # clears the whole queue means nothing "remained incomplete".
-        carried_over = state.pending_q - theta_done - s_done > 0
-        new_q = (
-            update_pending_queue(state.pending_q, theta_done, s_done, decision.accept_x, kappa_auc)
-            + delegated_in
-        )
-        new_Q = update_urgency_queue(
-            state.urgency_Q, theta_done, s_done, state.avg_demand_kappa_bar, carried_over
-        )
+    world.utility_sum = sequential_sum(u, world.utility_sum)
+    world.price_sum = sequential_sum(price, world.price_sum)
+    world.backlog_sum = sequential_sum(new_q, world.backlog_sum)
+    world.accept_count += int(x.sum())
 
-        # Utility uses the decision-time reputation and the realized auction
-        # demand; delegation costs are priced at the snapshot neighbour mean.
-        realized = StepDecision(
-            accept_x=decision.accept_x,
-            price_p=decision.price_p,
-            subdelegate_s=s_done,
-            work_theta=theta_done,
-        )
-        u = utility(state, realized, float(kappa_auc), contexts[i].avg_neighbor_price)
-
-        new_r, new_mp = update_reputation(
-            state, on_time, theta_done, cfg.reputation.ema_beta, cfg.market.r_floor
-        )
-
-        records.append(
-            MetricsRecord(
-                step=t,
-                do_id=i,
-                utility_u=u,
-                pending_q=new_q,
-                urgency_Q=new_Q,
-                accepted_kappa=arrivals_total,
-                completed_theta=theta_done,
-                subdelegated_s=s_done,
-                price_p=decision.price_p,
-                reputation_r=new_r,
-            )
-        )
-
-        # 10. Commit the new state and physical queue contents.
-        queue.extend(auction.tasks[i])
-        queue.extend(routing.incoming[i])
-        state.pending_q = new_q
-        state.urgency_Q = new_Q
-        state.reputation_r = new_r
-        state.positive_ratings_Mp = new_mp
-        world.kappa_sum[i] += arrivals_total
-        state.avg_demand_kappa_bar = world.kappa_sum[i] / (t + 1)
-        state.availability_rho = world._rho_value(world.rho_base[i], t + 1)
-
-        world.utility_sum += u
-        world.price_sum += decision.price_p
-        world.backlog_sum += new_q
-        world.accept_count += decision.accept_x
-
-    _run_step_audits(world, auction, routing, decisions)
+    _run_step_audits(world, auction, routing, price, s_goal)
 
     world.t += 1
-    return records
+    return {
+        "step": np.full(n, t),
+        "do_id": world.ids,
+        "utility_u": u,
+        "pending_q": new_q,
+        "urgency_Q": new_Q,
+        "accepted_kappa": arrivals_total,
+        "completed_theta": theta,
+        "subdelegated_s": s_done,
+        "price_p": price,
+        "reputation_r": new_r,
+    }
 
 
-def _run_step_audits(world: World, auction: AuctionOutcome, routing: RoutingOutcome, decisions) -> None:
-    pending_total = sum(len(tasks) for tasks in world.pending.values())
-    if world.created_tasks != world.completed_tasks + pending_total:
+def _check(bad: np.ndarray, message) -> None:
+    """Raise MarketInvariantError with `message(i)` for the first index i where `bad` holds."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise MarketInvariantError(message(int(hits[0])))
+
+
+def _run_step_audits(
+    world: World, auction: AuctionOutcome, routing: RoutingOutcome, price: np.ndarray, s_goal: np.ndarray
+) -> None:
+    states = world.states
+    queue = world.queue
+    n = len(states)
+    pending = len(queue)
+    if world.created_tasks != world.completed_tasks + pending:
         raise MarketInvariantError(
             f"task conservation broken at step {world.t}: created={world.created_tasks} "
-            f"completed={world.completed_tasks} pending={pending_total}"
+            f"completed={world.completed_tasks} pending={pending}"
         )
 
     # The payment ledgers are checked against the admitted and moved task
-    # counts, which the ledgers are not summed from.
-    auction_paid = Counter()
-    for _payer, payee, amount in auction.payments:
-        if amount != decisions[payee].price_p:
-            raise MarketInvariantError(
-                f"DO {payee} was paid {amount} for a task posted at {decisions[payee].price_p}"
-            )
-        auction_paid[payee] += 1
-    delegations_paid = Counter(payer for payer, _payee, _amount in routing.payments)
-    delegations_received = Counter(payee for _payer, payee, _amount in routing.payments)
+    # counts, which the ledgers are not summed from, and against the offers.
+    paid = auction.payments
+    payee, amount, bid = paid["payee"], paid["amount"], paid["offer"]
+    _check(amount != price[payee], lambda j: f"DO {payee[j]} was paid {amount[j]} for a task posted at {price[payee[j]]}")
+    _check(bid < price[payee], lambda j: f"DO {payee[j]} cleared a bid of {bid[j]} below its posted price {price[payee[j]]}")
+    by_mu = paid["payer"] >= 0
+    spend = np.bincount(paid["payer"][by_mu], weights=amount[by_mu], minlength=len(world.mus))
+    budget = np.array([mu.budget_per_step for mu in world.mus])
+    _check(spend > budget, lambda j: f"MU {j} spent {spend[j]} over its budget {budget[j]}")
 
-    for i, state in world.states.items():
-        if auction_paid[i] != auction.kappa[i]:
-            raise MarketInvariantError(
-                f"DO {i} has {auction_paid[i]} payments for {auction.kappa[i]} admitted tasks"
-            )
-        if delegations_paid[i] != routing.s_realized[i]:
-            raise MarketInvariantError(
-                f"DO {i} made {delegations_paid[i]} payments for "
-                f"{routing.s_realized[i]} delegated tasks"
-            )
-        if delegations_received[i] != len(routing.incoming[i]):
-            raise MarketInvariantError(
-                f"DO {i} got {delegations_received[i]} payments for "
-                f"{len(routing.incoming[i])} received tasks"
-            )
-        if routing.s_realized[i] > decisions[i].subdelegate_s:
-            raise MarketInvariantError(f"DO {i} routed more tasks than it decided to delegate")
-        cap = min(state.theta_max, state.kappa_max - 1)
-        if auction.kappa[i] > cap:
-            raise MarketInvariantError(f"DO {i} admitted {auction.kappa[i]} > cap {cap}")
-        if auction.kappa[i] + len(routing.incoming[i]) > state.kappa_max - 1:
-            raise MarketInvariantError(f"DO {i} total arrivals exceed kappa_max - 1")
-        if state.pending_q != len(world.pending[i]):
-            raise MarketInvariantError(
-                f"DO {i} virtual queue {state.pending_q} != physical queue {len(world.pending[i])}"
-            )
-        result = validate_state(state)
-        if not result.ok:
-            raise MarketInvariantError(f"DO {i} invalid state after step: {result.violation}")
+    kappa = np.fromiter(auction.kappa.values(), dtype=np.intp, count=n)
+    auction_paid = np.bincount(payee, minlength=n)
+    _check(auction_paid != kappa, lambda i: f"DO {i} has {auction_paid[i]} payments for {kappa[i]} admitted tasks")
+
+    moved = routing.payments
+    s_done = np.fromiter(routing.s_realized.values(), dtype=np.intp, count=n)
+    received = np.bincount(routing.incoming["owner"], minlength=n)
+    made = np.bincount(moved["payer"], minlength=n)
+    got = np.bincount(moved["payee"], minlength=n)
+    _check(made != s_done, lambda i: f"DO {i} made {made[i]} payments for {s_done[i]} delegated tasks")
+    _check(got != received, lambda i: f"DO {i} got {got[i]} payments for {received[i]} received tasks")
+    _check(
+        moved["amount"] > moved["offer"],
+        lambda j: f"DO {moved['payer'][j]} paid {moved['amount'][j]} to delegate a task paying {moved['offer'][j]}",
+    )
+    _check(s_done > s_goal, lambda i: f"DO {i} routed more tasks than it decided to delegate")
+
+    cap = np.minimum(states["theta_max"], states["kappa_max"] - 1)
+    _check(kappa > cap, lambda i: f"DO {i} admitted {kappa[i]} > cap {cap[i]}")
+    _check(kappa + received > states["kappa_max"] - 1, lambda i: f"DO {i} total arrivals exceed kappa_max - 1")
+
+    held = np.bincount(queue["owner"], minlength=n)
+    _check(
+        states["pending_q"] != held,
+        lambda i: f"DO {i} virtual queue {states['pending_q'][i]} != physical queue {held[i]}",
+    )
+    depth_max = world.config.market.delegation_depth_max
+    _check(
+        queue["depth"] > depth_max,
+        lambda j: f"DO {queue['owner'][j]} holds task {queue['id'][j]} at depth {queue['depth'][j]} > cap {depth_max}",
+    )
+    _check(
+        queue["payment"] <= 0.0,
+        lambda j: f"DO {queue['owner'][j]} holds task {queue['id'][j]} paying {queue['payment'][j]}",
+    )
+    invalid = validate_states(states)
+    if invalid is not None:
+        raise MarketInvariantError(f"DO {invalid[0]} invalid state after step: {invalid[1]}")
     world.audit_checks += 1
 
 

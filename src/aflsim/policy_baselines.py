@@ -83,6 +83,11 @@ class PolicySpec:
     subdel_rule: str   # "threshold" | "rand" | "greedy"
     accept_rule: str   # "lyapunov" | "always"
 
+    @property
+    def draws(self) -> bool:
+        """Whether deciding consumes randomness."""
+        return self.price_rule in ("rand", "ampp") or self.subdel_rule == "rand"
+
 
 POLICIES: dict[str, PolicySpec] = {
     "pas-afl": PolicySpec("pas-afl", "lyapunov", "threshold", "lyapunov"),

@@ -13,7 +13,7 @@ the just-set price.  The rules see the market only through a two-field
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .core import DataOwnerState
 from .demand import R_FLOOR_DEFAULT
 
 
-@dataclass(frozen=True)
-class DelegationContext:
+class DelegationContext(NamedTuple):
     """What the sub-delegation rules read of a DO's neighbourhood.
 
     `avg_neighbor_price` is the mean posted price over *all* neighbours and
@@ -37,15 +36,19 @@ class DelegationContext:
 
 
 def eligible_delegates(
-    neighbors: np.ndarray,
+    adjacency: np.ndarray,
     prices: np.ndarray,
     reps: np.ndarray,
-    reference_payment: float,
-    r_min: float,
+    reference_payment: np.ndarray,
+    r_min: np.ndarray,
 ) -> np.ndarray:
-    """Ids in `neighbors` trusted enough and cheap enough to take a task paying
-    `reference_payment`; `prices` and `reps` are snapshots indexed by DO id."""
-    return neighbors[(reps[neighbors] >= r_min) & (prices[neighbors] <= reference_payment)]
+    """For each row of `adjacency`, one asking DO's neighbour mask, whether
+    some neighbour is trusted enough (reputation >= that DO's `r_min`) and
+    cheap enough (price <= its `reference_payment`) to take a task.  `prices`
+    and `reps` are snapshots indexed by DO id."""
+    trusted = reps >= r_min[:, None]
+    cheap = prices <= reference_payment[:, None]
+    return (adjacency & trusted & cheap).any(axis=1)
 
 
 def decide_subdelegation(state: DataOwnerState, ctx: DelegationContext, theta: int) -> int:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, load_config, resolve_config
-from .core import CSV_COLUMNS
+from .core import CSV_COLUMNS, sequential_sum
 from .market import build_world, step
 from .policy_baselines import ABLATION_NAMES, BASELINE_NAMES
 
@@ -103,11 +103,11 @@ def run_scenario(
         writer.writerow(CSV_COLUMNS)
     try:
         for t in range(config.horizon_T):
-            records = step(world)
-            mean_q[t] = sum(r.pending_q for r in records) / len(records)
-            max_Q[t] = max(r.urgency_Q for r in records)
+            metrics = step(world)
+            mean_q[t] = sequential_sum(metrics["pending_q"]) / config.n_dos
+            max_Q[t] = metrics["urgency_Q"].max()
             if writer is not None:
-                writer.writerows(r.to_csv_row() for r in records)
+                writer.writerows(_csv_rows(metrics))
     finally:
         if handle is not None:
             handle.close()
@@ -126,6 +126,18 @@ def run_scenario(
         per_step_max_Q=max_Q,
         audit_checks=world.audit_checks,
         price_degenerate_steps=world.degenerate_price_steps,
+    )
+
+
+def _csv_rows(metrics: dict[str, np.ndarray]):
+    """One row of strings per DO: floats to 9 significant digits.  A
+    generator, so that the rows are formatted as the writer takes them."""
+    columns = (metrics[name] for name in CSV_COLUMNS)
+    yield from zip(
+        *(
+            [f"{v:.9g}" for v in column.tolist()] if column.dtype.kind == "f" else map(str, column.tolist())
+            for column in columns
+        )
     )
 
 

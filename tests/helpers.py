@@ -1,8 +1,16 @@
 """Shared builders for test states, contexts and runs, and test-side reference checks."""
 
-from aflsim.core import DataOwnerState, MetricsRecord, StepDecision, ValidationResult
+from collections import namedtuple
+from dataclasses import astuple
+
+import numpy as np
+
+from aflsim.core import CSV_COLUMNS, STATE, DataOwnerState, StepDecision
 from aflsim.market import World, step
 from aflsim.policy_pas import DelegationContext
+
+# One CSV row of a step's metrics, with the columns as attributes.
+Record = namedtuple("Record", CSV_COLUMNS)
 
 
 def make_state(**overrides) -> DataOwnerState:
@@ -28,29 +36,41 @@ def make_state(**overrides) -> DataOwnerState:
     return DataOwnerState(**base)
 
 
+def state_columns(*states: DataOwnerState) -> np.ndarray:
+    """The `STATE` columns of the given DO states, one record each."""
+    return np.array([astuple(state) for state in states], dtype=STATE)
+
+
 def make_ctx(avg_neighbor_price=1.0, eligible=False) -> DelegationContext:
     return DelegationContext(
         avg_neighbor_price=avg_neighbor_price, has_eligible_delegate=bool(eligible)
     )
 
 
-def run_world(world: World) -> tuple[dict[int, tuple[float, float]], list[MetricsRecord]]:
+def step_records(world: World) -> list[Record]:
+    """Step `world` once; return its metrics as one Record per DO."""
+    metrics = step(world)
+    return [Record(*row) for row in zip(*(metrics[name].tolist() for name in CSV_COLUMNS))]
+
+
+def run_world(world: World) -> tuple[dict[int, tuple[float, float]], list[Record]]:
     """Step `world` through its horizon; return each DO's initial (q, Q) and every record."""
-    initial = {i: (s.pending_q, s.urgency_Q) for i, s in world.states.items()}
+    states = world.states
+    initial = dict(enumerate(zip(states["pending_q"].tolist(), states["urgency_Q"].tolist())))
     records = []
     for _ in range(world.config.horizon_T):
-        records.extend(step(world))
+        records.extend(step_records(world))
     return initial, records
 
 
-def validate_decision(state: DataOwnerState, decision: StepDecision) -> ValidationResult:
-    """Check a StepDecision against the invariants of the deciding DO."""
+def validate_decision(state: DataOwnerState, decision: StepDecision) -> str | None:
+    """The first field of a StepDecision that breaks an invariant of the deciding DO, or None."""
     if decision.accept_x not in (0, 1):
-        return ValidationResult(False, "accept_x")
+        return "accept_x"
     if not (0 <= decision.work_theta <= state.theta_max):
-        return ValidationResult(False, "work_theta")
+        return "work_theta"
     if not (0 <= decision.subdelegate_s <= min(state.s_max, state.pending_q)):
-        return ValidationResult(False, "subdelegate_s")
+        return "subdelegate_s"
     if decision.price_p < state.reserve_price_p_min:
-        return ValidationResult(False, "price_p")
-    return ValidationResult(True)
+        return "price_p"
+    return None

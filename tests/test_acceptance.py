@@ -194,9 +194,10 @@ def test_c2_pricing_closed_form_matches_grid_search():
 
 def test_c3_drift_never_exceeds_bound(drift_run):
     cfg, world, initial, records, elapsed = drift_run
-    caps = {
-        i: (s.theta_max, s.s_max, s.kappa_max) for i, s in world.states.items()
-    }
+    states = world.states
+    caps = dict(enumerate(zip(
+        states["theta_max"].tolist(), states["s_max"].tolist(), states["kappa_max"].tolist()
+    )))
 
     by_do: dict[int, list] = {}
     for rec in records:

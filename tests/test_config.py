@@ -4,7 +4,8 @@ from dataclasses import fields, is_dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aflsim.config import ConfigError, ScenarioConfig, resolve_config
+from aflsim.config import MEMORY_BUDGET, ConfigError, ScenarioConfig, resolve_config
+from aflsim.market import MarketInvariantError
 from aflsim.simcli import run_scenario
 
 SECTIONS = ("constants", "do_params", "mu", "reputation", "market", "policy")
@@ -74,6 +75,11 @@ def test_wrong_types_name_field(raw, field):
         ({"constants": {"a0": -1.0}}, "constants.a0"),
         ({"constants": {"a2": -1.0}}, "constants.a2"),
         ({"constants": {"a3": -1.0}}, "constants.a3"),
+        # Sizes past the memory budget, rejected before anything is allocated.
+        ({"n_dos": 10**6}, "n_dos"),
+        ({"do_params": {"q0": [0, 10**12]}}, "do_params.q0"),
+        ({"n_dos": 8, "do_params": {"q0": [MEMORY_BUDGET // 8, MEMORY_BUDGET // 8]}}, "do_params.q0"),
+        ({"horizon_T": 10**12}, "horizon_T"),
     ],
 )
 def test_out_of_bounds_values_name_field(raw, field):
@@ -103,15 +109,23 @@ BAD = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# Runs in demand-model mode draw arrivals from means no config bound fixes in
+# advance; the engine names a mean it cannot draw from.
+DEMAND = {"market": {"arrival_mode": "demand-model"}}
+# A bound on several fields is named by the field its row states it on.
+COUPLED = {"constants.a3": "constants.a0", "do_params.epsilon": "constants.a0"}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(
+    mode=st.sampled_from(["auction", "demand-model"]),
     path=st.sampled_from(PATHS),
     value=st.one_of(BAD, BAD.map(lambda v: [v, v])),
     n_dos=st.integers(1, 4),
     horizon=st.integers(1, 3),
 )
-def test_one_bad_field_is_rejected_by_name_or_runs_clean(path, value, n_dos, horizon):
-    raw = {"n_dos": n_dos, "horizon_T": horizon, "seeds": [1]}
+def test_one_bad_field_is_rejected_by_name_or_runs_clean(mode, path, value, n_dos, horizon):
+    raw = {"n_dos": n_dos, "horizon_T": horizon, "seeds": [1], "market": {"arrival_mode": mode}}
     *sections, key = path.split(".")
     node = raw
     for section in sections:
@@ -120,6 +134,34 @@ def test_one_bad_field_is_rejected_by_name_or_runs_clean(path, value, n_dos, hor
     try:
         cfg = resolve_config(raw)
     except ConfigError as err:
-        assert err.field == path or err.field.startswith(path + "."), (err.field, path)
+        named = err.field == path or err.field.startswith(path + ".")
+        coupled = mode == "demand-model" and err.field == COUPLED.get(path)
+        assert named or coupled, (err.field, path)
         return
-    assert run_scenario(cfg, cfg.seeds[0]).audit_checks == horizon
+    try:
+        audited = run_scenario(cfg, cfg.seeds[0]).audit_checks
+    except MarketInvariantError as err:
+        assert cfg.market.arrival_mode == "demand-model" and "expected demand" in str(err)
+        return
+    assert audited == horizon
+
+
+@pytest.mark.parametrize(
+    "raw, failure",
+    [
+        ({"constants": {"a0": 700.0}}, r"DO \d+ at step 0: expected demand \d"),
+        ({"do_params": {"p_min": [1e20, 1e20]}}, r"DO \d+ at step 0: expected demand \d"),
+        ({"constants": {"a0": 1000.0}}, "constants.a0"),
+        ({"constants": {"a1": 110.0}, "do_params": {"r0": [0.0, 0.0]}}, "constants.a1"),
+    ],
+    ids=["a0-700-poisson-mean", "p_min-1e20-poisson-mean", "a0-1000-exp-overflow", "a1-110-r0-0-underflow"],
+)
+def test_demand_model_failures_are_named_not_raised_midway(raw, failure):
+    raw = {"n_dos": 4, "horizon_T": 3, "seeds": [1], "policy": {"assignment": "pas-afl"}, **DEMAND, **raw}
+    if failure.startswith("constants."):
+        with pytest.raises(ConfigError) as err:
+            resolve_config(raw)
+        assert err.value.field == failure
+        return
+    with pytest.raises(MarketInvariantError, match=failure):
+        run_scenario(resolve_config(raw), 1)

@@ -1,12 +1,12 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aflsim import market
 from aflsim.config import resolve_config
-from aflsim.core import StepDecision, Task, TrustNetwork
+from aflsim.core import TASK, StepDecision, TrustNetwork
 from aflsim.market import (
     MarketInvariantError,
     ModelUser,
@@ -14,12 +14,13 @@ from aflsim.market import (
     generate_trust_network,
     route_subdelegations,
     run_auction,
+    settle,
     step,
     update_reputation,
 )
 from aflsim.policy_baselines import POLICIES
 from aflsim.simcli import run_scenario
-from helpers import make_state, run_world
+from helpers import make_state, run_world, state_columns
 
 GAINS = {"lin": 1.25, "bmub": 1.45, "fedbidder-simple": 1.1, "fedbidder-complex": 1.35}
 
@@ -57,192 +58,275 @@ def test_graph_is_deterministic_per_seed():
     assert [row.tolist() for row in a.neighbors] == [row.tolist() for row in b.neighbors]
 
 
+def reference_settle(state, x, price, theta, s, kappa, delegated_in, on_time, pbar, ema_beta, r_floor):
+    """One DO's step in Python floats, written as the formulas read: the
+    reference the columnar `settle` must match bit for bit."""
+    q, Q, r = state.pending_q, state.urgency_Q, state.reputation_r
+    carried_over = q - theta - s > 0
+    new_q = max(q - theta - s, 0.0) + x * kappa + delegated_in
+    new_Q = max(Q - theta - s + (state.avg_demand_kappa_bar if carried_over else 0.0), 0.0)
+    revenue = x * price * r * float(kappa)
+    u = revenue - (0.0 if s == 0 else pbar * s) - state.unit_cost_c * theta
+    if theta > 0:
+        r = ema_beta * r + (1.0 - ema_beta) * (on_time / theta)
+    return u, new_q, new_Q, min(1.0, max(r_floor, r)), state.positive_ratings_Mp + on_time
+
+
+@st.composite
+def settle_rows(draw):
+    """One DO's state and step inputs; an infinite neighbour price comes with s = 0."""
+    theta = draw(st.integers(0, 5))
+    pbar = draw(st.one_of(st.just(math.inf), st.floats(0.01, 10.0)))
+    state = make_state(
+        pending_q=draw(st.floats(0.0, 30.0)),
+        urgency_Q=draw(st.floats(0.0, 60.0)),
+        avg_demand_kappa_bar=draw(st.floats(0.0, 9.0)),
+        reputation_r=draw(st.floats(0.0, 1.25)),
+        unit_cost_c=draw(st.floats(0.0, 3.0)),
+        positive_ratings_Mp=draw(st.integers(0, 50)),
+    )
+    step_inputs = (
+        draw(st.integers(0, 1)),                         # accept_x
+        draw(st.floats(0.1, 10.0)),                      # posted price
+        theta,
+        0 if pbar == math.inf else draw(st.integers(0, 5)),
+        draw(st.integers(0, 9)),                         # auction arrivals
+        draw(st.integers(0, 5)),                         # delegated in
+        draw(st.integers(0, theta)),                     # on time
+        pbar,
+    )
+    return state, step_inputs
+
+
+# Rows every example includes: the +inf no-neighbour price at s = 0, an EMA
+# below the floor, and a reputation above 1 left unchanged, then clamped.
+COVERED_ROWS = [
+    (make_state(pending_q=2.0, urgency_Q=1.0, reputation_r=0.4), (1, 1.5, 2, 0, 1, 0, 2, math.inf)),
+    (make_state(pending_q=3.0, reputation_r=0.0), (0, 1.0, 3, 0, 0, 0, 0, 1.0)),
+    (make_state(pending_q=1.0, reputation_r=1.2), (1, 2.0, 0, 0, 2, 1, 0, 0.5)),
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(settle_rows(), min_size=1, max_size=6),
+    ema_beta=st.floats(0.0, 0.99),
+    r_floor=st.floats(1e-6, 0.2),
+)
+def test_columnar_settle_matches_scalar_reference_bit_for_bit(rows, ema_beta, r_floor):
+    rows = rows + COVERED_ROWS
+    states = state_columns(*(state for state, _ in rows))
+    x, price, theta, s, kappa, delegated_in, on_time, pbar = (
+        np.array(column) for column in zip(*(inputs for _, inputs in rows))
+    )
+    got = settle(states, x, price, theta, s, kappa, delegated_in, on_time, pbar, ema_beta, r_floor)
+    for i, (state, inputs) in enumerate(rows):
+        want = reference_settle(state, *inputs, ema_beta, r_floor)
+        assert [float(column[i]).hex() for column in got] == [float(v).hex() for v in want]
+    assert got[3][-1] == 1.0 and got[3][-2] == r_floor
+
+
 def test_reputation_unchanged_when_nothing_due():
     state = make_state(reputation_r=0.5)
-    r, mp = update_reputation(state, 0, 0, ema_beta=0.9)
+    r, mp = update_reputation(state_columns(state), np.array([0]), np.array([0]), ema_beta=0.9)
     assert r == 0.5
     assert mp == state.positive_ratings_Mp
 
 
 def test_reputation_ema_hand_value():
     state = make_state(reputation_r=0.5, positive_ratings_Mp=3)
-    r, mp = update_reputation(state, 2, 2, ema_beta=0.9)
+    r, mp = update_reputation(state_columns(state), np.array([2]), np.array([2]), ema_beta=0.9)
     assert r == pytest.approx(0.55)
     assert mp == 5
 
 
 def test_reputation_contracts_to_floor_under_failures():
-    state = make_state(reputation_r=0.5)
-    prev = state.reputation_r
+    states = state_columns(make_state(reputation_r=0.5))
+    prev = states["reputation_r"][0]
     for _ in range(200):
-        r, _ = update_reputation(state, 0, 1, ema_beta=0.9, r_floor=1e-3)
+        r, _ = update_reputation(states, np.array([0]), np.array([1]), ema_beta=0.9, r_floor=1e-3)
         assert r <= prev
-        state.reputation_r = r
-        prev = r
-    assert state.reputation_r == pytest.approx(1e-3)
+        states["reputation_r"] = r
+        prev = r[0]
+    assert states["reputation_r"][0] == pytest.approx(1e-3)
 
 
 def test_reputation_rejects_impossible_counts():
     with pytest.raises(ValueError):
-        update_reputation(make_state(), 2, 1, ema_beta=0.9)
+        update_reputation(state_columns(make_state()), np.array([2]), np.array([1]), ema_beta=0.9)
 
 
 def _single_market(price, valuation, x=1):
-    state = make_state(id=0, theta_max=2, kappa_max=5, current_price_p=price)
-    decision = StepDecision(accept_x=x, price_p=price, subdelegate_s=0, work_theta=0)
+    states = state_columns(make_state(id=0, theta_max=2, kappa_max=5, current_price_p=price))
     mu = ModelUser(id=0, strategy_name="greedy", budget_per_step=valuation,
-                   valuation_per_do={0: valuation})
-    return {0: state}, {0: decision}, [mu], {0: np.random.default_rng(0)}
+                   valuation_per_do=np.array([valuation]))
+    return states, np.array([price]), np.array([x]), [mu], {0: np.random.default_rng(0)}
+
+
+def _paid(ledger):
+    """(payer, payee, amount) of every ledger row."""
+    return [(payer, payee, amount) for payer, payee, amount, _offer in ledger.tolist()]
 
 
 def test_auction_clears_nothing_when_priced_out():
-    states, decisions, mus, rngs = _single_market(price=100.0, valuation=2.0)
-    outcome, _ = run_auction(mus, states, decisions, rngs, 0, 0, GAINS)
+    states, price, x, mus, rngs = _single_market(price=100.0, valuation=2.0)
+    outcome, _ = run_auction(mus, states, price, x, rngs, 0, 0, GAINS)
     assert outcome.kappa[0] == 0
-    assert outcome.payments == []
+    assert outcome.payments.tolist() == []
 
 
 def test_auction_single_clearing_pays_posted_price():
-    states, decisions, mus, rngs = _single_market(price=1.5, valuation=2.0)
-    outcome, next_id = run_auction(mus, states, decisions, rngs, 3, 10, GAINS)
+    states, price, x, mus, rngs = _single_market(price=1.5, valuation=2.0)
+    outcome, next_id = run_auction(mus, states, price, x, rngs, 3, 10, GAINS)
     assert outcome.kappa[0] == 1
-    assert outcome.payments == [(0, 0, 1.5)]
-    task = outcome.tasks[0][0]
-    assert task.task_id == 10 and next_id == 11
-    assert task.unit_payment_p_tau == 1.5
-    assert task.arrival_step == 3
-    assert task.holder == 0
+    assert _paid(outcome.payments) == [(0, 0, 1.5)]
+    assert outcome.payments["offer"].tolist() == [2.0]  # the greedy MU bids its valuation
+    task = outcome.tasks[0]
+    assert task["id"] == 10 and next_id == 11
+    assert task["payment"] == 1.5
+    assert task["arrival"] == 3
+    assert task["owner"] == 0
 
 
 def test_auction_ignores_declining_data_owners():
-    states, decisions, mus, rngs = _single_market(price=1.5, valuation=2.0, x=0)
-    outcome, _ = run_auction(mus, states, decisions, rngs, 0, 0, GAINS)
+    states, price, x, mus, rngs = _single_market(price=1.5, valuation=2.0, x=0)
+    outcome, _ = run_auction(mus, states, price, x, rngs, 0, 0, GAINS)
     assert outcome.kappa[0] == 0
 
 
 def test_auction_respects_admission_cap():
-    state = make_state(id=0, theta_max=2, kappa_max=4, current_price_p=1.0)
-    decision = StepDecision(accept_x=1, price_p=1.0, subdelegate_s=0, work_theta=0)
+    states = state_columns(make_state(id=0, theta_max=2, kappa_max=4, current_price_p=1.0))
     mus = [
         ModelUser(id=j, strategy_name="greedy", budget_per_step=50.0,
-                  valuation_per_do={0: 2.0})
+                  valuation_per_do=np.array([2.0]))
         for j in range(4)
     ]
     rngs = {j: np.random.default_rng(j) for j in range(4)}
-    outcome, _ = run_auction(mus, {0: state}, {0: decision}, rngs, 0, 0, GAINS)
+    outcome, _ = run_auction(mus, states, np.array([1.0]), np.array([1]), rngs, 0, 0, GAINS)
     assert outcome.kappa[0] == 2  # min(theta_max, kappa_max - 1)
 
 
 def test_auction_ledger_is_deterministic():
     def build():
-        states, decisions = {}, {}
-        for i in range(5):
-            states[i] = make_state(id=i, current_price_p=1.0 + 0.1 * i,
-                                   reputation_r=0.5 + 0.05 * i)
-            decisions[i] = StepDecision(accept_x=1, price_p=1.0 + 0.1 * i,
-                                        subdelegate_s=0, work_theta=0)
+        states = state_columns(*(
+            make_state(id=i, current_price_p=1.0 + 0.1 * i, reputation_r=0.5 + 0.05 * i)
+            for i in range(5)
+        ))
+        price = np.array([1.0 + 0.1 * i for i in range(5)])
         mus = [
             ModelUser(id=j, strategy_name=name, budget_per_step=5.0,
-                      valuation_per_do={i: 2.0 for i in range(5)})
+                      valuation_per_do=np.full(5, 2.0))
             for j, name in enumerate(["random", "greedy", "lin"])
         ]
         rngs = {j: np.random.default_rng([7, j]) for j in range(3)}
-        return run_auction(mus, states, decisions, rngs, 0, 0, GAINS)
+        return run_auction(mus, states, price, np.ones(5, dtype=int), rngs, 0, 0, GAINS)
 
     first, _ = build()
     second, _ = build()
-    assert first.payments == second.payments
+    assert first.payments.tolist() == second.payments.tolist()
     assert first.kappa == second.kappa
 
 
+def _queue(owner, payments, depth=0):
+    """A task queue: task k is held by `owner` and pays `payments[k]`."""
+    tasks = np.zeros(len(payments), dtype=TASK)
+    tasks["owner"] = owner
+    tasks["payment"] = payments
+    tasks["depth"] = depth
+    tasks["id"] = np.arange(len(payments))
+    return tasks
+
+
+def _left(queue, outcome, do_id):
+    """Ids of `do_id`'s tasks that routing did not move."""
+    kept = np.delete(queue, outcome.moved)
+    return kept["id"][kept["owner"] == do_id].tolist()
+
+
 def _routing_setup(payments, neighbor_price=0.5, depth=0):
-    states = {
-        0: make_state(id=0, pending_q=float(len(payments)), s_max=5, rep_threshold_r_min=0.5),
-        1: make_state(id=1, current_price_p=neighbor_price,
-                      reserve_price_p_min=min(neighbor_price, 1.0), reputation_r=0.9),
-    }
+    states = state_columns(
+        make_state(id=0, pending_q=float(len(payments)), s_max=5, rep_threshold_r_min=0.5),
+        make_state(id=1, current_price_p=neighbor_price,
+                   reserve_price_p_min=min(neighbor_price, 1.0), reputation_r=0.9),
+    )
     network = TrustNetwork(2, edges=[(0, 1)])
-    pending = {
-        0: [
-            Task(task_id=k, origin_mu=0, unit_payment_p_tau=p, arrival_step=0,
-                 delegation_depth=depth, holder=0)
-            for k, p in enumerate(payments)
-        ],
-        1: [],
-    }
-    prices = np.array([states[0].current_price_p, neighbor_price])
-    reps = np.array([states[0].reputation_r, 0.9])
-    capacity = {0: 4, 1: 4}
-    return states, pending, network, prices, reps, capacity
+    queue = _queue(0, payments, depth)
+    prices = np.array([states["current_price_p"][0], neighbor_price])
+    reps = np.array([states["reputation_r"][0], 0.9])
+    capacity = np.array([4, 4])
+    return states, queue, network, prices, reps, capacity
 
 
 def test_routing_noop_without_delegations():
-    states, pending, net, prices, reps, cap = _routing_setup([1.0, 1.0])
-    decisions = {i: StepDecision(1, 1.0, 0, 0) for i in states}
-    outcome = route_subdelegations(states, pending, decisions, net, prices, reps, cap, 3, 0)
-    assert outcome.payments == []
-    assert len(pending[0]) == 2
+    states, queue, net, prices, reps, cap = _routing_setup([1.0, 1.0])
+    decisions = {i: StepDecision(1, 1.0, 0, 0) for i in range(2)}
+    outcome = route_subdelegations(states, queue, decisions, net, prices, reps, cap, 3, 0)
+    assert outcome.payments.tolist() == []
+    assert len(_left(queue, outcome, 0)) == 2
 
 
 def test_routing_transfers_highest_payment_tasks_and_pays_quotes():
-    states, pending, net, prices, reps, cap = _routing_setup([1.0, 2.0, 1.5])
+    states, queue, net, prices, reps, cap = _routing_setup([1.0, 2.0, 1.5])
     decisions = {
         0: StepDecision(1, 1.0, 2, 0),
         1: StepDecision(1, 1.0, 0, 0),
     }
-    outcome = route_subdelegations(states, pending, decisions, net, prices, reps, cap, 3, 5)
+    outcome = route_subdelegations(states, queue, decisions, net, prices, reps, cap, 3, 5)
     assert outcome.s_realized[0] == 2
-    assert outcome.payments == [(0, 1, 0.5), (0, 1, 0.5)]
-    moved = outcome.incoming[1]
-    assert [t.task_id for t in moved] == [1, 2]  # payments 2.0 then 1.5
+    assert _paid(outcome.payments) == [(0, 1, 0.5), (0, 1, 0.5)]
+    assert outcome.payments["offer"].tolist() == [2.0, 1.5]  # the payments the tasks carried
+    moved = outcome.incoming
+    assert moved["id"].tolist() == [1, 2]  # payments 2.0 then 1.5
     for task in moved:
-        assert task.holder == 1
-        assert task.delegation_depth == 1
-        assert task.unit_payment_p_tau == 0.5
-        assert task.arrival_step == 6
-    assert [t.task_id for t in pending[0]] == [0]
+        assert task["owner"] == 1
+        assert task["depth"] == 1
+        assert task["payment"] == 0.5
+        assert task["arrival"] == 6
+    assert _left(queue, outcome, 0) == [0]
 
 
 def test_routing_stops_early_when_no_delegate_is_cheap_enough():
-    states, pending, net, prices, reps, cap = _routing_setup([2.0, 0.3], neighbor_price=0.5)
+    states, queue, net, prices, reps, cap = _routing_setup([2.0, 0.3], neighbor_price=0.5)
     decisions = {0: StepDecision(1, 1.0, 2, 0), 1: StepDecision(1, 1.0, 0, 0)}
-    outcome = route_subdelegations(states, pending, decisions, net, prices, reps, cap, 3, 0)
+    outcome = route_subdelegations(states, queue, decisions, net, prices, reps, cap, 3, 0)
     assert outcome.s_realized[0] == 1
-    assert len(pending[0]) == 1
+    assert len(_left(queue, outcome, 0)) == 1
 
 
 def test_routing_skips_tasks_at_depth_cap():
-    states, pending, net, prices, reps, cap = _routing_setup([2.0, 2.0], depth=3)
+    states, queue, net, prices, reps, cap = _routing_setup([2.0, 2.0], depth=3)
     decisions = {0: StepDecision(1, 1.0, 2, 0), 1: StepDecision(1, 1.0, 0, 0)}
-    outcome = route_subdelegations(states, pending, decisions, net, prices, reps, cap, 3, 0)
+    outcome = route_subdelegations(states, queue, decisions, net, prices, reps, cap, 3, 0)
     assert outcome.s_realized[0] == 0
-    assert len(pending[0]) == 2
+    assert len(_left(queue, outcome, 0)) == 2
 
 
 def test_routing_respects_receiver_capacity():
-    states, pending, net, prices, reps, cap = _routing_setup([2.0, 2.0, 2.0])
+    states, queue, net, prices, reps, cap = _routing_setup([2.0, 2.0, 2.0])
     cap[1] = 1
     decisions = {0: StepDecision(1, 1.0, 3, 0), 1: StepDecision(1, 1.0, 0, 0)}
-    outcome = route_subdelegations(states, pending, decisions, net, prices, reps, cap, 3, 0)
+    outcome = route_subdelegations(states, queue, decisions, net, prices, reps, cap, 3, 0)
     assert outcome.s_realized[0] == 1
     assert cap[1] == 0
 
 
 def test_routing_breaks_price_ties_by_lower_id():
-    states = {0: make_state(id=0, pending_q=1.0, s_max=5, rep_threshold_r_min=0.5)}
-    for k, price in ((1, 0.8), (2, 0.5), (3, 0.5)):
-        states[k] = make_state(id=k, current_price_p=price, reserve_price_p_min=price,
-                               reputation_r=0.9)
+    states = state_columns(
+        make_state(id=0, pending_q=1.0, s_max=5, rep_threshold_r_min=0.5),
+        *(
+            make_state(id=k, current_price_p=price, reserve_price_p_min=price, reputation_r=0.9)
+            for k, price in ((1, 0.8), (2, 0.5), (3, 0.5))
+        ),
+    )
     network = TrustNetwork(4, edges=[(0, 3), (0, 1), (0, 2)])
-    pending = {0: [Task(task_id=0, origin_mu=0, unit_payment_p_tau=2.0, arrival_step=0,
-                        delegation_depth=0, holder=0)], 1: [], 2: [], 3: []}
-    decisions = {i: StepDecision(1, 1.0, 1 if i == 0 else 0, 0) for i in states}
-    prices = np.array([s.current_price_p for s in states.values()])
-    reps = np.array([s.reputation_r for s in states.values()])
-    capacity = {i: 4 for i in states}
-    outcome = route_subdelegations(states, pending, decisions, network, prices, reps, capacity, 3, 0)
-    assert outcome.payments == [(0, 2, 0.5)]
-    assert [t.task_id for t in outcome.incoming[2]] == [0]
+    queue = _queue(0, [2.0])
+    decisions = {i: StepDecision(1, 1.0, 1 if i == 0 else 0, 0) for i in range(4)}
+    prices = states["current_price_p"].copy()
+    reps = states["reputation_r"].copy()
+    capacity = np.full(4, 4)
+    outcome = route_subdelegations(states, queue, decisions, network, prices, reps, capacity, 3, 0)
+    assert _paid(outcome.payments) == [(0, 2, 0.5)]
+    assert outcome.incoming["id"][outcome.incoming["owner"] == 2].tolist() == [0]
 
 
 def test_zero_mu_world_earns_nothing():
@@ -260,8 +344,8 @@ def test_step_keeps_virtual_and_physical_queues_aligned():
     world = build_world(cfg, 3, policy_override="pas-afl")
     for _ in range(cfg.horizon_T):
         step(world)
-        for i, state in world.states.items():
-            assert state.pending_q == len(world.pending[i])
+        held = np.bincount(world.queue["owner"], minlength=cfg.n_dos)
+        assert world.states["pending_q"].tolist() == held.tolist()
     assert world.audit_checks == cfg.horizon_T
 
 
@@ -304,7 +388,7 @@ def test_step_decisions_depend_only_on_snapshot(monkeypatch):
     for policy in ("pas-afl", "lin-greedy"):
         world = build_world(cfg, 2, policy_override=policy)
         for _ in range(cfg.horizon_T):
-            snapshot = {i: replace(state) for i, state in world.states.items()}
+            snapshot = world.views()
             seen.clear()
             step(world)
             assert sorted(i for i, _, _ in seen) == list(range(cfg.n_dos))
@@ -331,7 +415,7 @@ def test_demand_model_arrivals_respect_caps_and_determinism():
     assert first == second
     # audits inside step() already enforce the admission caps; spot-check records
     for rec in first:
-        assert rec.accepted_kappa <= world.states[rec.do_id].kappa_max - 1
+        assert rec.accepted_kappa <= world.states["kappa_max"][rec.do_id] - 1
     assert any(r.accepted_kappa > 0 for r in first)
 
 
@@ -355,22 +439,22 @@ def test_price_degeneracy_is_counted():
     assert res.acceptance_rate == 0.0
 
 
-def _step_until_tampered(monkeypatch, name, tamper, policy, match):
+def _step_until_tampered(monkeypatch, name, tamper, policy, match, mu_budget=60.0):
     """Step a small world with `market.<name>` wrapped so that `tamper` edits
-    the first ledger it sees with an entry, and expect an audit matching `match`."""
+    the first outcome it sees with a ledger entry, and expect an audit matching `match`."""
     real = getattr(market, name)
     tampered = []
 
     def wrapped(*args, **kwargs):
         result = real(*args, **kwargs)
         outcome = result[0] if isinstance(result, tuple) else result
-        if outcome.payments and not tampered:
-            tamper(outcome.payments)
+        if len(outcome.payments) and not tampered:
+            tamper(outcome)
             tampered.append(True)
         return result
 
     monkeypatch.setattr(market, name, wrapped)
-    cfg = resolve_config({"n_dos": 10, "horizon_T": 30, "seeds": [1]})
+    cfg = resolve_config({"n_dos": 10, "horizon_T": 30, "seeds": [1], "mu": {"budget_per_step": mu_budget}})
     world = build_world(cfg, 1, policy_override=policy)
     with pytest.raises(MarketInvariantError, match=match):
         for _ in range(cfg.horizon_T):
@@ -378,29 +462,83 @@ def _step_until_tampered(monkeypatch, name, tamper, policy, match):
     assert tampered
 
 
-def _overpay(payments):
-    payer, payee, amount = payments[0]
-    payments[0] = (payer, payee, amount * 1.5)
+def _overpay(outcome):
+    outcome.payments["amount"][0] *= 1.5
 
 
-def _redirect(payments):
-    payer, payee, amount = payments[0]
-    payments[0] = (payer, (payee + 1) % 10, amount)  # another of the world's 10 DOs
+def _drop(outcome):
+    outcome.payments = outcome.payments[1:]
+
+
+def _redirect(outcome):
+    payee = outcome.payments["payee"]
+    payee[0] = (payee[0] + 1) % 10  # another of the world's 10 DOs
+
+
+def _underbid(outcome):
+    outcome.payments["offer"][0] = outcome.payments["amount"][0] / 2
+
+
+def _charge_one_mu(outcome):
+    outcome.payments["payer"] = 0  # every cleared task billed to MU 0
+
+
+def _overcharge(outcome):
+    outcome.payments["amount"][0] = 2 * outcome.payments["offer"][0]
+
+
+def _deepen(outcome):
+    outcome.incoming["depth"][0] = 4  # one past the default cap of 3
 
 
 @pytest.mark.parametrize(
     "tamper, message",
-    [(_overpay, "posted at"), (list.pop, "admitted tasks")],
-    ids=["overpaid", "dropped"],
+    [(_overpay, "posted at"), (_drop, "admitted tasks"), (_underbid, "below its posted price")],
+    ids=["overpaid", "dropped", "underbid"],
 )
 def test_auction_ledger_audit_catches_a_tampered_entry(monkeypatch, tamper, message):
     _step_until_tampered(monkeypatch, "run_auction", tamper, "pas-afl", message)
 
 
+def test_auction_budget_audit_catches_one_mu_billed_for_all(monkeypatch):
+    # With budgets this small every MU clears a little, so no one MU can pay for all of it.
+    _step_until_tampered(
+        monkeypatch, "run_auction", _charge_one_mu, "pas-afl", "MU 0 spent .* over its budget 3.0",
+        mu_budget=3.0,
+    )
+
+
 @pytest.mark.parametrize(
     "tamper, message",
-    [(list.pop, "(delegated|received) tasks"), (_redirect, "received tasks")],
-    ids=["dropped", "redirected"],
+    [
+        (_drop, "(delegated|received) tasks"),
+        (_redirect, "received tasks"),
+        (_overcharge, "to delegate a task paying"),
+        (_deepen, "at depth 4 > cap 3"),
+    ],
+    ids=["dropped", "redirected", "overcharged", "too-deep"],
 )
 def test_delegation_ledger_audit_catches_a_tampered_entry(monkeypatch, tamper, message):
     _step_until_tampered(monkeypatch, "route_subdelegations", tamper, "lin-greedy", message)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rep_threshold_r_min", 2.0), ("unit_cost_c", -1.0), ("alignment_epsilon", -1.0)],
+)
+def test_corrupted_state_column_is_named(field, value):
+    cfg = resolve_config({"n_dos": 10, "horizon_T": 3, "seeds": [1]})
+    world = build_world(cfg, 1, policy_override="pas-afl")
+    step(world)
+    world.states[field][3] = value
+    with pytest.raises(MarketInvariantError, match=f"DO 3 invalid state after step: {field}"):
+        step(world)
+
+
+def test_corrupted_task_payment_is_named():
+    cfg = resolve_config({"n_dos": 10, "horizon_T": 3, "seeds": [1]})
+    world = build_world(cfg, 1, policy_override="pas-afl")
+    step(world)
+    world.queue["payment"] = 0.0
+    with pytest.raises(MarketInvariantError, match="holds task .* paying 0.0"):
+        step(world)

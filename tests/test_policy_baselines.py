@@ -87,7 +87,7 @@ def test_baseline_joint_lin_greedy_composition():
     assert decision.price_p == 3.0
     assert decision.work_theta == 1
     assert decision.subdelegate_s == 3
-    assert validate_decision(state, decision).ok
+    assert validate_decision(state, decision) is None
 
 
 def test_baseline_joint_zero_state():
@@ -132,8 +132,8 @@ def test_every_baseline_emits_valid_decisions():
         )
         name = BASELINE_NAMES[int(rng.integers(len(BASELINE_NAMES)))]
         decision = decide_for_policy(POLICIES[name], state, ctx, policy_rng)
-        result = validate_decision(state, decision)
-        assert result.ok, f"{name} violated {result.violation}"
+        violation = validate_decision(state, decision)
+        assert violation is None, f"{name} violated {violation}"
 
 
 def test_ablations_differ_from_joint_policy_in_exactly_one_component():

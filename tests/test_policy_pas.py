@@ -21,23 +21,40 @@ from helpers import make_ctx, make_state, validate_decision
 PAS = POLICIES["pas-afl"]
 
 
+def _eligible(net, prices, reps, reference_payment, r_min):
+    """`eligible_delegates` asked for DO 0 alone."""
+    found = eligible_delegates(
+        net.adjacency[[0]], prices, reps, np.array([reference_payment]), np.array([r_min])
+    )
+    return found.tolist()
+
+
 def test_eligible_delegates_basic_constraint():
     net = TrustNetwork(2, edges=[(0, 1)])
     prices, reps = np.array([1.0, 1.0]), np.array([0.6, 0.9])
-    found = eligible_delegates(net.neighbors[0], prices, reps, reference_payment=2.0, r_min=0.5)
-    assert found.tolist() == [1]
+    assert _eligible(net, prices, reps, reference_payment=2.0, r_min=0.5) == [True]
+    assert _eligible(net, prices, reps, reference_payment=0.5, r_min=0.5) == [False]
 
 
 def test_eligible_delegates_empty_neighborhood():
     net = TrustNetwork(2)
     prices, reps = np.array([1.0, 1.0]), np.array([0.6, 0.6])
-    assert eligible_delegates(net.neighbors[0], prices, reps, 2.0, 0.5).tolist() == []
+    assert _eligible(net, prices, reps, 2.0, 0.5) == [False]
 
 
 def test_eligible_delegates_reputation_gate():
     net = TrustNetwork(2, edges=[(0, 1)])
     prices, reps = np.array([1.0, 0.1]), np.array([0.6, 0.4])
-    assert eligible_delegates(net.neighbors[0], prices, reps, 2.0, 0.5).tolist() == []
+    assert _eligible(net, prices, reps, 2.0, 0.5) == [False]
+
+
+def test_eligible_delegates_answers_each_row_with_its_own_limits():
+    net = TrustNetwork(3, edges=[(0, 1), (1, 2)])
+    prices, reps = np.array([1.0, 2.0, 3.0]), np.array([0.9, 0.6, 0.9])
+    found = eligible_delegates(
+        net.adjacency, prices, reps, np.array([2.0, 3.0, 2.0]), np.array([0.5, 0.95, 0.5])
+    )
+    assert found.tolist() == [True, False, True]
 
 
 def _tiny_world(n_dos: int, edge_prob: float):
@@ -78,8 +95,8 @@ def test_delegation_context_averages_all_neighbors():
 
 def test_delegation_context_ignores_tasks_at_depth_cap():
     world = _tiny_world(3, 1.0)
-    for task in world.pending[0]:
-        task.delegation_depth = world.config.market.delegation_depth_max
+    queue = world.queue
+    queue["depth"][queue["owner"] == 0] = world.config.market.delegation_depth_max
     contexts = world._build_contexts(np.array([1.0, 1.0, 1.0]), np.array([0.9, 0.9, 0.9]))
     assert not contexts[0].has_eligible_delegate
     assert contexts[1].has_eligible_delegate
@@ -165,7 +182,7 @@ def test_joint_composes_component_rules():
     assert decision.price_p == 3.0  # max(1, 3 / (2 * 1 * 0.5))
     assert decision.accept_x == 0  # 1 * 3 * 0.5 - 3 < 0
     assert not decision.price_degenerate
-    assert validate_decision(state, decision).ok
+    assert validate_decision(state, decision) is None
 
 
 def test_joint_zero_queue_accepts_iff_reserve_revenue_positive():

@@ -10,9 +10,17 @@ from aflsim.queues import (
     training_cost,
     update_pending_queue,
     update_urgency_queue,
-    utility,
+    utility as columnar_utility,
 )
 from helpers import make_state
+
+
+def utility(state: DataOwnerState, decision: StepDecision, demand_f: float, pbar: float) -> float:
+    """`queues.utility` read from one DO's state and decision."""
+    return columnar_utility(
+        decision.accept_x, decision.price_p, state.reputation_r, demand_f, pbar,
+        decision.subdelegate_s, state.unit_cost_c, decision.work_theta,
+    )
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,14 @@ import json
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 from aflsim.config import ConfigError, load_config, resolve_config
 from aflsim.simcli import (
     COMPARE_POLICIES,
     MissingArtifactError,
+    _csv_rows,
     emit_plot_data,
     main,
     run_preset,
@@ -20,6 +22,25 @@ TINY = {
     "seeds": [1, 2],
     "do_params": {"q0": [0, 4]},
 }
+
+
+def test_csv_rows_format_floats():
+    metrics = {
+        "step": np.array([3, 3]),
+        "do_id": np.array([0, 1]),
+        "utility_u": np.array([0.123456789123, -0.25]),
+        "pending_q": np.array([2.0, 0.0]),
+        "urgency_Q": np.array([0.0, 1.5]),
+        "accepted_kappa": np.array([2, 0]),
+        "completed_theta": np.array([1, 0]),
+        "subdelegated_s": np.array([0, 0]),
+        "price_p": np.array([1.0, 2.5]),
+        "reputation_r": np.array([0.5, 1.0]),
+    }
+    row = list(_csv_rows(metrics))[0]
+    assert row[0] == "3" and row[1] == "0"
+    assert row[2] == "0.123456789"
+    assert row[3] == "2"
 
 
 def test_defaults_fill_minimal_config():
