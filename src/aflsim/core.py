@@ -106,8 +106,8 @@ def sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
 class TrustNetwork:
     """Undirected, irreflexive trust graph over data-owner ids 0..n_dos-1.
 
-    `adjacency` is the symmetric boolean matrix and `neighbors[i]` the
-    ascending ids DO i trusts; both are built once from the edge pairs.
+    `adjacency` is the symmetric boolean matrix, built once from the edge
+    pairs; row i marks the DOs that DO i trusts.
     """
 
     def __init__(self, n_dos: int, edges=()):
@@ -123,7 +123,6 @@ class TrustNetwork:
         adjacency[pairs[:, 0], pairs[:, 1]] = True
         adjacency |= adjacency.T
         self.adjacency = adjacency
-        self.neighbors = [np.flatnonzero(row) for row in adjacency]
 
     @property
     def n_edges(self) -> int:

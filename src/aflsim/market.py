@@ -302,24 +302,30 @@ def route_subdelegations(
     moved, delegates, paid = [], [], []
     goals = {do_id: d.subdelegate_s for do_id, d in decisions.items() if d.subdelegate_s > 0}
     if goals:
-        starts, counts = _group_starts(queue["owner"], n)
+        delegators = np.fromiter(goals, dtype=np.intp, count=len(goals))
+        # Every delegator's tasks below the depth cap, best-paying first.
+        owner = queue["owner"]
+        rows = np.flatnonzero(np.isin(owner, delegators) & (queue["depth"] < depth_max))
+        rows = rows[np.lexsort((queue["id"][rows], -queue["payment"][rows], owner[rows]))]
+        firsts = np.searchsorted(owner[rows], delegators).tolist() + [len(rows)]
+        candidate_pay = queue["payment"][rows].tolist()
+        candidates = rows.tolist()
+        # Every delegator's trusted neighbours, cheapest first, ties by id.
+        by_price = np.argsort(prices, kind="stable")
+        trusted = network.adjacency[delegators][:, by_price]
+        trusted &= reps[by_price] >= states["rep_threshold_r_min"][delegators, None]
         capacity = capacity_left.tolist()
         price_of = prices.tolist()
 
-    for do_id, goal in goals.items():
-        rows = np.arange(starts[do_id], starts[do_id] + counts[do_id])
-        rows = rows[queue["depth"][rows] < depth_max]
-        rows = rows[np.lexsort((queue["id"][rows], -queue["payment"][rows]))]
-        neighbors = network.neighbors[do_id]
-        trusted = neighbors[reps[neighbors] >= states["rep_threshold_r_min"][do_id]]
-        trusted = trusted[np.argsort(prices[trusted], kind="stable")].tolist()
-        for row, payment in zip(rows.tolist(), queue["payment"][rows].tolist()):
+    for j, (do_id, goal) in enumerate(goals.items()):
+        cheapest_first = by_price[trusted[j]].tolist()
+        for k in range(firsts[j], firsts[j + 1]):
             if s_realized[do_id] >= goal:
                 break
-            delegate = next((k for k in trusted if capacity[k] > 0), None)
-            if delegate is None or price_of[delegate] > payment:
+            delegate = next((c for c in cheapest_first if capacity[c] > 0), None)
+            if delegate is None or price_of[delegate] > candidate_pay[k]:
                 break
-            moved.append(row)
+            moved.append(candidates[k])
             delegates.append(delegate)
             paid.append(price_of[delegate])
             capacity[delegate] -= 1

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from aflsim.config import ConfigError, resolve_config
@@ -72,7 +73,7 @@ def test_trust_network_rejects_out_of_range_ids(edge):
 
 def test_trust_network_is_symmetric():
     net = TrustNetwork(4, edges=[(0, 2), (2, 3), (3, 2)])
-    assert [row.tolist() for row in net.neighbors] == [[2], [], [0, 3], [2]]
+    assert [np.flatnonzero(row).tolist() for row in net.adjacency] == [[2], [], [0, 3], [2]]
     assert net.adjacency[2, 0] and net.adjacency[0, 2]
     assert net.n_edges == 2
     assert (net.adjacency == net.adjacency.T).all()
