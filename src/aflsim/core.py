@@ -7,7 +7,8 @@ what a policy returns.  Everything here is plain data plus validation, no
 market behaviour.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,15 +26,15 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass
-class DataOwnerState:
+class DataOwnerState(NamedTuple):
     """Full per-step state of one data owner, as the policies see it.
 
     The market keeps these fields as the columns of a `STATE` array and builds
-    a fresh view per DO each step.  `pending_q` and `urgency_Q` are virtual
-    queues stored as nonnegative reals: the urgency queue accumulates the
-    real-valued average demand, so integer storage would be lossy.  Physical
-    task counts moved in a step (work, sub-delegations, arrivals) are integers.
+    a fresh view per DO each step: a view is a `STATE` record as a tuple.
+    `pending_q` and `urgency_Q` are virtual queues stored as nonnegative
+    reals: the urgency queue accumulates the real-valued average demand, so
+    integer storage would be lossy.  Physical task counts moved in a step
+    (work, sub-delegations, arrivals) are integers.
     """
 
     id: int
@@ -56,7 +57,7 @@ class DataOwnerState:
 
 # One record per DO, with DataOwnerState's fields in its order, so that a
 # record's values are a view's constructor arguments.
-STATE = np.dtype([(f.name, f.type) for f in fields(DataOwnerState)])
+STATE = np.dtype(list(DataOwnerState.__annotations__.items()))
 
 # One record per pending task.  The market keeps its tasks grouped by owner,
 # each owner's in FIFO order.  `payment` is what the current owner was paid
@@ -106,22 +107,20 @@ def sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
 class TrustNetwork:
     """Undirected, irreflexive trust graph over data-owner ids 0..n_dos-1.
 
-    `adjacency` is the symmetric boolean matrix, built once from the edge
-    pairs; row i marks the DOs that DO i trusts.
+    `adjacency` is the symmetric boolean matrix; row i marks the DOs that DO
+    i trusts.
     """
 
-    def __init__(self, n_dos: int, edges=()):
-        if n_dos < 1:
+    def __init__(self, adjacency: np.ndarray):
+        adjacency = np.asarray(adjacency, dtype=bool)
+        if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
+            raise ValueError(f"adjacency must be a square matrix, not of shape {adjacency.shape}")
+        if len(adjacency) < 1:
             raise ValueError("n_dos must be >= 1")
-        pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-        outside = pairs[(pairs < 0) | (pairs >= n_dos)]
-        if outside.size:
-            raise ValueError(f"node {outside[0]} out of range")
-        if (pairs[:, 0] == pairs[:, 1]).any():
+        if (adjacency != adjacency.T).any():
+            raise ValueError("adjacency must be symmetric")
+        if adjacency.diagonal().any():
             raise ValueError("self loops are not allowed")
-        adjacency = np.zeros((n_dos, n_dos), dtype=bool)
-        adjacency[pairs[:, 0], pairs[:, 1]] = True
-        adjacency |= adjacency.T
         self.adjacency = adjacency
 
     @property
@@ -129,7 +128,7 @@ class TrustNetwork:
         return int(np.count_nonzero(self.adjacency)) // 2
 
 
-@dataclass
+@dataclass(slots=True)
 class StepDecision:
     """Joint per-step decision tuple a policy emits for one data owner."""
 

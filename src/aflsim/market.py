@@ -14,8 +14,8 @@ One simulation step runs a fixed pipeline:
 The world holds its state as numpy columns: a `STATE` record per data owner
 and one `TASK` array of every pending task, grouped by owner in FIFO order.
 Each phase is a whole-array pass; Python loops remain only where the number
-of random draws depends on the data (random-MU bids, random policies,
-demand-model arrivals) and in capacity-coupled routing.  Everything is
+of random draws depends on the data (random policies, demand-model arrivals)
+and in capacity-coupled routing.  Everything is
 deterministic given the scenario seed.  Audits (task conservation, admission
 caps, state invariants, delegation depth, and the payment ledgers against
 admitted and moved task counts, bids, budgets and carried payments) run every
@@ -29,6 +29,9 @@ comparison faces the identical bidder population and random streams.
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -87,9 +90,12 @@ def generate_trust_network(n_dos: int, edge_prob: float, rng) -> TrustNetwork:
         raise ValueError("n_dos must be >= 1")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge_prob must lie in [0, 1]")
-    rows, cols = np.triu_indices(n_dos, k=1)
-    mask = rng.random(rows.shape[0]) < edge_prob
-    return TrustNetwork(n_dos, np.column_stack((rows[mask], cols[mask])))
+    # One draw per pair (i, j), i < j, in row-major order: the order of
+    # np.triu_indices, which is how a boolean mask fills its selected cells.
+    adjacency = np.zeros((n_dos, n_dos), dtype=bool)
+    adjacency[~np.tri(n_dos, dtype=bool)] = rng.random(n_dos * (n_dos - 1) // 2) < edge_prob
+    adjacency |= adjacency.T
+    return TrustNetwork(adjacency)
 
 
 def _records(dtype: np.dtype, n: int, **columns) -> np.ndarray:
@@ -174,63 +180,65 @@ class AuctionOutcome:
     payments: np.ndarray      # one LEDGER row per admitted task
 
 
-def _mu_requests(mu: ModelUser, states: np.ndarray, price: np.ndarray, rng, gains) -> np.ndarray:
-    """One MU's requests for the step as LEDGER rows in submission order, with
-    the DO as payee and the bid as offer.
+def _mu_requests(mus: list[ModelUser], states: np.ndarray, price: np.ndarray, rngs, gains) -> np.ndarray:
+    """Every MU's requests for the step as LEDGER rows, ordered by MU id and
+    then by submission order, with the DO as payee and the bid as offer.
 
-    The MU walks its strategy-specific target order and stops once the next
-    bid would push total submitted bids past its per-step budget.
+    Each MU walks its strategy-specific target order, skips nonpositive bids
+    and stops once the next bid would push its total submitted bids past its
+    per-step budget.  The walks run side by side, one MU per matrix row: a
+    sort key and a bid per DO, sorted, then summed.
     """
+    mus = sorted(mus, key=attrgetter("id"))
+    n = len(states)
     rep = states["reputation_r"]
     p_min = states["reserve_price_p_min"]
-    valuation = mu.valuation_per_do
-    strategy = mu.strategy_name
-
-    if strategy == "random":
-        # The walk draws one bid per DO it reaches, so it stays a loop.  Each
-        # bid is uniform on [0, valuation): valuation * rng.random() is the
-        # value rng.uniform(0.0, valuation) returns, from the same draw.
-        picked, bids = [], []
-        submitted = 0.0
-        limits = valuation.tolist()
-        for do_id in rng.permutation(len(states)).tolist():
-            bid = limits[do_id] * rng.random()
-            if bid <= 0.0:
-                continue
-            if submitted + bid > mu.budget_per_step:
-                break
-            picked.append(do_id)
-            bids.append(bid)
-            submitted += bid
-        return _records(LEDGER, len(picked), payer=mu.id, payee=picked, amount=0.0, offer=bids)
-
+    reserve_keys = {"lin": p_min, "bmub": -rep, "fedbidder-simple": price}
+    keys, bids = np.empty((len(mus), n)), np.empty((len(mus), n))
+    walked = {}  # row -> (generator, its state before the bids were drawn)
+    for j, mu in enumerate(mus):
+        valuation = mu.valuation_per_do
+        strategy = mu.strategy_name
+        if strategy == "random":
+            # The key is each DO's place in a random order.  Bids are uniform
+            # on [0, valuation): valuation * rng.random() is the value
+            # rng.uniform(0.0, valuation) returns, from the same draw.  A bid
+            # is drawn for every DO; the draws the walk never reaches are
+            # undone below.
+            rng = rngs[mu.id]
+            targets = rng.permutation(n)
+            walked[j] = rng, rng.bit_generator.state
+            keys[j, targets] = np.arange(n)
+            bids[j, targets] = valuation[targets] * rng.random(n)
+        elif strategy == "greedy":
+            keys[j] = -rep / price
+            bids[j] = valuation
+        elif strategy == "fedbidder-complex":
+            keys[j] = -rep * valuation / price
+            bids[j] = np.minimum(gains[strategy] * (0.5 + 0.5 * rep) * p_min, valuation)
+        elif strategy in reserve_keys:
+            keys[j] = reserve_keys[strategy]
+            bids[j] = np.minimum(gains[strategy] * p_min, valuation)
+        else:
+            raise ValueError(f"unknown MU strategy: {strategy!r}")
     # Ties keep ascending DO id: the sort is stable.
-    if strategy == "greedy":
-        key = -rep / price
-    elif strategy == "lin":
-        key = p_min
-    elif strategy == "bmub":
-        key = -rep
-    elif strategy == "fedbidder-simple":
-        key = price
-    elif strategy == "fedbidder-complex":
-        key = -rep * valuation / price
-    else:
-        raise ValueError(f"unknown MU strategy: {strategy!r}")
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(keys, axis=1, kind="stable")
+    bids = np.take_along_axis(bids, order, axis=1)
 
-    if strategy == "greedy":
-        bids = valuation[order]
-    elif strategy == "fedbidder-complex":
-        gain = gains["fedbidder-complex"] * (0.5 + 0.5 * rep[order])
-        bids = np.minimum(gain * p_min[order], valuation[order])
-    else:
-        bids = np.minimum(gains[strategy] * p_min[order], valuation[order])
+    # A walk adds its positive bids in order, as cumsum does, and stops at
+    # the first that overshoots the budget.
     positive = bids > 0.0
-    order, bids = order[positive], bids[positive]
-    # The walk skips nonpositive bids and adds the rest in order, as cumsum does.
-    n_sent = np.searchsorted(np.cumsum(bids), mu.budget_per_step, side="right")
-    return _records(LEDGER, n_sent, payer=mu.id, payee=order[:n_sent], amount=0.0, offer=bids[:n_sent])
+    submitted = np.cumsum(np.where(positive, bids, 0.0), axis=1)
+    over = positive & (submitted > np.array([mu.budget_per_step for mu in mus])[:, None])
+    sent = positive & ~over
+    for j, (rng, state) in walked.items():
+        # Rewind, then draw as many values as the walk used: through the
+        # overshooting bid, or all of them.
+        rng.bit_generator.state = state
+        rng.random(over[j].argmax() + 1 if over[j].any() else n)
+
+    payer = np.repeat([mu.id for mu in mus], np.count_nonzero(sent, axis=1))
+    return _records(LEDGER, len(payer), payer=payer, payee=order[sent], amount=0.0, offer=bids[sent])
 
 
 def run_auction(
@@ -251,11 +259,7 @@ def run_auction(
     its bid meets the price, and fewer earlier such requests than the DO's
     cap went to that DO.
     """
-    requests = np.concatenate(
-        [np.empty(0, LEDGER)]
-        + [_mu_requests(mu, states, price, mu_rngs[mu.id], gains) for mu in sorted(mu_list, key=lambda m: m.id)],
-        dtype=LEDGER,
-    )
+    requests = _mu_requests(mu_list, states, price, mu_rngs, gains)
     requests = requests[np.argsort(-requests["offer"], kind="stable")]
     do = requests["payee"]
     requests = requests[(accept[do] == 1) & (requests["offer"] >= price[do])]
@@ -417,19 +421,25 @@ class World:
         cfg = self.config
         do = cfg.do_params
         ds_lo, ds_hi = cfg.data_size_range
+
+        def uniform(bounds: tuple[float, float]) -> float:
+            # The value rng.uniform(lo, hi) returns, from the same draw.
+            lo, hi = bounds
+            return lo + (hi - lo) * rng.random()
+
         drawn, payments = [], []
         for _ in range(cfg.n_dos):
-            p_min = float(rng.uniform(*do.p_min))
+            p_min = uniform(do.p_min)
             row = (
                 p_min,
-                float(rng.uniform(*do.unit_cost_frac)) * p_min,
-                float(rng.uniform(*do.rho)),
-                float(rng.uniform(*do.r0)),
-                float(rng.uniform(*do.r_min)),
+                uniform(do.unit_cost_frac) * p_min,
+                uniform(do.rho),
+                uniform(do.r0),
+                uniform(do.r_min),
                 int(rng.integers(do.theta_max[0], do.theta_max[1] + 1)),
                 int(rng.integers(do.s_max[0], do.s_max[1] + 1)),
                 int(rng.integers(do.kappa_hat[0], do.kappa_hat[1] + 1)),
-                float(rng.uniform(*do.epsilon)),
+                uniform(do.epsilon),
                 int(rng.integers(do.m_positive[0], do.m_positive[1] + 1)),
                 int(rng.integers(do.q0[0], do.q0[1] + 1)),
                 int(rng.integers(ds_lo, ds_hi + 1)),
@@ -479,9 +489,11 @@ class World:
         return 1.0
 
     def views(self) -> list[DataOwnerState]:
-        """A fresh DataOwnerState per DO, read from the state columns."""
-        columns = (self.states[name].tolist() for name in STATE.names)
-        return list(map(DataOwnerState, *columns))
+        """A fresh DataOwnerState per DO, read from the state columns.  The
+        views are built from zipped column lists with no Python call per DO
+        (a structured array's own `tolist` is slower than its columns')."""
+        rows = zip(*(self.states[name].tolist() for name in STATE.names))
+        return list(map(tuple.__new__, repeat(DataOwnerState), rows))
 
     def _build_contexts(self, prices: np.ndarray, reps: np.ndarray) -> list[DelegationContext]:
         """Every DO's delegation context against the step's price and reputation snapshot.
@@ -509,7 +521,7 @@ class World:
         eligible[asked] = eligible_delegates(
             self.network.adjacency[asked], prices, reps, best[asked], states["rep_threshold_r_min"][asked]
         )
-        return list(map(DelegationContext, avg.tolist(), eligible.tolist()))
+        return list(map(tuple.__new__, repeat(DelegationContext), zip(avg.tolist(), eligible.tolist())))
 
 
 def _demand_model_arrivals(world: World, price: np.ndarray, accept: np.ndarray) -> tuple[AuctionOutcome, int]:
@@ -567,27 +579,21 @@ def step(world: World) -> dict[str, np.ndarray]:
     contexts = world._build_contexts(prices, reps)
 
     # 2. Joint decisions, one call per DO against its view of the columns.
-    decisions = {
-        i: decide_for_policy(
-            spec,
-            state,
-            ctx,
-            rng,
-            markup_max=cfg.policy.markup_max,
-            lin_gain=cfg.policy.lin_gain,
-            work_mode=cfg.policy.work_mode,
-            r_floor=cfg.market.r_floor,
-        )
-        for i, (spec, state, ctx, rng) in enumerate(
-            zip(world.policy_specs, world.views(), contexts, world.policy_rngs)
-        )
-    }
-    x, price, s_goal, theta, degenerate = np.array(
-        [(d.accept_x, d.price_p, d.subdelegate_s, d.work_theta, d.price_degenerate) for d in decisions.values()],
-        dtype=float,
-    ).T
-    x, s_goal, theta = (column.astype(np.intp) for column in (x, s_goal, theta))
-    world.degenerate_price_steps += int(degenerate.sum())
+    decide = partial(
+        decide_for_policy,
+        markup_max=cfg.policy.markup_max,
+        lin_gain=cfg.policy.lin_gain,
+        work_mode=cfg.policy.work_mode,
+        r_floor=cfg.market.r_floor,
+    )
+    decisions = dict(enumerate(map(decide, world.policy_specs, world.views(), contexts, world.policy_rngs)))
+
+    def column(field: str, dtype) -> np.ndarray:
+        return np.fromiter(map(attrgetter(field), decisions.values()), dtype, count=n)
+
+    x, s_goal, theta = (column(field, np.intp) for field in ("accept_x", "subdelegate_s", "work_theta"))
+    price = column("price_p", float)
+    world.degenerate_price_steps += int(np.count_nonzero(column("price_degenerate", bool)))
 
     # 3. Post the fresh prices; these are the asks the auction clears against.
     states["current_price_p"] = price
@@ -634,7 +640,7 @@ def step(world: World) -> dict[str, np.ndarray]:
     # 7. Queues, utility and reputation.
     s_done = np.fromiter(routing.s_realized.values(), dtype=np.intp, count=n)
     delegated_in = np.bincount(routing.incoming["owner"], minlength=n)
-    avg_neighbor_price = np.array([ctx.avg_neighbor_price for ctx in contexts])
+    avg_neighbor_price = np.fromiter(map(attrgetter("avg_neighbor_price"), contexts), dtype=float, count=n)
     u, new_q, new_Q, new_r, new_mp = settle(
         states, x, price, theta, s_done, kappa, delegated_in, on_time,
         avg_neighbor_price, cfg.reputation.ema_beta, cfg.market.r_floor,

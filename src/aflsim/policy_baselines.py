@@ -31,16 +31,18 @@ def price_rand(state: DataOwnerState, rng, markup_max: float = DEFAULT_MARKUP_MA
     comparable with the markup and linear rules."""
     if p_cap is None:
         p_cap = 2.0 * state.reserve_price_p_min * (1.0 + markup_max)
-    if p_cap < state.reserve_price_p_min:
-        raise ValueError("p_cap must be >= the reserve price")
-    return float(rng.uniform(state.reserve_price_p_min, p_cap))
+    p_min = state.reserve_price_p_min
+    if not p_min <= p_cap < math.inf:
+        raise ValueError("p_cap must be finite and >= the reserve price")
+    # The value rng.uniform(p_min, p_cap) returns, from the same draw.
+    return p_min + (p_cap - p_min) * rng.random()
 
 
 def price_ampp(state: DataOwnerState, rng, markup_max: float = DEFAULT_MARKUP_MAX) -> float:
     """Random markup above the reserve: p_min * (1 + U(0, markup_max))."""
     if markup_max <= 0:
         raise ValueError("markup_max must be > 0")
-    return state.reserve_price_p_min * (1.0 + float(rng.uniform(0.0, markup_max)))
+    return state.reserve_price_p_min * (1.0 + markup_max * rng.random())
 
 
 def price_lin(state: DataOwnerState, gain: float = DEFAULT_LIN_GAIN) -> float:
@@ -146,8 +148,8 @@ def decide_for_policy(
 
     degenerate = False
     if spec.price_rule == "lyapunov":
-        price = decide_price(state, r_floor)
         degenerate = price_is_degenerate(state, r_floor)
+        price = decide_price(state, r_floor, degenerate)
     elif spec.price_rule == "rand":
         price = price_rand(state, rng, markup_max)
     elif spec.price_rule == "ampp":
@@ -164,10 +166,4 @@ def decide_for_policy(
     else:
         raise ValueError(f"unknown accept rule: {spec.accept_rule!r}")
 
-    return StepDecision(
-        accept_x=x,
-        price_p=price,
-        subdelegate_s=s,
-        work_theta=theta,
-        price_degenerate=degenerate,
-    )
+    return StepDecision(x, price, s, theta, degenerate)

@@ -62,7 +62,7 @@ def decide_subdelegation(state: DataOwnerState, ctx: DelegationContext, theta: i
     return max(0, min(int(math.floor(state.pending_q)) - theta, state.s_max))
 
 
-def decide_price(state: DataOwnerState, r_floor: float = R_FLOOR_DEFAULT) -> float:
+def decide_price(state: DataOwnerState, r_floor: float = R_FLOOR_DEFAULT, degenerate: bool | None = None) -> float:
     """Posted unit price: max(reserve, q / (2 * rho * r)).
 
     q / (2 * rho * r) is the stationary point of the pricing term
@@ -71,9 +71,12 @@ def decide_price(state: DataOwnerState, r_floor: float = R_FLOOR_DEFAULT) -> flo
 
     With zero availability or reputation below the floor the quotient is
     unbounded, so the rule falls back to the reserve price; callers can
-    detect that through `price_is_degenerate`.
+    detect that through `price_is_degenerate`, and a caller that already
+    has its answer passes it as `degenerate`.
     """
-    if price_is_degenerate(state, r_floor):
+    if degenerate is None:
+        degenerate = price_is_degenerate(state, r_floor)
+    if degenerate:
         return state.reserve_price_p_min
     quotient = state.pending_q / (2.0 * state.availability_rho * state.reputation_r)
     return max(state.reserve_price_p_min, quotient)

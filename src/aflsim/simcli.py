@@ -22,6 +22,7 @@ import json
 import statistics
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -135,7 +136,7 @@ def _csv_rows(metrics: dict[str, np.ndarray]):
     columns = (metrics[name] for name in CSV_COLUMNS)
     yield from zip(
         *(
-            [f"{v:.9g}" for v in column.tolist()] if column.dtype.kind == "f" else map(str, column.tolist())
+            map(format, column.tolist(), repeat(".9g")) if column.dtype.kind == "f" else map(str, column.tolist())
             for column in columns
         )
     )

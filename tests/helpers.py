@@ -1,11 +1,10 @@
 """Shared builders for test states, contexts and runs, and test-side reference checks."""
 
 from collections import namedtuple
-from dataclasses import astuple
 
 import numpy as np
 
-from aflsim.core import CSV_COLUMNS, STATE, DataOwnerState, StepDecision
+from aflsim.core import CSV_COLUMNS, STATE, DataOwnerState, StepDecision, TrustNetwork
 from aflsim.market import World, step
 from aflsim.policy_pas import DelegationContext
 
@@ -38,7 +37,15 @@ def make_state(**overrides) -> DataOwnerState:
 
 def state_columns(*states: DataOwnerState) -> np.ndarray:
     """The `STATE` columns of the given DO states, one record each."""
-    return np.array([astuple(state) for state in states], dtype=STATE)
+    return np.array([tuple(state) for state in states], dtype=STATE)
+
+
+def trust_network(n_dos: int, edges=()) -> TrustNetwork:
+    """The trust graph over DOs 0..n_dos-1 with the given undirected edges."""
+    adjacency = np.zeros((n_dos, n_dos), dtype=bool)
+    for i, j in edges:
+        adjacency[i, j] = adjacency[j, i] = True
+    return TrustNetwork(adjacency)
 
 
 def make_ctx(avg_neighbor_price=1.0, eligible=False) -> DelegationContext:

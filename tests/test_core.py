@@ -3,7 +3,7 @@ import pytest
 
 from aflsim.config import ConfigError, resolve_config
 from aflsim.core import StepDecision, TrustNetwork, validate_states
-from helpers import make_state, state_columns, validate_decision
+from helpers import make_state, state_columns, trust_network, validate_decision
 
 
 def validate_state(state):
@@ -62,17 +62,26 @@ def test_validate_states_names_the_first_invalid_do():
 
 def test_trust_network_rejects_self_loops():
     with pytest.raises(ValueError):
-        TrustNetwork(3, edges=[(1, 1)])
+        trust_network(3, [(1, 1)])
 
 
-@pytest.mark.parametrize("edge", [(0, 3), (-1, 2)], ids=["too-large", "negative"])
-def test_trust_network_rejects_out_of_range_ids(edge):
-    with pytest.raises(ValueError, match="out of range"):
-        TrustNetwork(3, edges=[(0, 1), edge])
+@pytest.mark.parametrize(
+    "adjacency, message",
+    [
+        (np.zeros((2, 3), dtype=bool), "square"),
+        (np.zeros(3, dtype=bool), "square"),
+        (np.zeros((0, 0), dtype=bool), "n_dos"),
+        (np.triu(np.ones((3, 3), dtype=bool), k=1), "symmetric"),
+    ],
+    ids=["non-square", "one-dimensional", "empty", "asymmetric"],
+)
+def test_trust_network_rejects_malformed_adjacency(adjacency, message):
+    with pytest.raises(ValueError, match=message):
+        TrustNetwork(adjacency)
 
 
 def test_trust_network_is_symmetric():
-    net = TrustNetwork(4, edges=[(0, 2), (2, 3), (3, 2)])
+    net = trust_network(4, [(0, 2), (2, 3), (3, 2)])
     assert [np.flatnonzero(row).tolist() for row in net.adjacency] == [[2], [], [0, 3], [2]]
     assert net.adjacency[2, 0] and net.adjacency[0, 2]
     assert net.n_edges == 2

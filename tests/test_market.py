@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aflsim import market
 from aflsim.config import resolve_config
-from aflsim.core import TASK, StepDecision, TrustNetwork
+from aflsim.core import STATE, TASK, DataOwnerState, StepDecision
 from aflsim.market import (
+    LEDGER,
     MarketInvariantError,
     ModelUser,
     build_world,
@@ -20,7 +21,7 @@ from aflsim.market import (
 )
 from aflsim.policy_baselines import POLICIES
 from aflsim.simcli import run_scenario
-from helpers import make_state, run_world, state_columns
+from helpers import make_state, run_world, state_columns, trust_network
 
 GAINS = {"lin": 1.25, "bmub": 1.45, "fedbidder-simple": 1.1, "fedbidder-complex": 1.35}
 
@@ -226,6 +227,140 @@ def test_auction_ledger_is_deterministic():
     assert first.kappa == second.kappa
 
 
+def reference_mu_requests(mu, states, price, rng, gains):
+    """One MU's requests as LEDGER rows, walked one DO at a time: the
+    reference the stacked `_mu_requests` must match row for row, with the
+    same draws taken from `rng`."""
+    rep, p_min = states["reputation_r"], states["reserve_price_p_min"]
+    valuation, name = mu.valuation_per_do, mu.strategy_name
+    if name == "random":
+        targets = rng.permutation(len(states)).tolist()
+    else:
+        key = {
+            "greedy": -rep / price,
+            "lin": p_min,
+            "bmub": -rep,
+            "fedbidder-simple": price,
+            "fedbidder-complex": -rep * valuation / price,
+        }[name]
+        targets = sorted(range(len(states)), key=lambda do_id: key[do_id])  # stable: ties by id
+    rows, submitted = [], 0.0
+    for do_id in targets:
+        if name == "random":
+            bid = valuation[do_id] * rng.random()
+        elif name == "greedy":
+            bid = valuation[do_id]
+        elif name == "fedbidder-complex":
+            bid = min(gains[name] * (0.5 + 0.5 * rep[do_id]) * p_min[do_id], valuation[do_id])
+        else:
+            bid = min(gains[name] * p_min[do_id], valuation[do_id])
+        if bid <= 0.0:
+            continue
+        if submitted + bid > mu.budget_per_step:
+            break
+        rows.append((mu.id, do_id, 0.0, bid))
+        submitted += bid
+    return np.array(rows, dtype=LEDGER)
+
+
+def _mu_states(reps, p_mins):
+    return state_columns(*(
+        make_state(id=i, reputation_r=r, reserve_price_p_min=p, current_price_p=p)
+        for i, (r, p) in enumerate(zip(reps, p_mins))
+    ))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    valuations=st.lists(st.one_of(st.just(0.0), st.floats(0.01, 5.0)), min_size=1, max_size=9),
+    budget=st.one_of(st.just(0.0), st.floats(0.0, 12.0), st.just(1e9)),
+    seed=st.integers(0, 2**32 - 1),
+    warmup=st.integers(0, 3),
+)
+@example(valuations=[2.0], budget=0.0, seed=1, warmup=0)
+@example(valuations=[2.0], budget=1e9, seed=1, warmup=1)
+@example(valuations=[0.0, 0.0, 0.0], budget=1.0, seed=2, warmup=0)
+@example(valuations=[1.0, 0.0, 3.0, 2.0], budget=1e9, seed=3, warmup=2)
+def test_random_mu_block_walk_matches_scalar_loop_and_leaves_the_same_generator_state(
+    valuations, budget, seed, warmup
+):
+    n = len(valuations)
+    states = _mu_states([0.6] * n, [1.0] * n)
+    price = np.ones(n)
+    mu = ModelUser(id=4, strategy_name="random", budget_per_step=budget, valuation_per_do=np.array(valuations))
+    block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (block, scalar):
+        rng.integers(0, 7, size=warmup)  # leaves a buffered 32-bit draw in some states
+    got = market._mu_requests([mu], states, price, {4: block}, GAINS)
+    want = reference_mu_requests(mu, states, price, scalar, GAINS)
+    assert got.tolist() == want.tolist()
+    assert block.bit_generator.state == scalar.bit_generator.state
+    assert block.random() == scalar.random()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 8),
+    budget=st.one_of(st.just(0.0), st.sampled_from([1.0, 2.5, 4.0, 7.5]), st.just(1e9)),
+    roster=st.permutations(["greedy", "lin", "bmub", "fedbidder-simple", "fedbidder-complex", "random"]),
+)
+def test_stacked_mu_walks_match_a_walk_per_mu(data, n, budget, roster):
+    # Few distinct values, so that many sort keys tie.
+    reps = data.draw(st.lists(st.sampled_from([0.5, 0.8, 1.0]), min_size=n, max_size=n))
+    p_mins = data.draw(st.lists(st.sampled_from([1.0, 1.25]), min_size=n, max_size=n))
+    price = np.array(data.draw(st.lists(st.sampled_from([1.0, 1.5]), min_size=n, max_size=n)))
+    states = _mu_states(reps, p_mins)
+    mus = [
+        ModelUser(
+            id=j,
+            strategy_name=name,
+            budget_per_step=budget,
+            valuation_per_do=np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=n, max_size=n))),
+        )
+        for j, name in enumerate(roster)
+    ]
+    stacked = {mu.id: np.random.default_rng([9, mu.id]) for mu in mus}
+    walked = {mu.id: np.random.default_rng([9, mu.id]) for mu in mus}
+    got = market._mu_requests(mus[::-1], states, price, stacked, GAINS)
+    want = np.concatenate([reference_mu_requests(mu, states, price, walked[mu.id], GAINS) for mu in mus])
+    assert got.tolist() == want.tolist()
+    assert all(stacked[j].bit_generator.state == walked[j].bit_generator.state for j in stacked)
+
+
+def test_views_equal_the_state_records_field_by_field_and_type_by_type():
+    cfg = resolve_config({"n_dos": 7, "horizon_T": 3, "do_params": {"q0": [0, 4]}})
+    world = build_world(cfg, 3)
+    step(world)
+    views = world.views()
+    assert len(views) == len(world.states)
+    for view, record in zip(views, world.states):
+        assert type(view) is DataOwnerState and view._fields == STATE.names
+        for name, value in zip(STATE.names, view):
+            want = record[name].item()
+            assert type(value) is type(want) and value == want, name
+
+
+def test_data_owner_draws_equal_rng_uniform_on_a_twin_generator():
+    cfg = resolve_config({"n_dos": 40, "horizon_T": 1})
+    world = build_world(cfg, 11)
+    rng = np.random.default_rng([11, market._STREAM_DO_PARAMS])
+    do = cfg.do_params
+    rows, payments = [], []
+    for _ in range(cfg.n_dos):
+        p_min = float(rng.uniform(*do.p_min))
+        drawn = [p_min, float(rng.uniform(*do.unit_cost_frac)) * p_min]
+        drawn += [float(rng.uniform(*bounds)) for bounds in (do.rho, do.r0, do.r_min)]
+        drawn += [int(rng.integers(lo, hi + 1)) for lo, hi in (do.theta_max, do.s_max, do.kappa_hat)]
+        drawn.append(float(rng.uniform(*do.epsilon)))
+        drawn += [int(rng.integers(lo, hi + 1)) for lo, hi in (do.m_positive, do.q0, cfg.data_size_range)]
+        rows.append(drawn)
+        payments.append(rng.uniform(*do.q0_payment_markup, size=drawn[-2]) * p_min)
+    for name, column in zip(market._DRAWN_COLUMNS, zip(*rows)):
+        assert world.states[name].tolist() == list(column), name
+    assert world.queue["payment"].tolist() == np.concatenate(payments).tolist()
+
+
 def _queue(owner, payments, depth=0):
     """A task queue: task k is held by `owner` and pays `payments[k]`."""
     tasks = np.zeros(len(payments), dtype=TASK)
@@ -248,7 +383,7 @@ def _routing_setup(payments, neighbor_price=0.5, depth=0):
         make_state(id=1, current_price_p=neighbor_price,
                    reserve_price_p_min=min(neighbor_price, 1.0), reputation_r=0.9),
     )
-    network = TrustNetwork(2, edges=[(0, 1)])
+    network = trust_network(2, [(0, 1)])
     queue = _queue(0, payments, depth)
     prices = np.array([states["current_price_p"][0], neighbor_price])
     reps = np.array([states["reputation_r"][0], 0.9])
@@ -317,7 +452,7 @@ def test_routing_breaks_price_ties_by_lower_id():
             for k, price in ((1, 0.8), (2, 0.5), (3, 0.5))
         ),
     )
-    network = TrustNetwork(4, edges=[(0, 3), (0, 1), (0, 2)])
+    network = trust_network(4, [(0, 3), (0, 1), (0, 2)])
     queue = _queue(0, [2.0])
     decisions = {i: StepDecision(1, 1.0, 1 if i == 0 else 0, 0) for i in range(4)}
     prices = states["current_price_p"].copy()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aflsim import policy_baselines, policy_pas
 from aflsim.policy_baselines import (
     ABLATION_NAMES,
     BASELINE_NAMES,
@@ -48,6 +49,45 @@ def test_price_ampp_mean():
     draws = [price_ampp(state, rng, markup_max=1.0) for _ in range(100_000)]
     assert sum(draws) / len(draws) == pytest.approx(3.0, abs=0.02)
     assert min(draws) >= 2.0
+
+
+def test_random_prices_equal_rng_uniform_on_a_twin_generator():
+    draws = np.random.default_rng(5)
+    direct, uniform = np.random.default_rng(6), np.random.default_rng(6)
+    for _ in range(2000):
+        p_min = float(draws.uniform(0.01, 50.0))
+        markup = float(draws.uniform(1e-6, 20.0))
+        state = make_state(reserve_price_p_min=p_min, current_price_p=p_min)
+        assert price_rand(state, direct, markup) == uniform.uniform(p_min, 2.0 * p_min * (1.0 + markup))
+        assert price_rand(state, direct, p_cap=3.0 * p_min) == uniform.uniform(p_min, 3.0 * p_min)
+        assert price_ampp(state, direct, markup) == p_min * (1.0 + uniform.uniform(0.0, markup))
+    assert direct.bit_generator.state == uniform.bit_generator.state
+
+
+def test_price_rand_rejects_an_infinite_cap():
+    state = make_state(reserve_price_p_min=2.0, current_price_p=2.0)
+    with pytest.raises(ValueError, match="finite"):
+        price_rand(state, np.random.default_rng(0), markup_max=1e308)
+
+
+def test_lyapunov_price_tests_degeneracy_once_per_decision(monkeypatch):
+    calls = []
+    real = policy_pas.price_is_degenerate
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(policy_pas, "price_is_degenerate", counted)
+    monkeypatch.setattr(policy_baselines, "price_is_degenerate", counted)
+    states = [
+        make_state(pending_q=4.0, availability_rho=1.0, reputation_r=0.6),
+        make_state(pending_q=4.0, availability_rho=0.0),  # degenerate: no availability
+        make_state(pending_q=1.0, reputation_r=1e-4),  # degenerate: below the floor
+    ]
+    for state in states:
+        decide_for_policy(POLICIES["pas-afl"], state, make_ctx(), None)
+    assert len(calls) == len(states)
 
 
 def test_price_lin_values():

@@ -1,11 +1,9 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from aflsim.config import resolve_config
-from aflsim.core import TrustNetwork
 from aflsim.market import build_world
 from aflsim.policy_baselines import POLICIES, decide_for_policy
 from aflsim.policy_pas import (
@@ -16,7 +14,7 @@ from aflsim.policy_pas import (
     eligible_delegates,
     price_is_degenerate,
 )
-from helpers import make_ctx, make_state, validate_decision
+from helpers import make_ctx, make_state, trust_network, validate_decision
 
 PAS = POLICIES["pas-afl"]
 
@@ -30,26 +28,26 @@ def _eligible(net, prices, reps, reference_payment, r_min):
 
 
 def test_eligible_delegates_basic_constraint():
-    net = TrustNetwork(2, edges=[(0, 1)])
+    net = trust_network(2, [(0, 1)])
     prices, reps = np.array([1.0, 1.0]), np.array([0.6, 0.9])
     assert _eligible(net, prices, reps, reference_payment=2.0, r_min=0.5) == [True]
     assert _eligible(net, prices, reps, reference_payment=0.5, r_min=0.5) == [False]
 
 
 def test_eligible_delegates_empty_neighborhood():
-    net = TrustNetwork(2)
+    net = trust_network(2)
     prices, reps = np.array([1.0, 1.0]), np.array([0.6, 0.6])
     assert _eligible(net, prices, reps, 2.0, 0.5) == [False]
 
 
 def test_eligible_delegates_reputation_gate():
-    net = TrustNetwork(2, edges=[(0, 1)])
+    net = trust_network(2, [(0, 1)])
     prices, reps = np.array([1.0, 0.1]), np.array([0.6, 0.4])
     assert _eligible(net, prices, reps, 2.0, 0.5) == [False]
 
 
 def test_eligible_delegates_answers_each_row_with_its_own_limits():
-    net = TrustNetwork(3, edges=[(0, 1), (1, 2)])
+    net = trust_network(3, [(0, 1), (1, 2)])
     prices, reps = np.array([1.0, 2.0, 3.0]), np.array([0.9, 0.6, 0.9])
     found = eligible_delegates(
         net.adjacency, prices, reps, np.array([2.0, 3.0, 2.0]), np.array([0.5, 0.95, 0.5])
@@ -236,7 +234,7 @@ def test_longer_queue_never_cancels_delegation():
         ctx = make_ctx(avg_neighbor_price=float(rng.uniform(0.2, 6.0)), eligible=True)
         theta = 0
         before = decide_subdelegation(state, ctx, theta)
-        bumped = replace(state, pending_q=state.pending_q + 1.0)
+        bumped = state._replace(pending_q=state.pending_q + 1.0)
         after = decide_subdelegation(bumped, ctx, theta)
         if before > 0:
             assert after > 0
@@ -259,8 +257,7 @@ def test_price_scale_invariance():
             s_max=int(rng.integers(1, 5)),
         )
         for lam in (2.0, 0.5, 7.3):
-            scaled = replace(
-                state,
+            scaled = state._replace(
                 reserve_price_p_min=lam * state.reserve_price_p_min,
                 current_price_p=lam * state.current_price_p,
                 unit_cost_c=lam * state.unit_cost_c,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from aflsim.config import ConfigError, load_config, resolve_config
+from aflsim.core import CSV_COLUMNS
 from aflsim.simcli import (
     COMPARE_POLICIES,
     MissingArtifactError,
@@ -41,6 +42,13 @@ def test_csv_rows_format_floats():
     assert row[0] == "3" and row[1] == "0"
     assert row[2] == "0.123456789"
     assert row[3] == "2"
+
+
+def test_csv_float_format_matches_the_fstring_on_edge_values():
+    values = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308, 3.0, -7.0, 1e16, 0.1]
+    rows = list(_csv_rows({name: np.array(values) for name in CSV_COLUMNS}))
+    assert rows == [(f"{v:.9g}",) * len(CSV_COLUMNS) for v in values]
+    assert [row[0] for row in rows[:4]] == ["-0", "0", "inf", "-inf"]
 
 
 def test_defaults_fill_minimal_config():
