@@ -273,6 +273,12 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
         ("policy.assignment", isinstance(policy.assignment, str) or len(names) == cfg.n_dos, "per-DO list must have one name per DO"),
         ("policy.work_mode", policy.work_mode in ("greedy", "threshold"), "must be 'greedy' or 'threshold'"),
         ("policy.markup_max", policy.markup_max > 0, "must be > 0"),
+        # price_rand draws up to this cap, price_ampp up to half of it.
+        (
+            "policy.markup_max",
+            math.isfinite(2.0 * do.p_min[1] * (1.0 + policy.markup_max)),
+            "2 * p_min_high * (1 + markup_max) must be finite",
+        ),
         ("policy.lin_gain", policy.lin_gain > 0, "must be > 0"),
         ("seeds", len(cfg.seeds) > 0, "seed list must be nonempty"),
         ("seeds", len(set(cfg.seeds)) == len(cfg.seeds), "seeds must be unique"),

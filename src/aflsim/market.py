@@ -13,13 +13,14 @@ One simulation step runs a fixed pipeline:
 
 The world holds its state as numpy columns: a `STATE` record per data owner
 and one `TASK` array of every pending task, grouped by owner in FIFO order.
-Each phase is a whole-array pass; Python loops remain only where the number
-of random draws depends on the data (random policies, demand-model arrivals)
-and in capacity-coupled routing.  Everything is
-deterministic given the scenario seed.  Audits (task conservation, admission
-caps, state invariants, delegation depth, and the payment ledgers against
-admitted and moved task counts, bids, budgets and carried payments) run every
-step and raise immediately on violation.
+Each phase is a whole-array pass around at most one irreducible per-element
+operation: the decision call per DO, the Poisson draw per accepting DO in
+demand-model arrivals (on that DO's own generator), and the walk over the
+tasks each delegator moves, since each transfer uses up capacity the next
+one sees.  Everything is deterministic given the scenario seed.  Audits
+(task conservation, admission caps, state invariants, delegation depth, and
+the payment ledgers against admitted and moved task counts, bids, budgets
+and carried payments) run every step and raise immediately on violation.
 
 The six model-user bidding strategies are parameterized stand-ins: each gets
 a distinct target ordering and bid shape, and every data-owner policy in a
@@ -28,9 +29,9 @@ comparison faces the identical bidder population and random streams.
 
 import math
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
+from itertools import compress, repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
@@ -298,46 +299,62 @@ def route_subdelegations(
     task.  Transfers stop early once a task finds no eligible delegate.
     Transferred tasks join the delegate's queue as arrivals next step with
     their payment rewritten to what the delegate was paid.  `capacity_left`
-    is debited in place.  The loop stays in Python because each transfer
-    uses up capacity the next one sees.
+    is debited in place.
+
+    Candidates and trusted neighbours are sorted for every delegator at once.
+    Only the walk over tasks stays in Python, because each transfer uses up
+    capacity the next one sees.  Capacity only falls within a step, so each
+    delegator keeps a pointer into its neighbour list past the full ones.
     """
     n = len(states)
     s_realized = dict.fromkeys(range(n), 0)
-    moved, delegates, paid = [], [], []
+    moved, delegates = [], []
     goals = {do_id: d.subdelegate_s for do_id, d in decisions.items() if d.subdelegate_s > 0}
     if goals:
         delegators = np.fromiter(goals, dtype=np.intp, count=len(goals))
-        # Every delegator's tasks below the depth cap, best-paying first.
+        delegating = np.zeros(n, dtype=bool)
+        delegating[delegators] = True
+        # Every delegator's tasks below the depth cap, best-paying first, of
+        # which it walks at most its goal.
         owner = queue["owner"]
-        rows = np.flatnonzero(np.isin(owner, delegators) & (queue["depth"] < depth_max))
+        rows = np.flatnonzero(delegating[owner] & (queue["depth"] < depth_max))
         rows = rows[np.lexsort((queue["id"][rows], -queue["payment"][rows], owner[rows]))]
-        firsts = np.searchsorted(owner[rows], delegators).tolist() + [len(rows)]
-        candidate_pay = queue["payment"][rows].tolist()
-        candidates = rows.tolist()
-        # Every delegator's trusted neighbours, cheapest first, ties by id.
+        task_first, task_count = (column[delegators] for column in _group_starts(owner[rows], n))
+        # Every delegator's trusted neighbours, cheapest first, ties by id, as
+        # slices of one flat list.
         by_price = np.argsort(prices, kind="stable")
         trusted = network.adjacency[delegators][:, by_price]
         trusted &= reps[by_price] >= states["rep_threshold_r_min"][delegators, None]
+        delegator_of, rank = np.nonzero(trusted)
+        neighbours = by_price[rank].tolist()
+        neighbour_first, neighbour_count = _group_starts(delegator_of, len(goals))
+
         capacity = capacity_left.tolist()
         price_of = prices.tolist()
-
-    for j, (do_id, goal) in enumerate(goals.items()):
-        cheapest_first = by_price[trusted[j]].tolist()
-        for k in range(firsts[j], firsts[j + 1]):
-            if s_realized[do_id] >= goal:
-                break
-            delegate = next((c for c in cheapest_first if capacity[c] > 0), None)
-            if delegate is None or price_of[delegate] > candidate_pay[k]:
-                break
-            moved.append(candidates[k])
-            delegates.append(delegate)
-            paid.append(price_of[delegate])
-            capacity[delegate] -= 1
-            s_realized[do_id] += 1
-
-    if moved:
+        candidates = rows.tolist()
+        candidate_pay = queue["payment"][rows].tolist()
+        walks = zip(
+            goals,
+            task_first.tolist(),
+            (task_first + np.minimum(task_count, list(goals.values()))).tolist(),
+            neighbour_first.tolist(),
+            (neighbour_first + neighbour_count).tolist(),
+        )
+        for do_id, first, end, at, last in walks:
+            for k in range(first, end):
+                while at < last and capacity[neighbours[at]] <= 0:
+                    at += 1
+                if at == last or price_of[neighbours[at]] > candidate_pay[k]:
+                    break
+                moved.append(candidates[k])
+                delegates.append(neighbours[at])
+                capacity[neighbours[at]] -= 1
+                s_realized[do_id] += 1
         capacity_left[:] = capacity
+
     moved = np.array(moved, dtype=np.intp)
+    delegates = np.array(delegates, dtype=np.intp)
+    paid = prices[delegates]
     carried = queue[moved]
     incoming = _records(
         TASK,
@@ -524,41 +541,52 @@ class World:
         return list(map(tuple.__new__, repeat(DelegationContext), zip(avg.tolist(), eligible.tolist())))
 
 
+def _expected_demand(world: World, rows: np.ndarray, price: np.ndarray) -> np.ndarray:
+    """The expected demand of the DOs `rows` at their posted prices; inf for
+    a DO whose mean overflows or divides by zero on the way."""
+    cfg = world.config
+    c = cfg.constants
+    s = world.states
+
+    def mean(which):
+        multiplier = zeta(c, s["alignment_epsilon"][which], s["positive_ratings_Mp"][which])
+        return expected_demand(price[which], s["reputation_r"][which], multiplier, c.a1, cfg.market.r_floor)
+
+    try:
+        return mean(rows)
+    except (OverflowError, ZeroDivisionError):
+        # Some mean cannot be evaluated; find which, one DO at a time.
+        f = np.full(len(rows), math.inf)
+        for k in range(len(rows)):
+            with suppress(OverflowError, ZeroDivisionError):
+                f[k] = mean(rows[k : k + 1])[0]
+        return f
+
+
 def _demand_model_arrivals(world: World, price: np.ndarray, accept: np.ndarray) -> tuple[AuctionOutcome, int]:
     """Synthetic arrival source replacing the bidders: integer draws around
     the expected-demand curve, paid at the posted price.
 
-    A mean that overflows, is not finite, or (for Poisson draws) exceeds
-    what numpy can draw is a MarketInvariantError naming the DO and step.
+    Every accepting DO's mean, its check and its clamps are whole arrays; what
+    runs per DO is only the Poisson draw on that DO's own generator.  A mean
+    that overflows, is not finite, or (for Poisson draws) exceeds what numpy
+    can draw is a MarketInvariantError naming the first such DO and the step,
+    raised before anything is drawn.
     """
     cfg = world.config
-    constants = cfg.constants
     mode = cfg.market.integerization
     limit = _POISSON_LAM_MAX if mode == "poisson" else sys.float_info.max
     s = world.states
-    admitted = np.zeros(len(s), dtype=np.intp)
-    columns = zip(
-        price.tolist(),
-        accept.tolist(),
-        s["reputation_r"].tolist(),
-        s["alignment_epsilon"].tolist(),
-        s["positive_ratings_Mp"].tolist(),
-        s["theta_max"].tolist(),
-        s["kappa_max"].tolist(),
+    accepting = accept == 1
+    rows = np.flatnonzero(accepting)
+    f = _expected_demand(world, rows, price)
+    _check(
+        ~(f <= limit),
+        lambda k: f"DO {rows[k]} at step {world.t}: expected demand {f[k]} is not a mean a {mode} draw can take",
     )
-    for i, (p, x, r, eps, mp, theta_max, kappa_max) in enumerate(columns):
-        if x != 1:
-            continue
-        try:
-            f = expected_demand(p, r, zeta(constants, eps, mp), constants.a1, cfg.market.r_floor)
-        except (OverflowError, ZeroDivisionError):
-            f = math.inf
-        if not f <= limit:
-            raise MarketInvariantError(
-                f"DO {i} at step {world.t}: expected demand {f} is not a mean a {mode} draw can take"
-            )
-        draw = realize_demand(f, kappa_max, world.demand_rngs[i], mode)
-        admitted[i] = min(draw, theta_max, kappa_max - 1)
+    rngs = compress(world.demand_rngs, accepting.tolist())
+    admitted = np.zeros(len(s), dtype=np.intp)
+    admitted[rows] = np.minimum(realize_demand(f, s["kappa_max"][rows], rngs, mode), s["theta_max"][rows])
 
     owner = np.repeat(world.ids, admitted)
     tasks, next_task_id = _new_tasks(owner, price[owner], world.t, world.next_task_id)
@@ -579,14 +607,12 @@ def step(world: World) -> dict[str, np.ndarray]:
     contexts = world._build_contexts(prices, reps)
 
     # 2. Joint decisions, one call per DO against its view of the columns.
-    decide = partial(
-        decide_for_policy,
-        markup_max=cfg.policy.markup_max,
-        lin_gain=cfg.policy.lin_gain,
-        work_mode=cfg.policy.work_mode,
-        r_floor=cfg.market.r_floor,
-    )
-    decisions = dict(enumerate(map(decide, world.policy_specs, world.views(), contexts, world.policy_rngs)))
+    # The settings go positionally: a keyword partial costs more per call.
+    policy = cfg.policy
+    decisions = dict(enumerate(map(
+        decide_for_policy, world.policy_specs, world.views(), contexts, world.policy_rngs,
+        repeat(policy.markup_max), repeat(policy.lin_gain), repeat(policy.work_mode), repeat(cfg.market.r_floor),
+    )))
 
     def column(field: str, dtype) -> np.ndarray:
         return np.fromiter(map(attrgetter(field), decisions.values()), dtype, count=n)

@@ -138,7 +138,7 @@ def test_c2_pricing_closed_form_matches_grid_search():
             a2=float(rng.uniform(0.0, 0.7)),
             a3=float(rng.uniform(0.0, 1.0)),
         )
-        z = zeta(constants, float(rng.uniform(0.0, 1.0)), int(rng.integers(1, 50)))
+        [z] = zeta(constants, [float(rng.uniform(0.0, 1.0))], [int(rng.integers(1, 50))])
         state = make_state(
             reserve_price_p_min=p_min,
             current_price_p=p_min,

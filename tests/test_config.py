@@ -80,6 +80,9 @@ def test_wrong_types_name_field(raw, field):
         ({"do_params": {"q0": [0, 10**12]}}, "do_params.q0"),
         ({"n_dos": 8, "do_params": {"q0": [MEMORY_BUDGET // 8, MEMORY_BUDGET // 8]}}, "do_params.q0"),
         ({"horizon_T": 10**12}, "horizon_T"),
+        # A random price cap of 2 * p_min_high * (1 + markup_max) that overflows.
+        ({"policy": {"assignment": "rand-rand", "markup_max": 1e308}}, "policy.markup_max"),
+        ({"policy": {"assignment": "ampp-rand", "markup_max": 1e308}}, "policy.markup_max"),
     ],
 )
 def test_out_of_bounds_values_name_field(raw, field):

@@ -1,11 +1,13 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from aflsim import market
-from aflsim.config import resolve_config
+from aflsim.config import MarketConstants, resolve_config
 from aflsim.core import STATE, TASK, DataOwnerState, StepDecision
 from aflsim.market import (
     LEDGER,
@@ -463,6 +465,124 @@ def test_routing_breaks_price_ties_by_lower_id():
     assert outcome.incoming["id"][outcome.incoming["owner"] == 2].tolist() == [0]
 
 
+def reference_route(states, queue, decisions, network, prices, reps, capacity_left, depth_max, step_index):
+    """Routing one task at a time, each delegate found by scanning the
+    delegator's neighbours from the cheapest: the reference the pointer walk
+    of `route_subdelegations` must match."""
+    n = len(states)
+    s_realized = dict.fromkeys(range(n), 0)
+    moved, delegates, paid = [], [], []
+    capacity = capacity_left.tolist()
+    by_price = sorted(range(n), key=lambda j: prices[j])  # stable: ties by id
+    for do_id, decision in decisions.items():
+        trusted = [
+            j for j in by_price
+            if network.adjacency[do_id, j] and reps[j] >= states["rep_threshold_r_min"][do_id]
+        ]
+        mine = [k for k in range(len(queue)) if queue["owner"][k] == do_id and queue["depth"][k] < depth_max]
+        mine.sort(key=lambda k: (-queue["payment"][k], queue["id"][k]))
+        for k in mine:
+            if s_realized[do_id] >= decision.subdelegate_s:
+                break
+            delegate = next((j for j in trusted if capacity[j] > 0), None)
+            if delegate is None or prices[delegate] > queue["payment"][k]:
+                break
+            moved.append(k)
+            delegates.append(delegate)
+            paid.append(prices[delegate])
+            capacity[delegate] -= 1
+            s_realized[do_id] += 1
+    capacity_left[:] = capacity
+    carried = queue[np.array(moved, dtype=np.intp)]
+    incoming = [
+        (j, p, step_index + 1, depth + 1, task_id)
+        for j, p, depth, task_id in zip(delegates, paid, carried["depth"].tolist(), carried["id"].tolist())
+    ]
+    payments = list(zip(carried["owner"].tolist(), delegates, paid, carried["payment"].tolist()))
+    return moved, incoming, s_realized, payments
+
+
+@st.composite
+def routing_cases(draw):
+    """A small market: (prices, reps, r_min, edges, tasks as (owner, payment,
+    depth), goals, capacity, depth_max), with few distinct prices, payments
+    and reputations so that ties are common and capacity runs out."""
+    n = draw(st.integers(2, 7))
+    column = lambda values: draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return (
+        column([0.5, 1.0, 1.5]),
+        column([0.3, 0.6, 0.9]),
+        column([0.0, 0.5, 0.8]),
+        [pair for pair in pairs if draw(st.booleans())],
+        draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.sampled_from([0.4, 1.0, 1.2, 2.0]), st.integers(0, 2)),
+            max_size=24,
+        )),
+        column([0, 0, 1, 2, 3, 5]),
+        column([0, 1, 2, 3]),
+        draw(st.integers(0, 2)),
+    )
+
+
+# Delegators 0 and 1 share neighbours 2 and 3, tied on price, with room for
+# two tasks each.  2 fills up partway through DO 0's walk, which goes on to
+# 3; DO 1's walk starts past 2, and 3 fills up after its first task.
+SHARED_NEIGHBOURS = (
+    [1.0, 1.0, 0.5, 0.5], [0.9] * 4, [0.5, 0.5, 0.0, 0.0], [(0, 2), (0, 3), (1, 2), (1, 3)],
+    [(0, 2.0, 0), (0, 2.0, 0), (0, 1.2, 0), (1, 2.0, 0), (1, 1.2, 0), (1, 1.0, 0)],
+    [3, 3, 0, 0], [0, 0, 2, 2], 2,
+)
+# Tasks at and past the depth cap stay; a zero goal moves nothing; DO 3 is
+# cheaper than DO 2 but below DO 0's reputation threshold.
+DEPTH_AND_ZERO_GOAL = (
+    [1.0, 1.0, 0.5, 0.4], [0.9, 0.9, 0.9, 0.3], [0.5, 0.5, 0.0, 0.0], [(0, 2), (0, 3), (1, 2)],
+    [(0, 2.0, 1), (0, 2.0, 0), (0, 1.0, 1), (1, 2.0, 0)],
+    [3, 0, 0, 0], [0, 0, 3, 3], 1,
+)
+
+
+def _routing_case(case):
+    """`route_subdelegations`' arguments, capacity last, for a case of `routing_cases`."""
+    prices, reps, r_min, edges, tasks, goals, capacity, depth_max = case
+    states = state_columns(*(make_state(id=i, rep_threshold_r_min=r) for i, r in enumerate(r_min)))
+    tasks = sorted(tasks, key=lambda task: task[0])  # queues are grouped by owner
+    queue = np.zeros(len(tasks), dtype=TASK)
+    for name, values in zip(("owner", "payment", "depth"), zip(*tasks)):
+        queue[name] = values
+    queue["id"] = np.random.default_rng(len(tasks)).permutation(len(tasks))  # ids tie-break payments
+    decisions = {i: StepDecision(1, 1.0, goal, 0) for i, goal in enumerate(goals)}
+    network = trust_network(len(prices), edges)
+    return states, queue, decisions, network, np.array(prices), np.array(reps), np.array(capacity), depth_max
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=routing_cases())
+@example(case=SHARED_NEIGHBOURS)
+@example(case=DEPTH_AND_ZERO_GOAL)
+def test_pointer_walk_routing_matches_the_per_task_scan(case):
+    *args, capacity, depth_max = _routing_case(case)
+    want_capacity = capacity.copy()
+    got = route_subdelegations(*args, capacity, depth_max, 4)
+    moved, incoming, s_realized, payments = reference_route(*args, want_capacity, depth_max, 4)
+    assert got.moved.tolist() == moved
+    assert got.incoming.tolist() == incoming
+    assert got.s_realized == s_realized
+    assert got.payments.tolist() == payments
+    assert capacity.tolist() == want_capacity.tolist()
+
+
+def test_routing_examples_cover_what_they_claim():
+    *args, capacity, depth_max = _routing_case(SHARED_NEIGHBOURS)
+    outcome = route_subdelegations(*args, capacity, depth_max, 0)
+    assert _paid(outcome.payments) == [(0, 2, 0.5), (0, 2, 0.5), (0, 3, 0.5), (1, 3, 0.5)]
+    assert capacity.tolist() == [0, 0, 0, 0]
+    *args, capacity, depth_max = _routing_case(DEPTH_AND_ZERO_GOAL)
+    outcome = route_subdelegations(*args, capacity, depth_max, 0)
+    assert _paid(outcome.payments) == [(0, 2, 0.5)]
+    assert outcome.s_realized == {0: 1, 1: 0, 2: 0, 3: 0}
+
+
 def test_zero_mu_world_earns_nothing():
     cfg = resolve_config({
         "n_dos": 8, "horizon_T": 12, "seeds": [1],
@@ -561,6 +681,103 @@ def test_demand_model_round_integerization_is_deterministic():
     _, a = run_world(build_world(cfg, 2, policy_override="lin-greedy"))
     _, b = run_world(build_world(cfg, 2, policy_override="lin-greedy"))
     assert a == b
+
+
+def reference_arrivals(world, price, accept):
+    """Demand-model arrivals one DO at a time in Python floats, as the
+    formulas read: the reference the whole-array arrivals must match, with
+    the same draws from each DO's generator and the same error."""
+    cfg = world.config
+    c, r_floor, mode = cfg.constants, cfg.market.r_floor, cfg.market.integerization
+    limit = market._POISSON_LAM_MAX if mode == "poisson" else sys.float_info.max
+    admitted = []
+    for i, state in enumerate(world.views()):
+        if accept[i] != 1:
+            admitted.append(0)
+            continue
+        try:
+            multiplier = math.exp(c.a0 + c.a3 * state.alignment_epsilon) * float(state.positive_ratings_Mp) ** c.a2
+            f = multiplier * float(price[i]) / max(state.reputation_r, r_floor) ** c.a1
+        except (OverflowError, ZeroDivisionError):
+            f = math.inf
+        if not f <= limit:
+            raise MarketInvariantError(
+                f"DO {i} at step {world.t}: expected demand {f} is not a mean a {mode} draw can take"
+            )
+        draw = int(world.demand_rngs[i].poisson(f)) if mode == "poisson" else int(round(f))
+        admitted.append(min(draw, state.theta_max, state.kappa_max - 1))
+    return admitted
+
+
+def mostly(ordinary, *special):
+    """`ordinary`, or one of the `special` values about one time in eight."""
+    return st.sampled_from([True] * 7 + [False]).flatmap(lambda usual: ordinary if usual else st.sampled_from(special))
+
+
+@st.composite
+def arrival_cases(draw):
+    """(mode, r_floor, (a0, a1, a2, a3), then per DO: price, accept,
+    reputation, epsilon, Mp, theta_max, kappa_max).  The special values
+    overflow exp or pow, underflow r ** a1 to 0, or make means too large to
+    draw from or not a number."""
+    n = draw(st.integers(1, 6))
+    column = lambda element: draw(st.lists(element, min_size=n, max_size=n))
+    return (
+        draw(st.sampled_from(["poisson", "round"])),
+        draw(st.sampled_from([1e-3, 1e-3, 0.5, 2.0])),
+        (
+            draw(mostly(st.floats(0.0, 3.0), 40.0, 705.0, 720.0)),
+            draw(mostly(st.floats(0.2, 2.0), 120.0, 1100.0)),
+            draw(mostly(st.floats(0.0, 1.0), 0.0, 60.0)),
+            draw(mostly(st.floats(0.0, 1.0), 0.0, 4.0)),
+        ),
+        column(mostly(st.floats(0.5, 3.0), 0.0, 1e15, 1e300)),
+        column(st.sampled_from([0, 1, 1, 1])),
+        column(mostly(st.floats(0.0, 1.0), 0.0, 1e-4, 1.0, math.nan)),
+        column(mostly(st.floats(0.0, 2.0), 2.0)),
+        column(st.sampled_from([0, 1, 7, 10**6])),
+        column(st.sampled_from([0, 3, 9, 9])),
+        column(st.sampled_from([1, 4, 12, 12])),
+    )
+
+
+# In round mode, means of exactly 2.5 and 3.5 round half to even.
+ROUND_HALVES = (
+    "round", 1e-3, (0.0, 1.0, 0.0, 0.0), [2.5, 3.5], [1, 1], [1.0, 1.0], [0.0, 0.0], [1, 1], [9, 9], [12, 12],
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=arrival_cases())
+@example(case=ROUND_HALVES)
+def test_whole_array_arrivals_match_the_scalar_loop(case):
+    mode, r_floor, constants, price, accept, *columns = case
+    price, accept = np.array(price), np.array(accept)
+    cfg = resolve_config({"n_dos": len(price), "horizon_T": 1, "market": {"arrival_mode": "demand-model"}})
+    cfg = dataclasses.replace(
+        cfg,
+        constants=MarketConstants(*constants),
+        market=dataclasses.replace(cfg.market, r_floor=r_floor, integerization=mode),
+    )
+    world, twin = build_world(cfg, 5), build_world(cfg, 5)
+    names = ("reputation_r", "alignment_epsilon", "positive_ratings_Mp", "theta_max", "kappa_max")
+    for w in (world, twin):
+        for name, values in zip(names, columns):
+            w.states[name] = values
+        w.t = 3
+
+    try:
+        want = reference_arrivals(twin, price, accept)
+    except MarketInvariantError as err:
+        with pytest.raises(MarketInvariantError) as got:
+            market._demand_model_arrivals(world, price, accept)
+        assert str(got.value) == str(err)
+        return
+    outcome, _ = market._demand_model_arrivals(world, price, accept)
+    assert list(outcome.kappa.values()) == want
+    assert [rng.bit_generator.state for rng in world.demand_rngs] == [
+        rng.bit_generator.state for rng in twin.demand_rngs
+    ]
 
 
 def test_price_degeneracy_is_counted():
