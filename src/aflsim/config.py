@@ -141,11 +141,14 @@ class ScenarioConfig:
 
 
 def _as(kind, path, value):
-    """`value` coerced to `kind`, or a ConfigError naming `path`; floats must be finite."""
+    """`value` coerced to `kind`, or a ConfigError naming `path`; floats must be
+    finite, and a number read as an int must be a whole one."""
     try:
         coerced = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(path, f"expected {kind.__name__}, got {value!r}") from None
+    if kind is int and isinstance(value, float) and coerced != value:
+        raise ConfigError(path, f"expected int, got {value!r}")
     if kind is float and not math.isfinite(coerced):
         raise ConfigError(path, "must be finite")
     return coerced
@@ -168,9 +171,13 @@ def _as_tuple(kind, path, raw):
     return tuple(_as(kind, path, item) for item in raw)
 
 
-def _as_object(path, raw):
+def _as_object(path, raw, known=None):
+    """`raw` as a JSON object whose keys, when `known` is given, all lie in it."""
     if not isinstance(raw, dict):
         raise ConfigError(path or "config", "expected a JSON object")
+    unknown = set(raw).difference(raw if known is None else known)
+    if unknown:
+        raise ConfigError(path or "config", f"unknown keys: {sorted(unknown)}")
     return raw
 
 
@@ -183,9 +190,7 @@ def _section(cls, name, raw, **given):
     [low, high] range.
     """
     defaults = cls()
-    unknown = set(_as_object(name, raw)) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(name or "config", f"unknown keys: {sorted(unknown)}")
+    _as_object(name, raw, [f.name for f in fields(cls)])
     values = {}
     for key, value in raw.items():
         path = f"{name}.{key}" if name else key
@@ -202,19 +207,25 @@ def _section(cls, name, raw, **given):
 
 
 def _rho_schedule(path, raw):
-    """The schedule as written plus the square wave's default low_scale; its
-    numbers are only checked here, the engine converts them as it reads them."""
-    schedule = dict(_as_object(path, raw))
-    if schedule.get("kind") == "square":
-        schedule.setdefault("low_scale", 0.5)
-        _as(int, f"{path}.period", schedule.get("period", 0))
-        _as(float, f"{path}.low_scale", schedule["low_scale"])
-    return schedule
+    """The schedule with only the keys its kind reads: a square wave's period
+    as an int and its low_scale as a float, 0.5 when not given."""
+    kind = _as_object(path, raw).get("kind")
+    if kind == "constant":
+        return dict(_as_object(path, raw, ["kind"]))
+    if kind != "square":
+        raise ConfigError(path, "kind must be 'constant' or 'square'")
+    _as_object(path, raw, ["kind", "period", "low_scale"])
+    return {
+        "kind": kind,
+        "period": _as(int, f"{path}.period", raw.get("period", 0)),
+        "low_scale": _as(float, f"{path}.low_scale", raw.get("low_scale", 0.5)),
+    }
 
 
 def _gains(path, raw):
-    """The default gains, overridden per strategy; the values stay as written."""
-    return {**MuParams().gains, **_as_object(path, raw)}
+    """The default gains, overridden per strategy that bids by a gain; the values stay as written."""
+    defaults = MuParams().gains
+    return {**defaults, **_as_object(path, raw, defaults)}
 
 
 def _assignment(path, raw):
@@ -225,7 +236,7 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
     """(field, ok, message) for every constraint a resolved config must meet."""
     do, mu, market, policy, c = cfg.do_params, cfg.mu, cfg.market, cfg.policy, cfg.constants
     schedule = do.rho_schedule
-    square = schedule.get("kind") == "square"
+    square = schedule["kind"] == "square"
     names = (policy.assignment,) if isinstance(policy.assignment, str) else policy.assignment
     budget = f"must fit the {MEMORY_BUDGET}-byte memory budget"
     # Only the demand model evaluates exp(a0 + a3*eps) and r**a1.
@@ -255,9 +266,8 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
         ("do_params.q0", do.q0[0] >= 0, "must be >= 0"),
         ("do_params.q0", cfg.n_dos * do.q0[1] * TASK.itemsize <= MEMORY_BUDGET, f"its initial task queue {budget}"),
         ("do_params.q0_payment_markup", do.q0_payment_markup[0] > 0, "must be > 0"),
-        ("do_params.rho_schedule", schedule.get("kind") in ("constant", "square"), "kind must be 'constant' or 'square'"),
-        ("do_params.rho_schedule.period", not square or int(schedule.get("period", 0)) >= 1, "must be >= 1"),
-        ("do_params.rho_schedule.low_scale", not square or float(schedule["low_scale"]) >= 0, "must be >= 0"),
+        ("do_params.rho_schedule.period", not square or schedule["period"] >= 1, "must be >= 1"),
+        ("do_params.rho_schedule.low_scale", not square or schedule["low_scale"] >= 0, "must be >= 0"),
         ("mu.budget_per_step", mu.budget_per_step >= 0, "must be >= 0"),
         ("mu.valuation_markup", mu.valuation_markup[0] >= 0, "must be >= 0"),
         ("mu.strategies", all(s in MU_STRATEGY_NAMES for s in mu.strategies), f"unknown strategy in {list(mu.strategies)}"),

@@ -499,10 +499,8 @@ class World:
     def _rho_scale(self, t: int) -> float:
         """The availability schedule's factor on every DO's base at step t."""
         schedule = self.config.do_params.rho_schedule
-        if schedule.get("kind") == "square":
-            period = int(schedule["period"])
-            if (t // period) % 2 == 1:
-                return float(schedule["low_scale"])
+        if schedule["kind"] == "square" and (t // schedule["period"]) % 2 == 1:
+            return schedule["low_scale"]
         return 1.0
 
     def views(self) -> list[DataOwnerState]:
@@ -689,7 +687,7 @@ def step(world: World) -> dict[str, np.ndarray]:
     world.backlog_sum = sequential_sum(new_q, world.backlog_sum)
     world.accept_count += int(x.sum())
 
-    _run_step_audits(world, auction, routing, price, s_goal)
+    _run_step_audits(world, auction, routing, price, s_goal, kappa, s_done, delegated_in)
 
     world.t += 1
     return {
@@ -714,8 +712,18 @@ def _check(bad: np.ndarray, message) -> None:
 
 
 def _run_step_audits(
-    world: World, auction: AuctionOutcome, routing: RoutingOutcome, price: np.ndarray, s_goal: np.ndarray
+    world: World,
+    auction: AuctionOutcome,
+    routing: RoutingOutcome,
+    price: np.ndarray,
+    s_goal: np.ndarray,
+    kappa: np.ndarray,
+    s_done: np.ndarray,
+    received: np.ndarray,
 ) -> None:
+    """Check the step's ledgers, caps and queues against `kappa`, `s_done` and
+    `received`, the per-DO admitted, delegated and received task counts that
+    `step` read from the outcomes."""
     states = world.states
     queue = world.queue
     n = len(states)
@@ -737,13 +745,10 @@ def _run_step_audits(
     budget = np.array([mu.budget_per_step for mu in world.mus])
     _check(spend > budget, lambda j: f"MU {j} spent {spend[j]} over its budget {budget[j]}")
 
-    kappa = np.fromiter(auction.kappa.values(), dtype=np.intp, count=n)
     auction_paid = np.bincount(payee, minlength=n)
     _check(auction_paid != kappa, lambda i: f"DO {i} has {auction_paid[i]} payments for {kappa[i]} admitted tasks")
 
     moved = routing.payments
-    s_done = np.fromiter(routing.s_realized.values(), dtype=np.intp, count=n)
-    received = np.bincount(routing.incoming["owner"], minlength=n)
     made = np.bincount(moved["payer"], minlength=n)
     got = np.bincount(moved["payee"], minlength=n)
     _check(made != s_done, lambda i: f"DO {i} made {made[i]} payments for {s_done[i]} delegated tasks")

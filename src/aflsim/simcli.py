@@ -6,10 +6,10 @@ Verbs:
   ablate    the joint policy vs its five single-component ablations
   plotdata  post-process run artifacts into plot-ready tabular files
 
-The first three share one runner, `run_preset`, over policies x seeds:
-`run` passes no policy names and writes flat into its output directory,
-`compare` and `ablate` pass registry names and write one directory per
-policy.
+The first three are rows of one table, `VERBS`, and share one runner,
+`run_preset`, over policies x seeds: `run` passes no policy names and writes
+flat into its output directory, `compare` and `ablate` pass registry names
+and write one directory per policy.
 
 Every output byte is determined by (config, seed): metrics are one CSV per
 seed with a fixed column order and 9-significant-digit floats, and each run
@@ -36,6 +36,13 @@ from .policy_baselines import ABLATION_NAMES, BASELINE_NAMES
 COMPARE_POLICIES = ("pas-afl",) + BASELINE_NAMES
 ABLATE_POLICIES = ("pas-afl",) + ABLATION_NAMES
 
+# verb -> (help, the registry policies it runs; None runs the config's own assignment)
+VERBS = {
+    "run": ("run one scenario config over its seeds", None),
+    "compare": ("run the 7-policy comparison preset", COMPARE_POLICIES),
+    "ablate": ("run the 5 single-component ablations", ABLATE_POLICIES),
+}
+
 
 class MissingArtifactError(FileNotFoundError):
     """Expected run artifacts (metrics CSVs, summary) are absent."""
@@ -45,9 +52,6 @@ class MissingArtifactError(FileNotFoundError):
 class RunResult:
     """Aggregates from one seeded run."""
 
-    policy: str
-    seed: int
-    n_dos: int
     horizon: int
     mean_utility: float
     mean_backlog: float
@@ -68,17 +72,6 @@ class PolicySummary:
     mean_price: float
     acceptance_rate: float
     per_seed_mean_utility: list[float] = field(default_factory=list)
-
-
-@dataclass
-class RunSummary:
-    rows: list[PolicySummary]
-
-    def row_for(self, policy: str) -> PolicySummary:
-        for row in self.rows:
-            if row.policy == policy:
-                return row
-        raise KeyError(policy)
 
 
 def run_scenario(
@@ -115,9 +108,6 @@ def run_scenario(
 
     denom = config.n_dos * config.horizon_T
     return RunResult(
-        policy=policy or str(config.policy.assignment),
-        seed=seed,
-        n_dos=config.n_dos,
         horizon=config.horizon_T,
         mean_utility=world.utility_sum / denom,
         mean_backlog=world.backlog_sum / denom,
@@ -165,21 +155,8 @@ def _write_manifest(out_dir: Path, config: ScenarioConfig, policy: str, seeds) -
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _write_summary(out_dir: Path, summary: RunSummary) -> None:
-    payload = {
-        "rows": [
-            {
-                "policy": row.policy,
-                "mean_utility": row.mean_utility,
-                "std_across_seeds": row.std_across_seeds,
-                "mean_backlog": row.mean_backlog,
-                "mean_price": row.mean_price,
-                "acceptance_rate": row.acceptance_rate,
-                "per_seed_mean_utility": row.per_seed_mean_utility,
-            }
-            for row in summary.rows
-        ]
-    }
+def _write_summary(out_dir: Path, summary: dict[str, PolicySummary]) -> None:
+    payload = {"rows": [asdict(row) for row in summary.values()]}
     (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -189,14 +166,14 @@ def run_preset(
     out_dir=None,
     seed_offset: int = 0,
     quiet: bool = True,
-) -> RunSummary:
+) -> dict[str, PolicySummary]:
     """Run each policy over every configured seed, writing artifacts and a summary.
 
     With `policies` None the config's own assignment runs and writes its
     metrics CSVs and manifest flat into `out_dir`; named registry policies
     each write into `out_dir/<policy>/`.  `summary.json`, one row per
     policy, goes to `out_dir` either way, which defaults to the config's
-    `output_dir`.
+    `output_dir`.  Returns each policy's summary by name, in run order.
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
     seeds = [s + seed_offset for s in config.seeds]
@@ -205,7 +182,7 @@ def run_preset(
     else:
         cells = [(policy, policy, out / policy) for policy in policies]
 
-    rows = []
+    summary = {}
     for override, name, cell_dir in cells:
         cell_dir.mkdir(parents=True, exist_ok=True)
         results = []
@@ -223,9 +200,8 @@ def run_preset(
                     f"acceptance_rate={result.acceptance_rate:.3f}"
                 )
         _write_manifest(cell_dir, config, name, seeds)
-        rows.append(_summarize(name, results))
+        summary[name] = _summarize(name, results)
 
-    summary = RunSummary(rows=rows)
     _write_summary(out, summary)
     return summary
 
@@ -243,13 +219,6 @@ def _discover_policy_dirs(runs_dir: Path) -> list[tuple[str, Path]]:
         if child.is_dir() and any(child.glob("metrics_seed*.csv")):
             found.append((child.name, child))
     return found
-
-
-def _read_metrics(csv_path: Path):
-    with open(csv_path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            yield row
 
 
 def emit_plot_data(runs_dir, out_dir) -> list[Path]:
@@ -272,60 +241,38 @@ def emit_plot_data(runs_dir, out_dir) -> list[Path]:
     backlog_rows = []
     comparison_rows = []
     for policy, policy_dir in policy_dirs:
-        csv_files = sorted(policy_dir.glob("metrics_seed*.csv"))
         utility_by_step: dict[int, list[float]] = {}
         backlog_by_step: dict[int, list[float]] = {}
         prices = []
-        for csv_file in csv_files:
-            for row in _read_metrics(csv_file):
-                t = int(row["step"])
-                utility_by_step.setdefault(t, []).append(float(row["utility_u"]))
-                backlog_by_step.setdefault(t, []).append(float(row["pending_q"]))
-                prices.append(float(row["price_p"]))
+        for csv_file in sorted(policy_dir.glob("metrics_seed*.csv")):
+            with open(csv_file, newline="", encoding="utf-8") as handle:
+                for row in csv.DictReader(handle):
+                    t = int(row["step"])
+                    utility_by_step.setdefault(t, []).append(float(row["utility_u"]))
+                    backlog_by_step.setdefault(t, []).append(float(row["pending_q"]))
+                    prices.append(float(row["price_p"]))
         for t in sorted(utility_by_step):
-            utility_rows.append((policy, t, statistics.fmean(utility_by_step[t])))
-            backlog_rows.append((policy, t, statistics.fmean(backlog_by_step[t])))
+            utility_rows.append((policy, t, f"{statistics.fmean(utility_by_step[t]):.9g}"))
+            backlog_rows.append((policy, t, f"{statistics.fmean(backlog_by_step[t]):.9g}"))
         all_utilities = [u for step_vals in utility_by_step.values() for u in step_vals]
         all_backlogs = [q for step_vals in backlog_by_step.values() for q in step_vals]
-        comparison_rows.append(
-            (
-                policy,
-                statistics.fmean(all_utilities),
-                statistics.fmean(all_backlogs),
-                statistics.fmean(prices),
-            )
-        )
+        means = (statistics.fmean(values) for values in (all_utilities, all_backlogs, prices))
+        comparison_rows.append((policy, *(f"{mean:.9g}" for mean in means)))
 
+    tables = (
+        ("utility_vs_time.csv", ("policy", "step", "mean_utility"), utility_rows),
+        ("backlog_vs_time.csv", ("policy", "step", "mean_pending_q"), backlog_rows),
+        ("policy_comparison.csv", ("policy", "mean_utility", "mean_pending_q", "mean_price"), comparison_rows),
+    )
     paths = []
-    utility_path = out / "utility_vs_time.csv"
-    with open(utility_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["policy", "step", "mean_utility"])
-        writer.writerows((p, t, f"{v:.9g}") for p, t, v in utility_rows)
-    paths.append(utility_path)
-
-    backlog_path = out / "backlog_vs_time.csv"
-    with open(backlog_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["policy", "step", "mean_pending_q"])
-        writer.writerows((p, t, f"{v:.9g}") for p, t, v in backlog_rows)
-    paths.append(backlog_path)
-
-    comparison_path = out / "policy_comparison.csv"
-    with open(comparison_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["policy", "mean_utility", "mean_pending_q", "mean_price"])
-        writer.writerows(
-            (p, f"{u:.9g}", f"{q:.9g}", f"{pr:.9g}") for p, u, q, pr in comparison_rows
-        )
-    paths.append(comparison_path)
+    for name, header, rows in tables:
+        path = out / name
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
+        paths.append(path)
     return paths
-
-
-def _load_config_arg(path_arg: str | None) -> ScenarioConfig:
-    if path_arg is None:
-        return resolve_config({})
-    return load_config(path_arg)
 
 
 def main(argv=None) -> int:
@@ -335,48 +282,35 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    run_p = sub.add_parser("run", help="run one scenario config over its seeds")
-    run_p.add_argument("--config", help="scenario JSON (defaults apply when omitted)")
-    run_p.add_argument("--out", help="output directory (default: config output_dir)")
-    run_p.add_argument("--seed-offset", type=int, default=0)
-
-    cmp_p = sub.add_parser("compare", help="run the 7-policy comparison preset")
-    cmp_p.add_argument("--config", help="base scenario JSON")
-    cmp_p.add_argument("--out", required=True)
-    cmp_p.add_argument("--seed-offset", type=int, default=0)
-
-    abl_p = sub.add_parser("ablate", help="run the 5 single-component ablations")
-    abl_p.add_argument("--config", help="base scenario JSON")
-    abl_p.add_argument("--out", required=True)
-    abl_p.add_argument("--seed-offset", type=int, default=0)
-
+    for verb, (help_text, policies) in VERBS.items():
+        flat = policies is None
+        config_help = "scenario JSON (defaults apply when omitted)" if flat else "base scenario JSON"
+        out_help = "output directory (default: config output_dir)" if flat else None
+        verb_p = sub.add_parser(verb, help=help_text)
+        verb_p.add_argument("--config", help=config_help)
+        verb_p.add_argument("--out", required=not flat, help=out_help)
+        verb_p.add_argument("--seed-offset", type=int, default=0)
     plot_p = sub.add_parser("plotdata", help="emit plot-ready tables from run artifacts")
     plot_p.add_argument("--runs", required=True, help="directory produced by run/compare/ablate")
     plot_p.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
     try:
-        if args.verb == "run":
-            config = _load_config_arg(args.config)
-            if not args.quiet:
-                print(json.dumps(asdict(config), indent=2, sort_keys=True))
-            summary = run_preset(
-                config, out_dir=args.out, seed_offset=args.seed_offset, quiet=args.quiet
-            )
-            _print_summary(summary, args.quiet)
-        elif args.verb in ("compare", "ablate"):
-            config = _load_config_arg(args.config)
-            policies = COMPARE_POLICIES if args.verb == "compare" else ABLATE_POLICIES
-            summary = run_preset(
-                config, policies, out_dir=args.out, seed_offset=args.seed_offset, quiet=args.quiet
-            )
-            _print_summary(summary, args.quiet)
-        elif args.verb == "plotdata":
+        if args.verb == "plotdata":
             paths = emit_plot_data(args.runs, args.out)
             if not args.quiet:
                 for path in paths:
                     print(f"[aflsim] wrote {path}")
+        else:
+            config = resolve_config({}) if args.config is None else load_config(args.config)
+            policies = VERBS[args.verb][1]
+            if policies is None and not args.quiet:
+                print(json.dumps(asdict(config), indent=2, sort_keys=True))
+            summary = run_preset(
+                config, policies, out_dir=args.out, seed_offset=args.seed_offset, quiet=args.quiet
+            )
+            if not args.quiet:
+                _print_summary(summary)
     except ConfigError as exc:
         print(f"aflsim: config error: {exc}", file=sys.stderr)
         return 2
@@ -389,17 +323,11 @@ def main(argv=None) -> int:
     return 0
 
 
-def _print_summary(summary: RunSummary, quiet: bool) -> None:
-    if quiet:
-        return
-    width = max(len(row.policy) for row in summary.rows)
+def _print_summary(summary: dict[str, PolicySummary]) -> None:
+    width = max(map(len, summary))
     print(f"{'policy'.ljust(width)}  mean_utility  std_seeds  mean_backlog  mean_price  accept_rate")
-    for row in summary.rows:
+    for row in summary.values():
         print(
             f"{row.policy.ljust(width)}  {row.mean_utility:12.6g}  {row.std_across_seeds:9.3g}  "
             f"{row.mean_backlog:12.6g}  {row.mean_price:10.6g}  {row.acceptance_rate:11.3f}"
         )
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

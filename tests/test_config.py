@@ -37,12 +37,39 @@ def test_unknown_keys_rejected(section):
         ({"mu": {"gains": [1]}}, "mu.gains"),
         ({"policy": {"assignment": 5}}, "policy.assignment"),
         ({"seeds": [None]}, "seeds"),
+        # Keys no schedule kind or MU strategy reads.
+        (
+            {"do_params": {"rho_schedule": {"kind": "square", "period": 25, "lowscale": 0.2}}},
+            "do_params.rho_schedule",
+        ),
+        ({"do_params": {"rho_schedule": {"kind": "constant", "period": 25}}}, "do_params.rho_schedule"),
+        ({"mu": {"gains": {"lin": 1.0, "bogus": 2}}}, "mu.gains"),
+        ({"mu": {"gains": {"greedy": 3}}}, "mu.gains"),
+        # Ints written as fractions are not truncated.
+        ({"n_dos": 100.7}, "n_dos"),
+        ({"seeds": [1.5, 2.2]}, "seeds"),
+        ({"market": {"delegation_depth_max": 1.9}}, "market.delegation_depth_max"),
+        ({"do_params": {"theta_max": [2, 3.5]}}, "do_params.theta_max"),
+        (
+            {"do_params": {"rho_schedule": {"kind": "square", "period": 7.5}}},
+            "do_params.rho_schedule.period",
+        ),
     ],
 )
 def test_wrong_types_name_field(raw, field):
     with pytest.raises(ConfigError) as err:
         resolve_config(raw)
     assert err.value.field == field
+
+
+def test_whole_numbers_resolve_as_ints():
+    cfg = resolve_config({
+        "n_dos": 100.0, "horizon_T": "7", "seeds": [1.0, "2"],
+        "do_params": {"rho_schedule": {"kind": "square", "period": 25.0, "low_scale": 1}},
+    })
+    assert (cfg.n_dos, cfg.horizon_T, cfg.seeds) == (100, 7, (1, 2))
+    assert cfg.do_params.rho_schedule == {"kind": "square", "period": 25, "low_scale": 1.0}
+    assert type(cfg.do_params.rho_schedule["low_scale"]) is float
 
 
 @pytest.mark.parametrize(

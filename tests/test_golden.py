@@ -2,7 +2,9 @@
 
 Each case runs one CLI verb on a small world (20 DOs, 50 steps, seeds 1 and
 2) and pins the SHA-256 of every `metrics_seed*.csv`, `manifest.json` and
-`summary.json` it writes, keyed by the path relative to `--out`.  Together
+`summary.json` it writes, keyed by the path relative to `--out`.  For one
+flat `run` case and one per-policy `compare` case it also runs `plotdata` on
+that output and pins its three tables, keyed `plotdata/<file>`.  Together
 the cases cover all twelve registered policies, both arrival modes, both
 work modes, the square availability schedule, a delegation-depth cap that
 binds (a task delegated once may not move again), a per-DO mixed assignment
@@ -59,6 +61,7 @@ CASES = {
         {"market": {"arrival_mode": "demand-model"}, "do_params": SQUARE},
     ),
 }
+PLOTTED = ("run-lin-rand-demand-round", "compare-auction-greedy")
 
 GOLDEN = {
     "ablate-auction-threshold": {
@@ -172,6 +175,12 @@ GOLDEN = {
             "231f469904fb7082d25b58d197800e4a91c7803a7149a398d485ade8ec024d72",
         "pas-afl/metrics_seed2.csv":
             "1da9c045754edfb7c80c77a44be49ceab1ecb6e98eab67f14315037ce1d34999",
+        "plotdata/backlog_vs_time.csv":
+            "a67c6ae3ef5b173e81dcac45d67d33e4364faccf5fa86eb0a0c793ac98637f95",
+        "plotdata/policy_comparison.csv":
+            "6de9968fcdc39e98a4355f5bc7c568f8e443caa3070ac9b98d4bd39f320281c0",
+        "plotdata/utility_vs_time.csv":
+            "3fe14554d60ea438453d2cff539cc2d172262f72702b5155ba8a1a6dd7ff4564",
         "rand-greedy/manifest.json":
             "eb5f35dbf1ce101d0ca6479dceadaaf523c2864e180f8de0e32e473aa9d79d6b",
         "rand-greedy/metrics_seed1.csv":
@@ -286,6 +295,12 @@ GOLDEN = {
             "6ae3b95810c9777a9d3143d6ca894d07e76156db3190def15a796d49440e80a5",
         "metrics_seed2.csv":
             "818c74a2dfedab11e72b00ac96550ab8156bb12da0f23e02f54ae3a56f5f4059",
+        "plotdata/backlog_vs_time.csv":
+            "839f3dc89e1927767748147cb7745b27e09199cff15c75bc2b3544db64faf35c",
+        "plotdata/policy_comparison.csv":
+            "a9428263ebebcc377f7b1671dee89f7fe619b9fcd6dc0a41b492d10a5c028c89",
+        "plotdata/utility_vs_time.csv":
+            "ae91844a098656df1bf1abda1400ce671c5d4f6eb3d391f960a39dc9b53b4a85",
         "summary.json":
             "a4fe4667346b66c6f253a126feb8289e9f9125db27a6c4a775a3def982e25075",
     },
@@ -309,11 +324,17 @@ def run_case(name: str, workdir: Path) -> dict[str, str]:
     config_path.write_text(json.dumps({**SMALL, **overrides}))
     out = workdir / name
     assert main(["--quiet", verb, "--config", str(config_path), "--out", str(out)]) == 0
-    return {
+    hashes = {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*"))
         if path.is_file()
     }
+    if name in PLOTTED:
+        plots = workdir / f"{name}-plotdata"
+        assert main(["--quiet", "plotdata", "--runs", str(out), "--out", str(plots)]) == 0
+        for path in sorted(plots.iterdir()):
+            hashes[f"plotdata/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashes
 
 
 def test_cases_cover_every_policy():

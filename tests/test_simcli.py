@@ -134,7 +134,7 @@ def test_run_preset_writes_flat_artifacts_for_the_config_assignment(tmp_path):
     assert manifest["seeds"] == [1, 2]
     assert manifest["resolved_config"]["n_dos"] == 6
 
-    row = summary.row_for("pas-afl")
+    row = summary["pas-afl"]
     assert row.mean_utility == statistics.fmean(row.per_seed_mean_utility)
     written = json.loads((tmp_path / "summary.json").read_text())
     assert written["rows"][0]["policy"] == "pas-afl"
@@ -168,7 +168,7 @@ def test_summary_matches_independent_csv_pass(tmp_path):
                 utilities.append(float(row["utility_u"]))
                 backlogs.append(float(row["pending_q"]))
                 prices.append(float(row["price_p"]))
-    row = summary.row_for("ampp-rand")
+    row = summary["ampp-rand"]
     assert row.mean_utility == pytest.approx(statistics.fmean(utilities), abs=1e-9)
     assert row.mean_backlog == pytest.approx(statistics.fmean(backlogs), abs=1e-9)
     assert row.mean_price == pytest.approx(statistics.fmean(prices), abs=1e-9)
@@ -196,7 +196,7 @@ def test_plot_data_series_covers_horizon(tmp_path):
 def test_comparison_preset_yields_seven_rows(tmp_path):
     cfg = resolve_config({"n_dos": 5, "horizon_T": 5, "seeds": [1]})
     summary = run_preset(cfg, COMPARE_POLICIES, out_dir=tmp_path / "runs")
-    assert [row.policy for row in summary.rows] == list(COMPARE_POLICIES)
+    assert [row.policy for row in summary.values()] == list(COMPARE_POLICIES)
 
     emit_plot_data(tmp_path / "runs", tmp_path / "plots")
     with open(tmp_path / "plots" / "policy_comparison.csv", newline="") as handle:
