@@ -18,8 +18,7 @@ from functools import partial
 import numpy as np
 
 from .core import TASK
-from .demand import R_FLOOR_DEFAULT
-from .policy_baselines import DEFAULT_LIN_GAIN, DEFAULT_MARKUP_MAX, POLICIES
+from .policy_baselines import POLICIES
 
 MU_STRATEGY_NAMES = (
     "random",
@@ -105,7 +104,7 @@ class ReputationConfig:
 class MarketParams:
     delegation_depth_max: int = 3
     kappa_bar_prior: float = 1.0   # average-demand estimate before any arrivals
-    r_floor: float = R_FLOOR_DEFAULT
+    r_floor: float = 1e-3          # lowest reputation; guards the demand model's 1/r**a1
     arrival_mode: str = "auction"  # "auction" | "demand-model"
     integerization: str = "poisson"  # arrival rounding in demand-model mode
 
@@ -114,8 +113,8 @@ class MarketParams:
 class PolicyParams:
     assignment: str | tuple[str, ...] = "pas-afl"  # one name, or one name per DO
     work_mode: str = "greedy"
-    markup_max: float = DEFAULT_MARKUP_MAX
-    lin_gain: float = DEFAULT_LIN_GAIN
+    markup_max: float = 1.0  # random prices draw up to a markup of this on the reserve
+    lin_gain: float = 1.5    # the linear rule's price as a multiple of the reserve
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,10 @@ class ScenarioConfig:
 
 def _as(kind, path, value):
     """`value` coerced to `kind`, or a ConfigError naming `path`; floats must be
-    finite, and a number read as an int must be a whole one."""
+    finite, a number read as an int must be a whole one, and a JSON boolean is
+    not a number."""
+    if isinstance(value, bool):
+        raise ConfigError(path, f"expected {kind.__name__}, got {value!r}")
     try:
         coerced = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -271,7 +273,7 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
         ("mu.budget_per_step", mu.budget_per_step >= 0, "must be >= 0"),
         ("mu.valuation_markup", mu.valuation_markup[0] >= 0, "must be >= 0"),
         ("mu.strategies", all(s in MU_STRATEGY_NAMES for s in mu.strategies), f"unknown strategy in {list(mu.strategies)}"),
-        ("mu.gains", all(isinstance(g, (int, float)) and 0 < g < math.inf for g in mu.gains.values()), "must be finite and > 0"),
+        ("mu.gains", all(isinstance(g, (int, float)) and not isinstance(g, bool) and 0 < g < math.inf for g in mu.gains.values()), "must be finite numbers > 0"),
         ("reputation.ema_beta", 0.0 <= cfg.reputation.ema_beta < 1.0, "must lie in [0, 1)"),
         ("reputation.on_time_window", cfg.reputation.on_time_window >= 0, "must be >= 0"),
         ("market.delegation_depth_max", market.delegation_depth_max >= 0, "must be >= 0"),
@@ -283,7 +285,9 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
         ("policy.assignment", isinstance(policy.assignment, str) or len(names) == cfg.n_dos, "per-DO list must have one name per DO"),
         ("policy.work_mode", policy.work_mode in ("greedy", "threshold"), "must be 'greedy' or 'threshold'"),
         ("policy.markup_max", policy.markup_max > 0, "must be > 0"),
-        # price_rand draws up to this cap, price_ampp up to half of it.
+        # price_rand draws up to 2 * p_min * (1 + markup_max), price_ampp up to half of it;
+        # as markup_max > 0, the p_min row fails exactly when no markup_max could help.
+        ("do_params.p_min", math.isfinite(2.0 * do.p_min[1]), "2 * p_min_high must be finite"),
         (
             "policy.markup_max",
             math.isfinite(2.0 * do.p_min[1] * (1.0 + policy.markup_max)),

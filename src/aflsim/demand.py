@@ -23,9 +23,6 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .config import MarketConstants
 
-# Reputation floor guarding the 1/r**a1 factor, which blows up as r -> 0.
-R_FLOOR_DEFAULT = 1e-3
-
 
 @np.errstate(over="ignore", invalid="ignore")
 def zeta(constants: "MarketConstants", alignment_epsilon, positive_ratings_Mp) -> np.ndarray:
@@ -39,7 +36,7 @@ def zeta(constants: "MarketConstants", alignment_epsilon, positive_ratings_Mp) -
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def expected_demand(price_p, reputation_r, zeta_value, a1: float, r_floor: float = R_FLOOR_DEFAULT) -> np.ndarray:
+def expected_demand(price_p, reputation_r, zeta_value, a1: float, r_floor: float) -> np.ndarray:
     """Expected task offers per step: zeta * p / max(r, r_floor)**a1."""
     price_p = np.asarray(price_p, dtype=float)
     zeta_value = np.asarray(zeta_value, dtype=float)
@@ -53,10 +50,10 @@ def expected_demand(price_p, reputation_r, zeta_value, a1: float, r_floor: float
     return zeta_value * price_p / denominator
 
 
-def realize_demand(expected, cap_kappa_max, rngs, mode: str = "poisson") -> np.ndarray:
+def realize_demand(expected, cap_kappa_max, rngs, mode: str) -> np.ndarray:
     """Draw integer arrival counts with the given means, clamped below the caps.
 
-    `mode` is "poisson" (default), one draw from each element's own generator
+    `mode` is "poisson", one draw from each element's own generator
     in `rngs`, or "round" for deterministic rounding half to even, which
     draws nothing; each result lies in [0, cap_kappa_max - 1].
     """

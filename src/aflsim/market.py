@@ -46,13 +46,13 @@ from .core import (
     sequential_sum,
     validate_states,
 )
-from .demand import R_FLOOR_DEFAULT, expected_demand, realize_demand, zeta
+from .demand import expected_demand, realize_demand, zeta
 from .policy_baselines import decide_for_policy, resolve_policy
 from .policy_pas import DelegationContext, eligible_delegates
 from .queues import update_pending_queue, update_urgency_queue, utility
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .config import ScenarioConfig
+    from .config import MuParams, ScenarioConfig
 
 # Child-seed tags so each random stream is independent of the others.
 _STREAM_GRAPH = 1
@@ -73,16 +73,6 @@ LEDGER = np.dtype([("payer", np.intp), ("payee", np.intp), ("amount", float), ("
 
 class MarketInvariantError(RuntimeError):
     """A step-level audit (conservation, caps, state validity) failed."""
-
-
-@dataclass
-class ModelUser:
-    """A bidder recruiting data owners; internals are simplified stand-ins."""
-
-    id: int
-    strategy_name: str
-    budget_per_step: float
-    valuation_per_do: np.ndarray  # indexed by DO id
 
 
 def generate_trust_network(n_dos: int, edge_prob: float, rng) -> TrustNetwork:
@@ -135,7 +125,7 @@ def update_reputation(
     completed_on_time: np.ndarray,
     due: np.ndarray,
     ema_beta: float,
-    r_floor: float = R_FLOOR_DEFAULT,
+    r_floor: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """EMA of the on-time completion ratio, weighting the old reputation by
     `ema_beta`; rating count grows with on-time work.  Elementwise over the
@@ -181,32 +171,31 @@ class AuctionOutcome:
     payments: np.ndarray      # one LEDGER row per admitted task
 
 
-def _mu_requests(mus: list[ModelUser], states: np.ndarray, price: np.ndarray, rngs, gains) -> np.ndarray:
+def _mu_requests(valuations: np.ndarray, states: np.ndarray, price: np.ndarray, rngs, mu: "MuParams") -> np.ndarray:
     """Every MU's requests for the step as LEDGER rows, ordered by MU id and
-    then by submission order, with the DO as payee and the bid as offer.
+    then by submission order, with the DO as payee and the bid as offer.  MU
+    j bids by `mu.strategies[j]`, values the DOs at `valuations[j]` and draws
+    from `rngs[j]`.
 
     Each MU walks its strategy-specific target order, skips nonpositive bids
     and stops once the next bid would push its total submitted bids past its
     per-step budget.  The walks run side by side, one MU per matrix row: a
     sort key and a bid per DO, sorted, then summed.
     """
-    mus = sorted(mus, key=attrgetter("id"))
     n = len(states)
     rep = states["reputation_r"]
     p_min = states["reserve_price_p_min"]
     reserve_keys = {"lin": p_min, "bmub": -rep, "fedbidder-simple": price}
-    keys, bids = np.empty((len(mus), n)), np.empty((len(mus), n))
+    keys, bids = np.empty(valuations.shape), np.empty(valuations.shape)
     walked = {}  # row -> (generator, its state before the bids were drawn)
-    for j, mu in enumerate(mus):
-        valuation = mu.valuation_per_do
-        strategy = mu.strategy_name
+    for j, (strategy, valuation) in enumerate(zip(mu.strategies, valuations)):
         if strategy == "random":
             # The key is each DO's place in a random order.  Bids are uniform
             # on [0, valuation): valuation * rng.random() is the value
             # rng.uniform(0.0, valuation) returns, from the same draw.  A bid
             # is drawn for every DO; the draws the walk never reaches are
             # undone below.
-            rng = rngs[mu.id]
+            rng = rngs[j]
             targets = rng.permutation(n)
             walked[j] = rng, rng.bit_generator.state
             keys[j, targets] = np.arange(n)
@@ -216,10 +205,10 @@ def _mu_requests(mus: list[ModelUser], states: np.ndarray, price: np.ndarray, rn
             bids[j] = valuation
         elif strategy == "fedbidder-complex":
             keys[j] = -rep * valuation / price
-            bids[j] = np.minimum(gains[strategy] * (0.5 + 0.5 * rep) * p_min, valuation)
+            bids[j] = np.minimum(mu.gains[strategy] * (0.5 + 0.5 * rep) * p_min, valuation)
         elif strategy in reserve_keys:
             keys[j] = reserve_keys[strategy]
-            bids[j] = np.minimum(gains[strategy] * p_min, valuation)
+            bids[j] = np.minimum(mu.gains[strategy] * p_min, valuation)
         else:
             raise ValueError(f"unknown MU strategy: {strategy!r}")
     # Ties keep ascending DO id: the sort is stable.
@@ -230,7 +219,7 @@ def _mu_requests(mus: list[ModelUser], states: np.ndarray, price: np.ndarray, rn
     # the first that overshoots the budget.
     positive = bids > 0.0
     submitted = np.cumsum(np.where(positive, bids, 0.0), axis=1)
-    over = positive & (submitted > np.array([mu.budget_per_step for mu in mus])[:, None])
+    over = positive & (submitted > mu.budget_per_step)
     sent = positive & ~over
     for j, (rng, state) in walked.items():
         # Rewind, then draw as many values as the walk used: through the
@@ -238,19 +227,19 @@ def _mu_requests(mus: list[ModelUser], states: np.ndarray, price: np.ndarray, rn
         rng.bit_generator.state = state
         rng.random(over[j].argmax() + 1 if over[j].any() else n)
 
-    payer = np.repeat([mu.id for mu in mus], np.count_nonzero(sent, axis=1))
+    payer = np.repeat(np.arange(len(valuations)), np.count_nonzero(sent, axis=1))
     return _records(LEDGER, len(payer), payer=payer, payee=order[sent], amount=0.0, offer=bids[sent])
 
 
 def run_auction(
-    mu_list: list[ModelUser],
+    valuations: np.ndarray,
     states: np.ndarray,
     price: np.ndarray,
     accept: np.ndarray,
     mu_rngs,
     step_index: int,
     next_task_id: int,
-    gains: dict[str, float],
+    mu: "MuParams",
 ) -> tuple[AuctionOutcome, int]:
     """Clear one step of the posted-price auction.
 
@@ -260,7 +249,7 @@ def run_auction(
     its bid meets the price, and fewer earlier such requests than the DO's
     cap went to that DO.
     """
-    requests = _mu_requests(mu_list, states, price, mu_rngs, gains)
+    requests = _mu_requests(valuations, states, price, mu_rngs, mu)
     requests = requests[np.argsort(-requests["offer"], kind="stable")]
     do = requests["payee"]
     requests = requests[(accept[do] == 1) & (requests["offer"] >= price[do])]
@@ -299,7 +288,7 @@ def route_subdelegations(
     task.  Transfers stop early once a task finds no eligible delegate.
     Transferred tasks join the delegate's queue as arrivals next step with
     their payment rewritten to what the delegate was paid.  `capacity_left`
-    is debited in place.
+    is each DO's room for tasks delegated to it this step.
 
     Candidates and trusted neighbours are sorted for every delegator at once.
     Only the walk over tasks stays in Python, because each transfer uses up
@@ -350,7 +339,6 @@ def route_subdelegations(
                 delegates.append(neighbours[at])
                 capacity[neighbours[at]] -= 1
                 s_realized[do_id] += 1
-        capacity_left[:] = capacity
 
     moved = np.array(moved, dtype=np.intp)
     delegates = np.array(delegates, dtype=np.intp)
@@ -393,7 +381,6 @@ class World:
 
     def __init__(self, config: "ScenarioConfig", seed: int, policy_override: str | None = None):
         self.config = config
-        self.seed = seed
         self.t = 0
         n = config.n_dos
         self.ids = np.arange(n)
@@ -409,10 +396,17 @@ class World:
         self.completed_tasks = 0
         self.kappa_sum = np.zeros(n)
 
-        self.mus = self._build_model_users(seed)
-        self.mu_rngs = {
-            mu.id: np.random.default_rng([seed, _STREAM_MU, mu.id, 1000]) for mu in self.mus
-        }
+        # MU j of `config.mu.strategies` values every DO at a markup on its
+        # reserve, scaled by its data size: row j of `valuations`.
+        ds_lo, ds_hi = config.data_size_range
+        data_factor = 0.9 + 0.2 * (self.states["data_size"] - ds_lo) / max(ds_hi - ds_lo, 1)
+        n_mus = len(config.mu.strategies)
+        markups = [
+            np.random.default_rng([seed, _STREAM_MU, j]).uniform(*config.mu.valuation_markup, size=n)
+            for j in range(n_mus)
+        ]
+        self.valuations = np.reshape(markups, (n_mus, n)) * self.states["reserve_price_p_min"] * data_factor
+        self.mu_rngs = [np.random.default_rng([seed, _STREAM_MU, j, 1000]) for j in range(n_mus)]
         names = [policy_override or config.policy_name_for(i) for i in range(n)]
         self.policy_specs = [resolve_policy(name) for name in names]
         # Generators are built only for the streams a run draws from; each is
@@ -475,26 +469,6 @@ class World:
 
         owner = np.repeat(self.ids, states["pending_q"].astype(np.intp))
         self.queue, self.next_task_id = _new_tasks(owner, np.concatenate(payments), 0, 0)
-
-    def _build_model_users(self, seed: int) -> list[ModelUser]:
-        cfg = self.config
-        ds_lo, ds_hi = cfg.data_size_range
-        span = max(ds_hi - ds_lo, 1)
-        p_min = self.states["reserve_price_p_min"]
-        data_factor = 0.9 + 0.2 * (self.states["data_size"] - ds_lo) / span
-        mus = []
-        for j, strategy in enumerate(cfg.mu.strategies):
-            rng = np.random.default_rng([seed, _STREAM_MU, j])
-            markup = rng.uniform(*cfg.mu.valuation_markup, size=cfg.n_dos)
-            mus.append(
-                ModelUser(
-                    id=j,
-                    strategy_name=strategy,
-                    budget_per_step=cfg.mu.budget_per_step,
-                    valuation_per_do=markup * p_min * data_factor,
-                )
-            )
-        return mus
 
     def _rho_scale(self, t: int) -> float:
         """The availability schedule's factor on every DO's base at step t."""
@@ -625,7 +599,7 @@ def step(world: World) -> dict[str, np.ndarray]:
     # 4. Arrivals.
     if cfg.market.arrival_mode == "auction":
         auction, world.next_task_id = run_auction(
-            world.mus, states, price, x, world.mu_rngs, t, world.next_task_id, cfg.mu.gains
+            world.valuations, states, price, x, world.mu_rngs, t, world.next_task_id, cfg.mu
         )
     else:
         auction, world.next_task_id = _demand_model_arrivals(world, price, x)
@@ -741,9 +715,9 @@ def _run_step_audits(
     _check(amount != price[payee], lambda j: f"DO {payee[j]} was paid {amount[j]} for a task posted at {price[payee[j]]}")
     _check(bid < price[payee], lambda j: f"DO {payee[j]} cleared a bid of {bid[j]} below its posted price {price[payee[j]]}")
     by_mu = paid["payer"] >= 0
-    spend = np.bincount(paid["payer"][by_mu], weights=amount[by_mu], minlength=len(world.mus))
-    budget = np.array([mu.budget_per_step for mu in world.mus])
-    _check(spend > budget, lambda j: f"MU {j} spent {spend[j]} over its budget {budget[j]}")
+    spend = np.bincount(paid["payer"][by_mu], weights=amount[by_mu], minlength=len(world.valuations))
+    budget = world.config.mu.budget_per_step
+    _check(spend > budget, lambda j: f"MU {j} spent {spend[j]} over its budget {budget}")
 
     auction_paid = np.bincount(payee, minlength=n)
     _check(auction_paid != kappa, lambda i: f"DO {i} has {auction_paid[i]} payments for {kappa[i]} admitted tasks")

@@ -2,17 +2,16 @@
 
 Six baselines cross three pricing rules (uniform-random, random markup above
 the reserve, linear gain on the reserve) with two sub-delegation rules
-(random, greedy).  Baselines always accept new offers; admission caps are
-enforced by the market, not the policy.  The registry also wires the ablated
-variants of the queue-aware policy, each differing from it in exactly one
-component.
+(random, and greedy, which delegates the full `subdelegation_cap`).
+Baselines always accept new offers; admission caps are enforced by the
+market, not the policy.  The registry also wires the ablated variants of the
+queue-aware policy, each differing from it in exactly one component.
 """
 
 import math
 from dataclasses import dataclass
 
 from .core import DataOwnerState, StepDecision
-from .demand import R_FLOOR_DEFAULT
 from .policy_pas import (
     DelegationContext,
     decide_acceptance,
@@ -20,67 +19,49 @@ from .policy_pas import (
     decide_subdelegation,
     decide_work,
     price_is_degenerate,
+    subdelegation_cap,
 )
 
-DEFAULT_MARKUP_MAX = 1.0
-DEFAULT_LIN_GAIN = 1.5
 
-
-def price_rand(state: DataOwnerState, rng, markup_max: float = DEFAULT_MARKUP_MAX, p_cap: float | None = None) -> float:
-    """Uniform draw on [p_min, p_cap]; the default cap keeps the support
+def price_rand(state: DataOwnerState, rng, markup_max: float) -> float:
+    """Uniform draw on [p_min, 2 * p_min * (1 + markup_max)], a support
     comparable with the markup and linear rules."""
-    if p_cap is None:
-        p_cap = 2.0 * state.reserve_price_p_min * (1.0 + markup_max)
     p_min = state.reserve_price_p_min
+    p_cap = 2.0 * p_min * (1.0 + markup_max)
     if not p_min <= p_cap < math.inf:
-        raise ValueError("p_cap must be finite and >= the reserve price")
+        raise ValueError("the price cap must be finite and >= the reserve price")
     # The value rng.uniform(p_min, p_cap) returns, from the same draw.
     return p_min + (p_cap - p_min) * rng.random()
 
 
-def price_ampp(state: DataOwnerState, rng, markup_max: float = DEFAULT_MARKUP_MAX) -> float:
+def price_ampp(state: DataOwnerState, rng, markup_max: float) -> float:
     """Random markup above the reserve: p_min * (1 + U(0, markup_max))."""
     if markup_max <= 0:
         raise ValueError("markup_max must be > 0")
     return state.reserve_price_p_min * (1.0 + markup_max * rng.random())
 
 
-def price_lin(state: DataOwnerState, gain: float = DEFAULT_LIN_GAIN) -> float:
+def price_lin(state: DataOwnerState, gain: float) -> float:
     """Deterministic linear gain on the reserve price."""
     if gain <= 0:
         raise ValueError("gain must be > 0")
     return gain * state.reserve_price_p_min
 
 
-def _subdel_cap(state: DataOwnerState, theta: int) -> int:
-    return max(0, min(int(math.floor(state.pending_q)) - theta, state.s_max))
-
-
 def subdel_rand(state: DataOwnerState, ctx: DelegationContext, theta: int, rng) -> int:
     """Half the time delegate nothing, otherwise a uniform integer amount
     within the per-step cap.  No randomness is consumed when nothing could be
     delegated anyway, keeping downstream draws aligned across variants."""
-    cap = _subdel_cap(state, theta)
-    if cap <= 0 or not ctx.has_eligible_delegate:
-        return 0
-    if rng.random() < 0.5:
+    cap = subdelegation_cap(state, ctx, theta)
+    if cap == 0 or rng.random() < 0.5:
         return 0
     return int(rng.integers(0, cap + 1))
-
-
-def subdel_greedy(state: DataOwnerState, ctx: DelegationContext, theta: int) -> int:
-    """Delegate as much of the leftover backlog as the cap allows."""
-    cap = _subdel_cap(state, theta)
-    if cap <= 0 or not ctx.has_eligible_delegate:
-        return 0
-    return cap
 
 
 @dataclass(frozen=True)
 class PolicySpec:
     """A data-owner policy as a bundle of named component rules."""
 
-    name: str
     price_rule: str    # "lyapunov" | "rand" | "ampp" | "lin"
     subdel_rule: str   # "threshold" | "rand" | "greedy"
     accept_rule: str   # "lyapunov" | "always"
@@ -92,19 +73,19 @@ class PolicySpec:
 
 
 POLICIES: dict[str, PolicySpec] = {
-    "pas-afl": PolicySpec("pas-afl", "lyapunov", "threshold", "lyapunov"),
-    "rand-rand": PolicySpec("rand-rand", "rand", "rand", "always"),
-    "rand-greedy": PolicySpec("rand-greedy", "rand", "greedy", "always"),
-    "ampp-rand": PolicySpec("ampp-rand", "ampp", "rand", "always"),
-    "ampp-greedy": PolicySpec("ampp-greedy", "ampp", "greedy", "always"),
-    "lin-rand": PolicySpec("lin-rand", "lin", "rand", "always"),
-    "lin-greedy": PolicySpec("lin-greedy", "lin", "greedy", "always"),
+    "pas-afl": PolicySpec("lyapunov", "threshold", "lyapunov"),
+    "rand-rand": PolicySpec("rand", "rand", "always"),
+    "rand-greedy": PolicySpec("rand", "greedy", "always"),
+    "ampp-rand": PolicySpec("ampp", "rand", "always"),
+    "ampp-greedy": PolicySpec("ampp", "greedy", "always"),
+    "lin-rand": PolicySpec("lin", "rand", "always"),
+    "lin-greedy": PolicySpec("lin", "greedy", "always"),
     # Ablated variants of the joint policy, one component swapped each.
-    "pas-nopricing-rand": PolicySpec("pas-nopricing-rand", "rand", "threshold", "lyapunov"),
-    "pas-nopricing-ampp": PolicySpec("pas-nopricing-ampp", "ampp", "threshold", "lyapunov"),
-    "pas-nopricing-lin": PolicySpec("pas-nopricing-lin", "lin", "threshold", "lyapunov"),
-    "pas-nosubdel-rand": PolicySpec("pas-nosubdel-rand", "lyapunov", "rand", "lyapunov"),
-    "pas-nosubdel-greedy": PolicySpec("pas-nosubdel-greedy", "lyapunov", "greedy", "lyapunov"),
+    "pas-nopricing-rand": PolicySpec("rand", "threshold", "lyapunov"),
+    "pas-nopricing-ampp": PolicySpec("ampp", "threshold", "lyapunov"),
+    "pas-nopricing-lin": PolicySpec("lin", "threshold", "lyapunov"),
+    "pas-nosubdel-rand": PolicySpec("lyapunov", "rand", "lyapunov"),
+    "pas-nosubdel-greedy": PolicySpec("lyapunov", "greedy", "lyapunov"),
 }
 
 BASELINE_NAMES = ("rand-rand", "rand-greedy", "ampp-rand", "ampp-greedy", "lin-rand", "lin-greedy")
@@ -129,10 +110,10 @@ def decide_for_policy(
     state: DataOwnerState,
     ctx: DelegationContext,
     rng,
-    markup_max: float = DEFAULT_MARKUP_MAX,
-    lin_gain: float = DEFAULT_LIN_GAIN,
-    work_mode: str = "greedy",
-    r_floor: float = R_FLOOR_DEFAULT,
+    markup_max: float,
+    lin_gain: float,
+    work_mode: str,
+    r_floor: float,
 ) -> StepDecision:
     """Evaluate one composed policy on one DO against a market snapshot."""
     theta = decide_work(state, work_mode)
@@ -142,14 +123,14 @@ def decide_for_policy(
     elif spec.subdel_rule == "rand":
         s = subdel_rand(state, ctx, theta, rng)
     elif spec.subdel_rule == "greedy":
-        s = subdel_greedy(state, ctx, theta)
+        s = subdelegation_cap(state, ctx, theta)
     else:
         raise ValueError(f"unknown subdel rule: {spec.subdel_rule!r}")
 
     degenerate = False
     if spec.price_rule == "lyapunov":
         degenerate = price_is_degenerate(state, r_floor)
-        price = decide_price(state, r_floor, degenerate)
+        price = decide_price(state, degenerate)
     elif spec.price_rule == "rand":
         price = price_rand(state, rng, markup_max)
     elif spec.price_rule == "ampp":

@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DataOwnerState
-from .demand import R_FLOOR_DEFAULT
 
 
 class DelegationContext(NamedTuple):
@@ -51,18 +50,24 @@ def eligible_delegates(
     return (adjacency & trusted & cheap).any(axis=1)
 
 
-def decide_subdelegation(state: DataOwnerState, ctx: DelegationContext, theta: int) -> int:
-    """Threshold rule: keep tasks local while availability-weighted neighbour
-    prices outweigh the combined queue pressure; otherwise offload the backlog
-    left after this step's work, within the per-step cap."""
+def subdelegation_cap(state: DataOwnerState, ctx: DelegationContext, theta: int) -> int:
+    """The most a DO may sub-delegate this step: the backlog left after its
+    `theta` tasks of work, within `s_max`, and nothing when no neighbour is
+    eligible.  The greedy baseline delegates exactly this."""
     if not ctx.has_eligible_delegate:
-        return 0
-    if state.availability_rho * ctx.avg_neighbor_price - state.pending_q - state.urgency_Q >= 0:
         return 0
     return max(0, min(int(math.floor(state.pending_q)) - theta, state.s_max))
 
 
-def decide_price(state: DataOwnerState, r_floor: float = R_FLOOR_DEFAULT, degenerate: bool | None = None) -> float:
+def decide_subdelegation(state: DataOwnerState, ctx: DelegationContext, theta: int) -> int:
+    """Threshold rule: keep tasks local while availability-weighted neighbour
+    prices outweigh the combined queue pressure; otherwise offload up to the cap."""
+    if state.availability_rho * ctx.avg_neighbor_price - state.pending_q - state.urgency_Q >= 0:
+        return 0
+    return subdelegation_cap(state, ctx, theta)
+
+
+def decide_price(state: DataOwnerState, degenerate: bool) -> float:
     """Posted unit price: max(reserve, q / (2 * rho * r)).
 
     q / (2 * rho * r) is the stationary point of the pricing term
@@ -70,19 +75,16 @@ def decide_price(state: DataOwnerState, r_floor: float = R_FLOOR_DEFAULT, degene
     clamped value is that term's minimum over p >= p_min.
 
     With zero availability or reputation below the floor the quotient is
-    unbounded, so the rule falls back to the reserve price; callers can
-    detect that through `price_is_degenerate`, and a caller that already
-    has its answer passes it as `degenerate`.
+    unbounded, so the rule falls back to the reserve price; `degenerate` is
+    `price_is_degenerate`'s answer for the state.
     """
-    if degenerate is None:
-        degenerate = price_is_degenerate(state, r_floor)
     if degenerate:
         return state.reserve_price_p_min
     quotient = state.pending_q / (2.0 * state.availability_rho * state.reputation_r)
     return max(state.reserve_price_p_min, quotient)
 
 
-def price_is_degenerate(state: DataOwnerState, r_floor: float = R_FLOOR_DEFAULT) -> bool:
+def price_is_degenerate(state: DataOwnerState, r_floor: float) -> bool:
     return state.availability_rho <= 0.0 or state.reputation_r < r_floor
 
 
@@ -92,7 +94,7 @@ def decide_acceptance(state: DataOwnerState, price_p: float) -> int:
     return 1 if state.availability_rho * price_p * state.reputation_r - state.pending_q > 0 else 0
 
 
-def decide_work(state: DataOwnerState, mode: str = "greedy") -> int:
+def decide_work(state: DataOwnerState, mode: str) -> int:
     """Work progress for the step.
 
     "greedy" drains as much backlog as capacity allows; "threshold" only

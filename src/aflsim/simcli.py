@@ -52,7 +52,6 @@ class MissingArtifactError(FileNotFoundError):
 class RunResult:
     """Aggregates from one seeded run."""
 
-    horizon: int
     mean_utility: float
     mean_backlog: float
     mean_price: float
@@ -108,7 +107,6 @@ def run_scenario(
 
     denom = config.n_dos * config.horizon_T
     return RunResult(
-        horizon=config.horizon_T,
         mean_utility=world.utility_sum / denom,
         mean_backlog=world.backlog_sum / denom,
         mean_price=world.price_sum / denom,

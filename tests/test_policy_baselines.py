@@ -11,21 +11,16 @@ from aflsim.policy_baselines import (
     price_lin,
     price_rand,
     resolve_policy,
-    subdel_greedy,
     subdel_rand,
 )
-from helpers import make_ctx, make_state, validate_decision
-
-
-def test_price_rand_degenerate_interval():
-    state = make_state(reserve_price_p_min=1.0, current_price_p=1.0)
-    assert price_rand(state, np.random.default_rng(0), p_cap=1.0) == 1.0
+from aflsim.policy_pas import subdelegation_cap
+from helpers import DEFAULTS, SETTINGS, make_ctx, make_state, validate_decision
 
 
 def test_price_rand_mean_matches_uniform():
     state = make_state(reserve_price_p_min=1.0, current_price_p=1.0)
     rng = np.random.default_rng(1)
-    draws = [price_rand(state, rng, p_cap=3.0) for _ in range(100_000)]
+    draws = [price_rand(state, rng, markup_max=0.5) for _ in range(100_000)]  # U(1, 3)
     assert sum(draws) / len(draws) == pytest.approx(2.0, abs=0.01)
 
 
@@ -33,7 +28,7 @@ def test_price_rand_support_bounds():
     state = make_state(reserve_price_p_min=1.0, current_price_p=1.0)
     rng = np.random.default_rng(2)
     for _ in range(2000):
-        p = price_rand(state, rng)  # default cap 2 * p_min * (1 + markup)
+        p = price_rand(state, rng, DEFAULTS.policy.markup_max)  # cap 2 * p_min * (1 + markup)
         assert 1.0 <= p <= 4.0
 
 
@@ -59,7 +54,6 @@ def test_random_prices_equal_rng_uniform_on_a_twin_generator():
         markup = float(draws.uniform(1e-6, 20.0))
         state = make_state(reserve_price_p_min=p_min, current_price_p=p_min)
         assert price_rand(state, direct, markup) == uniform.uniform(p_min, 2.0 * p_min * (1.0 + markup))
-        assert price_rand(state, direct, p_cap=3.0 * p_min) == uniform.uniform(p_min, 3.0 * p_min)
         assert price_ampp(state, direct, markup) == p_min * (1.0 + uniform.uniform(0.0, markup))
     assert direct.bit_generator.state == uniform.bit_generator.state
 
@@ -86,7 +80,7 @@ def test_lyapunov_price_tests_degeneracy_once_per_decision(monkeypatch):
         make_state(pending_q=1.0, reputation_r=1e-4),  # degenerate: below the floor
     ]
     for state in states:
-        decide_for_policy(POLICIES["pas-afl"], state, make_ctx(), None)
+        decide_for_policy(POLICIES["pas-afl"], state, make_ctx(), None, *SETTINGS)
     assert len(calls) == len(states)
 
 
@@ -113,16 +107,16 @@ def test_subdel_rand_support_is_exact():
 
 def test_subdel_greedy_values():
     ctx = make_ctx(eligible=True)
-    assert subdel_greedy(make_state(pending_q=6.0, s_max=3), ctx, 1) == 3
-    assert subdel_greedy(make_state(pending_q=1.0, s_max=3), ctx, 1) == 0
-    assert subdel_greedy(make_state(pending_q=6.0, s_max=3), make_ctx(), 1) == 0
+    assert subdelegation_cap(make_state(pending_q=6.0, s_max=3), ctx, 1) == 3
+    assert subdelegation_cap(make_state(pending_q=1.0, s_max=3), ctx, 1) == 0
+    assert subdelegation_cap(make_state(pending_q=6.0, s_max=3), make_ctx(), 1) == 0
 
 
 def test_baseline_joint_lin_greedy_composition():
     state = make_state(pending_q=6.0, s_max=3, theta_max=1, reserve_price_p_min=2.0,
                        current_price_p=2.0)
     ctx = make_ctx(avg_neighbor_price=1.0, eligible=True)
-    decision = decide_for_policy(POLICIES["lin-greedy"], state, ctx, np.random.default_rng(7))
+    decision = decide_for_policy(POLICIES["lin-greedy"], state, ctx, np.random.default_rng(7), *SETTINGS)
     assert decision.accept_x == 1
     assert decision.price_p == 3.0
     assert decision.work_theta == 1
@@ -132,7 +126,7 @@ def test_baseline_joint_lin_greedy_composition():
 
 def test_baseline_joint_zero_state():
     state = make_state(pending_q=0.0)
-    decision = decide_for_policy(POLICIES["rand-rand"], state, make_ctx(), np.random.default_rng(8))
+    decision = decide_for_policy(POLICIES["rand-rand"], state, make_ctx(), np.random.default_rng(8), *SETTINGS)
     assert decision.accept_x == 1
     assert decision.subdelegate_s == 0
     assert decision.work_theta == 0
@@ -141,8 +135,8 @@ def test_baseline_joint_zero_state():
 def test_baseline_joint_is_reproducible():
     state = make_state(pending_q=6.0, s_max=3, theta_max=1)
     ctx = make_ctx(avg_neighbor_price=1.0, eligible=True)
-    one = decide_for_policy(POLICIES["rand-rand"], state, ctx, np.random.default_rng(99))
-    two = decide_for_policy(POLICIES["rand-rand"], state, ctx, np.random.default_rng(99))
+    one = decide_for_policy(POLICIES["rand-rand"], state, ctx, np.random.default_rng(99), *SETTINGS)
+    two = decide_for_policy(POLICIES["rand-rand"], state, ctx, np.random.default_rng(99), *SETTINGS)
     assert one == two
 
 
@@ -171,7 +165,7 @@ def test_every_baseline_emits_valid_decisions():
             eligible=rng.integers(2),
         )
         name = BASELINE_NAMES[int(rng.integers(len(BASELINE_NAMES)))]
-        decision = decide_for_policy(POLICIES[name], state, ctx, policy_rng)
+        decision = decide_for_policy(POLICIES[name], state, ctx, policy_rng, *SETTINGS)
         violation = validate_decision(state, decision)
         assert violation is None, f"{name} violated {violation}"
 
@@ -202,15 +196,15 @@ def test_ablation_decision_traces_share_unablated_components():
             s_max=3,
         )
         ctx = make_ctx(avg_neighbor_price=float(rng.uniform(0.2, 5.0)), eligible=True)
-        pas = decide_for_policy(POLICIES["pas-afl"], state, ctx, np.random.default_rng(1))
+        pas = decide_for_policy(POLICIES["pas-afl"], state, ctx, np.random.default_rng(1), *SETTINGS)
         # pricing ablations keep the work and sub-delegation decisions
         for name in ("pas-nopricing-rand", "pas-nopricing-ampp", "pas-nopricing-lin"):
-            ablated = decide_for_policy(POLICIES[name], state, ctx, np.random.default_rng(1))
+            ablated = decide_for_policy(POLICIES[name], state, ctx, np.random.default_rng(1), *SETTINGS)
             assert ablated.work_theta == pas.work_theta
             assert ablated.subdelegate_s == pas.subdelegate_s
         # sub-delegation ablations keep work, price, and acceptance
         for name in ("pas-nosubdel-rand", "pas-nosubdel-greedy"):
-            ablated = decide_for_policy(POLICIES[name], state, ctx, np.random.default_rng(1))
+            ablated = decide_for_policy(POLICIES[name], state, ctx, np.random.default_rng(1), *SETTINGS)
             assert ablated.work_theta == pas.work_theta
             assert ablated.price_p == pas.price_p
             assert ablated.accept_x == pas.accept_x

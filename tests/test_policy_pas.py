@@ -8,13 +8,12 @@ from aflsim.market import build_world
 from aflsim.policy_baselines import POLICIES, decide_for_policy
 from aflsim.policy_pas import (
     decide_acceptance,
-    decide_price,
     decide_subdelegation,
     decide_work,
     eligible_delegates,
     price_is_degenerate,
 )
-from helpers import make_ctx, make_state, trust_network, validate_decision
+from helpers import R_FLOOR, SETTINGS, lyapunov_price, make_ctx, make_state, trust_network, validate_decision
 
 PAS = POLICIES["pas-afl"]
 
@@ -130,23 +129,23 @@ def test_subdelegation_respects_cap():
 
 
 def test_price_hand_values():
-    assert decide_price(make_state(reserve_price_p_min=1.0, pending_q=4.0,
+    assert lyapunov_price(make_state(reserve_price_p_min=1.0, pending_q=4.0,
                                    availability_rho=1.0, reputation_r=0.5)) == 4.0
-    assert decide_price(make_state(reserve_price_p_min=1.0, pending_q=0.0)) == 1.0
-    assert decide_price(make_state(reserve_price_p_min=0.5, current_price_p=0.5, pending_q=10.0,
+    assert lyapunov_price(make_state(reserve_price_p_min=1.0, pending_q=0.0)) == 1.0
+    assert lyapunov_price(make_state(reserve_price_p_min=0.5, current_price_p=0.5, pending_q=10.0,
                                    availability_rho=2.0, reputation_r=1.0)) == 2.5
 
 
 def test_price_degenerate_availability_falls_back_to_reserve():
     state = make_state(availability_rho=0.0, pending_q=50.0)
-    assert price_is_degenerate(state)
-    assert decide_price(state) == state.reserve_price_p_min
+    assert price_is_degenerate(state, R_FLOOR)
+    assert lyapunov_price(state) == state.reserve_price_p_min
 
 
 def test_price_degenerate_reputation_falls_back_to_reserve():
     state = make_state(reputation_r=1e-6, pending_q=50.0)
-    assert price_is_degenerate(state)
-    assert decide_price(state) == state.reserve_price_p_min
+    assert price_is_degenerate(state, R_FLOOR)
+    assert lyapunov_price(state) == state.reserve_price_p_min
 
 
 def test_acceptance_hand_values():
@@ -159,8 +158,8 @@ def test_acceptance_hand_values():
 
 
 def test_work_greedy_and_threshold_modes():
-    assert decide_work(make_state(pending_q=5.3, theta_max=2)) == 2
-    assert decide_work(make_state(pending_q=0.0)) == 0
+    assert decide_work(make_state(pending_q=5.3, theta_max=2), "greedy") == 2
+    assert decide_work(make_state(pending_q=0.0), "greedy") == 0
     busy = make_state(availability_rho=1.0, unit_cost_c=10.0, pending_q=1.0, urgency_Q=1.0)
     assert decide_work(busy, mode="threshold") == 0
     pressured = make_state(availability_rho=1.0, unit_cost_c=0.1, pending_q=3.0, urgency_Q=1.0,
@@ -174,7 +173,7 @@ def test_joint_composes_component_rules():
     state = make_state(availability_rho=1.0, reputation_r=0.5, pending_q=3.0, urgency_Q=2.0,
                        theta_max=1, s_max=5, reserve_price_p_min=1.0)
     ctx = make_ctx(avg_neighbor_price=1.0, eligible=True)
-    decision = decide_for_policy(PAS, state, ctx, None)
+    decision = decide_for_policy(PAS, state, ctx, None, *SETTINGS)
     assert decision.work_theta == 1
     assert decision.subdelegate_s == 2
     assert decision.price_p == 3.0  # max(1, 3 / (2 * 1 * 0.5))
@@ -185,17 +184,17 @@ def test_joint_composes_component_rules():
 
 def test_joint_zero_queue_accepts_iff_reserve_revenue_positive():
     state = make_state(pending_q=0.0, availability_rho=1.0, reputation_r=0.5)
-    decision = decide_for_policy(PAS, state, make_ctx(), None)
+    decision = decide_for_policy(PAS, state, make_ctx(), None, *SETTINGS)
     assert decision.accept_x == 1
     assert decision.price_p == state.reserve_price_p_min
     zero_rho = make_state(pending_q=0.0, availability_rho=0.0)
-    assert decide_for_policy(PAS, zero_rho, make_ctx(), None).accept_x == 0
+    assert decide_for_policy(PAS, zero_rho, make_ctx(), None, *SETTINGS).accept_x == 0
 
 
 def test_joint_without_network_never_delegates():
     state = make_state(pending_q=8.0, urgency_Q=9.0, theta_max=1, s_max=5)
     ctx = make_ctx(avg_neighbor_price=math.inf)
-    decision = decide_for_policy(PAS, state, ctx, None)
+    decision = decide_for_policy(PAS, state, ctx, None, *SETTINGS)
     assert decision.subdelegate_s == 0
     assert decision.work_theta == 1
 
@@ -220,7 +219,7 @@ def test_acceptance_implies_nonnegative_joint_term():
     rng = np.random.default_rng(21)
     for _ in range(1000):
         state = _random_state(rng)
-        price = decide_price(state)
+        price = lyapunov_price(state)
         if decide_acceptance(state, price) == 1:
             for f in rng.uniform(0.0, 5.0, size=3):
                 term = state.availability_rho * price * state.reputation_r * f - state.pending_q * f
@@ -264,7 +263,7 @@ def test_price_scale_invariance():
                 pending_q=lam * state.pending_q,
                 urgency_Q=lam * state.urgency_Q,
             )
-            assert decide_price(scaled) == pytest.approx(lam * decide_price(state), rel=1e-12)
+            assert lyapunov_price(scaled) == pytest.approx(lam * lyapunov_price(state), rel=1e-12)
 
             pbar = float(rng.uniform(0.2, 5.0))
             ctx = make_ctx(avg_neighbor_price=pbar, eligible=True)
