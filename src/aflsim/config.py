@@ -241,8 +241,10 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
     square = schedule["kind"] == "square"
     names = (policy.assignment,) if isinstance(policy.assignment, str) else policy.assignment
     budget = f"must fit the {MEMORY_BUDGET}-byte memory budget"
-    # Only the demand model evaluates exp(a0 + a3*eps) and r**a1.
+    # Only the demand model evaluates exp(a0 + a3*eps) and r**a1; an overflow names the larger term, then factor.
     demand = market.arrival_mode == "demand-model"
+    eps_term = c.a3 * do.epsilon[1]
+    exp_field = "constants.a0" if c.a0 >= eps_term else "constants.a3" if c.a3 >= do.epsilon[1] else "do_params.epsilon"
     return [
         ("n_dos", cfg.n_dos >= 1, "must be >= 1"),
         ("n_dos", cfg.n_dos**2 * ADJACENCY_BYTES <= MEMORY_BUDGET, f"its trust adjacency {budget}"),
@@ -298,8 +300,8 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
         ("seeds", len(set(cfg.seeds)) == len(cfg.seeds), "seeds must be unique"),
         ("seeds", all(s >= 0 for s in cfg.seeds), "seeds must be >= 0"),
         (
-            "constants.a0",
-            not demand or c.a0 + c.a3 * do.epsilon[1] <= math.log(sys.float_info.max),
+            exp_field,
+            not demand or c.a0 + eps_term <= math.log(sys.float_info.max),
             "a0 + a3 * epsilon_high must not overflow exp() in demand-model mode",
         ),
         (

@@ -22,7 +22,6 @@ import json
 import statistics
 import sys
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -81,26 +80,25 @@ def run_scenario(
 ) -> RunResult:
     """Run one seeded world for the configured horizon.
 
-    With `csv_path` set, metrics stream to disk as they are produced.
+    With `csv_path` set, the CSV header goes out first and each step's
+    metrics rows follow, through `_write_rows`, as the step produces them.
     """
     world = build_world(config, seed, policy_override=policy)
 
     mean_q = np.empty(config.horizon_T)
     max_Q = np.empty(config.horizon_T)
 
-    writer = None
     handle = None
     if csv_path is not None:
         handle = open(csv_path, "w", newline="", encoding="utf-8")
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
+        handle.write(",".join(CSV_COLUMNS) + "\r\n")
     try:
         for t in range(config.horizon_T):
             metrics = step(world)
             mean_q[t] = sequential_sum(metrics["pending_q"]) / config.n_dos
             max_Q[t] = metrics["urgency_Q"].max()
-            if writer is not None:
-                writer.writerows(_csv_rows(metrics))
+            if handle is not None:
+                _write_rows(handle, metrics)
     finally:
         if handle is not None:
             handle.close()
@@ -118,16 +116,13 @@ def run_scenario(
     )
 
 
-def _csv_rows(metrics: dict[str, np.ndarray]):
-    """One row of strings per DO: floats to 9 significant digits.  A
-    generator, so that the rows are formatted as the writer takes them."""
-    columns = (metrics[name] for name in CSV_COLUMNS)
-    yield from zip(
-        *(
-            map(format, column.tolist(), repeat(".9g")) if column.dtype.kind == "f" else map(str, column.tolist())
-            for column in columns
-        )
-    )
+def _write_rows(handle, metrics: dict[str, np.ndarray]) -> None:
+    """Write one step's metrics in one call, a CSV line per DO: `%d` for integer columns, `%.9g` for
+    float ones.  `%` and `format` share CPython's float formatting and no number needs quoting, so
+    the bytes are those of `csv.writer` over `format(v, ".9g")`."""
+    columns = [metrics[name] for name in CSV_COLUMNS]
+    fmt = ",".join("%.9g" if column.dtype.kind == "f" else "%d" for column in columns) + "\r\n"
+    handle.write("".join(map(fmt.__mod__, zip(*(column.tolist() for column in columns)))))
 
 
 def _summarize(policy: str, results: list[RunResult]) -> PolicySummary:
@@ -175,6 +170,8 @@ def run_preset(
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
     seeds = [s + seed_offset for s in config.seeds]
+    if min(seeds) < 0:
+        raise ConfigError("seeds", f"seed offset {seed_offset} makes seed {min(seeds)} negative")
     if policies is None:
         cells = [(None, str(config.policy.assignment), out)]
     else:

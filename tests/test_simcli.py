@@ -1,17 +1,21 @@
 import csv
+import io
 import json
 import math
 import statistics
+import sys
+from itertools import repeat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from aflsim.config import ConfigError, load_config, resolve_config
 from aflsim.core import CSV_COLUMNS
 from aflsim.simcli import (
     COMPARE_POLICIES,
     MissingArtifactError,
-    _csv_rows,
+    _write_rows,
     emit_plot_data,
     main,
     run_preset,
@@ -23,6 +27,26 @@ TINY = {
     "seeds": [1, 2],
     "do_params": {"q0": [0, 4]},
 }
+
+
+def written_rows(metrics) -> list[tuple[str, ...]]:
+    """The fields of each line `_write_rows` writes for one step's metrics."""
+    handle = io.StringIO()
+    _write_rows(handle, metrics)
+    text = handle.getvalue()
+    assert text.endswith("\r\n")
+    return [tuple(line.split(",")) for line in text.split("\r\n")[:-1]]
+
+
+def reference_rows_text(metrics) -> str:
+    """One step's metrics as `csv.writer` writes them from `format(v, ".9g")`
+    for float columns and `str` for the rest."""
+    handle = io.StringIO()
+    columns = (metrics[name] for name in CSV_COLUMNS)
+    csv.writer(handle).writerows(
+        zip(*(map(format, c.tolist(), repeat(".9g")) if c.dtype.kind == "f" else map(str, c.tolist()) for c in columns))
+    )
+    return handle.getvalue()
 
 
 def test_csv_rows_format_floats():
@@ -38,7 +62,7 @@ def test_csv_rows_format_floats():
         "price_p": np.array([1.0, 2.5]),
         "reputation_r": np.array([0.5, 1.0]),
     }
-    row = list(_csv_rows(metrics))[0]
+    row = written_rows(metrics)[0]
     assert row[0] == "3" and row[1] == "0"
     assert row[2] == "0.123456789"
     assert row[3] == "2"
@@ -46,9 +70,40 @@ def test_csv_rows_format_floats():
 
 def test_csv_float_format_matches_the_fstring_on_edge_values():
     values = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308, 3.0, -7.0, 1e16, 0.1]
-    rows = list(_csv_rows({name: np.array(values) for name in CSV_COLUMNS}))
+    rows = written_rows({name: np.array(values) for name in CSV_COLUMNS})
     assert rows == [(f"{v:.9g}",) * len(CSV_COLUMNS) for v in values]
     assert [row[0] for row in rows[:4]] == ["-0", "0", "inf", "-inf"]
+
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, sys.float_info.max, 3.0, -7.0, 1e16]
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def step_metrics(draw):
+    """One step's metrics for 1 to 5 DOs, each column int64 or float64."""
+    n = draw(st.integers(1, 5))
+    metrics = {}
+    for name in CSV_COLUMNS:
+        if draw(st.booleans()):
+            metrics[name] = np.array(draw(st.lists(INT64, min_size=n, max_size=n)), dtype=np.int64)
+        else:
+            values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+            metrics[name] = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+    return metrics
+
+
+# A single row that mixes the int64 extremes with the float edge values.
+ONE_ROW = [-(2**63), 2**63 - 1, -0.0, math.nan, math.inf, -1, 5e-324, 0, sys.float_info.max, 2.0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(metrics=step_metrics())
+@example(metrics={name: np.array([value]) for name, value in zip(CSV_COLUMNS, ONE_ROW)})
+def test_write_rows_matches_the_csv_writer_reference(metrics):
+    handle = io.StringIO()
+    _write_rows(handle, metrics)
+    assert handle.getvalue() == reference_rows_text(metrics)
 
 
 def test_defaults_fill_minimal_config():
@@ -156,6 +211,18 @@ def test_seed_offset_shifts_all_seeds(tmp_path):
     assert (tmp_path / "metrics_seed101.csv").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["seeds"] == [101, 102]
+
+
+def test_negative_shifted_seed_is_rejected_before_any_output(tmp_path):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"n_dos": 4, "horizon_T": 4, "seeds": [1]}))
+    with pytest.raises(ConfigError) as err:
+        run_preset(load_config(config_path), out_dir=tmp_path / "direct", seed_offset=-5)
+    assert err.value.field == "seeds"
+    out = tmp_path / "cmp"
+    code = main(["--quiet", "compare", "--config", str(config_path), "--out", str(out), "--seed-offset", "-5"])
+    assert code == 2
+    assert not out.exists() and not (tmp_path / "direct").exists()
 
 
 def test_summary_matches_independent_csv_pass(tmp_path):
