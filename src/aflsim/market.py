@@ -13,14 +13,17 @@ One simulation step runs a fixed pipeline:
 
 The world holds its state as numpy columns: a `STATE` record per data owner
 and one `TASK` array of every pending task, grouped by owner in FIFO order.
+Records move whole, by np.take, np.compress and joins of raw-byte views, as
+fancy indexing, masks and np.concatenate copy them one field at a time.
 Each phase is a whole-array pass around at most one irreducible per-element
 operation: the decision call per DO, the Poisson draw per accepting DO in
 demand-model arrivals (on that DO's own generator), and the walk over the
 tasks each delegator moves, since each transfer uses up capacity the next
 one sees.  Everything is deterministic given the scenario seed.  Audits
-(task conservation, admission caps, state invariants, delegation depth, and
-the payment ledgers against admitted and moved task counts, bids, budgets
-and carried payments) run every step and raise immediately on violation.
+(task conservation, admission caps, state invariants, delegation depth,
+queue order, and the payment ledgers against admitted and moved task counts,
+bids, budgets and carried payments) run every step and raise immediately on
+violation.
 
 The six model-user bidding strategies are parameterized stand-ins: each gets
 a distinct target ordering and bid shape, and every data-owner policy in a
@@ -250,11 +253,11 @@ def run_auction(
     cap went to that DO.
     """
     requests = _mu_requests(valuations, states, price, mu_rngs, mu)
-    requests = requests[np.argsort(-requests["offer"], kind="stable")]
+    requests = np.take(requests, np.argsort(-requests["offer"], kind="stable"))
     do = requests["payee"]
-    requests = requests[(accept[do] == 1) & (requests["offer"] >= price[do])]
+    requests = np.compress((accept[do] == 1) & (requests["offer"] >= price[do]), requests)
     cap = np.minimum(states["theta_max"], states["kappa_max"] - 1)
-    cleared = requests[_rank_within(requests["payee"]) < cap[requests["payee"]]]
+    cleared = np.compress(_rank_within(requests["payee"]) < cap[requests["payee"]], requests)
     cleared["amount"] = price[cleared["payee"]]
 
     tasks, next_task_id = _new_tasks(cleared["payee"], cleared["amount"], step_index, next_task_id)
@@ -290,10 +293,10 @@ def route_subdelegations(
     their payment rewritten to what the delegate was paid.  `capacity_left`
     is each DO's room for tasks delegated to it this step.
 
-    Candidates and trusted neighbours are sorted for every delegator at once.
-    Only the walk over tasks stays in Python, because each transfer uses up
-    capacity the next one sees.  Capacity only falls within a step, so each
-    delegator keeps a pointer into its neighbour list past the full ones.
+    Each walk is set up from its delegator's own rows: its tasks, cut to its
+    goal, and its trusted neighbours as flat (delegator, neighbour) pairs.
+    Only the walk stays in Python, as each transfer uses up capacity the next
+    one sees; capacity only falls, so a pointer skips the full neighbours.
     """
     n = len(states)
     s_realized = dict.fromkeys(range(n), 0)
@@ -301,31 +304,38 @@ def route_subdelegations(
     goals = {do_id: d.subdelegate_s for do_id, d in decisions.items() if d.subdelegate_s > 0}
     if goals:
         delegators = np.fromiter(goals, dtype=np.intp, count=len(goals))
-        delegating = np.zeros(n, dtype=bool)
-        delegating[delegators] = True
-        # Every delegator's tasks below the depth cap, best-paying first, of
-        # which it walks at most its goal.
+        goal = np.zeros(n, dtype=np.intp)
+        goal[delegators] = list(goals.values())
+        # Every delegator's tasks below the depth cap, best-paying first, ties
+        # by id, cut to the goal it walks.
         owner = queue["owner"]
-        rows = np.flatnonzero(delegating[owner] & (queue["depth"] < depth_max))
+        rows = np.flatnonzero((goal[owner] > 0) & (queue["depth"] < depth_max))
         rows = rows[np.lexsort((queue["id"][rows], -queue["payment"][rows], owner[rows]))]
+        first = _group_starts(owner[rows], n)[0]
+        rows = rows[np.arange(len(rows)) - first[owner[rows]] < goal[owner[rows]]]
+        pay = queue["payment"][rows]
         task_first, task_count = (column[delegators] for column in _group_starts(owner[rows], n))
-        # Every delegator's trusted neighbours, cheapest first, ties by id, as
-        # slices of one flat list.
-        by_price = np.argsort(prices, kind="stable")
-        trusted = network.adjacency[delegators][:, by_price]
-        trusted &= reps[by_price] >= states["rep_threshold_r_min"][delegators, None]
-        delegator_of, rank = np.nonzero(trusted)
-        neighbours = by_price[rank].tolist()
-        neighbour_first, neighbour_count = _group_starts(delegator_of, len(goals))
+        # Their trusted neighbours, cheapest first, ties by id, as slices of
+        # one flat list.  One dearer than the delegator's best task would end
+        # its walk, as the list's end does, so it is left out.
+        best = np.where(task_count > 0, np.append(pay, -math.inf)[task_first], -math.inf)
+        price_rank = np.empty(n, dtype=np.intp)
+        price_rank[np.argsort(prices, kind="stable")] = np.arange(n)
+        delegator_of, neighbour = np.divmod(np.flatnonzero(network.adjacency[delegators]), n)
+        r_min = states["rep_threshold_r_min"][delegators][delegator_of]
+        trusted = (reps[neighbour] >= r_min) & (prices[neighbour] <= best[delegator_of])
+        delegator_of, neighbour = delegator_of[trusted], neighbour[trusted]
+        neighbours = neighbour[np.argsort(delegator_of * n + price_rank[neighbour])].tolist()
+        neighbour_first, neighbour_count = _group_starts(delegator_of, len(delegators))
 
         capacity = capacity_left.tolist()
         price_of = prices.tolist()
         candidates = rows.tolist()
-        candidate_pay = queue["payment"][rows].tolist()
+        candidate_pay = pay.tolist()
         walks = zip(
             goals,
             task_first.tolist(),
-            (task_first + np.minimum(task_count, list(goals.values()))).tolist(),
+            (task_first + task_count).tolist(),
             neighbour_first.tolist(),
             (neighbour_first + neighbour_count).tolist(),
         )
@@ -343,7 +353,7 @@ def route_subdelegations(
     moved = np.array(moved, dtype=np.intp)
     delegates = np.array(delegates, dtype=np.intp)
     paid = prices[delegates]
-    carried = queue[moved]
+    carried = np.take(queue, moved)
     incoming = _records(
         TASK,
         len(moved),
@@ -623,7 +633,7 @@ def step(world: World) -> dict[str, np.ndarray]:
     # 6. Work: each DO completes the front of what routing left it.
     kept = np.ones(len(world.queue), dtype=bool)
     kept[routing.moved] = False
-    queue = world.queue[kept]
+    queue = np.compress(kept, world.queue)
     starts, counts = _group_starts(queue["owner"], n)
     short = np.flatnonzero(theta > counts)
     if short.size:
@@ -645,9 +655,11 @@ def step(world: World) -> dict[str, np.ndarray]:
     )
     arrivals_total = x * kappa + delegated_in
 
-    # 8. Commit: survivors, then auction arrivals, then delegated tasks.
-    queue = np.concatenate((queue[~worked], auction.tasks, routing.incoming), dtype=TASK)
-    world.queue = queue[np.argsort(queue["owner"], kind="stable")]
+    # 8. Commit: survivors, then auction arrivals, then delegated tasks, as raw bytes.
+    parts = (np.compress(~worked, queue), auction.tasks, routing.incoming)
+    queue = np.concatenate([part.view((np.void, TASK.itemsize)) for part in parts]).view(TASK)
+    del parts  # the survivors' copy need not outlive the join
+    world.queue = np.take(queue, np.argsort(queue["owner"], kind="stable"))
     states["pending_q"] = new_q
     states["urgency_Q"] = new_Q
     states["reputation_r"] = new_r
@@ -737,7 +749,14 @@ def _run_step_audits(
     _check(kappa > cap, lambda i: f"DO {i} admitted {kappa[i]} > cap {cap[i]}")
     _check(kappa + received > states["kappa_max"] - 1, lambda i: f"DO {i} total arrivals exceed kappa_max - 1")
 
-    held = np.bincount(queue["owner"], minlength=n)
+    # Work, routing and the commit take each owner's tasks as one FIFO group.
+    owner, arrival, ids = queue["owner"], queue["arrival"], queue["id"]
+    _check(
+        (owner[1:] < owner[:-1]) | ((owner[1:] == owner[:-1]) & (arrival[1:] < arrival[:-1])),
+        lambda j: f"DO {owner[j + 1]} holds task {ids[j + 1]} (arrival {arrival[j + 1]}) queued behind "
+        f"DO {owner[j]}'s task {ids[j]} (arrival {arrival[j]})",
+    )
+    held = np.bincount(owner, minlength=n)
     _check(
         states["pending_q"] != held,
         lambda i: f"DO {i} virtual queue {states['pending_q'][i]} != physical queue {held[i]}",
@@ -745,11 +764,11 @@ def _run_step_audits(
     depth_max = world.config.market.delegation_depth_max
     _check(
         queue["depth"] > depth_max,
-        lambda j: f"DO {queue['owner'][j]} holds task {queue['id'][j]} at depth {queue['depth'][j]} > cap {depth_max}",
+        lambda j: f"DO {owner[j]} holds task {ids[j]} at depth {queue['depth'][j]} > cap {depth_max}",
     )
     _check(
         queue["payment"] <= 0.0,
-        lambda j: f"DO {queue['owner'][j]} holds task {queue['id'][j]} paying {queue['payment'][j]}",
+        lambda j: f"DO {owner[j]} holds task {ids[j]} paying {queue['payment'][j]}",
     )
     invalid = validate_states(states)
     if invalid is not None:

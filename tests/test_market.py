@@ -539,6 +539,28 @@ DEPTH_AND_ZERO_GOAL = (
     [3, 0, 0, 0], [0, 0, 3, 3], 1,
 )
 
+# DO 0's goal of 1 cuts between its two tasks paying 2.0; ids 2 and 1 in
+# queue order, so the id tie-break moves the second row.
+EQUAL_PAY_CUT = (
+    [1.0, 0.5], [0.9, 0.9], [0.5, 0.0], [(0, 1)],
+    [(0, 2.0, 0), (0, 2.0, 0), (1, 1.0, 0)],
+    [1, 0], [0, 3], 2,
+)
+# Both of DO 0's neighbours are below its threshold of 0.8; DO 3, with a
+# threshold of 0.5, delegates to neighbour 1, which DO 0 may not.
+BELOW_R_MIN = (
+    [1.0, 0.5, 0.5, 1.0], [0.9, 0.6, 0.3, 0.9], [0.8, 0.0, 0.0, 0.5], [(0, 1), (0, 2), (1, 3)],
+    [(0, 2.0, 0), (0, 2.0, 0), (3, 2.0, 0)],
+    [2, 0, 0, 1], [0, 3, 3, 0], 1,
+)
+# DO 0 takes neighbour 2's only slot; DO 1's neighbours are then 2, full, and
+# 3, which had no room to begin with, so its walk moves nothing.
+FULL_BEFORE_WALK = (
+    [1.0, 1.0, 0.5, 0.5], [0.9] * 4, [0.5, 0.5, 0.0, 0.0], [(0, 2), (1, 2), (1, 3)],
+    [(0, 2.0, 0), (1, 2.0, 0), (1, 1.2, 0)],
+    [1, 2, 0, 0], [0, 0, 1, 0], 1,
+)
+
 
 def _routing_case(case):
     """`route_subdelegations`' arguments, capacity last, for a case of `routing_cases`."""
@@ -558,6 +580,9 @@ def _routing_case(case):
 @given(case=routing_cases())
 @example(case=SHARED_NEIGHBOURS)
 @example(case=DEPTH_AND_ZERO_GOAL)
+@example(case=EQUAL_PAY_CUT)
+@example(case=BELOW_R_MIN)
+@example(case=FULL_BEFORE_WALK)
 def test_pointer_walk_routing_matches_the_per_task_scan(case):
     *args, capacity, depth_max = _routing_case(case)
     got = route_subdelegations(*args, capacity, depth_max, 4)
@@ -574,6 +599,20 @@ def test_routing_examples_cover_what_they_claim():
     # Both shared neighbours, with room for two tasks each, fill up.
     assert _paid(outcome.payments) == [(0, 2, 0.5), (0, 2, 0.5), (0, 3, 0.5), (1, 3, 0.5)]
     *args, capacity, depth_max = _routing_case(DEPTH_AND_ZERO_GOAL)
+    outcome = route_subdelegations(*args, capacity, depth_max, 0)
+    assert _paid(outcome.payments) == [(0, 2, 0.5)]
+    assert outcome.s_realized == {0: 1, 1: 0, 2: 0, 3: 0}
+    *args, capacity, depth_max = _routing_case(EQUAL_PAY_CUT)
+    queue = args[1]
+    assert queue["id"][:2].tolist() == [2, 1] and queue["payment"][:2].tolist() == [2.0, 2.0]
+    outcome = route_subdelegations(*args, capacity, depth_max, 0)
+    assert outcome.moved.tolist() == [1]
+    assert outcome.incoming["id"].tolist() == [1]
+    *args, capacity, depth_max = _routing_case(BELOW_R_MIN)
+    outcome = route_subdelegations(*args, capacity, depth_max, 0)
+    assert _paid(outcome.payments) == [(3, 1, 0.5)]
+    assert outcome.s_realized == {0: 0, 1: 0, 2: 0, 3: 1}
+    *args, capacity, depth_max = _routing_case(FULL_BEFORE_WALK)
     outcome = route_subdelegations(*args, capacity, depth_max, 0)
     assert _paid(outcome.payments) == [(0, 2, 0.5)]
     assert outcome.s_realized == {0: 1, 1: 0, 2: 0, 3: 0}
@@ -869,6 +908,17 @@ def test_auction_budget_audit_catches_one_mu_billed_for_all(monkeypatch):
 )
 def test_delegation_ledger_audit_catches_a_tampered_entry(monkeypatch, tamper, message):
     _step_until_tampered(monkeypatch, "route_subdelegations", tamper, "lin-greedy", message)
+
+
+def _backdate(outcome):
+    outcome.incoming["arrival"][0] = -1  # older than any task its delegate already holds
+
+
+def test_queue_order_audit_catches_a_backdated_delegated_task(monkeypatch):
+    _step_until_tampered(
+        monkeypatch, "route_subdelegations", _backdate, "lin-greedy",
+        r"DO \d+ holds task \d+ \(arrival -1\) queued behind DO \d+'s task \d+ \(arrival \d+\)",
+    )
 
 
 @pytest.mark.parametrize(
