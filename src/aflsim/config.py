@@ -272,6 +272,7 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
         ("do_params.q0_payment_markup", do.q0_payment_markup[0] > 0, "must be > 0"),
         ("do_params.rho_schedule.period", not square or schedule["period"] >= 1, "must be >= 1"),
         ("do_params.rho_schedule.low_scale", not square or schedule["low_scale"] >= 0, "must be >= 0"),
+        ("do_params.rho_schedule.low_scale", not square or math.isfinite(do.rho[1] * schedule["low_scale"]), "rho_high * low_scale must be finite"),
         ("mu.budget_per_step", mu.budget_per_step >= 0, "must be >= 0"),
         ("mu.valuation_markup", mu.valuation_markup[0] >= 0, "must be >= 0"),
         ("mu.strategies", all(s in MU_STRATEGY_NAMES for s in mu.strategies), f"unknown strategy in {list(mu.strategies)}"),
@@ -295,7 +296,8 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
             math.isfinite(2.0 * do.p_min[1] * (1.0 + policy.markup_max)),
             "2 * p_min_high * (1 + markup_max) must be finite",
         ),
-        ("policy.lin_gain", policy.lin_gain > 0, "must be > 0"),
+        ("policy.lin_gain", policy.lin_gain >= 1, "must be >= 1, or a lin price falls below the reserve"),
+        ("policy.lin_gain", math.isfinite(do.p_min[1] * policy.lin_gain), "p_min_high * lin_gain must be finite"),
         ("seeds", len(cfg.seeds) > 0, "seed list must be nonempty"),
         ("seeds", len(set(cfg.seeds)) == len(cfg.seeds), "seeds must be unique"),
         ("seeds", all(s >= 0 for s in cfg.seeds), "seeds must be >= 0"),

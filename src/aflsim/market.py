@@ -2,7 +2,7 @@
 
 One simulation step runs a fixed pipeline:
 
-  1. snapshot neighbour prices and reputations into delegation contexts,
+  1. snapshot mean neighbour prices and, where read, delegate eligibility,
   2. every data owner decides jointly against that snapshot,
   3. the auction clears model-user requests at posted prices,
   4. sub-delegations route to eligible neighbours (tasks land next step),
@@ -51,7 +51,7 @@ from .core import (
 )
 from .demand import expected_demand, realize_demand, zeta
 from .policy_baselines import decide_for_policy, resolve_policy
-from .policy_pas import DelegationContext, eligible_delegates
+from .policy_pas import eligible_delegates, outweighs_queues
 from .queues import update_pending_queue, update_urgency_queue, utility
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -419,6 +419,7 @@ class World:
         self.mu_rngs = [np.random.default_rng([seed, _STREAM_MU, j, 1000]) for j in range(n_mus)]
         names = [policy_override or config.policy_name_for(i) for i in range(n)]
         self.policy_specs = [resolve_policy(name) for name in names]
+        self._threshold_rule = np.array([spec.subdel_rule == "threshold" for spec in self.policy_specs])
         # Generators are built only for the streams a run draws from; each is
         # seeded per DO, so which others exist changes none of its numbers.
         self.policy_rngs = [
@@ -494,33 +495,34 @@ class World:
         rows = zip(*(self.states[name].tolist() for name in STATE.names))
         return list(map(tuple.__new__, repeat(DataOwnerState), rows))
 
-    def _build_contexts(self, prices: np.ndarray, reps: np.ndarray) -> list[DelegationContext]:
-        """Every DO's delegation context against the step's price and reputation snapshot.
+    def _build_contexts(self, prices: np.ndarray, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every DO's mean neighbour price (inf without neighbours) and whether a
+        neighbour could take its best-paying task below the delegation-depth cap.
 
-        Eligibility is only asked of a DO that may delegate this step, and is
-        judged against its best-paying task below the delegation-depth cap.
+        Only a DO that may delegate and whose rule reads the answer is asked; a
+        threshold-rule DO whose sign test keeps its tasks local reads False.
         """
         cfg = self.config
         states = self.states
         n = len(states)
         avg = np.divide(self._adj @ prices, self._deg, out=np.full(n, math.inf), where=self._deg > 0)
 
-        floor_q = np.floor(states["pending_q"])
-        if cfg.policy.work_mode == "threshold":
-            may_delegate = floor_q > 0
-        else:
-            may_delegate = floor_q > states["theta_max"]
+        least_work = 0 if cfg.policy.work_mode == "threshold" else states["theta_max"]
+        may_delegate = np.floor(states["pending_q"]) > least_work
+        # As on floats, rho = 0 beside avg = inf gives nan and a huge product gives inf.
+        with np.errstate(invalid="ignore", over="ignore"):
+            local = outweighs_queues(states["availability_rho"], avg, states["pending_q"], states["urgency_Q"])
         queue = self.queue
         routable = queue["depth"] < cfg.market.delegation_depth_max
         best = np.full(n, -math.inf)
         np.maximum.at(best, queue["owner"][routable], queue["payment"][routable])
-        asked = np.flatnonzero(may_delegate & (best > -math.inf))
+        asked = np.flatnonzero(may_delegate & ~(self._threshold_rule & local) & (best > -math.inf))
 
         eligible = np.zeros(n, dtype=bool)
         eligible[asked] = eligible_delegates(
             self.network.adjacency[asked], prices, reps, best[asked], states["rep_threshold_r_min"][asked]
         )
-        return list(map(tuple.__new__, repeat(DelegationContext), zip(avg.tolist(), eligible.tolist())))
+        return avg, eligible
 
 
 def _expected_demand(world: World, rows: np.ndarray, price: np.ndarray) -> np.ndarray:
@@ -586,13 +588,13 @@ def step(world: World) -> dict[str, np.ndarray]:
     # 1. Snapshot the decision inputs; policies must only see last step's market.
     prices = states["current_price_p"].copy()
     reps = states["reputation_r"].copy()
-    contexts = world._build_contexts(prices, reps)
+    avg, eligible = world._build_contexts(prices, reps)
 
     # 2. Joint decisions, one call per DO against its view of the columns.
     # The settings go positionally: a keyword partial costs more per call.
     policy = cfg.policy
     decisions = dict(enumerate(map(
-        decide_for_policy, world.policy_specs, world.views(), contexts, world.policy_rngs,
+        decide_for_policy, world.policy_specs, world.views(), avg.tolist(), eligible.tolist(), world.policy_rngs,
         repeat(policy.markup_max), repeat(policy.lin_gain), repeat(policy.work_mode), repeat(cfg.market.r_floor),
     )))
 
@@ -648,10 +650,9 @@ def step(world: World) -> dict[str, np.ndarray]:
     # 7. Queues, utility and reputation.
     s_done = np.fromiter(routing.s_realized.values(), dtype=np.intp, count=n)
     delegated_in = np.bincount(routing.incoming["owner"], minlength=n)
-    avg_neighbor_price = np.fromiter(map(attrgetter("avg_neighbor_price"), contexts), dtype=float, count=n)
     u, new_q, new_Q, new_r, new_mp = settle(
         states, x, price, theta, s_done, kappa, delegated_in, on_time,
-        avg_neighbor_price, cfg.reputation.ema_beta, cfg.market.r_floor,
+        avg, cfg.reputation.ema_beta, cfg.market.r_floor,
     )
     arrivals_total = x * kappa + delegated_in
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .core import DataOwnerState, StepDecision
 from .policy_pas import (
-    DelegationContext,
     decide_acceptance,
     decide_price,
     decide_subdelegation,
@@ -43,16 +42,16 @@ def price_ampp(state: DataOwnerState, rng, markup_max: float) -> float:
 
 def price_lin(state: DataOwnerState, gain: float) -> float:
     """Deterministic linear gain on the reserve price."""
-    if gain <= 0:
-        raise ValueError("gain must be > 0")
+    if gain < 1:
+        raise ValueError("gain must be >= 1")
     return gain * state.reserve_price_p_min
 
 
-def subdel_rand(state: DataOwnerState, ctx: DelegationContext, theta: int, rng) -> int:
+def subdel_rand(state: DataOwnerState, has_eligible_delegate: bool, theta: int, rng) -> int:
     """Half the time delegate nothing, otherwise a uniform integer amount
     within the per-step cap.  No randomness is consumed when nothing could be
     delegated anyway, keeping downstream draws aligned across variants."""
-    cap = subdelegation_cap(state, ctx, theta)
+    cap = subdelegation_cap(state, has_eligible_delegate, theta)
     if cap == 0 or rng.random() < 0.5:
         return 0
     return int(rng.integers(0, cap + 1))
@@ -108,7 +107,8 @@ def resolve_policy(name: str) -> PolicySpec:
 def decide_for_policy(
     spec: PolicySpec,
     state: DataOwnerState,
-    ctx: DelegationContext,
+    avg_neighbor_price: float,
+    has_eligible_delegate: bool,
     rng,
     markup_max: float,
     lin_gain: float,
@@ -119,11 +119,11 @@ def decide_for_policy(
     theta = decide_work(state, work_mode)
 
     if spec.subdel_rule == "threshold":
-        s = decide_subdelegation(state, ctx, theta)
+        s = decide_subdelegation(state, avg_neighbor_price, has_eligible_delegate, theta)
     elif spec.subdel_rule == "rand":
-        s = subdel_rand(state, ctx, theta, rng)
+        s = subdel_rand(state, has_eligible_delegate, theta, rng)
     elif spec.subdel_rule == "greedy":
-        s = subdelegation_cap(state, ctx, theta)
+        s = subdelegation_cap(state, has_eligible_delegate, theta)
     else:
         raise ValueError(f"unknown subdel rule: {spec.subdel_rule!r}")
 

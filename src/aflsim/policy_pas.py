@@ -8,30 +8,26 @@ point of the per-step pricing objective clamped at the reserve price.  That
 objective is strictly convex in price, so the clamped stationary point is its
 minimum over p >= p_min, not its maximum.  The ordering matters: the
 sub-delegation rule consumes the work amount and the acceptance rule consumes
-the just-set price.  The rules see the market only through a two-field
-`DelegationContext`, which the market builds once per step for every DO.
+the just-set price.  The rules see the market through two per-DO values it
+snapshots each step: the mean price over *all* neighbours (+inf with none,
+which keeps every task local), and whether some neighbour could take the
+DO's best-paying delegable task.  The market asks the second only where a
+rule reads it: a DO whose threshold rule keeps its tasks local by
+`outweighs_queues` is handed False.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import DataOwnerState
 
 
-class DelegationContext(NamedTuple):
-    """What the sub-delegation rules read of a DO's neighbourhood.
-
-    `avg_neighbor_price` is the mean posted price over *all* neighbours and
-    is +inf when the DO has no neighbours, which forces the sub-delegation
-    threshold to keep every task local.  `has_eligible_delegate` says whether
-    some neighbour could take the DO's best-paying delegable task; the
-    market's router picks the actual delegate of each task.
-    """
-
-    avg_neighbor_price: float
-    has_eligible_delegate: bool
+def outweighs_queues(rho, value, pending_q, urgency_Q):
+    """The threshold rules' sign test: whether the availability-weighted
+    `value` outweighs the combined queue pressure, rho * value - q - Q >= 0.
+    Elementwise on arrays; rho = 0 with value = inf gives nan, which fails."""
+    return rho * value - pending_q - urgency_Q >= 0
 
 
 def eligible_delegates(
@@ -50,21 +46,21 @@ def eligible_delegates(
     return (adjacency & trusted & cheap).any(axis=1)
 
 
-def subdelegation_cap(state: DataOwnerState, ctx: DelegationContext, theta: int) -> int:
+def subdelegation_cap(state: DataOwnerState, has_eligible_delegate: bool, theta: int) -> int:
     """The most a DO may sub-delegate this step: the backlog left after its
     `theta` tasks of work, within `s_max`, and nothing when no neighbour is
     eligible.  The greedy baseline delegates exactly this."""
-    if not ctx.has_eligible_delegate:
+    if not has_eligible_delegate:
         return 0
     return max(0, min(int(math.floor(state.pending_q)) - theta, state.s_max))
 
 
-def decide_subdelegation(state: DataOwnerState, ctx: DelegationContext, theta: int) -> int:
+def decide_subdelegation(state: DataOwnerState, avg_neighbor_price: float, has_eligible_delegate: bool, theta: int) -> int:
     """Threshold rule: keep tasks local while availability-weighted neighbour
     prices outweigh the combined queue pressure; otherwise offload up to the cap."""
-    if state.availability_rho * ctx.avg_neighbor_price - state.pending_q - state.urgency_Q >= 0:
+    if outweighs_queues(state.availability_rho, avg_neighbor_price, state.pending_q, state.urgency_Q):
         return 0
-    return subdelegation_cap(state, ctx, theta)
+    return subdelegation_cap(state, has_eligible_delegate, theta)
 
 
 def decide_price(state: DataOwnerState, degenerate: bool) -> float:
@@ -105,7 +101,7 @@ def decide_work(state: DataOwnerState, mode: str) -> int:
     if mode == "greedy":
         return cap
     if mode == "threshold":
-        if state.availability_rho * state.unit_cost_c - state.pending_q - state.urgency_Q >= 0:
+        if outweighs_queues(state.availability_rho, state.unit_cost_c, state.pending_q, state.urgency_Q):
             return 0
         return cap
     raise ValueError(f"unknown work mode: {mode!r}")

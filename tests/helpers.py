@@ -1,4 +1,4 @@
-"""Shared builders for test states, contexts and runs, and test-side reference checks."""
+"""Shared builders for test states and runs, and test-side reference checks."""
 
 from collections import namedtuple
 
@@ -7,14 +7,14 @@ import numpy as np
 from aflsim.config import resolve_config
 from aflsim.core import CSV_COLUMNS, STATE, DataOwnerState, StepDecision, TrustNetwork
 from aflsim.market import World, step
-from aflsim.policy_pas import DelegationContext, decide_price, price_is_degenerate
+from aflsim.policy_pas import decide_price, price_is_degenerate
 
 # One CSV row of a step's metrics, with the columns as attributes.
 Record = namedtuple("Record", CSV_COLUMNS)
 
 # The default scenario's settings, which the decision rules take as arguments:
 # the reputation floor, and decide_for_policy's settings after (spec, state,
-# ctx, rng) in the order it takes them.
+# avg_neighbor_price, has_eligible_delegate, rng) in the order it takes them.
 DEFAULTS = resolve_config({})
 R_FLOOR = DEFAULTS.market.r_floor
 SETTINGS = (DEFAULTS.policy.markup_max, DEFAULTS.policy.lin_gain, DEFAULTS.policy.work_mode, R_FLOOR)
@@ -59,12 +59,6 @@ def trust_network(n_dos: int, edges=()) -> TrustNetwork:
     for i, j in edges:
         adjacency[i, j] = adjacency[j, i] = True
     return TrustNetwork(adjacency)
-
-
-def make_ctx(avg_neighbor_price=1.0, eligible=False) -> DelegationContext:
-    return DelegationContext(
-        avg_neighbor_price=avg_neighbor_price, has_eligible_delegate=bool(eligible)
-    )
 
 
 def step_records(world: World) -> list[Record]:

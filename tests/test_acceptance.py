@@ -28,7 +28,7 @@ from aflsim.policy_baselines import ABLATION_NAMES, BASELINE_NAMES
 from aflsim.policy_pas import decide_subdelegation
 from aflsim.simcli import run_preset, run_scenario
 from helpers import run_world
-from helpers import lyapunov_price, make_ctx, make_state
+from helpers import lyapunov_price, make_state
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
@@ -89,9 +89,7 @@ def test_c1_subdelegation_closed_form_matches_enumeration():
         )
         pbar = float(rng.uniform(0.2, 5.0))
         has_delegate = bool(rng.integers(2))
-        ctx = make_ctx(avg_neighbor_price=pbar, eligible=has_delegate)
-
-        decided = decide_subdelegation(state, ctx, theta)
+        decided = decide_subdelegation(state, pbar, has_delegate, theta)
 
         # independent oracle: enumerate every feasible integer amount
         def objective(s):

@@ -117,6 +117,11 @@ def test_whole_numbers_resolve_as_ints():
         ({"policy": {"assignment": "ampp-rand", "markup_max": 1e308}}, "policy.markup_max"),
         # A p_min so large that no markup_max keeps that cap finite.
         ({"do_params": {"p_min": [1.0, 1e308]}}, "do_params.p_min"),
+        # A lin price below the reserve, or past the largest float.
+        ({"policy": {"assignment": "lin-rand", "lin_gain": 0.5}}, "policy.lin_gain"),
+        ({"policy": {"assignment": "lin-rand", "lin_gain": 1e308}, "do_params": {"p_min": [1.0, 2.0]}}, "policy.lin_gain"),
+        # A square wave's low availability past the largest float.
+        ({"do_params": {"rho_schedule": {"kind": "square", "period": 1, "low_scale": 1e308}}}, "do_params.rho_schedule.low_scale"),
     ],
 )
 def test_out_of_bounds_values_name_field(raw, field):

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import math
 import sys
 from collections import namedtuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from aflsim.market import (
     step,
     update_reputation,
 )
-from aflsim.policy_baselines import POLICIES
+from aflsim.policy_baselines import POLICIES, decide_for_policy
 from aflsim.simcli import run_scenario
 from helpers import R_FLOOR, make_state, run_world, state_columns, trust_network
 
@@ -667,9 +669,9 @@ def test_step_decisions_depend_only_on_snapshot(monkeypatch):
     real_decide = market.decide_for_policy
     seen = []
 
-    def recording_decide(spec, state, ctx, *args, **kwargs):
-        decision = real_decide(spec, state, ctx, *args, **kwargs)
-        seen.append((state.id, ctx, decision))
+    def recording_decide(spec, state, avg, eligible, *args, **kwargs):
+        decision = real_decide(spec, state, avg, eligible, *args, **kwargs)
+        seen.append((state.id, (avg, eligible), decision))
         return decision
 
     monkeypatch.setattr(market, "decide_for_policy", recording_decide)
@@ -685,7 +687,7 @@ def test_step_decisions_depend_only_on_snapshot(monkeypatch):
                 replayed = real_decide(
                     POLICIES[policy],
                     snapshot[i],
-                    ctx,
+                    *ctx,
                     np.random.default_rng(0),  # unused: both policies are rng-free
                     cfg.policy.markup_max,
                     cfg.policy.lin_gain,
@@ -693,6 +695,86 @@ def test_step_decisions_depend_only_on_snapshot(monkeypatch):
                     cfg.market.r_floor,
                 )
                 assert replayed == decision
+
+
+def reference_snapshot(world, prices, reps):
+    """Each DO's plain mean neighbour price (inf with none), and whether a
+    neighbour could take its best-paying task below the depth cap, asked of
+    every DO one neighbour at a time."""
+    adjacency = world.network.adjacency
+    queue = world.queue
+    routable = queue["depth"] < world.config.market.delegation_depth_max
+    avg, eligible = [], []
+    for i, r_min in enumerate(world.states["rep_threshold_r_min"].tolist()):
+        neighbours = np.flatnonzero(adjacency[i]).tolist()
+        avg.append(sum(prices[j] for j in neighbours) / len(neighbours) if neighbours else math.inf)
+        pay = queue["payment"][routable & (queue["owner"] == i)]
+        eligible.append(
+            len(pay) > 0 and any(reps[j] >= r_min and prices[j] <= pay.max() for j in neighbours)
+        )
+    return avg, eligible
+
+
+POLICY_NAMES = sorted(POLICIES)
+
+
+@st.composite
+def snapshot_cases(draw):
+    """A world of DOs on drawn policies, and degenerate decision-time states:
+    rho = 0, reputation below the floor, an urgency queue of 1e6."""
+    names = draw(st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=12))
+    column = lambda values: draw(st.lists(st.sampled_from(values), min_size=len(names), max_size=len(names)))
+    return (
+        names,
+        draw(st.sampled_from(["greedy", "threshold"])),
+        draw(st.sampled_from([0.0, 0.5, 1.0])),  # trust_edge_prob; 0 leaves no neighbours
+        draw(st.integers(0, 2)),  # warm-up steps
+        column([0.0, 0.5, 5.0, 30.0]),  # availability_rho
+        column([1e-4, 0.3, 0.9]),  # reputation_r
+        column([0.0, 3.0, 1e6]),  # urgency_Q
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=snapshot_cases())
+@example(case=(POLICY_NAMES, "greedy", 0.5, 1, [0.0, 30.0] * 6, [1e-4, 0.9, 0.3] * 4, [0.0, 3.0, 1e6] * 4))
+@example(case=(POLICY_NAMES, "threshold", 1.0, 0, [5.0, 0.5] * 6, [0.9] * 12, [0.0] * 12))
+def test_snapshot_decides_and_draws_as_if_every_do_were_asked(case):
+    names, work_mode, edge_prob, warmup, rho, rep, urgency = case
+    cfg = resolve_config({
+        "n_dos": len(names), "horizon_T": warmup + 1, "trust_edge_prob": edge_prob, "seeds": [1],
+        "do_params": {"q0": [0, 8]}, "policy": {"assignment": names, "work_mode": work_mode},
+    })
+    world = build_world(cfg, 1)
+    for _ in range(warmup):
+        step(world)
+    world.states["availability_rho"] = rho
+    world.states["reputation_r"] = rep
+    world.states["urgency_Q"] = urgency
+    twin = copy.deepcopy(world)
+
+    prices, reps = twin.states["current_price_p"].copy(), twin.states["reputation_r"].copy()
+    avg, _ = twin._build_contexts(prices, reps)
+    plain_avg, eligible = reference_snapshot(twin, prices.tolist(), reps.tolist())
+    assert avg.tolist() == pytest.approx(plain_avg, rel=1e-12)
+    knobs = (cfg.policy.markup_max, cfg.policy.lin_gain, work_mode, cfg.market.r_floor)
+    want = [
+        decide_for_policy(spec, view, a, e, rng, *knobs)
+        for spec, view, a, e, rng in zip(twin.policy_specs, twin.views(), avg.tolist(), eligible, twin.policy_rngs)
+    ]
+
+    seen = []
+
+    def recording(*args):
+        seen.append(decide_for_policy(*args))
+        return seen[-1]
+
+    with mock.patch.object(market, "decide_for_policy", recording):
+        step(world)
+    assert seen == want
+    assert [rng and rng.bit_generator.state for rng in world.policy_rngs] == [
+        rng and rng.bit_generator.state for rng in twin.policy_rngs
+    ]
 
 
 def test_demand_model_arrivals_respect_caps_and_determinism():

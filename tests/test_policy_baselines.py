@@ -14,7 +14,7 @@ from aflsim.policy_baselines import (
     subdel_rand,
 )
 from aflsim.policy_pas import subdelegation_cap
-from helpers import DEFAULTS, SETTINGS, make_ctx, make_state, validate_decision
+from helpers import DEFAULTS, SETTINGS, make_state, validate_decision
 
 
 def test_price_rand_mean_matches_uniform():
@@ -80,7 +80,7 @@ def test_lyapunov_price_tests_degeneracy_once_per_decision(monkeypatch):
         make_state(pending_q=1.0, reputation_r=1e-4),  # degenerate: below the floor
     ]
     for state in states:
-        decide_for_policy(POLICIES["pas-afl"], state, make_ctx(), None, *SETTINGS)
+        decide_for_policy(POLICIES["pas-afl"], state, 1.0, False, None, *SETTINGS)
     assert len(calls) == len(states)
 
 
@@ -92,31 +92,27 @@ def test_price_lin_values():
 
 def test_subdel_rand_trivial_zeros():
     rng = np.random.default_rng(5)
-    ctx = make_ctx(eligible=True)
-    assert subdel_rand(make_state(pending_q=0.0), ctx, 0, rng) == 0
-    assert subdel_rand(make_state(pending_q=6.0), make_ctx(), 1, rng) == 0
+    assert subdel_rand(make_state(pending_q=0.0), True, 0, rng) == 0
+    assert subdel_rand(make_state(pending_q=6.0), False, 1, rng) == 0
 
 
 def test_subdel_rand_support_is_exact():
     state = make_state(pending_q=6.0, s_max=3)
-    ctx = make_ctx(eligible=True)
     rng = np.random.default_rng(6)
-    seen = {subdel_rand(state, ctx, 1, rng) for _ in range(100_000)}
+    seen = {subdel_rand(state, True, 1, rng) for _ in range(100_000)}
     assert seen == {0, 1, 2, 3}
 
 
 def test_subdel_greedy_values():
-    ctx = make_ctx(eligible=True)
-    assert subdelegation_cap(make_state(pending_q=6.0, s_max=3), ctx, 1) == 3
-    assert subdelegation_cap(make_state(pending_q=1.0, s_max=3), ctx, 1) == 0
-    assert subdelegation_cap(make_state(pending_q=6.0, s_max=3), make_ctx(), 1) == 0
+    assert subdelegation_cap(make_state(pending_q=6.0, s_max=3), True, 1) == 3
+    assert subdelegation_cap(make_state(pending_q=1.0, s_max=3), True, 1) == 0
+    assert subdelegation_cap(make_state(pending_q=6.0, s_max=3), False, 1) == 0
 
 
 def test_baseline_joint_lin_greedy_composition():
     state = make_state(pending_q=6.0, s_max=3, theta_max=1, reserve_price_p_min=2.0,
                        current_price_p=2.0)
-    ctx = make_ctx(avg_neighbor_price=1.0, eligible=True)
-    decision = decide_for_policy(POLICIES["lin-greedy"], state, ctx, np.random.default_rng(7), *SETTINGS)
+    decision = decide_for_policy(POLICIES["lin-greedy"], state, 1.0, True, np.random.default_rng(7), *SETTINGS)
     assert decision.accept_x == 1
     assert decision.price_p == 3.0
     assert decision.work_theta == 1
@@ -126,7 +122,7 @@ def test_baseline_joint_lin_greedy_composition():
 
 def test_baseline_joint_zero_state():
     state = make_state(pending_q=0.0)
-    decision = decide_for_policy(POLICIES["rand-rand"], state, make_ctx(), np.random.default_rng(8), *SETTINGS)
+    decision = decide_for_policy(POLICIES["rand-rand"], state, 1.0, False, np.random.default_rng(8), *SETTINGS)
     assert decision.accept_x == 1
     assert decision.subdelegate_s == 0
     assert decision.work_theta == 0
@@ -134,9 +130,8 @@ def test_baseline_joint_zero_state():
 
 def test_baseline_joint_is_reproducible():
     state = make_state(pending_q=6.0, s_max=3, theta_max=1)
-    ctx = make_ctx(avg_neighbor_price=1.0, eligible=True)
-    one = decide_for_policy(POLICIES["rand-rand"], state, ctx, np.random.default_rng(99), *SETTINGS)
-    two = decide_for_policy(POLICIES["rand-rand"], state, ctx, np.random.default_rng(99), *SETTINGS)
+    one = decide_for_policy(POLICIES["rand-rand"], state, 1.0, True, np.random.default_rng(99), *SETTINGS)
+    two = decide_for_policy(POLICIES["rand-rand"], state, 1.0, True, np.random.default_rng(99), *SETTINGS)
     assert one == two
 
 
@@ -160,12 +155,9 @@ def test_every_baseline_emits_valid_decisions():
             theta_max=int(rng.integers(0, 5)),
             s_max=int(rng.integers(0, 5)),
         )
-        ctx = make_ctx(
-            avg_neighbor_price=float(rng.uniform(0.2, 5.0)),
-            eligible=rng.integers(2),
-        )
+        pbar, eligible = float(rng.uniform(0.2, 5.0)), bool(rng.integers(2))
         name = BASELINE_NAMES[int(rng.integers(len(BASELINE_NAMES)))]
-        decision = decide_for_policy(POLICIES[name], state, ctx, policy_rng, *SETTINGS)
+        decision = decide_for_policy(POLICIES[name], state, pbar, eligible, policy_rng, *SETTINGS)
         violation = validate_decision(state, decision)
         assert violation is None, f"{name} violated {violation}"
 
@@ -195,16 +187,16 @@ def test_ablation_decision_traces_share_unablated_components():
             theta_max=3,
             s_max=3,
         )
-        ctx = make_ctx(avg_neighbor_price=float(rng.uniform(0.2, 5.0)), eligible=True)
-        pas = decide_for_policy(POLICIES["pas-afl"], state, ctx, np.random.default_rng(1), *SETTINGS)
+        pbar = float(rng.uniform(0.2, 5.0))
+        pas = decide_for_policy(POLICIES["pas-afl"], state, pbar, True, np.random.default_rng(1), *SETTINGS)
         # pricing ablations keep the work and sub-delegation decisions
         for name in ("pas-nopricing-rand", "pas-nopricing-ampp", "pas-nopricing-lin"):
-            ablated = decide_for_policy(POLICIES[name], state, ctx, np.random.default_rng(1), *SETTINGS)
+            ablated = decide_for_policy(POLICIES[name], state, pbar, True, np.random.default_rng(1), *SETTINGS)
             assert ablated.work_theta == pas.work_theta
             assert ablated.subdelegate_s == pas.subdelegate_s
         # sub-delegation ablations keep work, price, and acceptance
         for name in ("pas-nosubdel-rand", "pas-nosubdel-greedy"):
-            ablated = decide_for_policy(POLICIES[name], state, ctx, np.random.default_rng(1), *SETTINGS)
+            ablated = decide_for_policy(POLICIES[name], state, pbar, True, np.random.default_rng(1), *SETTINGS)
             assert ablated.work_theta == pas.work_theta
             assert ablated.price_p == pas.price_p
             assert ablated.accept_x == pas.accept_x

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aflsim import market
 from aflsim.config import resolve_config
 from aflsim.market import build_world
 from aflsim.policy_baselines import POLICIES, decide_for_policy
@@ -13,7 +14,8 @@ from aflsim.policy_pas import (
     eligible_delegates,
     price_is_degenerate,
 )
-from helpers import R_FLOOR, SETTINGS, lyapunov_price, make_ctx, make_state, trust_network, validate_decision
+from aflsim.simcli import run_scenario
+from helpers import R_FLOOR, SETTINGS, lyapunov_price, make_state, trust_network, validate_decision
 
 PAS = POLICIES["pas-afl"]
 
@@ -54,78 +56,115 @@ def test_eligible_delegates_answers_each_row_with_its_own_limits():
     assert found.tolist() == [True, False, True]
 
 
-def _tiny_world(n_dos: int, edge_prob: float):
+def _tiny_world(n_dos: int, edge_prob: float, policy="rand-greedy"):
     """Every DO holds five tasks paying 1.5, works two per step and trusts
-    neighbours with reputation >= 0.5, so each DO may delegate."""
+    neighbours with reputation >= 0.5, so each DO may delegate.  The default
+    policy's greedy rule reads eligibility wherever it may delegate."""
     cfg = resolve_config({
         "n_dos": n_dos,
         "trust_edge_prob": edge_prob,
         "seeds": [1],
         "do_params": {
             "p_min": [1.0, 1.0],
+            "rho": [20.0, 20.0],
             "r_min": [0.5, 0.5],
             "theta_max": [2, 2],
             "q0": [5, 5],
             "q0_payment_markup": [1.5, 1.5],
         },
+        "policy": {"assignment": policy},
     })
     return build_world(cfg, 1)
 
 
 def test_delegation_context_uses_infinite_sentinel_without_neighbors():
     world = _tiny_world(1, 0.0)
-    ctx = world._build_contexts(np.array([1.0]), np.array([0.9]))[0]
-    assert ctx.avg_neighbor_price == math.inf
-    assert not ctx.has_eligible_delegate
+    avg, eligible = world._build_contexts(np.array([1.0]), np.array([0.9]))
+    assert avg.tolist() == [math.inf]
+    assert eligible.tolist() == [False]
 
 
 def test_delegation_context_averages_all_neighbors():
     world = _tiny_world(3, 1.0)
     reps = np.array([0.9, 0.9, 0.9])
-    ctx = world._build_contexts(np.array([1.0, 1.0, 3.0]), reps)[0]
-    assert ctx.avg_neighbor_price == 2.0
-    assert ctx.has_eligible_delegate  # DO 1 asks 1.0 <= 1.5
-    ctx = world._build_contexts(np.array([1.0, 2.0, 3.0]), reps)[0]
-    assert ctx.avg_neighbor_price == 2.5
-    assert not ctx.has_eligible_delegate  # both neighbours ask more than 1.5
+    avg, eligible = world._build_contexts(np.array([1.0, 1.0, 3.0]), reps)
+    assert avg.tolist() == [2.0, 2.0, 1.0]
+    assert eligible.tolist() == [True, True, True]  # each has a neighbour asking 1.0 <= 1.5
+    avg, eligible = world._build_contexts(np.array([1.0, 2.0, 3.0]), reps)
+    assert avg.tolist() == [2.5, 2.0, 1.5]
+    assert eligible.tolist() == [False, True, True]  # DO 0's neighbours both ask more than 1.5
 
 
 def test_delegation_context_ignores_tasks_at_depth_cap():
     world = _tiny_world(3, 1.0)
     queue = world.queue
     queue["depth"][queue["owner"] == 0] = world.config.market.delegation_depth_max
-    contexts = world._build_contexts(np.array([1.0, 1.0, 1.0]), np.array([0.9, 0.9, 0.9]))
-    assert not contexts[0].has_eligible_delegate
-    assert contexts[1].has_eligible_delegate
+    _, eligible = world._build_contexts(np.array([1.0, 1.0, 1.0]), np.array([0.9, 0.9, 0.9]))
+    assert eligible.tolist() == [False, True, True]
+
+
+def test_threshold_do_that_keeps_its_tasks_local_is_not_asked(monkeypatch):
+    world = _tiny_world(2, 1.0, policy=["pas-afl", "rand-greedy"])
+    asked = []
+
+    def recording(adjacency, *args):
+        asked.append(adjacency.tolist())
+        return eligible_delegates(adjacency, *args)
+
+    monkeypatch.setattr(market, "eligible_delegates", recording)
+    prices, reps = np.array([1.0, 1.0]), np.array([0.9, 0.9])
+    # Both DOs are in one state: 20 * 1.0 - 5 - 0 >= 0 keeps pas-afl's tasks local.
+    _, eligible = world._build_contexts(prices, reps)
+    assert eligible.tolist() == [False, True]
+    assert asked == [[[True, False]]]  # DO 1's row alone
+    # Queue pressure past the neighbour price makes pas-afl read, and be asked.
+    world.states["urgency_Q"][0] = 100.0
+    _, eligible = world._build_contexts(prices, reps)
+    assert eligible.tolist() == [True, True]
+    assert asked[1] == [[False, True], [True, False]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("work_mode", ["greedy", "threshold"])
+@pytest.mark.parametrize(
+    "edge_prob, do_params",
+    [
+        (0.0, {"rho": [0.0, 0.0]}),  # isolated: rho = 0 beside a mean price of inf is nan
+        (1.0, {"rho": [1e300, 1e300], "p_min": [1e10, 1e10]}),  # rho * price overflows to inf
+    ],
+)
+def test_array_sign_test_runs_clean_where_the_float_one_does(work_mode, edge_prob, do_params):
+    cfg = resolve_config({
+        "n_dos": 3, "horizon_T": 4, "trust_edge_prob": edge_prob, "seeds": [1],
+        "do_params": {**do_params, "q0": [4, 4]},
+        "policy": {"assignment": "pas-afl", "work_mode": work_mode},
+    })
+    assert run_scenario(cfg, 1).audit_checks == cfg.horizon_T
 
 
 def test_subdelegation_holds_when_neighbors_expensive():
     state = make_state(availability_rho=1.0, pending_q=3.0, urgency_Q=2.0, s_max=5)
-    ctx = make_ctx(avg_neighbor_price=10.0, eligible=True)
-    assert decide_subdelegation(state, ctx, theta=0) == 0
+    assert decide_subdelegation(state, 10.0, True, theta=0) == 0
 
 
 def test_subdelegation_offloads_leftover_backlog():
     state = make_state(availability_rho=1.0, pending_q=3.0, urgency_Q=2.0, s_max=5)
-    ctx = make_ctx(avg_neighbor_price=1.0, eligible=True)
-    assert decide_subdelegation(state, ctx, theta=1) == 2
+    assert decide_subdelegation(state, 1.0, True, theta=1) == 2
 
 
 def test_subdelegation_empty_queue():
     state = make_state(pending_q=0.0)
-    ctx = make_ctx(avg_neighbor_price=0.1, eligible=True)
-    assert decide_subdelegation(state, ctx, theta=0) == 0
+    assert decide_subdelegation(state, 0.1, True, theta=0) == 0
 
 
 def test_subdelegation_requires_eligible_delegate():
     state = make_state(availability_rho=1.0, pending_q=5.0, urgency_Q=5.0, s_max=5)
-    assert decide_subdelegation(state, make_ctx(avg_neighbor_price=0.5), theta=0) == 0
+    assert decide_subdelegation(state, 0.5, False, theta=0) == 0
 
 
 def test_subdelegation_respects_cap():
     state = make_state(availability_rho=1.0, pending_q=9.0, urgency_Q=5.0, s_max=3)
-    ctx = make_ctx(avg_neighbor_price=0.5, eligible=True)
-    assert decide_subdelegation(state, ctx, theta=2) == 3
+    assert decide_subdelegation(state, 0.5, True, theta=2) == 3
 
 
 def test_price_hand_values():
@@ -172,8 +211,7 @@ def test_work_greedy_and_threshold_modes():
 def test_joint_composes_component_rules():
     state = make_state(availability_rho=1.0, reputation_r=0.5, pending_q=3.0, urgency_Q=2.0,
                        theta_max=1, s_max=5, reserve_price_p_min=1.0)
-    ctx = make_ctx(avg_neighbor_price=1.0, eligible=True)
-    decision = decide_for_policy(PAS, state, ctx, None, *SETTINGS)
+    decision = decide_for_policy(PAS, state, 1.0, True, None, *SETTINGS)
     assert decision.work_theta == 1
     assert decision.subdelegate_s == 2
     assert decision.price_p == 3.0  # max(1, 3 / (2 * 1 * 0.5))
@@ -184,17 +222,16 @@ def test_joint_composes_component_rules():
 
 def test_joint_zero_queue_accepts_iff_reserve_revenue_positive():
     state = make_state(pending_q=0.0, availability_rho=1.0, reputation_r=0.5)
-    decision = decide_for_policy(PAS, state, make_ctx(), None, *SETTINGS)
+    decision = decide_for_policy(PAS, state, 1.0, False, None, *SETTINGS)
     assert decision.accept_x == 1
     assert decision.price_p == state.reserve_price_p_min
     zero_rho = make_state(pending_q=0.0, availability_rho=0.0)
-    assert decide_for_policy(PAS, zero_rho, make_ctx(), None, *SETTINGS).accept_x == 0
+    assert decide_for_policy(PAS, zero_rho, 1.0, False, None, *SETTINGS).accept_x == 0
 
 
 def test_joint_without_network_never_delegates():
     state = make_state(pending_q=8.0, urgency_Q=9.0, theta_max=1, s_max=5)
-    ctx = make_ctx(avg_neighbor_price=math.inf)
-    decision = decide_for_policy(PAS, state, ctx, None, *SETTINGS)
+    decision = decide_for_policy(PAS, state, math.inf, False, None, *SETTINGS)
     assert decision.subdelegate_s == 0
     assert decision.work_theta == 1
 
@@ -230,11 +267,11 @@ def test_longer_queue_never_cancels_delegation():
     rng = np.random.default_rng(31)
     for _ in range(1000):
         state = _random_state(rng)
-        ctx = make_ctx(avg_neighbor_price=float(rng.uniform(0.2, 6.0)), eligible=True)
+        pbar = float(rng.uniform(0.2, 6.0))
         theta = 0
-        before = decide_subdelegation(state, ctx, theta)
+        before = decide_subdelegation(state, pbar, True, theta)
         bumped = state._replace(pending_q=state.pending_q + 1.0)
-        after = decide_subdelegation(bumped, ctx, theta)
+        after = decide_subdelegation(bumped, pbar, True, theta)
         if before > 0:
             assert after > 0
 
@@ -266,8 +303,6 @@ def test_price_scale_invariance():
             assert lyapunov_price(scaled) == pytest.approx(lam * lyapunov_price(state), rel=1e-12)
 
             pbar = float(rng.uniform(0.2, 5.0))
-            ctx = make_ctx(avg_neighbor_price=pbar, eligible=True)
-            ctx_scaled = make_ctx(avg_neighbor_price=lam * pbar, eligible=True)
-            base_holds = decide_subdelegation(state, ctx, 0) == 0
-            scaled_holds = decide_subdelegation(scaled, ctx_scaled, 0) == 0
+            base_holds = decide_subdelegation(state, pbar, True, 0) == 0
+            scaled_holds = decide_subdelegation(scaled, lam * pbar, True, 0) == 0
             assert base_holds == scaled_holds
