@@ -2,9 +2,9 @@
 
 The market holds its state as numpy columns: one record of `STATE` per data
 owner and one record of `TASK` per pending task.  `DataOwnerState` is the
-per-step view of one data owner that the policies read, and `StepDecision` is
-what a policy returns.  Everything here is plain data plus validation, no
-market behaviour.
+per-step view of one data owner that its `decide_for_policy` call reads, and
+`StepDecision` is what that call returns.  Everything here is plain data plus
+validation, no market behaviour.
 """
 
 from dataclasses import dataclass
@@ -27,7 +27,7 @@ CSV_COLUMNS = [
 
 
 class DataOwnerState(NamedTuple):
-    """Full per-step state of one data owner, as the policies see it.
+    """Full per-step state of one data owner, as its per-DO decision call sees it.
 
     The market keeps these fields as the columns of a `STATE` array and builds
     a fresh view per DO each step: a view is a `STATE` record as a tuple.
@@ -130,10 +130,8 @@ class TrustNetwork:
 
 @dataclass(slots=True)
 class StepDecision:
-    """Joint per-step decision tuple a policy emits for one data owner."""
+    """What one DO's `decide_for_policy` call returns: the unit price it posts
+    and how many tasks it plans to sub-delegate this step."""
 
-    accept_x: int
     price_p: float
     subdelegate_s: int
-    work_theta: int
-    price_degenerate: bool = False  # diagnostic: price rule fell back to the reserve

@@ -3,7 +3,8 @@
 One simulation step runs a fixed pipeline:
 
   1. snapshot mean neighbour prices and, where read, delegate eligibility,
-  2. every data owner decides jointly against that snapshot,
+  2. every data owner decides jointly against that snapshot: the rules that
+     draw nothing as whole arrays, then one call per DO for its own draws,
   3. the auction clears model-user requests at posted prices,
   4. sub-delegations route to eligible neighbours (tasks land next step),
   5. work completes pending tasks oldest-first,
@@ -16,10 +17,10 @@ and one `TASK` array of every pending task, grouped by owner in FIFO order.
 Records move whole, by np.take, np.compress and joins of raw-byte views, as
 fancy indexing, masks and np.concatenate copy them one field at a time.
 Each phase is a whole-array pass around at most one irreducible per-element
-operation: the decision call per DO, the Poisson draw per accepting DO in
-demand-model arrivals (on that DO's own generator), and the walk over the
-tasks each delegator moves, since each transfer uses up capacity the next
-one sees.  Everything is deterministic given the scenario seed.  Audits
+operation: each DO's decision draws and, in demand-model arrivals, the
+Poisson draw per accepting DO (each on that DO's own generator), and the walk
+over the tasks each delegator moves, since each transfer uses up capacity the
+next one sees.  Everything is deterministic given the scenario seed.  Audits
 (task conservation, admission caps, state invariants, delegation depth,
 queue order, and the payment ledgers against admitted and moved task counts,
 bids, budgets and carried payments) run every step and raise immediately on
@@ -50,8 +51,17 @@ from .core import (
     validate_states,
 )
 from .demand import expected_demand, realize_demand, zeta
-from .policy_baselines import decide_for_policy, resolve_policy
-from .policy_pas import eligible_delegates, outweighs_queues
+from .policy_baselines import decide_for_policy, price_lin, resolve_policy
+from .policy_pas import (
+    decide_acceptance,
+    decide_price,
+    decide_subdelegation,
+    decide_work,
+    eligible_delegates,
+    outweighs_queues,
+    price_is_degenerate,
+    subdelegation_cap,
+)
 from .queues import update_pending_queue, update_urgency_queue, utility
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -419,7 +429,12 @@ class World:
         self.mu_rngs = [np.random.default_rng([seed, _STREAM_MU, j, 1000]) for j in range(n_mus)]
         names = [policy_override or config.policy_name_for(i) for i in range(n)]
         self.policy_specs = [resolve_policy(name) for name in names]
-        self._threshold_rule = np.array([spec.subdel_rule == "threshold" for spec in self.policy_specs])
+        # Which DOs' sub-delegation, price and acceptance follow the joint policy's rules.
+        self._threshold_rule, self._lyapunov_price, self._lyapunov_accept = np.array([
+            [spec.subdel_rule == "threshold" for spec in self.policy_specs],
+            [spec.price_rule == "lyapunov" for spec in self.policy_specs],
+            [spec.accept_rule == "lyapunov" for spec in self.policy_specs],
+        ])
         # Generators are built only for the streams a run draws from; each is
         # seeded per DO, so which others exist changes none of its numbers.
         self.policy_rngs = [
@@ -509,9 +524,7 @@ class World:
 
         least_work = 0 if cfg.policy.work_mode == "threshold" else states["theta_max"]
         may_delegate = np.floor(states["pending_q"]) > least_work
-        # As on floats, rho = 0 beside avg = inf gives nan and a huge product gives inf.
-        with np.errstate(invalid="ignore", over="ignore"):
-            local = outweighs_queues(states["availability_rho"], avg, states["pending_q"], states["urgency_Q"])
+        local = outweighs_queues(states["availability_rho"], avg, states["pending_q"], states["urgency_Q"])
         queue = self.queue
         routable = queue["depth"] < cfg.market.delegation_depth_max
         best = np.full(n, -math.inf)
@@ -590,20 +603,24 @@ def step(world: World) -> dict[str, np.ndarray]:
     reps = states["reputation_r"].copy()
     avg, eligible = world._build_contexts(prices, reps)
 
-    # 2. Joint decisions, one call per DO against its view of the columns.
-    # The settings go positionally: a keyword partial costs more per call.
+    # 2. Joint decisions.  The rules that draw nothing run as whole arrays:
+    # the threshold or greedy goal, and the Lyapunov or linear price.
     policy = cfg.policy
+    theta = decide_work(states, policy.work_mode)
+    cap = subdelegation_cap(states, eligible, theta)
+    s_goal = np.where(world._threshold_rule, decide_subdelegation(states, avg, cap), cap)
+    degenerate = world._lyapunov_price & price_is_degenerate(states, cfg.market.r_floor)
+    price = np.where(world._lyapunov_price, decide_price(states, degenerate), price_lin(states, policy.lin_gain))
+    world.degenerate_price_steps += int(np.count_nonzero(degenerate))
+    # Then one call per DO replaces a random rule's value with draws from the
+    # DO's own generator.  Acceptance reads the price posted.
     decisions = dict(enumerate(map(
-        decide_for_policy, world.policy_specs, world.views(), avg.tolist(), eligible.tolist(), world.policy_rngs,
-        repeat(policy.markup_max), repeat(policy.lin_gain), repeat(policy.work_mode), repeat(cfg.market.r_floor),
+        decide_for_policy, world.policy_specs, world.views(), s_goal.tolist(), price.tolist(), cap.tolist(),
+        world.policy_rngs, repeat(policy.markup_max),
     )))
-
-    def column(field: str, dtype) -> np.ndarray:
-        return np.fromiter(map(attrgetter(field), decisions.values()), dtype, count=n)
-
-    x, s_goal, theta = (column(field, np.intp) for field in ("accept_x", "subdelegate_s", "work_theta"))
-    price = column("price_p", float)
-    world.degenerate_price_steps += int(np.count_nonzero(column("price_degenerate", bool)))
+    price = np.fromiter(map(attrgetter("price_p"), decisions.values()), float, count=n)
+    s_goal = np.fromiter(map(attrgetter("subdelegate_s"), decisions.values()), np.intp, count=n)
+    x = np.where(world._lyapunov_accept, decide_acceptance(states, price), 1)
 
     # 3. Post the fresh prices; these are the asks the auction clears against.
     states["current_price_p"] = price

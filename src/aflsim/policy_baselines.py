@@ -6,20 +6,18 @@ the reserve, linear gain on the reserve) with two sub-delegation rules
 Baselines always accept new offers; admission caps are enforced by the
 market, not the policy.  The registry also wires the ablated variants of the
 queue-aware policy, each differing from it in exactly one component.
+
+The linear price, like the queue-aware rules, is a whole array over the DOs.
+The random rules draw from each DO's own generator, so they run in
+`decide_for_policy`, one call per DO, which the market makes for every DO.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import DataOwnerState, StepDecision
-from .policy_pas import (
-    decide_acceptance,
-    decide_price,
-    decide_subdelegation,
-    decide_work,
-    price_is_degenerate,
-    subdelegation_cap,
-)
 
 
 def price_rand(state: DataOwnerState, rng, markup_max: float) -> float:
@@ -40,18 +38,17 @@ def price_ampp(state: DataOwnerState, rng, markup_max: float) -> float:
     return state.reserve_price_p_min * (1.0 + markup_max * rng.random())
 
 
-def price_lin(state: DataOwnerState, gain: float) -> float:
-    """Deterministic linear gain on the reserve price."""
+def price_lin(states: np.ndarray, gain: float) -> np.ndarray:
+    """Deterministic linear gain on each DO's reserve price."""
     if gain < 1:
         raise ValueError("gain must be >= 1")
-    return gain * state.reserve_price_p_min
+    return gain * states["reserve_price_p_min"]
 
 
-def subdel_rand(state: DataOwnerState, has_eligible_delegate: bool, theta: int, rng) -> int:
+def subdel_rand(cap: int, rng) -> int:
     """Half the time delegate nothing, otherwise a uniform integer amount
     within the per-step cap.  No randomness is consumed when nothing could be
     delegated anyway, keeping downstream draws aligned across variants."""
-    cap = subdelegation_cap(state, has_eligible_delegate, theta)
     if cap == 0 or rng.random() < 0.5:
         return 0
     return int(rng.integers(0, cap + 1))
@@ -107,44 +104,20 @@ def resolve_policy(name: str) -> PolicySpec:
 def decide_for_policy(
     spec: PolicySpec,
     state: DataOwnerState,
-    avg_neighbor_price: float,
-    has_eligible_delegate: bool,
+    subdelegate_s: int,
+    price_p: float,
+    cap: int,
     rng,
     markup_max: float,
-    lin_gain: float,
-    work_mode: str,
-    r_floor: float,
 ) -> StepDecision:
-    """Evaluate one composed policy on one DO against a market snapshot."""
-    theta = decide_work(state, work_mode)
-
-    if spec.subdel_rule == "threshold":
-        s = decide_subdelegation(state, avg_neighbor_price, has_eligible_delegate, theta)
-    elif spec.subdel_rule == "rand":
-        s = subdel_rand(state, has_eligible_delegate, theta, rng)
-    elif spec.subdel_rule == "greedy":
-        s = subdelegation_cap(state, has_eligible_delegate, theta)
-    else:
-        raise ValueError(f"unknown subdel rule: {spec.subdel_rule!r}")
-
-    degenerate = False
-    if spec.price_rule == "lyapunov":
-        degenerate = price_is_degenerate(state, r_floor)
-        price = decide_price(state, degenerate)
-    elif spec.price_rule == "rand":
-        price = price_rand(state, rng, markup_max)
+    """One DO's draws: `subdelegate_s` and `price_p` are what the whole-array
+    rules decided for it and `cap` its sub-delegation cap.  A random rule
+    replaces its value with draws from the DO's generator `rng`, in this
+    order: `subdel_rand`'s, then the price's."""
+    if spec.subdel_rule == "rand":
+        subdelegate_s = subdel_rand(cap, rng)
+    if spec.price_rule == "rand":
+        price_p = price_rand(state, rng, markup_max)
     elif spec.price_rule == "ampp":
-        price = price_ampp(state, rng, markup_max)
-    elif spec.price_rule == "lin":
-        price = price_lin(state, lin_gain)
-    else:
-        raise ValueError(f"unknown price rule: {spec.price_rule!r}")
-
-    if spec.accept_rule == "lyapunov":
-        x = decide_acceptance(state, price)
-    elif spec.accept_rule == "always":
-        x = 1
-    else:
-        raise ValueError(f"unknown accept rule: {spec.accept_rule!r}")
-
-    return StepDecision(x, price, s, theta, degenerate)
+        price_p = price_ampp(state, rng, markup_max)
+    return StepDecision(price_p, subdelegate_s)

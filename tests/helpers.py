@@ -5,24 +5,55 @@ from collections import namedtuple
 import numpy as np
 
 from aflsim.config import resolve_config
-from aflsim.core import CSV_COLUMNS, STATE, DataOwnerState, StepDecision, TrustNetwork
+from aflsim.core import CSV_COLUMNS, STATE, DataOwnerState, TrustNetwork
 from aflsim.market import World, step
-from aflsim.policy_pas import decide_price, price_is_degenerate
+from aflsim.policy_baselines import decide_for_policy, price_lin
+from aflsim.policy_pas import (
+    decide_acceptance,
+    decide_price,
+    decide_subdelegation,
+    decide_work,
+    price_is_degenerate,
+    subdelegation_cap,
+)
+from reference_policy import JointDecision
 
 # One CSV row of a step's metrics, with the columns as attributes.
 Record = namedtuple("Record", CSV_COLUMNS)
 
 # The default scenario's settings, which the decision rules take as arguments:
-# the reputation floor, and decide_for_policy's settings after (spec, state,
+# the reputation floor, and joint_decision's settings after (spec, state,
 # avg_neighbor_price, has_eligible_delegate, rng) in the order it takes them.
 DEFAULTS = resolve_config({})
 R_FLOOR = DEFAULTS.market.r_floor
 SETTINGS = (DEFAULTS.policy.markup_max, DEFAULTS.policy.lin_gain, DEFAULTS.policy.work_mode, R_FLOOR)
 
 
+def lyapunov_prices(states: np.ndarray) -> np.ndarray:
+    """The joint policy's posted prices, degeneracy judged at the default floor."""
+    return decide_price(states, price_is_degenerate(states, R_FLOOR))
+
+
 def lyapunov_price(state: DataOwnerState) -> float:
-    """The joint policy's posted price, degeneracy judged at the default floor."""
-    return decide_price(state, price_is_degenerate(state, R_FLOOR))
+    """`lyapunov_prices` of one DO."""
+    return lyapunov_prices(state_columns(state)).item()
+
+
+def joint_decision(
+    spec, state, avg_neighbor_price, has_eligible_delegate, rng, markup_max, lin_gain, work_mode, r_floor
+) -> JointDecision:
+    """One DO's decision as `market.step` composes it: the whole-array rules
+    on the DO's one-row columns, then its `decide_for_policy` call for the
+    draws, then acceptance at the price that call returns."""
+    states = state_columns(state)
+    theta = decide_work(states, work_mode)
+    cap = subdelegation_cap(states, np.array([has_eligible_delegate]), theta)
+    s = decide_subdelegation(states, np.array([avg_neighbor_price]), cap) if spec.subdel_rule == "threshold" else cap
+    degenerate = price_is_degenerate(states, r_floor) & (spec.price_rule == "lyapunov")
+    price = decide_price(states, degenerate) if spec.price_rule == "lyapunov" else price_lin(states, lin_gain)
+    decision = decide_for_policy(spec, state, s.item(), price.item(), cap.item(), rng, markup_max)
+    x = decide_acceptance(states, np.array([decision.price_p])).item() if spec.accept_rule == "lyapunov" else 1
+    return JointDecision(x, decision.price_p, decision.subdelegate_s, theta.item(), degenerate.item())
 
 
 def make_state(**overrides) -> DataOwnerState:
@@ -77,8 +108,8 @@ def run_world(world: World) -> tuple[dict[int, tuple[float, float]], list[Record
     return initial, records
 
 
-def validate_decision(state: DataOwnerState, decision: StepDecision) -> str | None:
-    """The first field of a StepDecision that breaks an invariant of the deciding DO, or None."""
+def validate_decision(state: DataOwnerState, decision: JointDecision) -> str | None:
+    """The first field of a JointDecision that breaks an invariant of the deciding DO, or None."""
     if decision.accept_x not in (0, 1):
         return "accept_x"
     if not (0 <= decision.work_theta <= state.theta_max):

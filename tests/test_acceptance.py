@@ -25,10 +25,10 @@ from aflsim.config import MarketConstants, resolve_config
 from aflsim.demand import zeta
 from aflsim.market import build_world
 from aflsim.policy_baselines import ABLATION_NAMES, BASELINE_NAMES
-from aflsim.policy_pas import decide_subdelegation
+from aflsim.policy_pas import decide_subdelegation, subdelegation_cap
 from aflsim.simcli import run_preset, run_scenario
 from helpers import run_world
-from helpers import lyapunov_price, make_state
+from helpers import lyapunov_prices, make_state, state_columns
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
@@ -75,7 +75,7 @@ def drift_run():
 def test_c1_subdelegation_closed_form_matches_enumeration():
     rng = np.random.default_rng(2024)
     start = time.perf_counter()
-    mismatches = 0
+    cases = []
     for _ in range(1000):
         q = float(rng.uniform(0.0, 12.0))
         theta_max = int(rng.integers(0, 5))
@@ -87,10 +87,16 @@ def test_c1_subdelegation_closed_form_matches_enumeration():
             theta_max=theta_max,
             s_max=int(rng.integers(0, 6)),
         )
-        pbar = float(rng.uniform(0.2, 5.0))
-        has_delegate = bool(rng.integers(2))
-        decided = decide_subdelegation(state, pbar, has_delegate, theta)
+        cases.append((state, float(rng.uniform(0.2, 5.0)), bool(rng.integers(2)), theta))
 
+    # The rule decides all 1,000 states in one call.
+    states, pbars, has_delegates, thetas = zip(*cases)
+    columns = state_columns(*states)
+    caps = subdelegation_cap(columns, np.array(has_delegates), np.array(thetas))
+    decisions = decide_subdelegation(columns, np.array(pbars), caps).tolist()
+
+    mismatches = 0
+    for state, pbar, has_delegate, theta, decided in zip(states, pbars, has_delegates, thetas, decisions):
         # independent oracle: enumerate every feasible integer amount
         def objective(s):
             if s == 0:
@@ -98,7 +104,7 @@ def test_c1_subdelegation_closed_form_matches_enumeration():
             return -s * (state.availability_rho * pbar - state.pending_q - state.urgency_Q)
 
         if has_delegate:
-            cap = max(0, min(int(math.floor(q)) - theta, state.s_max))
+            cap = max(0, min(int(math.floor(state.pending_q)) - theta, state.s_max))
             feasible = range(0, cap + 1)
         else:
             feasible = (0,)
@@ -120,10 +126,7 @@ def test_c1_subdelegation_closed_form_matches_enumeration():
 def test_c2_pricing_closed_form_matches_grid_search():
     rng = np.random.default_rng(4096)
     start = time.perf_counter()
-    mismatches = 0
-    argmax_hits = 0
-    clamped = 0
-    samples = []
+    cases = []
     for _ in range(1000):
         p_min = float(rng.uniform(0.5, 2.0))
         q = float(rng.uniform(0.1, 12.0))
@@ -144,8 +147,19 @@ def test_c2_pricing_closed_form_matches_grid_search():
             availability_rho=rho,
             reputation_r=r,
         )
+        cases.append((state, a1, z))
 
-        closed_form = lyapunov_price(state)
+    # The rule prices all 1,000 states in one call.
+    states, a1s, zs = zip(*cases)
+    prices = lyapunov_prices(state_columns(*states)).tolist()
+
+    mismatches = 0
+    argmax_hits = 0
+    clamped = 0
+    samples = []
+    for state, a1, z, closed_form in zip(states, a1s, zs, prices):
+        p_min, q = state.reserve_price_p_min, state.pending_q
+        rho, r = state.availability_rho, state.reputation_r
 
         # independent oracle: grid search of the acceptance-weighted pricing
         # objective z * p * (p*r*rho - q) / r**a1 with the accept flag at 1.

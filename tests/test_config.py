@@ -122,6 +122,9 @@ def test_whole_numbers_resolve_as_ints():
         ({"policy": {"assignment": "lin-rand", "lin_gain": 1e308}, "do_params": {"p_min": [1.0, 2.0]}}, "policy.lin_gain"),
         # A square wave's low availability past the largest float.
         ({"do_params": {"rho_schedule": {"kind": "square", "period": 1, "low_scale": 1e308}}}, "do_params.rho_schedule.low_scale"),
+        # Prices each finite whose run sum over n_dos * horizon_T of them is not.
+        ({"n_dos": 5, "horizon_T": 4, "policy": {"assignment": "lin-rand", "lin_gain": 1e308}}, "policy.lin_gain"),
+        ({"n_dos": 5, "horizon_T": 4, "policy": {"assignment": "rand-rand", "markup_max": 1e307}}, "policy.markup_max"),
     ],
 )
 def test_out_of_bounds_values_name_field(raw, field):

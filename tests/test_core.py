@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from aflsim.config import ConfigError, resolve_config
-from aflsim.core import StepDecision, TrustNetwork, validate_states
+from aflsim.core import TrustNetwork, validate_states
 from helpers import make_state, state_columns, trust_network, validate_decision
+from reference_policy import JointDecision
 
 
 def validate_state(state):
@@ -91,10 +92,10 @@ def test_trust_network_is_symmetric():
 
 def test_decision_validation_covers_all_bounds():
     state = make_state(pending_q=3.0, theta_max=2, s_max=2)
-    good = StepDecision(accept_x=1, price_p=1.5, subdelegate_s=1, work_theta=2)
+    good = JointDecision(accept_x=1, price_p=1.5, subdelegate_s=1, work_theta=2)
     assert validate_decision(state, good) is None
-    assert validate_decision(state, StepDecision(2, 1.5, 0, 0)) == "accept_x"
-    assert validate_decision(state, StepDecision(1, 1.5, 0, 3)) == "work_theta"
-    assert validate_decision(state, StepDecision(1, 1.5, 3, 0)) == "subdelegate_s"
-    assert validate_decision(state, StepDecision(1, 0.5, 0, 0)) == "price_p"
+    assert validate_decision(state, JointDecision(2, 1.5, 0, 0)) == "accept_x"
+    assert validate_decision(state, JointDecision(1, 1.5, 0, 3)) == "work_theta"
+    assert validate_decision(state, JointDecision(1, 1.5, 3, 0)) == "subdelegate_s"
+    assert validate_decision(state, JointDecision(1, 0.5, 0, 0)) == "price_p"
 

@@ -23,9 +23,10 @@ from aflsim.market import (
     step,
     update_reputation,
 )
-from aflsim.policy_baselines import POLICIES, decide_for_policy
+from aflsim.policy_baselines import POLICIES
 from aflsim.simcli import run_scenario
 from helpers import R_FLOOR, make_state, run_world, state_columns, trust_network
+from reference_policy import reference_decide
 
 GAINS = {"lin": 1.25, "bmub": 1.45, "fedbidder-simple": 1.1, "fedbidder-complex": 1.35}
 
@@ -397,7 +398,7 @@ def _routing_setup(payments, neighbor_price=0.5, depth=0):
 
 def test_routing_noop_without_delegations():
     states, queue, net, prices, reps, cap = _routing_setup([1.0, 1.0])
-    decisions = {i: StepDecision(1, 1.0, 0, 0) for i in range(2)}
+    decisions = {i: StepDecision(1.0, 0) for i in range(2)}
     outcome = route_subdelegations(states, queue, decisions, net, prices, reps, cap, 3, 0)
     assert outcome.payments.tolist() == []
     assert len(_left(queue, outcome, 0)) == 2
@@ -406,8 +407,8 @@ def test_routing_noop_without_delegations():
 def test_routing_transfers_highest_payment_tasks_and_pays_quotes():
     states, queue, net, prices, reps, cap = _routing_setup([1.0, 2.0, 1.5])
     decisions = {
-        0: StepDecision(1, 1.0, 2, 0),
-        1: StepDecision(1, 1.0, 0, 0),
+        0: StepDecision(1.0, 2),
+        1: StepDecision(1.0, 0),
     }
     outcome = route_subdelegations(states, queue, decisions, net, prices, reps, cap, 3, 5)
     assert outcome.s_realized[0] == 2
@@ -425,7 +426,7 @@ def test_routing_transfers_highest_payment_tasks_and_pays_quotes():
 
 def test_routing_stops_early_when_no_delegate_is_cheap_enough():
     states, queue, net, prices, reps, cap = _routing_setup([2.0, 0.3], neighbor_price=0.5)
-    decisions = {0: StepDecision(1, 1.0, 2, 0), 1: StepDecision(1, 1.0, 0, 0)}
+    decisions = {0: StepDecision(1.0, 2), 1: StepDecision(1.0, 0)}
     outcome = route_subdelegations(states, queue, decisions, net, prices, reps, cap, 3, 0)
     assert outcome.s_realized[0] == 1
     assert len(_left(queue, outcome, 0)) == 1
@@ -433,7 +434,7 @@ def test_routing_stops_early_when_no_delegate_is_cheap_enough():
 
 def test_routing_skips_tasks_at_depth_cap():
     states, queue, net, prices, reps, cap = _routing_setup([2.0, 2.0], depth=3)
-    decisions = {0: StepDecision(1, 1.0, 2, 0), 1: StepDecision(1, 1.0, 0, 0)}
+    decisions = {0: StepDecision(1.0, 2), 1: StepDecision(1.0, 0)}
     outcome = route_subdelegations(states, queue, decisions, net, prices, reps, cap, 3, 0)
     assert outcome.s_realized[0] == 0
     assert len(_left(queue, outcome, 0)) == 2
@@ -442,7 +443,7 @@ def test_routing_skips_tasks_at_depth_cap():
 def test_routing_respects_receiver_capacity():
     states, queue, net, prices, reps, cap = _routing_setup([2.0, 2.0, 2.0])
     cap[1] = 1
-    decisions = {0: StepDecision(1, 1.0, 3, 0), 1: StepDecision(1, 1.0, 0, 0)}
+    decisions = {0: StepDecision(1.0, 3), 1: StepDecision(1.0, 0)}
     outcome = route_subdelegations(states, queue, decisions, net, prices, reps, cap, 3, 0)
     assert outcome.s_realized[0] == 1
 
@@ -457,7 +458,7 @@ def test_routing_breaks_price_ties_by_lower_id():
     )
     network = trust_network(4, [(0, 3), (0, 1), (0, 2)])
     queue = _queue(0, [2.0])
-    decisions = {i: StepDecision(1, 1.0, 1 if i == 0 else 0, 0) for i in range(4)}
+    decisions = {i: StepDecision(1.0, 1 if i == 0 else 0) for i in range(4)}
     prices = states["current_price_p"].copy()
     reps = states["reputation_r"].copy()
     capacity = np.full(4, 4)
@@ -573,7 +574,7 @@ def _routing_case(case):
     for name, values in zip(("owner", "payment", "depth"), zip(*tasks)):
         queue[name] = values
     queue["id"] = np.random.default_rng(len(tasks)).permutation(len(tasks))  # ids tie-break payments
-    decisions = {i: StepDecision(1, 1.0, goal, 0) for i, goal in enumerate(goals)}
+    decisions = {i: StepDecision(1.0, goal) for i, goal in enumerate(goals)}
     network = trust_network(len(prices), edges)
     return states, queue, decisions, network, np.array(prices), np.array(reps), np.array(capacity), depth_max
 
@@ -665,36 +666,76 @@ def test_step_queue_updates_match_recurrences():
             kn += 1
 
 
-def test_step_decisions_depend_only_on_snapshot(monkeypatch):
-    real_decide = market.decide_for_policy
-    seen = []
+# What one step decided, DO by DO: the snapshot it decided against, each
+# decide_for_policy call's state, each DO's (accept_x, price_p, subdelegate_s,
+# work_theta), and how many prices fell back to the reserve as degenerate.
+Decided = namedtuple("Decided", "avg eligible states decisions degenerate")
 
-    def recording_decide(spec, state, avg, eligible, *args, **kwargs):
-        decision = real_decide(spec, state, avg, eligible, *args, **kwargs)
-        seen.append((state.id, (avg, eligible), decision))
-        return decision
 
-    monkeypatch.setattr(market, "decide_for_policy", recording_decide)
+def step_decisions(world, snapshot=None) -> Decided:
+    """Step `world` and record its decisions.  With `snapshot`, an (avg,
+    eligible) pair, the step decides against it in place of its own."""
+    build_contexts, decide, settle_step = market.World._build_contexts, market.decide_for_policy, market.settle
+    seen = {"calls": []}
+
+    def contexts(self, prices, reps):
+        seen["snapshot"] = snapshot or build_contexts(self, prices, reps)
+        return seen["snapshot"]
+
+    def recording_decide(spec, state, *args):
+        seen["calls"].append((state, decide(spec, state, *args)))
+        return seen["calls"][-1][1]
+
+    def recording_settle(states, x, price, theta, *args):
+        seen["settled"] = x.tolist(), price.tolist(), theta.tolist()
+        return settle_step(states, x, price, theta, *args)
+
+    degenerate = world.degenerate_price_steps
+    with mock.patch.object(market.World, "_build_contexts", contexts), mock.patch.object(
+        market, "decide_for_policy", recording_decide
+    ), mock.patch.object(market, "settle", recording_settle):
+        step(world)
+    states, calls = zip(*seen["calls"])
+    x, price, theta = seen["settled"]
+    assert [d.price_p for d in calls] == price  # the step posts the prices the calls return
+    avg, eligible = seen["snapshot"]
+    return Decided(
+        avg.tolist(),
+        eligible.tolist(),
+        list(states),
+        [(accept, p, d.subdelegate_s, work) for accept, p, d, work in zip(x, price, calls, theta)],
+        world.degenerate_price_steps - degenerate,
+    )
+
+
+def reference_decisions(world, avg, eligible) -> Decided:
+    """`world`'s next decisions by the scalar reference, every rule dispatched
+    per DO, against the snapshot (avg, eligible); it draws from the world's
+    own generators."""
+    cfg = world.config
+    knobs = (cfg.policy.markup_max, cfg.policy.lin_gain, cfg.policy.work_mode, cfg.market.r_floor)
+    views = world.views()
+    want = [
+        reference_decide(spec, view, a, e, rng, *knobs)
+        for spec, view, a, e, rng in zip(world.policy_specs, views, avg, eligible, world.policy_rngs)
+    ]
+    return Decided(avg, eligible, views, [d[:4] for d in want], sum(d.price_degenerate for d in want))
+
+
+def generator_states(world) -> list:
+    return [rng and rng.bit_generator.state for rng in world.policy_rngs]
+
+
+def test_step_decisions_depend_only_on_snapshot():
     cfg = resolve_config({"n_dos": 10, "horizon_T": 15, "seeds": [2]})
     for policy in ("pas-afl", "lin-greedy"):
         world = build_world(cfg, 2, policy_override=policy)
         for _ in range(cfg.horizon_T):
-            snapshot = world.views()
-            seen.clear()
-            step(world)
-            assert sorted(i for i, _, _ in seen) == list(range(cfg.n_dos))
-            for i, ctx, decision in seen:
-                replayed = real_decide(
-                    POLICIES[policy],
-                    snapshot[i],
-                    *ctx,
-                    np.random.default_rng(0),  # unused: both policies are rng-free
-                    cfg.policy.markup_max,
-                    cfg.policy.lin_gain,
-                    cfg.policy.work_mode,
-                    cfg.market.r_floor,
-                )
-                assert replayed == decision
+            twin = copy.deepcopy(world)
+            got = step_decisions(world)
+            assert [state.id for state in got.states] == list(range(cfg.n_dos))
+            # Replayed on the state before the step and the snapshot the step took.
+            assert got == reference_decisions(twin, got.avg, got.eligible)
 
 
 def reference_snapshot(world, prices, reps):
@@ -757,24 +798,67 @@ def test_snapshot_decides_and_draws_as_if_every_do_were_asked(case):
     avg, _ = twin._build_contexts(prices, reps)
     plain_avg, eligible = reference_snapshot(twin, prices.tolist(), reps.tolist())
     assert avg.tolist() == pytest.approx(plain_avg, rel=1e-12)
-    knobs = (cfg.policy.markup_max, cfg.policy.lin_gain, work_mode, cfg.market.r_floor)
-    want = [
-        decide_for_policy(spec, view, a, e, rng, *knobs)
-        for spec, view, a, e, rng in zip(twin.policy_specs, twin.views(), avg.tolist(), eligible, twin.policy_rngs)
-    ]
+    want = reference_decisions(twin, avg.tolist(), eligible)
+    got = step_decisions(world)
+    assert (got.decisions, got.degenerate) == (want.decisions, want.degenerate)
+    assert generator_states(world) == generator_states(twin)
 
-    seen = []
 
-    def recording(*args):
-        seen.append(decide_for_policy(*args))
-        return seen[-1]
+@st.composite
+def decision_cases(draw):
+    """DOs on drawn policies in drawn decision-time states, and a drawn
+    snapshot: rho <= 0, reputation 0 or below the floor, an urgency queue of
+    1e6, s_max = 0, a mean neighbour price of inf, and eligibility that no
+    trust graph need agree with."""
+    names = draw(st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=12))
+    column = lambda values: draw(st.lists(st.sampled_from(values), min_size=len(names), max_size=len(names)))
+    return (
+        names,
+        draw(st.sampled_from(["greedy", "threshold"])),
+        draw(st.integers(0, 2)),  # warm-up steps
+        {
+            "availability_rho": column([-1.0, 0.0, 0.5, 5.0, 30.0]),
+            "reputation_r": column([0.0, 1e-4, 0.3, 0.9]),
+            "urgency_Q": column([0.0, 3.0, 1e6]),
+            "s_max": column([0, 2, 5]),
+        },
+        column([math.inf, 0.5, 2.0, 40.0]),  # mean neighbour price
+        column([False, True]),  # has an eligible delegate
+    )
 
-    with mock.patch.object(market, "decide_for_policy", recording):
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=decision_cases())
+@example(case=(
+    POLICY_NAMES, "greedy", 1,
+    {"availability_rho": [-1.0, 0.0, 0.5, 30.0] * 3, "reputation_r": [0.0, 1e-4, 0.9] * 4,
+     "urgency_Q": [1e6, 0.0, 3.0] * 4, "s_max": [0, 5] * 6},
+    [math.inf, 0.5, 2.0] * 4, [True, False, True] * 4,
+))
+@example(case=(
+    POLICY_NAMES, "threshold", 0,
+    {"availability_rho": [0.5, 5.0] * 6, "reputation_r": [0.3, 0.9] * 6, "urgency_Q": [3.0, 1e6] * 6,
+     "s_max": [2, 5, 0] * 4},
+    [40.0, math.inf, 0.5] * 4, [True] * 12,
+))
+def test_array_rules_and_draws_equal_the_scalar_references(case):
+    names, work_mode, warmup, columns, avg, eligible = case
+    cfg = resolve_config({
+        "n_dos": len(names), "horizon_T": warmup + 1, "trust_edge_prob": 0.5, "seeds": [1],
+        "do_params": {"q0": [0, 8]}, "policy": {"assignment": names, "work_mode": work_mode},
+    })
+    world = build_world(cfg, 1)
+    for _ in range(warmup):
         step(world)
-    assert seen == want
-    assert [rng and rng.bit_generator.state for rng in world.policy_rngs] == [
-        rng and rng.bit_generator.state for rng in twin.policy_rngs
-    ]
+    for name, values in columns.items():
+        world.states[name] = values
+    twin = copy.deepcopy(world)
+
+    want = reference_decisions(twin, avg, eligible)
+    got = step_decisions(world, (np.array(avg), np.array(eligible)))
+    assert got.decisions == want.decisions  # each DO's (x, p, s, theta), bit for bit
+    assert got.degenerate == want.degenerate
+    assert generator_states(world) == generator_states(twin)
 
 
 def test_demand_model_arrivals_respect_caps_and_determinism():

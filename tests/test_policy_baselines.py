@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from aflsim import policy_baselines, policy_pas
+from aflsim import market
+from aflsim.config import resolve_config
 from aflsim.policy_baselines import (
     ABLATION_NAMES,
     BASELINE_NAMES,
     POLICIES,
-    decide_for_policy,
     price_ampp,
     price_lin,
     price_rand,
@@ -14,7 +14,7 @@ from aflsim.policy_baselines import (
     subdel_rand,
 )
 from aflsim.policy_pas import subdelegation_cap
-from helpers import DEFAULTS, SETTINGS, make_state, validate_decision
+from helpers import DEFAULTS, SETTINGS, joint_decision, make_state, state_columns, validate_decision
 
 
 def test_price_rand_mean_matches_uniform():
@@ -66,53 +66,55 @@ def test_price_rand_rejects_an_infinite_cap():
 
 def test_lyapunov_price_tests_degeneracy_once_per_decision(monkeypatch):
     calls = []
-    real = policy_pas.price_is_degenerate
+    real = market.price_is_degenerate
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
+    def counted(states, r_floor):
+        calls.append(len(states))
+        return real(states, r_floor)
 
-    monkeypatch.setattr(policy_pas, "price_is_degenerate", counted)
-    monkeypatch.setattr(policy_baselines, "price_is_degenerate", counted)
-    states = [
-        make_state(pending_q=4.0, availability_rho=1.0, reputation_r=0.6),
-        make_state(pending_q=4.0, availability_rho=0.0),  # degenerate: no availability
-        make_state(pending_q=1.0, reputation_r=1e-4),  # degenerate: below the floor
-    ]
-    for state in states:
-        decide_for_policy(POLICIES["pas-afl"], state, 1.0, False, None, *SETTINGS)
-    assert len(calls) == len(states)
+    monkeypatch.setattr(market, "price_is_degenerate", counted)
+    cfg = resolve_config({"n_dos": 3, "horizon_T": 1, "policy": {"assignment": "pas-afl"}})
+    world = market.build_world(cfg, 1)
+    world.states["availability_rho"] = [1.0, 0.0, 1.0]  # DO 1 degenerate: no availability
+    world.states["reputation_r"] = [0.6, 0.6, 1e-4]  # DO 2 degenerate: below the floor
+    market.step(world)
+    assert calls == [3]  # one test of every DO's state per step
+    assert world.degenerate_price_steps == 2
 
 
 def test_price_lin_values():
-    assert price_lin(make_state(reserve_price_p_min=1.0, current_price_p=1.0), gain=1.0) == 1.0
-    assert price_lin(make_state(reserve_price_p_min=2.0, current_price_p=2.0), gain=1.5) == 3.0
-    assert price_lin(make_state(reserve_price_p_min=0.5, current_price_p=0.5), gain=2.0) == 1.0
+    states = state_columns(*(make_state(reserve_price_p_min=p, current_price_p=p) for p in (1.0, 2.0, 0.5)))
+    assert price_lin(states, gain=1.0).tolist() == [1.0, 2.0, 0.5]
+    assert price_lin(states, gain=1.5).tolist() == [1.5, 3.0, 0.75]
+    assert price_lin(states, gain=2.0).tolist() == [2.0, 4.0, 1.0]
 
 
 def test_subdel_rand_trivial_zeros():
     rng = np.random.default_rng(5)
-    assert subdel_rand(make_state(pending_q=0.0), True, 0, rng) == 0
-    assert subdel_rand(make_state(pending_q=6.0), False, 1, rng) == 0
+    states = state_columns(make_state(pending_q=0.0), make_state(pending_q=6.0))
+    caps = subdelegation_cap(states, np.array([True, False]), np.array([0, 1]))
+    before = rng.bit_generator.state
+    assert [subdel_rand(cap, rng) for cap in caps.tolist()] == [0, 0]
+    assert rng.bit_generator.state == before  # nothing could be delegated, so nothing is drawn
 
 
 def test_subdel_rand_support_is_exact():
-    state = make_state(pending_q=6.0, s_max=3)
+    [cap] = subdelegation_cap(state_columns(make_state(pending_q=6.0, s_max=3)), np.array([True]), np.array([1]))
     rng = np.random.default_rng(6)
-    seen = {subdel_rand(state, True, 1, rng) for _ in range(100_000)}
+    seen = {subdel_rand(int(cap), rng) for _ in range(100_000)}
     assert seen == {0, 1, 2, 3}
 
 
 def test_subdel_greedy_values():
-    assert subdelegation_cap(make_state(pending_q=6.0, s_max=3), True, 1) == 3
-    assert subdelegation_cap(make_state(pending_q=1.0, s_max=3), True, 1) == 0
-    assert subdelegation_cap(make_state(pending_q=6.0, s_max=3), False, 1) == 0
+    states = state_columns(*(make_state(pending_q=q, s_max=3) for q in (6.0, 1.0, 6.0)))
+    caps = subdelegation_cap(states, np.array([True, True, False]), np.array([1, 1, 1]))
+    assert caps.tolist() == [3, 0, 0]
 
 
 def test_baseline_joint_lin_greedy_composition():
     state = make_state(pending_q=6.0, s_max=3, theta_max=1, reserve_price_p_min=2.0,
                        current_price_p=2.0)
-    decision = decide_for_policy(POLICIES["lin-greedy"], state, 1.0, True, np.random.default_rng(7), *SETTINGS)
+    decision = joint_decision(POLICIES["lin-greedy"], state, 1.0, True, np.random.default_rng(7), *SETTINGS)
     assert decision.accept_x == 1
     assert decision.price_p == 3.0
     assert decision.work_theta == 1
@@ -122,7 +124,7 @@ def test_baseline_joint_lin_greedy_composition():
 
 def test_baseline_joint_zero_state():
     state = make_state(pending_q=0.0)
-    decision = decide_for_policy(POLICIES["rand-rand"], state, 1.0, False, np.random.default_rng(8), *SETTINGS)
+    decision = joint_decision(POLICIES["rand-rand"], state, 1.0, False, np.random.default_rng(8), *SETTINGS)
     assert decision.accept_x == 1
     assert decision.subdelegate_s == 0
     assert decision.work_theta == 0
@@ -130,8 +132,8 @@ def test_baseline_joint_zero_state():
 
 def test_baseline_joint_is_reproducible():
     state = make_state(pending_q=6.0, s_max=3, theta_max=1)
-    one = decide_for_policy(POLICIES["rand-rand"], state, 1.0, True, np.random.default_rng(99), *SETTINGS)
-    two = decide_for_policy(POLICIES["rand-rand"], state, 1.0, True, np.random.default_rng(99), *SETTINGS)
+    one = joint_decision(POLICIES["rand-rand"], state, 1.0, True, np.random.default_rng(99), *SETTINGS)
+    two = joint_decision(POLICIES["rand-rand"], state, 1.0, True, np.random.default_rng(99), *SETTINGS)
     assert one == two
 
 
@@ -157,7 +159,7 @@ def test_every_baseline_emits_valid_decisions():
         )
         pbar, eligible = float(rng.uniform(0.2, 5.0)), bool(rng.integers(2))
         name = BASELINE_NAMES[int(rng.integers(len(BASELINE_NAMES)))]
-        decision = decide_for_policy(POLICIES[name], state, pbar, eligible, policy_rng, *SETTINGS)
+        decision = joint_decision(POLICIES[name], state, pbar, eligible, policy_rng, *SETTINGS)
         violation = validate_decision(state, decision)
         assert violation is None, f"{name} violated {violation}"
 
@@ -188,15 +190,15 @@ def test_ablation_decision_traces_share_unablated_components():
             s_max=3,
         )
         pbar = float(rng.uniform(0.2, 5.0))
-        pas = decide_for_policy(POLICIES["pas-afl"], state, pbar, True, np.random.default_rng(1), *SETTINGS)
+        pas = joint_decision(POLICIES["pas-afl"], state, pbar, True, np.random.default_rng(1), *SETTINGS)
         # pricing ablations keep the work and sub-delegation decisions
         for name in ("pas-nopricing-rand", "pas-nopricing-ampp", "pas-nopricing-lin"):
-            ablated = decide_for_policy(POLICIES[name], state, pbar, True, np.random.default_rng(1), *SETTINGS)
+            ablated = joint_decision(POLICIES[name], state, pbar, True, np.random.default_rng(1), *SETTINGS)
             assert ablated.work_theta == pas.work_theta
             assert ablated.subdelegate_s == pas.subdelegate_s
         # sub-delegation ablations keep work, price, and acceptance
         for name in ("pas-nosubdel-rand", "pas-nosubdel-greedy"):
-            ablated = decide_for_policy(POLICIES[name], state, pbar, True, np.random.default_rng(1), *SETTINGS)
+            ablated = joint_decision(POLICIES[name], state, pbar, True, np.random.default_rng(1), *SETTINGS)
             assert ablated.work_theta == pas.work_theta
             assert ablated.price_p == pas.price_p
             assert ablated.accept_x == pas.accept_x

@@ -5,19 +5,45 @@ import pytest
 
 from aflsim import market
 from aflsim.config import resolve_config
-from aflsim.market import build_world
-from aflsim.policy_baselines import POLICIES, decide_for_policy
+from aflsim.market import build_world, step
+from aflsim.policy_baselines import POLICIES
 from aflsim.policy_pas import (
     decide_acceptance,
     decide_subdelegation,
     decide_work,
     eligible_delegates,
     price_is_degenerate,
+    subdelegation_cap,
 )
 from aflsim.simcli import run_scenario
-from helpers import R_FLOOR, SETTINGS, lyapunov_price, make_state, trust_network, validate_decision
+from helpers import (
+    R_FLOOR,
+    SETTINGS,
+    joint_decision,
+    lyapunov_price,
+    make_state,
+    state_columns,
+    trust_network,
+    validate_decision,
+)
+import reference_policy
 
 PAS = POLICIES["pas-afl"]
+
+
+def _subdelegation(state, avg_neighbor_price, has_eligible_delegate, theta):
+    """The threshold rule's goal for one DO, from its one-row columns."""
+    states = state_columns(state)
+    cap = subdelegation_cap(states, np.array([has_eligible_delegate]), np.array([theta]))
+    return decide_subdelegation(states, np.array([avg_neighbor_price]), cap).item()
+
+
+def _accepts(state, price):
+    return decide_acceptance(state_columns(state), np.array([price])).item()
+
+
+def _work(state, mode):
+    return decide_work(state_columns(state), mode).item()
 
 
 def _eligible(net, prices, reps, reference_payment, r_min):
@@ -142,29 +168,51 @@ def test_array_sign_test_runs_clean_where_the_float_one_does(work_mode, edge_pro
     assert run_scenario(cfg, 1).audit_checks == cfg.horizon_T
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "do_params",
+    [
+        {"rho": [0.0, 0.0]},  # q / 0, or 0 / 0 on an empty queue
+        {"r0": [0.0, 0.0]},  # q / 0 until the first update lifts reputation to the floor
+        {"r0": [1e-4, 1e-4]},  # below the floor, with a finite quotient
+    ],
+)
+def test_degenerate_prices_run_clean_and_are_counted(do_params):
+    cfg = resolve_config({
+        "n_dos": 4, "horizon_T": 5, "seeds": [1],
+        "do_params": {**do_params, "q0": [0, 4]}, "policy": {"assignment": "pas-afl"},
+    })
+    world = build_world(cfg, 1)
+    want = 0
+    for _ in range(cfg.horizon_T):
+        want += sum(reference_policy.price_is_degenerate(view, cfg.market.r_floor) for view in world.views())
+        step(world)
+    assert world.degenerate_price_steps == want > 0
+
+
 def test_subdelegation_holds_when_neighbors_expensive():
     state = make_state(availability_rho=1.0, pending_q=3.0, urgency_Q=2.0, s_max=5)
-    assert decide_subdelegation(state, 10.0, True, theta=0) == 0
+    assert _subdelegation(state, 10.0, True, theta=0) == 0
 
 
 def test_subdelegation_offloads_leftover_backlog():
     state = make_state(availability_rho=1.0, pending_q=3.0, urgency_Q=2.0, s_max=5)
-    assert decide_subdelegation(state, 1.0, True, theta=1) == 2
+    assert _subdelegation(state, 1.0, True, theta=1) == 2
 
 
 def test_subdelegation_empty_queue():
     state = make_state(pending_q=0.0)
-    assert decide_subdelegation(state, 0.1, True, theta=0) == 0
+    assert _subdelegation(state, 0.1, True, theta=0) == 0
 
 
 def test_subdelegation_requires_eligible_delegate():
     state = make_state(availability_rho=1.0, pending_q=5.0, urgency_Q=5.0, s_max=5)
-    assert decide_subdelegation(state, 0.5, False, theta=0) == 0
+    assert _subdelegation(state, 0.5, False, theta=0) == 0
 
 
 def test_subdelegation_respects_cap():
     state = make_state(availability_rho=1.0, pending_q=9.0, urgency_Q=5.0, s_max=3)
-    assert decide_subdelegation(state, 0.5, True, theta=2) == 3
+    assert _subdelegation(state, 0.5, True, theta=2) == 3
 
 
 def test_price_hand_values():
@@ -177,41 +225,39 @@ def test_price_hand_values():
 
 def test_price_degenerate_availability_falls_back_to_reserve():
     state = make_state(availability_rho=0.0, pending_q=50.0)
-    assert price_is_degenerate(state, R_FLOOR)
+    assert price_is_degenerate(state_columns(state), R_FLOOR).item()
     assert lyapunov_price(state) == state.reserve_price_p_min
 
 
 def test_price_degenerate_reputation_falls_back_to_reserve():
     state = make_state(reputation_r=1e-6, pending_q=50.0)
-    assert price_is_degenerate(state, R_FLOOR)
+    assert price_is_degenerate(state_columns(state), R_FLOOR).item()
     assert lyapunov_price(state) == state.reserve_price_p_min
 
 
 def test_acceptance_hand_values():
-    assert decide_acceptance(make_state(availability_rho=1.0, reputation_r=1.0,
-                                        pending_q=1.0), 2.0) == 1
+    assert _accepts(make_state(availability_rho=1.0, reputation_r=1.0, pending_q=1.0), 2.0) == 1
     # exact equality of weighted revenue and backlog declines (strict inequality)
-    assert decide_acceptance(make_state(availability_rho=1.0, reputation_r=1.0,
-                                        pending_q=2.0), 2.0) == 0
-    assert decide_acceptance(make_state(availability_rho=0.0, pending_q=1.0), 2.0) == 0
+    assert _accepts(make_state(availability_rho=1.0, reputation_r=1.0, pending_q=2.0), 2.0) == 0
+    assert _accepts(make_state(availability_rho=0.0, pending_q=1.0), 2.0) == 0
 
 
 def test_work_greedy_and_threshold_modes():
-    assert decide_work(make_state(pending_q=5.3, theta_max=2), "greedy") == 2
-    assert decide_work(make_state(pending_q=0.0), "greedy") == 0
+    assert _work(make_state(pending_q=5.3, theta_max=2), "greedy") == 2
+    assert _work(make_state(pending_q=0.0), "greedy") == 0
     busy = make_state(availability_rho=1.0, unit_cost_c=10.0, pending_q=1.0, urgency_Q=1.0)
-    assert decide_work(busy, mode="threshold") == 0
+    assert _work(busy, mode="threshold") == 0
     pressured = make_state(availability_rho=1.0, unit_cost_c=0.1, pending_q=3.0, urgency_Q=1.0,
                            theta_max=2)
-    assert decide_work(pressured, mode="threshold") == 2
+    assert _work(pressured, mode="threshold") == 2
     with pytest.raises(ValueError):
-        decide_work(busy, mode="lazy")
+        _work(busy, mode="lazy")
 
 
 def test_joint_composes_component_rules():
     state = make_state(availability_rho=1.0, reputation_r=0.5, pending_q=3.0, urgency_Q=2.0,
                        theta_max=1, s_max=5, reserve_price_p_min=1.0)
-    decision = decide_for_policy(PAS, state, 1.0, True, None, *SETTINGS)
+    decision = joint_decision(PAS, state, 1.0, True, None, *SETTINGS)
     assert decision.work_theta == 1
     assert decision.subdelegate_s == 2
     assert decision.price_p == 3.0  # max(1, 3 / (2 * 1 * 0.5))
@@ -222,16 +268,16 @@ def test_joint_composes_component_rules():
 
 def test_joint_zero_queue_accepts_iff_reserve_revenue_positive():
     state = make_state(pending_q=0.0, availability_rho=1.0, reputation_r=0.5)
-    decision = decide_for_policy(PAS, state, 1.0, False, None, *SETTINGS)
+    decision = joint_decision(PAS, state, 1.0, False, None, *SETTINGS)
     assert decision.accept_x == 1
     assert decision.price_p == state.reserve_price_p_min
     zero_rho = make_state(pending_q=0.0, availability_rho=0.0)
-    assert decide_for_policy(PAS, zero_rho, 1.0, False, None, *SETTINGS).accept_x == 0
+    assert joint_decision(PAS, zero_rho, 1.0, False, None, *SETTINGS).accept_x == 0
 
 
 def test_joint_without_network_never_delegates():
     state = make_state(pending_q=8.0, urgency_Q=9.0, theta_max=1, s_max=5)
-    decision = decide_for_policy(PAS, state, math.inf, False, None, *SETTINGS)
+    decision = joint_decision(PAS, state, math.inf, False, None, *SETTINGS)
     assert decision.subdelegate_s == 0
     assert decision.work_theta == 1
 
@@ -257,7 +303,7 @@ def test_acceptance_implies_nonnegative_joint_term():
     for _ in range(1000):
         state = _random_state(rng)
         price = lyapunov_price(state)
-        if decide_acceptance(state, price) == 1:
+        if _accepts(state, price) == 1:
             for f in rng.uniform(0.0, 5.0, size=3):
                 term = state.availability_rho * price * state.reputation_r * f - state.pending_q * f
                 assert term >= 0.0
@@ -269,9 +315,9 @@ def test_longer_queue_never_cancels_delegation():
         state = _random_state(rng)
         pbar = float(rng.uniform(0.2, 6.0))
         theta = 0
-        before = decide_subdelegation(state, pbar, True, theta)
+        before = _subdelegation(state, pbar, True, theta)
         bumped = state._replace(pending_q=state.pending_q + 1.0)
-        after = decide_subdelegation(bumped, pbar, True, theta)
+        after = _subdelegation(bumped, pbar, True, theta)
         if before > 0:
             assert after > 0
 
@@ -303,6 +349,6 @@ def test_price_scale_invariance():
             assert lyapunov_price(scaled) == pytest.approx(lam * lyapunov_price(state), rel=1e-12)
 
             pbar = float(rng.uniform(0.2, 5.0))
-            base_holds = decide_subdelegation(state, pbar, True, 0) == 0
-            scaled_holds = decide_subdelegation(scaled, lam * pbar, True, 0) == 0
+            base_holds = _subdelegation(state, pbar, True, 0) == 0
+            scaled_holds = _subdelegation(scaled, lam * pbar, True, 0) == 0
             assert base_holds == scaled_holds

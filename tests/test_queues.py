@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from aflsim.core import DataOwnerState, StepDecision
+from aflsim.core import DataOwnerState
 from aflsim.queues import (
     subdelegation_cost,
     training_cost,
@@ -13,9 +13,10 @@ from aflsim.queues import (
     utility as columnar_utility,
 )
 from helpers import make_state
+from reference_policy import JointDecision
 
 
-def utility(state: DataOwnerState, decision: StepDecision, demand_f: float, pbar: float) -> float:
+def utility(state: DataOwnerState, decision: JointDecision, demand_f: float, pbar: float) -> float:
     """`queues.utility` read from one DO's state and decision."""
     return columnar_utility(
         decision.accept_x, decision.price_p, state.reputation_r, demand_f, pbar,
@@ -46,7 +47,7 @@ def lyapunov_value(q: float, Q: float) -> float:
     return 0.5 * (q * q + Q * Q)
 
 
-def drift_bound(state: DataOwnerState, decision: StepDecision, arrivals: int) -> DriftBoundParts:
+def drift_bound(state: DataOwnerState, decision: JointDecision, arrivals: int) -> DriftBoundParts:
     """Upper bound on the one-step energy drift for the realized arrivals.
 
     `arrivals` is the realized admission count (acceptance already applied),
@@ -61,7 +62,7 @@ def drift_bound(state: DataOwnerState, decision: StepDecision, arrivals: int) ->
 
 def objective_value(
     state: DataOwnerState,
-    decision: StepDecision,
+    decision: JointDecision,
     demand_f: float,
     avg_neighbor_price: float,
 ) -> float:
@@ -132,7 +133,7 @@ def test_lyapunov_values():
 def test_drift_bound_constant_term():
     state = make_state(theta_max=2, s_max=1, kappa_max=3, pending_q=0.0, urgency_Q=0.0,
                        avg_demand_kappa_bar=0.0)
-    decision = StepDecision(accept_x=0, price_p=1.0, subdelegate_s=0, work_theta=0)
+    decision = JointDecision(accept_x=0, price_p=1.0, subdelegate_s=0, work_theta=0)
     parts = drift_bound(state, decision, arrivals=0)
     assert parts.xi == 18.0
     assert parts.bound == 18.0
@@ -140,7 +141,7 @@ def test_drift_bound_constant_term():
 
 def test_drift_bound_zero_queues_leave_only_constant():
     state = make_state(theta_max=3, s_max=2, kappa_max=4, pending_q=0.0, urgency_Q=0.0)
-    decision = StepDecision(accept_x=1, price_p=1.0, subdelegate_s=2, work_theta=3)
+    decision = JointDecision(accept_x=1, price_p=1.0, subdelegate_s=2, work_theta=3)
     parts = drift_bound(state, decision, arrivals=3)
     assert parts.bound == parts.xi
 
@@ -148,7 +149,7 @@ def test_drift_bound_zero_queues_leave_only_constant():
 def test_drift_bound_hand_value():
     state = make_state(theta_max=2, s_max=1, kappa_max=3, pending_q=5.0, urgency_Q=2.0,
                        avg_demand_kappa_bar=1.0)
-    decision = StepDecision(accept_x=1, price_p=1.0, subdelegate_s=1, work_theta=1)
+    decision = JointDecision(accept_x=1, price_p=1.0, subdelegate_s=1, work_theta=1)
     parts = drift_bound(state, decision, arrivals=3)
     assert parts.q_term == 5.0
     assert parts.Q_term == -2.0
@@ -172,7 +173,7 @@ def test_realized_drift_never_exceeds_bound():
         kappa_bar = float(rng.uniform(0, kappa_max))
         state = make_state(theta_max=theta_max, s_max=s_max, kappa_max=kappa_max,
                            pending_q=q, urgency_Q=Q, avg_demand_kappa_bar=kappa_bar)
-        decision = StepDecision(accept_x=x, price_p=1.0, subdelegate_s=s, work_theta=theta)
+        decision = JointDecision(accept_x=x, price_p=1.0, subdelegate_s=s, work_theta=theta)
         arrivals = x * kappa
         new_q = update_pending_queue(q, theta, s, x, kappa)
         new_Q = update_urgency_queue(Q, theta, s, kappa_bar, q > 0)
@@ -192,13 +193,13 @@ def test_cost_hand_values():
 
 def test_utility_hand_values():
     state = make_state(reputation_r=1.0, unit_cost_c=0.5)
-    decision = StepDecision(accept_x=1, price_p=2.0, subdelegate_s=1, work_theta=2)
+    decision = JointDecision(accept_x=1, price_p=2.0, subdelegate_s=1, work_theta=2)
     assert utility(state, decision, 3.0, 1.0) == 4.0
 
-    idle = StepDecision(accept_x=0, price_p=2.0, subdelegate_s=0, work_theta=0)
+    idle = JointDecision(accept_x=0, price_p=2.0, subdelegate_s=0, work_theta=0)
     assert utility(state, idle, 3.0, 1.0) == 0.0
 
-    costly = StepDecision(accept_x=0, price_p=2.0, subdelegate_s=1, work_theta=1)
+    costly = JointDecision(accept_x=0, price_p=2.0, subdelegate_s=1, work_theta=1)
     state2 = make_state(reputation_r=1.0, unit_cost_c=1.0)
     assert utility(state2, costly, 3.0, 2.0) == -3.0
 
@@ -210,7 +211,7 @@ def test_utility_decomposes_into_components():
             reputation_r=float(rng.uniform(0, 1)),
             unit_cost_c=float(rng.uniform(0, 3)),
         )
-        decision = StepDecision(
+        decision = JointDecision(
             accept_x=int(rng.integers(0, 2)),
             price_p=float(rng.uniform(1.0, 5.0)),
             subdelegate_s=int(rng.integers(0, 4)),
@@ -227,14 +228,14 @@ def test_utility_decomposes_into_components():
 def test_objective_all_zero_leaves_constant():
     state = make_state(pending_q=0.0, urgency_Q=0.0, availability_rho=0.0, theta_max=2,
                        s_max=1, kappa_max=3)
-    decision = StepDecision(accept_x=0, price_p=1.0, subdelegate_s=0, work_theta=0)
+    decision = JointDecision(accept_x=0, price_p=1.0, subdelegate_s=0, work_theta=0)
     assert objective_value(state, decision, 0.0, 0.0) == -18.0
 
 
 def test_objective_subdelegation_term():
     state = make_state(availability_rho=1.0, pending_q=3.0, urgency_Q=2.0, theta_max=2,
                        s_max=1, kappa_max=3, unit_cost_c=0.0)
-    decision = StepDecision(accept_x=0, price_p=1.0, subdelegate_s=2, work_theta=0)
+    decision = JointDecision(accept_x=0, price_p=1.0, subdelegate_s=2, work_theta=0)
     xi = 18.0
     assert objective_value(state, decision, 0.0, 1.0) == 8.0 - xi
 
@@ -242,7 +243,7 @@ def test_objective_subdelegation_term():
 def test_objective_pricing_term():
     state = make_state(availability_rho=1.0, reputation_r=1.0, pending_q=1.0, urgency_Q=0.0,
                        theta_max=2, s_max=1, kappa_max=3)
-    decision = StepDecision(accept_x=1, price_p=2.0, subdelegate_s=0, work_theta=0)
+    decision = JointDecision(accept_x=1, price_p=2.0, subdelegate_s=0, work_theta=0)
     xi = 18.0
     assert objective_value(state, decision, 3.0, 1.0) == 3.0 - xi
 
@@ -264,7 +265,7 @@ def test_objective_linear_in_s_and_theta():
 
         def at(s, theta):
             return objective_value(
-                state, StepDecision(accept_x=1, price_p=p, subdelegate_s=s, work_theta=theta),
+                state, JointDecision(accept_x=1, price_p=p, subdelegate_s=s, work_theta=theta),
                 f, pbar,
             )
 
