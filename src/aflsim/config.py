@@ -241,7 +241,10 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
     square = schedule["kind"] == "square"
     names = (policy.assignment,) if isinstance(policy.assignment, str) else policy.assignment
     budget = f"must fit the {MEMORY_BUDGET}-byte memory budget"
-    prices_posted = cfg.n_dos * cfg.horizon_T
+    # Over n_dos * horizon_T DO-steps the run's utility sum adds a price times reputation
+    # (<= 1) per task paid, at most kappa_max - 1 a step; its price sum adds one price.
+    prices_paid = cfg.n_dos * cfg.horizon_T * max(1, do.kappa_hat[1] - 1)
+    paid = "n_dos * horizon_T * max(1, kappa_hat_high - 1)"
     # Only the demand model evaluates exp(a0 + a3*eps) and r**a1; an overflow names the larger term, then factor.
     demand = market.arrival_mode == "demand-model"
     eps_term = c.a3 * do.epsilon[1]
@@ -289,17 +292,16 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
         ("policy.assignment", isinstance(policy.assignment, str) or len(names) == cfg.n_dos, "per-DO list must have one name per DO"),
         ("policy.work_mode", policy.work_mode in ("greedy", "threshold"), "must be 'greedy' or 'threshold'"),
         ("policy.markup_max", policy.markup_max > 0, "must be > 0"),
-        # price_rand draws up to 2 * p_min * (1 + markup_max), price_ampp up to half of it,
-        # and the run's price sum adds n_dos * horizon_T posted prices; as markup_max > 0,
-        # the p_min row fails exactly when no markup_max could help.
-        ("do_params.p_min", math.isfinite(prices_posted * 2.0 * do.p_min[1]), "n_dos * horizon_T * 2 * p_min_high must be finite"),
+        # price_rand draws up to 2 * p_min * (1 + markup_max), price_ampp up to half of it;
+        # as markup_max > 0, the p_min row fails exactly when no markup_max could help.
+        ("do_params.p_min", math.isfinite(prices_paid * 2.0 * do.p_min[1]), f"{paid} * 2 * p_min_high must be finite"),
         (
             "policy.markup_max",
-            math.isfinite(prices_posted * 2.0 * do.p_min[1] * (1.0 + policy.markup_max)),
-            "n_dos * horizon_T * 2 * p_min_high * (1 + markup_max) must be finite",
+            math.isfinite(prices_paid * 2.0 * do.p_min[1] * (1.0 + policy.markup_max)),
+            f"{paid} * 2 * p_min_high * (1 + markup_max) must be finite",
         ),
         ("policy.lin_gain", policy.lin_gain >= 1, "must be >= 1, or a lin price falls below the reserve"),
-        ("policy.lin_gain", math.isfinite(prices_posted * do.p_min[1] * policy.lin_gain), "n_dos * horizon_T * p_min_high * lin_gain must be finite"),
+        ("policy.lin_gain", math.isfinite(prices_paid * do.p_min[1] * policy.lin_gain), f"{paid} * p_min_high * lin_gain must be finite"),
         ("seeds", len(cfg.seeds) > 0, "seed list must be nonempty"),
         ("seeds", len(set(cfg.seeds)) == len(cfg.seeds), "seeds must be unique"),
         ("seeds", all(s >= 0 for s in cfg.seeds), "seeds must be >= 0"),

@@ -1,10 +1,10 @@
 """Shared value types for the auction-based federated learning market.
 
 The market holds its state as numpy columns: one record of `STATE` per data
-owner and one record of `TASK` per pending task.  `DataOwnerState` is the
-per-step view of one data owner that its `decide_for_policy` call reads, and
-`StepDecision` is what that call returns.  Everything here is plain data plus
-validation, no market behaviour.
+owner and one record of `TASK` per pending task.  `OwnerConstants` is what
+one data owner's `decide_for_policy` call reads of it, built once per world,
+and `StepDecision` is what that call returns.  Everything here is plain data
+plus validation, no market behaviour.
 """
 
 from dataclasses import dataclass
@@ -26,38 +26,37 @@ CSV_COLUMNS = [
 ]
 
 
-class DataOwnerState(NamedTuple):
-    """Full per-step state of one data owner, as its per-DO decision call sees it.
+# One record per DO.  `pending_q` and `urgency_Q` are virtual queues stored as
+# nonnegative reals: the urgency queue accumulates the real-valued average
+# demand, so integer storage would be lossy.  Physical task counts moved in a
+# step (work, sub-delegations, arrivals) are integers.
+STATE = np.dtype([
+    ("id", int),
+    ("reputation_r", float),            # in [0, 1]
+    ("pending_q", float),               # backlog of accepted-but-unfinished tasks
+    ("urgency_Q", float),               # accumulated delay pressure
+    ("avg_demand_kappa_bar", float),    # causal running mean of per-step arrivals
+    ("availability_rho", float),        # eagerness weight for taking new tasks
+    ("unit_cost_c", float),             # cost of training one task locally
+    ("reserve_price_p_min", float),     # floor below which the DO never prices
+    ("rep_threshold_r_min", float),     # minimum reputation accepted in a delegate
+    ("theta_max", int),                 # max tasks workable per step
+    ("s_max", int),                     # max tasks sub-delegated per step
+    ("kappa_max", int),                 # hard cap: arrivals per step stay below this
+    ("alignment_epsilon", float),       # promised-vs-delivered quality alignment
+    ("positive_ratings_Mp", int),       # positive ratings collected so far
+    ("current_price_p", float),         # most recently posted unit price
+    ("data_size", int),                 # local training samples held
+])
 
-    The market keeps these fields as the columns of a `STATE` array and builds
-    a fresh view per DO each step: a view is a `STATE` record as a tuple.
-    `pending_q` and `urgency_Q` are virtual queues stored as nonnegative
-    reals: the urgency queue accumulates the real-valued average demand, so
-    integer storage would be lossy.  Physical task counts moved in a step
-    (work, sub-delegations, arrivals) are integers.
-    """
+
+class OwnerConstants(NamedTuple):
+    """What one DO's `decide_for_policy` call reads of it.  Both fields are
+    fixed for a run, so the market builds one per DO when it builds a world."""
 
     id: int
-    reputation_r: float            # in [0, 1]
-    pending_q: float               # backlog of accepted-but-unfinished tasks
-    urgency_Q: float               # accumulated delay pressure
-    avg_demand_kappa_bar: float    # causal running mean of per-step arrivals
-    availability_rho: float        # eagerness weight for taking new tasks
-    unit_cost_c: float             # cost of training one task locally
-    reserve_price_p_min: float     # floor below which the DO never prices
-    rep_threshold_r_min: float     # minimum reputation accepted in a delegate
-    theta_max: int                 # max tasks workable per step
-    s_max: int                     # max tasks sub-delegated per step
-    kappa_max: int                 # hard cap: arrivals per step stay below this
-    alignment_epsilon: float       # promised-vs-delivered quality alignment
-    positive_ratings_Mp: int       # positive ratings collected so far
-    current_price_p: float         # most recently posted unit price
-    data_size: int                 # local training samples held
+    reserve_price_p_min: float
 
-
-# One record per DO, with DataOwnerState's fields in its order, so that a
-# record's values are a view's constructor arguments.
-STATE = np.dtype(list(DataOwnerState.__annotations__.items()))
 
 # One record per pending task.  The market keeps its tasks grouped by owner,
 # each owner's in FIFO order.  `payment` is what the current owner was paid
@@ -70,7 +69,7 @@ TASK = np.dtype(
 
 def validate_states(states: np.ndarray) -> tuple[int, str] | None:
     """The first (DO, field) of a `STATE` array that breaks an invariant of
-    DataOwnerState, or None when every record holds them all."""
+    its record, or None when every record holds them all."""
     s = states
     checks = (
         ("reputation_r", (0.0 <= s["reputation_r"]) & (s["reputation_r"] <= 1.0)),

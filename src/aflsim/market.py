@@ -4,7 +4,8 @@ One simulation step runs a fixed pipeline:
 
   1. snapshot mean neighbour prices and, where read, delegate eligibility,
   2. every data owner decides jointly against that snapshot: the rules that
-     draw nothing as whole arrays, then one call per DO for its own draws,
+     draw nothing as whole arrays, then one call per DO for its own draws
+     (on its `OwnerConstants`); a price that is not finite stops the step,
   3. the auction clears model-user requests at posted prices,
   4. sub-delegations route to eligible neighbours (tasks land next step),
   5. work completes pending tasks oldest-first,
@@ -44,7 +45,7 @@ import numpy as np
 from .core import (
     STATE,
     TASK,
-    DataOwnerState,
+    OwnerConstants,
     StepDecision,
     TrustNetwork,
     sequential_sum,
@@ -412,6 +413,9 @@ class World:
         self._deg = self._adj.sum(axis=1)
 
         self._build_data_owners(np.random.default_rng([seed, _STREAM_DO_PARAMS]))
+        # What each DO's decide_for_policy call reads, fixed for the run; tuple.__new__ skips a Python call per DO.
+        owners = zip(self.ids.tolist(), self.states["reserve_price_p_min"].tolist())
+        self.owners = list(map(tuple.__new__, repeat(OwnerConstants), owners))
         self.created_tasks = len(self.queue)
         self.completed_tasks = 0
         self.kappa_sum = np.zeros(n)
@@ -502,13 +506,6 @@ class World:
         if schedule["kind"] == "square" and (t // schedule["period"]) % 2 == 1:
             return schedule["low_scale"]
         return 1.0
-
-    def views(self) -> list[DataOwnerState]:
-        """A fresh DataOwnerState per DO, read from the state columns.  The
-        views are built from zipped column lists with no Python call per DO
-        (a structured array's own `tolist` is slower than its columns')."""
-        rows = zip(*(self.states[name].tolist() for name in STATE.names))
-        return list(map(tuple.__new__, repeat(DataOwnerState), rows))
 
     def _build_contexts(self, prices: np.ndarray, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every DO's mean neighbour price (inf without neighbours) and whether a
@@ -615,10 +612,11 @@ def step(world: World) -> dict[str, np.ndarray]:
     # Then one call per DO replaces a random rule's value with draws from the
     # DO's own generator.  Acceptance reads the price posted.
     decisions = dict(enumerate(map(
-        decide_for_policy, world.policy_specs, world.views(), s_goal.tolist(), price.tolist(), cap.tolist(),
+        decide_for_policy, world.policy_specs, world.owners, s_goal.tolist(), price.tolist(), cap.tolist(),
         world.policy_rngs, repeat(policy.markup_max),
     )))
     price = np.fromiter(map(attrgetter("price_p"), decisions.values()), float, count=n)
+    _check(~np.isfinite(price), lambda i: f"DO {i} at step {t} posted a price of {price[i]}, which is not finite")
     s_goal = np.fromiter(map(attrgetter("subdelegate_s"), decisions.values()), np.intp, count=n)
     x = np.where(world._lyapunov_accept, decide_acceptance(states, price), 1)
 

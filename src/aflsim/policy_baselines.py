@@ -10,6 +10,7 @@ queue-aware policy, each differing from it in exactly one component.
 The linear price, like the queue-aware rules, is a whole array over the DOs.
 The random rules draw from each DO's own generator, so they run in
 `decide_for_policy`, one call per DO, which the market makes for every DO.
+A call reads of its DO only the `OwnerConstants` the world built for it.
 """
 
 import math
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataOwnerState, StepDecision
+from .core import OwnerConstants, StepDecision
 
 
-def price_rand(state: DataOwnerState, rng, markup_max: float) -> float:
+def price_rand(state: OwnerConstants, rng, markup_max: float) -> float:
     """Uniform draw on [p_min, 2 * p_min * (1 + markup_max)], a support
     comparable with the markup and linear rules."""
     p_min = state.reserve_price_p_min
@@ -31,7 +32,7 @@ def price_rand(state: DataOwnerState, rng, markup_max: float) -> float:
     return p_min + (p_cap - p_min) * rng.random()
 
 
-def price_ampp(state: DataOwnerState, rng, markup_max: float) -> float:
+def price_ampp(state: OwnerConstants, rng, markup_max: float) -> float:
     """Random markup above the reserve: p_min * (1 + U(0, markup_max))."""
     if markup_max <= 0:
         raise ValueError("markup_max must be > 0")
@@ -103,17 +104,17 @@ def resolve_policy(name: str) -> PolicySpec:
 
 def decide_for_policy(
     spec: PolicySpec,
-    state: DataOwnerState,
+    state: OwnerConstants,
     subdelegate_s: int,
     price_p: float,
     cap: int,
     rng,
     markup_max: float,
 ) -> StepDecision:
-    """One DO's draws: `subdelegate_s` and `price_p` are what the whole-array
-    rules decided for it and `cap` its sub-delegation cap.  A random rule
-    replaces its value with draws from the DO's generator `rng`, in this
-    order: `subdel_rand`'s, then the price's."""
+    """One DO's draws: `state` is its `OwnerConstants`, `subdelegate_s` and
+    `price_p` are what the whole-array rules decided for it and `cap` its
+    sub-delegation cap.  A random rule replaces its value with draws from the
+    DO's generator `rng`, in this order: `subdel_rand`'s, then the price's."""
     if spec.subdel_rule == "rand":
         subdelegate_s = subdel_rand(cap, rng)
     if spec.price_rule == "rand":

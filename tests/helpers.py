@@ -1,11 +1,12 @@
 """Shared builders for test states and runs, and test-side reference checks."""
 
 from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
 from aflsim.config import resolve_config
-from aflsim.core import CSV_COLUMNS, STATE, DataOwnerState, TrustNetwork
+from aflsim.core import CSV_COLUMNS, STATE, TrustNetwork
 from aflsim.market import World, step
 from aflsim.policy_baselines import decide_for_policy, price_lin
 from aflsim.policy_pas import (
@@ -20,6 +21,18 @@ from reference_policy import JointDecision
 
 # One CSV row of a step's metrics, with the columns as attributes.
 Record = namedtuple("Record", CSV_COLUMNS)
+
+# The full state of one DO, as the scalar references read it: a `STATE`
+# record as a tuple, its fields in the record's order with Python types.
+DataOwnerState = NamedTuple(
+    "DataOwnerState", [(name, int if STATE[name].kind == "i" else float) for name in STATE.names]
+)
+
+
+def views(world: World) -> list[DataOwnerState]:
+    """A fresh DataOwnerState per DO of `world`, read from its state columns."""
+    return [DataOwnerState(*row) for row in zip(*(world.states[name].tolist() for name in STATE.names))]
+
 
 # The default scenario's settings, which the decision rules take as arguments:
 # the reputation floor, and joint_decision's settings after (spec, state,

@@ -125,6 +125,14 @@ def test_whole_numbers_resolve_as_ints():
         # Prices each finite whose run sum over n_dos * horizon_T of them is not.
         ({"n_dos": 5, "horizon_T": 4, "policy": {"assignment": "lin-rand", "lin_gain": 1e308}}, "policy.lin_gain"),
         ({"n_dos": 5, "horizon_T": 4, "policy": {"assignment": "rand-rand", "markup_max": 1e307}}, "policy.markup_max"),
+        # A price sum that is finite, with a utility sum of up to kappa_hat_high - 1 paid tasks a price that is not.
+        (
+            {
+                "n_dos": 5, "horizon_T": 4, "policy": {"assignment": "lin-rand", "lin_gain": 7.4e306},
+                "do_params": {"r0": [1.0, 1.0]}, "market": {"arrival_mode": "demand-model", "integerization": "round"},
+            },
+            "policy.lin_gain",
+        ),
     ],
 )
 def test_out_of_bounds_values_name_field(raw, field):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from aflsim import market
 from aflsim.config import MarketConstants, MuParams, resolve_config
-from aflsim.core import STATE, TASK, DataOwnerState, StepDecision
+from aflsim.core import STATE, TASK, OwnerConstants, StepDecision
 from aflsim.market import (
     LEDGER,
     MarketInvariantError,
@@ -25,7 +25,7 @@ from aflsim.market import (
 )
 from aflsim.policy_baselines import POLICIES
 from aflsim.simcli import run_scenario
-from helpers import R_FLOOR, make_state, run_world, state_columns, trust_network
+from helpers import DataOwnerState, R_FLOOR, make_state, run_world, state_columns, trust_network, views
 from reference_policy import reference_decide
 
 GAINS = {"lin": 1.25, "bmub": 1.45, "fedbidder-simple": 1.1, "fedbidder-complex": 1.35}
@@ -337,9 +337,9 @@ def test_views_equal_the_state_records_field_by_field_and_type_by_type():
     cfg = resolve_config({"n_dos": 7, "horizon_T": 3, "do_params": {"q0": [0, 4]}})
     world = build_world(cfg, 3)
     step(world)
-    views = world.views()
-    assert len(views) == len(world.states)
-    for view, record in zip(views, world.states):
+    got = views(world)
+    assert len(got) == len(world.states)
+    for view, record in zip(got, world.states):
         assert type(view) is DataOwnerState and view._fields == STATE.names
         for name, value in zip(STATE.names, view):
             want = record[name].item()
@@ -666,8 +666,9 @@ def test_step_queue_updates_match_recurrences():
             kn += 1
 
 
-# What one step decided, DO by DO: the snapshot it decided against, each
-# decide_for_policy call's state, each DO's (accept_x, price_p, subdelegate_s,
+# What one step decided, DO by DO: the snapshot it decided against, the
+# record each decide_for_policy call read (a full DataOwnerState in the scalar
+# reference's replay), each DO's (accept_x, price_p, subdelegate_s,
 # work_theta), and how many prices fell back to the reserve as degenerate.
 Decided = namedtuple("Decided", "avg eligible states decisions degenerate")
 
@@ -714,12 +715,12 @@ def reference_decisions(world, avg, eligible) -> Decided:
     own generators."""
     cfg = world.config
     knobs = (cfg.policy.markup_max, cfg.policy.lin_gain, cfg.policy.work_mode, cfg.market.r_floor)
-    views = world.views()
+    full = views(world)
     want = [
         reference_decide(spec, view, a, e, rng, *knobs)
-        for spec, view, a, e, rng in zip(world.policy_specs, views, avg, eligible, world.policy_rngs)
+        for spec, view, a, e, rng in zip(world.policy_specs, full, avg, eligible, world.policy_rngs)
     ]
-    return Decided(avg, eligible, views, [d[:4] for d in want], sum(d.price_degenerate for d in want))
+    return Decided(avg, eligible, full, [d[:4] for d in want], sum(d.price_degenerate for d in want))
 
 
 def generator_states(world) -> list:
@@ -733,9 +734,14 @@ def test_step_decisions_depend_only_on_snapshot():
         for _ in range(cfg.horizon_T):
             twin = copy.deepcopy(world)
             got = step_decisions(world)
-            assert [state.id for state in got.states] == list(range(cfg.n_dos))
+            # Each call reads its own DO's id and reserve price.
+            columns = zip(twin.ids.tolist(), twin.states["reserve_price_p_min"].tolist())
+            assert [(record.id, record.reserve_price_p_min) for record in got.states] == list(columns)
             # Replayed on the state before the step and the snapshot the step took.
-            assert got == reference_decisions(twin, got.avg, got.eligible)
+            want = reference_decisions(twin, got.avg, got.eligible)
+            assert (got.avg, got.eligible, got.decisions, got.degenerate) == (
+                want.avg, want.eligible, want.decisions, want.degenerate
+            )
 
 
 def reference_snapshot(world, prices, reps):
@@ -757,6 +763,18 @@ def reference_snapshot(world, prices, reps):
 
 
 POLICY_NAMES = sorted(POLICIES)
+
+
+def test_each_do_is_handed_one_record_for_the_whole_run():
+    cfg = resolve_config({
+        "n_dos": 12, "horizon_T": 6, "seeds": [4], "do_params": {"q0": [0, 4]},
+        "policy": {"assignment": POLICY_NAMES},
+    })
+    world = build_world(cfg, 4)
+    first = step_decisions(world).states
+    assert [type(record) for record in first] == [OwnerConstants] * cfg.n_dos
+    for _ in range(cfg.horizon_T - 1):
+        assert list(map(id, step_decisions(world).states)) == list(map(id, first))
 
 
 @st.composite
@@ -894,7 +912,7 @@ def reference_arrivals(world, price, accept):
     c, r_floor, mode = cfg.constants, cfg.market.r_floor, cfg.market.integerization
     limit = market._POISSON_LAM_MAX if mode == "poisson" else sys.float_info.max
     admitted = []
-    for i, state in enumerate(world.views()):
+    for i, state in enumerate(views(world)):
         if accept[i] != 1:
             admitted.append(0)
             continue

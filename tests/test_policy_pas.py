@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from helpers import (
     state_columns,
     trust_network,
     validate_decision,
+    views,
 )
 import reference_policy
 
@@ -185,9 +187,29 @@ def test_degenerate_prices_run_clean_and_are_counted(do_params):
     world = build_world(cfg, 1)
     want = 0
     for _ in range(cfg.horizon_T):
-        want += sum(reference_policy.price_is_degenerate(view, cfg.market.r_floor) for view in world.views())
+        want += sum(reference_policy.price_is_degenerate(view, cfg.market.r_floor) for view in views(world))
         step(world)
     assert world.degenerate_price_steps == want > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "do_params, market_params",
+    [
+        ({"rho": [5e-324, 5e-324], "r0": [0.2, 0.2]}, {}),  # 2 * rho * r underflows to 0
+        ({"rho": [1e-300, 1e-300], "r0": [1e-10, 1e-10]}, {"r_floor": 1e-10}),  # q / (2 * rho * r) overflows
+    ],
+)
+def test_a_price_that_is_not_finite_stops_the_step_before_settling(do_params, market_params):
+    cfg = resolve_config({
+        "n_dos": 5, "horizon_T": 4, "policy": {"assignment": "pas-afl"},
+        "do_params": {**do_params, "q0": [0, 4]}, "market": market_params,
+    })
+    world = build_world(cfg, 1)
+    assert not reference_policy.price_is_degenerate(views(world)[0], cfg.market.r_floor)
+    with mock.patch.object(market, "settle", side_effect=AssertionError("settled")):
+        with pytest.raises(market.MarketInvariantError, match=r"^DO 0 at step 0 posted a price of inf\b"):
+            step(world)
 
 
 def test_subdelegation_holds_when_neighbors_expensive():

@@ -4,7 +4,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from aflsim.core import DataOwnerState
 from aflsim.queues import (
     subdelegation_cost,
     training_cost,
@@ -12,7 +11,7 @@ from aflsim.queues import (
     update_urgency_queue,
     utility as columnar_utility,
 )
-from helpers import make_state
+from helpers import DataOwnerState, make_state
 from reference_policy import JointDecision
 
 
