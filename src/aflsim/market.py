@@ -2,7 +2,8 @@
 
 One simulation step runs a fixed pipeline:
 
-  1. snapshot mean neighbour prices and, where read, delegate eligibility,
+  1. snapshot mean neighbour prices (reused while the posted prices repeat)
+     and, where read, delegate eligibility,
   2. every data owner decides jointly against that snapshot: the rules that
      draw nothing as whole arrays, then one call per DO for its own draws
      (on its `OwnerConstants`); a price that is not finite stops the step,
@@ -21,11 +22,13 @@ Each phase is a whole-array pass around at most one irreducible per-element
 operation: each DO's decision draws and, in demand-model arrivals, the
 Poisson draw per accepting DO (each on that DO's own generator), and the walk
 over the tasks each delegator moves, since each transfer uses up capacity the
-next one sees.  Everything is deterministic given the scenario seed.  Audits
-(task conservation, admission caps, state invariants, delegation depth,
-queue order, and the payment ledgers against admitted and moved task counts,
-bids, budgets and carried payments) run every step and raise immediately on
-violation.
+next one sees.  The auction's bidders walk side by side, one per matrix row:
+a random bidder in its drawn permutation, the others by one unstable sort of
+their keys, sorted again stably only in a row whose keys tie.  Everything is
+deterministic given the scenario seed.  Audits (task conservation, admission
+caps, state invariants, delegation depth, queue order, and the payment
+ledgers against admitted and moved task counts, bids, budgets and carried
+payments) run every step and raise immediately on violation.
 
 The six model-user bidding strategies are parameterized stand-ins: each gets
 a distinct target ordering and bid shape, and every data-owner policy in a
@@ -193,41 +196,50 @@ def _mu_requests(valuations: np.ndarray, states: np.ndarray, price: np.ndarray, 
 
     Each MU walks its strategy-specific target order, skips nonpositive bids
     and stops once the next bid would push its total submitted bids past its
-    per-step budget.  The walks run side by side, one MU per matrix row: a
-    sort key and a bid per DO, sorted, then summed.
+    per-step budget.  The walks run side by side, one MU per matrix row of
+    bids in walk order, summed along the row.  A `random` MU's row is drawn
+    in its permutation's order; every other MU sorts a key per DO, with ties
+    by ascending DO id.
     """
     n = len(states)
     rep = states["reputation_r"]
     p_min = states["reserve_price_p_min"]
     reserve_keys = {"lin": p_min, "bmub": -rep, "fedbidder-simple": price}
-    keys, bids = np.empty(valuations.shape), np.empty(valuations.shape)
+    order, bids = np.empty(valuations.shape, np.intp), np.empty(valuations.shape)
     walked = {}  # row -> (generator, its state before the bids were drawn)
+    keyed = []  # (row, sort key per DO, bid per DO) of each MU that sorts
     for j, (strategy, valuation) in enumerate(zip(mu.strategies, valuations)):
         if strategy == "random":
-            # The key is each DO's place in a random order.  Bids are uniform
-            # on [0, valuation): valuation * rng.random() is the value
-            # rng.uniform(0.0, valuation) returns, from the same draw.  A bid
-            # is drawn for every DO; the draws the walk never reaches are
-            # undone below.
+            # Bids are uniform on [0, valuation): valuation * rng.random() is
+            # the value rng.uniform(0.0, valuation) returns, from the same
+            # draw.  A bid is drawn for every DO; the draws the walk never
+            # reaches are undone below.
             rng = rngs[j]
-            targets = rng.permutation(n)
+            order[j] = rng.permutation(n)
             walked[j] = rng, rng.bit_generator.state
-            keys[j, targets] = np.arange(n)
-            bids[j, targets] = valuation[targets] * rng.random(n)
-        elif strategy == "greedy":
-            keys[j] = -rep / price
-            bids[j] = valuation
+            bids[j] = valuation[order[j]] * rng.random(n)
+            continue
+        if strategy == "greedy":
+            key, bid = -rep / price, valuation
         elif strategy == "fedbidder-complex":
-            keys[j] = -rep * valuation / price
-            bids[j] = np.minimum(mu.gains[strategy] * (0.5 + 0.5 * rep) * p_min, valuation)
+            key = -rep * valuation / price
+            bid = np.minimum(mu.gains[strategy] * (0.5 + 0.5 * rep) * p_min, valuation)
         elif strategy in reserve_keys:
-            keys[j] = reserve_keys[strategy]
-            bids[j] = np.minimum(mu.gains[strategy] * p_min, valuation)
+            key, bid = reserve_keys[strategy], np.minimum(mu.gains[strategy] * p_min, valuation)
         else:
             raise ValueError(f"unknown MU strategy: {strategy!r}")
-    # Ties keep ascending DO id: the sort is stable.
-    order = np.argsort(keys, axis=1, kind="stable")
-    bids = np.take_along_axis(bids, order, axis=1)
+        keyed.append((j, key, bid))
+    if keyed:
+        # The default sort is not stable, so a row whose sorted keys are not
+        # strictly increasing is sorted again stably: ties keep ascending DO id.
+        rows, keys, by_do = map(np.array, zip(*keyed))
+        at = np.arange(len(rows))[:, None]
+        sorted_order = np.argsort(keys, axis=1)
+        ranked = keys[at, sorted_order]
+        tied = ~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1)
+        sorted_order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+        order[rows] = sorted_order
+        bids[rows] = by_do[at, sorted_order]
 
     # A walk adds its positive bids in order, as cumsum does, and stops at
     # the first that overshoots the budget.
@@ -411,6 +423,8 @@ class World:
         )
         self._adj = self.network.adjacency.astype(float)
         self._deg = self._adj.sum(axis=1)
+        # The last mean neighbour price and the bytes of the prices it was taken at.
+        self._avg_prices, self._avg = None, None
 
         self._build_data_owners(np.random.default_rng([seed, _STREAM_DO_PARAMS]))
         # What each DO's decide_for_policy call reads, fixed for the run; tuple.__new__ skips a Python call per DO.
@@ -511,13 +525,21 @@ class World:
         """Every DO's mean neighbour price (inf without neighbours) and whether a
         neighbour could take its best-paying task below the delegation-depth cap.
 
-        Only a DO that may delegate and whose rule reads the answer is asked; a
-        threshold-rule DO whose sign test keeps its tasks local reads False.
+        The mean is read-only, and taken again only when a byte of `prices`
+        differs from the last prices: posted prices often repeat, and the graph
+        is fixed.  Only a DO that may delegate and whose rule reads the answer
+        is asked; a threshold-rule DO whose sign test keeps its tasks local
+        reads False.
         """
         cfg = self.config
         states = self.states
         n = len(states)
-        avg = np.divide(self._adj @ prices, self._deg, out=np.full(n, math.inf), where=self._deg > 0)
+        key = prices.tobytes()
+        if key != self._avg_prices:
+            self._avg = np.divide(self._adj @ prices, self._deg, out=np.full(n, math.inf), where=self._deg > 0)
+            self._avg.flags.writeable = False
+            self._avg_prices = key
+        avg = self._avg
 
         least_work = 0 if cfg.policy.work_mode == "threshold" else states["theta_max"]
         may_delegate = np.floor(states["pending_q"]) > least_work

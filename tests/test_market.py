@@ -307,22 +307,36 @@ def test_random_mu_block_walk_matches_scalar_loop_and_leaves_the_same_generator_
     assert block.random() == scalar.random()
 
 
+MU_ROSTER = ["greedy", "lin", "bmub", "fedbidder-simple", "fedbidder-complex", "random"]
+
+
+@st.composite
+def mu_walk_cases(draw):
+    """DOs whose sort keys take few distinct values, so that many tie: at most
+    8 DOs, where numpy's default argsort is an insertion sort and so stable,
+    or 17 to 64, where it is not."""
+    n = draw(st.one_of(st.integers(1, 8), st.integers(17, 64)))
+    column = lambda values: draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    return (
+        column([0.5, 0.8, 1.0]),  # reputation_r
+        column([1.0, 1.25]),  # reserve_price_p_min
+        column([1.0, 1.5]),  # posted price
+        [column([0.0, 1.0, 2.0]) for _ in MU_ROSTER],  # each MU's valuation per DO
+        draw(st.one_of(st.just(0.0), st.sampled_from([1.0, 2.5, 4.0, 7.5]), st.just(1e9))),  # budget
+        draw(st.permutations(MU_ROSTER)),
+    )
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(
-    data=st.data(),
-    n=st.integers(1, 8),
-    budget=st.one_of(st.just(0.0), st.sampled_from([1.0, 2.5, 4.0, 7.5]), st.just(1e9)),
-    roster=st.permutations(["greedy", "lin", "bmub", "fedbidder-simple", "fedbidder-complex", "random"]),
-)
-def test_stacked_mu_walks_match_a_walk_per_mu(data, n, budget, roster):
-    # Few distinct values, so that many sort keys tie.
-    reps = data.draw(st.lists(st.sampled_from([0.5, 0.8, 1.0]), min_size=n, max_size=n))
-    p_mins = data.draw(st.lists(st.sampled_from([1.0, 1.25]), min_size=n, max_size=n))
-    price = np.array(data.draw(st.lists(st.sampled_from([1.0, 1.5]), min_size=n, max_size=n)))
+@given(case=mu_walk_cases())
+@example(case=([0.8] * 40, [1.0] * 40, [1.5] * 40, [[1.0] * 40] * 6, 1e9, MU_ROSTER))  # every key ties
+@example(case=([0.5, 1.0, 0.8] * 12, [1.25, 1.0] * 18, [1.0, 1.5, 1.5] * 12, [[1.0, 2.0] * 18] * 6, 1e9, MU_ROSTER))
+def test_stacked_mu_walks_match_a_walk_per_mu(case):
+    reps, p_mins, price, valuations, budget, roster = case
     states = _mu_states(reps, p_mins)
+    price = np.array(price)
     bidders = [
-        Bidder(j, name, budget, np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=n, max_size=n))))
-        for j, name in enumerate(roster)
+        Bidder(j, name, budget, np.array(valuation)) for j, (name, valuation) in enumerate(zip(roster, valuations))
     ]
     stacked = [np.random.default_rng([9, b.id]) for b in bidders]
     walked = [np.random.default_rng([9, b.id]) for b in bidders]
@@ -331,6 +345,65 @@ def test_stacked_mu_walks_match_a_walk_per_mu(data, n, budget, roster):
     want = np.concatenate([reference_mu_requests(b, states, price, walked[b.id], GAINS) for b in bidders])
     assert got.tolist() == want.tolist()
     assert all(a.bit_generator.state == b.bit_generator.state for a, b in zip(stacked, walked))
+
+
+def fresh_mean(world, prices):
+    """Each DO's mean neighbour price by the engine's formula, taken anew."""
+    adj = world.network.adjacency.astype(float)
+    deg = adj.sum(axis=1)
+    return np.divide(adj @ prices, deg, out=np.full(len(prices), math.inf), where=deg > 0)
+
+
+def test_neighbour_mean_is_reused_while_prices_repeat_and_equals_a_fresh_one():
+    # pas-afl settles at its reserve prices, so the posted prices repeat.
+    cfg = resolve_config({"n_dos": 30, "horizon_T": 8, "seeds": [3]})
+    world = build_world(cfg, 3, policy_override="pas-afl")
+    build_contexts, seen = market.World._build_contexts, []
+
+    def contexts(self, prices, reps):
+        avg, eligible = build_contexts(self, prices, reps)
+        seen.append((prices.copy(), avg))
+        return avg, eligible
+
+    with mock.patch.object(market.World, "_build_contexts", contexts):
+        for _ in range(cfg.horizon_T):
+            step(world)
+    repeats = 0
+    for (before, earlier), (prices, avg) in zip(seen, seen[1:]):
+        same = prices.tobytes() == before.tobytes()
+        repeats += same
+        assert (avg is earlier) == same
+        assert avg.tobytes() == fresh_mean(world, prices).tobytes()
+    assert repeats > 0
+
+
+def test_one_ulp_of_one_price_takes_the_mean_anew():
+    world = build_world(resolve_config({"n_dos": 12, "horizon_T": 1}), 5)
+    prices, reps = world.states["current_price_p"].copy(), world.states["reputation_r"].copy()
+    avg, _ = world._build_contexts(prices, reps)
+    nudged = prices.copy()
+    nudged[4] = np.nextafter(nudged[4], math.inf)
+    again, _ = world._build_contexts(nudged, reps)
+    assert again is not avg
+    assert again.tobytes() == fresh_mean(world, nudged).tobytes()
+    assert world._build_contexts(prices, reps)[0].tobytes() == avg.tobytes()
+
+
+def test_worlds_on_different_graphs_keep_their_own_mean():
+    cfg = resolve_config({"n_dos": 12, "horizon_T": 1, "trust_edge_prob": 0.4})
+    first, second = build_world(cfg, 1), build_world(cfg, 2)
+    assert not np.array_equal(first.network.adjacency, second.network.adjacency)
+    prices, reps = np.linspace(1.0, 2.0, 12), np.full(12, 0.9)
+    for world in (first, second, first):
+        assert world._build_contexts(prices, reps)[0].tobytes() == fresh_mean(world, prices).tobytes()
+
+
+def test_the_kept_neighbour_mean_cannot_be_written():
+    world = build_world(resolve_config({"n_dos": 6, "horizon_T": 1}), 1)
+    avg, _ = world._build_contexts(world.states["current_price_p"].copy(), world.states["reputation_r"].copy())
+    assert not avg.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        avg[0] = 0.0
 
 
 def test_views_equal_the_state_records_field_by_field_and_type_by_type():
