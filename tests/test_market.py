@@ -313,8 +313,8 @@ MU_ROSTER = ["greedy", "lin", "bmub", "fedbidder-simple", "fedbidder-complex", "
 @st.composite
 def mu_walk_cases(draw):
     """DOs whose sort keys take few distinct values, so that many tie: at most
-    8 DOs, where numpy's default argsort is an insertion sort and so stable,
-    or 17 to 64, where it is not."""
+    8 DOs, or 17 to 64, where numpy's default argsort is not an insertion
+    sort and so not stable on any host."""
     n = draw(st.one_of(st.integers(1, 8), st.integers(17, 64)))
     column = lambda values: draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
     return (
@@ -330,6 +330,7 @@ def mu_walk_cases(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=mu_walk_cases())
 @example(case=([0.8] * 40, [1.0] * 40, [1.5] * 40, [[1.0] * 40] * 6, 1e9, MU_ROSTER))  # every key ties
+# Repeating keys, whose ties an unstable sort reorders.
 @example(case=([0.5, 1.0, 0.8] * 12, [1.25, 1.0] * 18, [1.0, 1.5, 1.5] * 12, [[1.0, 2.0] * 18] * 6, 1e9, MU_ROSTER))
 def test_stacked_mu_walks_match_a_walk_per_mu(case):
     reps, p_mins, price, valuations, budget, roster = case
