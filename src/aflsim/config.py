@@ -302,6 +302,12 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
         ),
         ("policy.lin_gain", policy.lin_gain >= 1, "must be >= 1, or a lin price falls below the reserve"),
         ("policy.lin_gain", math.isfinite(prices_paid * do.p_min[1] * policy.lin_gain), f"{paid} * p_min_high * lin_gain must be finite"),
+        # The run's utility sum charges each DO-step up to theta_max_high tasks of work at unit_cost_frac * p_min.
+        (
+            "do_params.unit_cost_frac",
+            math.isfinite(cfg.n_dos * cfg.horizon_T * max(1, do.theta_max[1]) * do.unit_cost_frac[1] * do.p_min[1]),
+            "n_dos * horizon_T * max(1, theta_max_high) * unit_cost_frac_high * p_min_high must be finite",
+        ),
         ("seeds", len(cfg.seeds) > 0, "seed list must be nonempty"),
         ("seeds", len(set(cfg.seeds)) == len(cfg.seeds), "seeds must be unique"),
         ("seeds", all(s >= 0 for s in cfg.seeds), "seeds must be >= 0"),

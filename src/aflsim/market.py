@@ -3,12 +3,14 @@
 One simulation step runs a fixed pipeline:
 
   1. snapshot mean neighbour prices (reused while the posted prices repeat)
-     and, where read, delegate eligibility,
+     and, where read, delegate eligibility with the quotes behind it: each
+     asked DO's trusted neighbours cheap enough to take its best task,
   2. every data owner decides jointly against that snapshot: the rules that
      draw nothing as whole arrays, then one call per DO for its own draws
      (on its `OwnerConstants`); a price that is not finite stops the step,
   3. the auction clears model-user requests at posted prices,
-  4. sub-delegations route to eligible neighbours (tasks land next step),
+  4. sub-delegations route over the delegators' quotes from step 1, never
+     the trust graph again (tasks land next step),
   5. work completes pending tasks oldest-first,
   6. the two virtual queues advance,
   7. reputations and rating counts update from on-time completions,
@@ -300,26 +302,32 @@ def route_subdelegations(
     states: np.ndarray,
     queue: np.ndarray,
     decisions: dict[int, StepDecision],
-    network: TrustNetwork,
+    asked: np.ndarray,
+    quotes: np.ndarray,
     prices: np.ndarray,
-    reps: np.ndarray,
     capacity_left: np.ndarray,
     depth_max: int,
     step_index: int,
 ) -> RoutingOutcome:
-    """Move each delegator's highest-payment tasks to eligible neighbours.
+    """Move each delegator's highest-payment tasks to the neighbours it was quoted.
 
-    Delegates are chosen cheapest-first (ties by id) at the snapshot prices
-    and reputations the decisions saw; the delegator pays that price per
-    task.  Transfers stop early once a task finds no eligible delegate.
-    Transferred tasks join the delegate's queue as arrivals next step with
-    their payment rewritten to what the delegate was paid.  `capacity_left`
-    is each DO's room for tasks delegated to it this step.
+    `quotes` is the step's `eligible_delegates` block: for each DO of
+    `asked` (ascending ids), the neighbours trusted enough and no dearer than
+    its best-paying task below the depth cap, at the snapshot prices and
+    reputations the decisions saw.  Only an asked DO can have a goal, so a
+    delegator without a row is a MarketInvariantError.  Delegates are chosen
+    cheapest-first (ties by id); the delegator pays that price per task.
+    Transfers stop early once a task finds no quoted delegate with room and a
+    price within its payment.  Transferred tasks join the delegate's queue as
+    arrivals next step with their payment rewritten to what the delegate was
+    paid.  `capacity_left` is each DO's room for tasks delegated to it this
+    step.
 
     Each walk is set up from its delegator's own rows: its tasks, cut to its
-    goal, and its trusted neighbours as flat (delegator, neighbour) pairs.
-    Only the walk stays in Python, as each transfer uses up capacity the next
-    one sees; capacity only falls, so a pointer skips the full neighbours.
+    goal, and its quoted neighbours with room, cheapest first.  Only the walk
+    stays in Python, as each transfer uses up capacity the next one sees;
+    capacity only falls, so a pointer skips the full neighbours, and the
+    tasks a walk moves are a prefix of its own.
     """
     n = len(states)
     s_realized = dict.fromkeys(range(n), 0)
@@ -327,51 +335,57 @@ def route_subdelegations(
     goals = {do_id: d.subdelegate_s for do_id, d in decisions.items() if d.subdelegate_s > 0}
     if goals:
         delegators = np.fromiter(goals, dtype=np.intp, count=len(goals))
+        quote_row = np.searchsorted(asked, delegators)
+        _check(
+            np.append(asked, -1)[quote_row] != delegators,
+            lambda k: f"DO {delegators[k]} at step {step_index} delegates without being asked for quotes",
+        )
         goal = np.zeros(n, dtype=np.intp)
         goal[delegators] = list(goals.values())
         # Every delegator's tasks below the depth cap, best-paying first, ties
-        # by id, cut to the goal it walks.
+        # by id, cut to the goal it walks: three sorts, each stable after the
+        # first, as ids are unique.
         owner = queue["owner"]
         rows = np.flatnonzero((goal[owner] > 0) & (queue["depth"] < depth_max))
-        rows = rows[np.lexsort((queue["id"][rows], -queue["payment"][rows], owner[rows]))]
+        rows = rows[np.argsort(queue["id"][rows])]
+        rows = rows[np.argsort(-queue["payment"][rows], kind="stable")]
+        rows = rows[np.argsort(owner[rows], kind="stable")]
         first = _group_starts(owner[rows], n)[0]
         rows = rows[np.arange(len(rows)) - first[owner[rows]] < goal[owner[rows]]]
-        pay = queue["payment"][rows]
         task_first, task_count = (column[delegators] for column in _group_starts(owner[rows], n))
-        # Their trusted neighbours, cheapest first, ties by id, as slices of
-        # one flat list.  One dearer than the delegator's best task would end
-        # its walk, as the list's end does, so it is left out.
-        best = np.where(task_count > 0, np.append(pay, -math.inf)[task_first], -math.inf)
+        # Their quoted neighbours with room, cheapest first, ties by id, as
+        # slices of one flat list.  Only a delegator with a task and such a
+        # neighbour walks.
         price_rank = np.empty(n, dtype=np.intp)
         price_rank[np.argsort(prices, kind="stable")] = np.arange(n)
-        delegator_of, neighbour = np.divmod(np.flatnonzero(network.adjacency[delegators]), n)
-        r_min = states["rep_threshold_r_min"][delegators][delegator_of]
-        trusted = (reps[neighbour] >= r_min) & (prices[neighbour] <= best[delegator_of])
-        delegator_of, neighbour = delegator_of[trusted], neighbour[trusted]
-        neighbours = neighbour[np.argsort(delegator_of * n + price_rank[neighbour])].tolist()
-        neighbour_first, neighbour_count = _group_starts(delegator_of, len(delegators))
+        walk_of, neighbour = np.divmod(np.flatnonzero(quotes[quote_row] & (capacity_left > 0)), n)
+        neighbours = neighbour[np.argsort(walk_of * n + price_rank[neighbour])].tolist()
+        neighbour_first, neighbour_count = _group_starts(walk_of, len(delegators))
+        walking = (task_count > 0) & (neighbour_count > 0)
 
         capacity = capacity_left.tolist()
         price_of = prices.tolist()
         candidates = rows.tolist()
-        candidate_pay = pay.tolist()
+        candidate_pay = queue["payment"][rows].tolist()
         walks = zip(
-            goals,
-            task_first.tolist(),
-            (task_first + task_count).tolist(),
-            neighbour_first.tolist(),
-            (neighbour_first + neighbour_count).tolist(),
+            delegators[walking].tolist(),
+            task_first[walking].tolist(),
+            (task_first + task_count)[walking].tolist(),
+            neighbour_first[walking].tolist(),
+            (neighbour_first + neighbour_count)[walking].tolist(),
         )
         for do_id, first, end, at, last in walks:
-            for k in range(first, end):
+            k = first
+            while k < end:
                 while at < last and capacity[neighbours[at]] <= 0:
                     at += 1
                 if at == last or price_of[neighbours[at]] > candidate_pay[k]:
                     break
-                moved.append(candidates[k])
                 delegates.append(neighbours[at])
                 capacity[neighbours[at]] -= 1
-                s_realized[do_id] += 1
+                k += 1
+            moved += candidates[first:k]
+            s_realized[do_id] = k - first
 
     moved = np.array(moved, dtype=np.intp)
     delegates = np.array(delegates, dtype=np.intp)
@@ -521,15 +535,20 @@ class World:
             return schedule["low_scale"]
         return 1.0
 
-    def _build_contexts(self, prices: np.ndarray, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every DO's mean neighbour price (inf without neighbours) and whether a
-        neighbour could take its best-paying task below the delegation-depth cap.
+    def _build_contexts(
+        self, prices: np.ndarray, reps: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every DO's mean neighbour price (inf without neighbours), whether a
+        neighbour could take its best-paying task below the delegation-depth
+        cap, and the quotes that answer rests on: the DOs asked (ascending
+        ids) and `eligible_delegates`' block of their neighbours that could.
 
         The mean is read-only, and taken again only when a byte of `prices`
         differs from the last prices: posted prices often repeat, and the graph
         is fixed.  Only a DO that may delegate and whose rule reads the answer
         is asked; a threshold-rule DO whose sign test keeps its tasks local
-        reads False.
+        reads False.  Routing walks the asked DOs' quotes rows, as the queue
+        and the snapshot are unchanged until the step commits.
         """
         cfg = self.config
         states = self.states
@@ -550,11 +569,12 @@ class World:
         np.maximum.at(best, queue["owner"][routable], queue["payment"][routable])
         asked = np.flatnonzero(may_delegate & ~(self._threshold_rule & local) & (best > -math.inf))
 
-        eligible = np.zeros(n, dtype=bool)
-        eligible[asked] = eligible_delegates(
+        quotes = eligible_delegates(
             self.network.adjacency[asked], prices, reps, best[asked], states["rep_threshold_r_min"][asked]
         )
-        return avg, eligible
+        eligible = np.zeros(n, dtype=bool)
+        eligible[asked] = quotes.any(axis=1)
+        return avg, eligible, asked, quotes
 
 
 def _expected_demand(world: World, rows: np.ndarray, price: np.ndarray) -> np.ndarray:
@@ -620,7 +640,7 @@ def step(world: World) -> dict[str, np.ndarray]:
     # 1. Snapshot the decision inputs; policies must only see last step's market.
     prices = states["current_price_p"].copy()
     reps = states["reputation_r"].copy()
-    avg, eligible = world._build_contexts(prices, reps)
+    avg, eligible, asked, quotes = world._build_contexts(prices, reps)
 
     # 2. Joint decisions.  The rules that draw nothing run as whole arrays:
     # the threshold or greedy goal, and the Lyapunov or linear price.
@@ -655,15 +675,16 @@ def step(world: World) -> dict[str, np.ndarray]:
     kappa = np.fromiter(auction.kappa.values(), dtype=np.intp, count=n)
     world.created_tasks += int(kappa.sum())
 
-    # 5. Sub-delegation routing, capped by each receiver's arrival headroom.
+    # 5. Sub-delegation routing over the snapshot's quotes, capped by each
+    # receiver's arrival headroom.
     capacity_left = (states["kappa_max"] - 1) - kappa
     routing = route_subdelegations(
         states,
         world.queue,
         decisions,
-        world.network,
+        asked,
+        quotes,
         prices,
-        reps,
         capacity_left,
         cfg.market.delegation_depth_max,
         t,

@@ -20,6 +20,8 @@ mean price over *all* neighbours (+inf with none, which keeps every task
 local), and whether some neighbour could take the DO's best-paying delegable
 task.  The market asks the second only where a rule reads it: a DO whose
 threshold rule keeps its tasks local by `outweighs_queues` is handed False.
+The asked DOs' quotes (`eligible_delegates`) are also the neighbours the
+market routes their sub-delegations to.
 """
 
 import numpy as np
@@ -41,13 +43,14 @@ def eligible_delegates(
     reference_payment: np.ndarray,
     r_min: np.ndarray,
 ) -> np.ndarray:
-    """For each row of `adjacency`, one asking DO's neighbour mask, whether
-    some neighbour is trusted enough (reputation >= that DO's `r_min`) and
-    cheap enough (price <= its `reference_payment`) to take a task.  `prices`
+    """The quotes of the asking DOs, one per row of `adjacency` (that DO's
+    neighbour mask): which neighbours are trusted enough (reputation >= its
+    `r_min`) and cheap enough (price <= its `reference_payment`) to take a
+    task.  A DO has an eligible delegate iff its row has a quote.  `prices`
     and `reps` are snapshots indexed by DO id."""
     trusted = reps >= r_min[:, None]
     cheap = prices <= reference_payment[:, None]
-    return (adjacency & trusted & cheap).any(axis=1)
+    return adjacency & trusted & cheap
 
 
 def subdelegation_cap(states: np.ndarray, has_eligible_delegate: np.ndarray, theta: np.ndarray) -> np.ndarray:

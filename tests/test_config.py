@@ -133,6 +133,15 @@ def test_whole_numbers_resolve_as_ints():
             },
             "policy.lin_gain",
         ),
+        # A training cost whose run sum over n_dos * horizon_T DO-steps is not finite.
+        ({"n_dos": 5, "horizon_T": 4, "do_params": {"unit_cost_frac": [1e308, 1e308], "q0": [4, 4]}}, "do_params.unit_cost_frac"),
+        (
+            {
+                "n_dos": 5, "horizon_T": 4, "policy": {"assignment": "pas-afl", "work_mode": "greedy"},
+                "do_params": {"unit_cost_frac": [1e307, 1e307], "q0": [4, 4]},
+            },
+            "do_params.unit_cost_frac",
+        ),
     ],
 )
 def test_out_of_bounds_values_name_field(raw, field):

@@ -24,6 +24,7 @@ from aflsim.market import (
     update_reputation,
 )
 from aflsim.policy_baselines import POLICIES
+from aflsim.policy_pas import eligible_delegates
 from aflsim.simcli import run_scenario
 from helpers import DataOwnerState, R_FLOOR, make_state, run_world, state_columns, trust_network, views
 from reference_policy import reference_decide
@@ -362,9 +363,9 @@ def test_neighbour_mean_is_reused_while_prices_repeat_and_equals_a_fresh_one():
     build_contexts, seen = market.World._build_contexts, []
 
     def contexts(self, prices, reps):
-        avg, eligible = build_contexts(self, prices, reps)
-        seen.append((prices.copy(), avg))
-        return avg, eligible
+        snapshot = build_contexts(self, prices, reps)
+        seen.append((prices.copy(), snapshot[0]))
+        return snapshot
 
     with mock.patch.object(market.World, "_build_contexts", contexts):
         for _ in range(cfg.horizon_T):
@@ -381,10 +382,10 @@ def test_neighbour_mean_is_reused_while_prices_repeat_and_equals_a_fresh_one():
 def test_one_ulp_of_one_price_takes_the_mean_anew():
     world = build_world(resolve_config({"n_dos": 12, "horizon_T": 1}), 5)
     prices, reps = world.states["current_price_p"].copy(), world.states["reputation_r"].copy()
-    avg, _ = world._build_contexts(prices, reps)
+    avg = world._build_contexts(prices, reps)[0]
     nudged = prices.copy()
     nudged[4] = np.nextafter(nudged[4], math.inf)
-    again, _ = world._build_contexts(nudged, reps)
+    again = world._build_contexts(nudged, reps)[0]
     assert again is not avg
     assert again.tobytes() == fresh_mean(world, nudged).tobytes()
     assert world._build_contexts(prices, reps)[0].tobytes() == avg.tobytes()
@@ -401,7 +402,7 @@ def test_worlds_on_different_graphs_keep_their_own_mean():
 
 def test_the_kept_neighbour_mean_cannot_be_written():
     world = build_world(resolve_config({"n_dos": 6, "horizon_T": 1}), 1)
-    avg, _ = world._build_contexts(world.states["current_price_p"].copy(), world.states["reputation_r"].copy())
+    avg = world._build_contexts(world.states["current_price_p"].copy(), world.states["reputation_r"].copy())[0]
     assert not avg.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         avg[0] = 0.0
@@ -456,6 +457,19 @@ def _left(queue, outcome, do_id):
     return kept["id"][kept["owner"] == do_id].tolist()
 
 
+def route(states, queue, decisions, network, prices, reps, capacity_left, depth_max, step_index):
+    """`route_subdelegations` over the quotes `eligible_delegates` gives on
+    `network` for every DO with a goal, as the step's snapshot asks them."""
+    asked = np.array(sorted(i for i, d in decisions.items() if d.subdelegate_s > 0), dtype=np.intp)
+    routable = queue["depth"] < depth_max
+    best = np.full(len(states), -math.inf)
+    np.maximum.at(best, queue["owner"][routable], queue["payment"][routable])
+    quotes = eligible_delegates(
+        network.adjacency[asked], prices, reps, best[asked], states["rep_threshold_r_min"][asked]
+    )
+    return route_subdelegations(states, queue, decisions, asked, quotes, prices, capacity_left, depth_max, step_index)
+
+
 def _routing_setup(payments, neighbor_price=0.5, depth=0):
     states = state_columns(
         make_state(id=0, pending_q=float(len(payments)), s_max=5, rep_threshold_r_min=0.5),
@@ -473,7 +487,7 @@ def _routing_setup(payments, neighbor_price=0.5, depth=0):
 def test_routing_noop_without_delegations():
     states, queue, net, prices, reps, cap = _routing_setup([1.0, 1.0])
     decisions = {i: StepDecision(1.0, 0) for i in range(2)}
-    outcome = route_subdelegations(states, queue, decisions, net, prices, reps, cap, 3, 0)
+    outcome = route(states, queue, decisions, net, prices, reps, cap, 3, 0)
     assert outcome.payments.tolist() == []
     assert len(_left(queue, outcome, 0)) == 2
 
@@ -484,7 +498,7 @@ def test_routing_transfers_highest_payment_tasks_and_pays_quotes():
         0: StepDecision(1.0, 2),
         1: StepDecision(1.0, 0),
     }
-    outcome = route_subdelegations(states, queue, decisions, net, prices, reps, cap, 3, 5)
+    outcome = route(states, queue, decisions, net, prices, reps, cap, 3, 5)
     assert outcome.s_realized[0] == 2
     assert _paid(outcome.payments) == [(0, 1, 0.5), (0, 1, 0.5)]
     assert outcome.payments["offer"].tolist() == [2.0, 1.5]  # the payments the tasks carried
@@ -501,7 +515,7 @@ def test_routing_transfers_highest_payment_tasks_and_pays_quotes():
 def test_routing_stops_early_when_no_delegate_is_cheap_enough():
     states, queue, net, prices, reps, cap = _routing_setup([2.0, 0.3], neighbor_price=0.5)
     decisions = {0: StepDecision(1.0, 2), 1: StepDecision(1.0, 0)}
-    outcome = route_subdelegations(states, queue, decisions, net, prices, reps, cap, 3, 0)
+    outcome = route(states, queue, decisions, net, prices, reps, cap, 3, 0)
     assert outcome.s_realized[0] == 1
     assert len(_left(queue, outcome, 0)) == 1
 
@@ -509,7 +523,7 @@ def test_routing_stops_early_when_no_delegate_is_cheap_enough():
 def test_routing_skips_tasks_at_depth_cap():
     states, queue, net, prices, reps, cap = _routing_setup([2.0, 2.0], depth=3)
     decisions = {0: StepDecision(1.0, 2), 1: StepDecision(1.0, 0)}
-    outcome = route_subdelegations(states, queue, decisions, net, prices, reps, cap, 3, 0)
+    outcome = route(states, queue, decisions, net, prices, reps, cap, 3, 0)
     assert outcome.s_realized[0] == 0
     assert len(_left(queue, outcome, 0)) == 2
 
@@ -518,7 +532,7 @@ def test_routing_respects_receiver_capacity():
     states, queue, net, prices, reps, cap = _routing_setup([2.0, 2.0, 2.0])
     cap[1] = 1
     decisions = {0: StepDecision(1.0, 3), 1: StepDecision(1.0, 0)}
-    outcome = route_subdelegations(states, queue, decisions, net, prices, reps, cap, 3, 0)
+    outcome = route(states, queue, decisions, net, prices, reps, cap, 3, 0)
     assert outcome.s_realized[0] == 1
 
 
@@ -536,7 +550,7 @@ def test_routing_breaks_price_ties_by_lower_id():
     prices = states["current_price_p"].copy()
     reps = states["reputation_r"].copy()
     capacity = np.full(4, 4)
-    outcome = route_subdelegations(states, queue, decisions, network, prices, reps, capacity, 3, 0)
+    outcome = route(states, queue, decisions, network, prices, reps, capacity, 3, 0)
     assert _paid(outcome.payments) == [(0, 2, 0.5)]
     assert outcome.incoming["id"][outcome.incoming["owner"] == 2].tolist() == [0]
 
@@ -640,7 +654,8 @@ FULL_BEFORE_WALK = (
 
 
 def _routing_case(case):
-    """`route_subdelegations`' arguments, capacity last, for a case of `routing_cases`."""
+    """`route`'s arguments, capacity last, for a case of `routing_cases`: the
+    quotes are built from the drawn graph, which `reference_route` scans itself."""
     prices, reps, r_min, edges, tasks, goals, capacity, depth_max = case
     states = state_columns(*(make_state(id=i, rep_threshold_r_min=r) for i, r in enumerate(r_min)))
     tasks = sorted(tasks, key=lambda task: task[0])  # queues are grouped by owner
@@ -662,7 +677,7 @@ def _routing_case(case):
 @example(case=FULL_BEFORE_WALK)
 def test_pointer_walk_routing_matches_the_per_task_scan(case):
     *args, capacity, depth_max = _routing_case(case)
-    got = route_subdelegations(*args, capacity, depth_max, 4)
+    got = route(*args, capacity, depth_max, 4)
     moved, incoming, s_realized, payments = reference_route(*args, capacity, depth_max, 4)
     assert got.moved.tolist() == moved
     assert got.incoming.tolist() == incoming
@@ -672,25 +687,25 @@ def test_pointer_walk_routing_matches_the_per_task_scan(case):
 
 def test_routing_examples_cover_what_they_claim():
     *args, capacity, depth_max = _routing_case(SHARED_NEIGHBOURS)
-    outcome = route_subdelegations(*args, capacity, depth_max, 0)
+    outcome = route(*args, capacity, depth_max, 0)
     # Both shared neighbours, with room for two tasks each, fill up.
     assert _paid(outcome.payments) == [(0, 2, 0.5), (0, 2, 0.5), (0, 3, 0.5), (1, 3, 0.5)]
     *args, capacity, depth_max = _routing_case(DEPTH_AND_ZERO_GOAL)
-    outcome = route_subdelegations(*args, capacity, depth_max, 0)
+    outcome = route(*args, capacity, depth_max, 0)
     assert _paid(outcome.payments) == [(0, 2, 0.5)]
     assert outcome.s_realized == {0: 1, 1: 0, 2: 0, 3: 0}
     *args, capacity, depth_max = _routing_case(EQUAL_PAY_CUT)
     queue = args[1]
     assert queue["id"][:2].tolist() == [2, 1] and queue["payment"][:2].tolist() == [2.0, 2.0]
-    outcome = route_subdelegations(*args, capacity, depth_max, 0)
+    outcome = route(*args, capacity, depth_max, 0)
     assert outcome.moved.tolist() == [1]
     assert outcome.incoming["id"].tolist() == [1]
     *args, capacity, depth_max = _routing_case(BELOW_R_MIN)
-    outcome = route_subdelegations(*args, capacity, depth_max, 0)
+    outcome = route(*args, capacity, depth_max, 0)
     assert _paid(outcome.payments) == [(3, 1, 0.5)]
     assert outcome.s_realized == {0: 0, 1: 0, 2: 0, 3: 1}
     *args, capacity, depth_max = _routing_case(FULL_BEFORE_WALK)
-    outcome = route_subdelegations(*args, capacity, depth_max, 0)
+    outcome = route(*args, capacity, depth_max, 0)
     assert _paid(outcome.payments) == [(0, 2, 0.5)]
     assert outcome.s_realized == {0: 1, 1: 0, 2: 0, 3: 0}
 
@@ -749,12 +764,17 @@ Decided = namedtuple("Decided", "avg eligible states decisions degenerate")
 
 def step_decisions(world, snapshot=None) -> Decided:
     """Step `world` and record its decisions.  With `snapshot`, an (avg,
-    eligible) pair, the step decides against it in place of its own."""
+    eligible) pair, the step decides against it in place of its own; each DO
+    it calls eligible is quoted no neighbour, so nothing routes."""
     build_contexts, decide, settle_step = market.World._build_contexts, market.decide_for_policy, market.settle
     seen = {"calls": []}
 
     def contexts(self, prices, reps):
-        seen["snapshot"] = snapshot or build_contexts(self, prices, reps)
+        if snapshot is None:
+            seen["snapshot"] = build_contexts(self, prices, reps)
+        else:
+            asked = np.flatnonzero(snapshot[1])
+            seen["snapshot"] = (*snapshot, asked, np.zeros((len(asked), len(prices)), dtype=bool))
         return seen["snapshot"]
 
     def recording_decide(spec, state, *args):
@@ -773,7 +793,7 @@ def step_decisions(world, snapshot=None) -> Decided:
     states, calls = zip(*seen["calls"])
     x, price, theta = seen["settled"]
     assert [d.price_p for d in calls] == price  # the step posts the prices the calls return
-    avg, eligible = seen["snapshot"]
+    avg, eligible = seen["snapshot"][:2]
     return Decided(
         avg.tolist(),
         eligible.tolist(),
@@ -887,7 +907,7 @@ def test_snapshot_decides_and_draws_as_if_every_do_were_asked(case):
     twin = copy.deepcopy(world)
 
     prices, reps = twin.states["current_price_p"].copy(), twin.states["reputation_r"].copy()
-    avg, _ = twin._build_contexts(prices, reps)
+    avg = twin._build_contexts(prices, reps)[0]
     plain_avg, eligible = reference_snapshot(twin, prices.tolist(), reps.tolist())
     assert avg.tolist() == pytest.approx(plain_avg, rel=1e-12)
     want = reference_decisions(twin, avg.tolist(), eligible)
@@ -1166,6 +1186,31 @@ def test_auction_budget_audit_catches_one_mu_billed_for_all(monkeypatch):
 )
 def test_delegation_ledger_audit_catches_a_tampered_entry(monkeypatch, tamper, message):
     _step_until_tampered(monkeypatch, "route_subdelegations", tamper, "lin-greedy", message)
+
+
+@pytest.mark.parametrize("asked", [[], [1]], ids=["none-asked", "another-asked"])
+def test_routing_refuses_a_delegator_without_quotes(asked):
+    states, queue, _, prices, _, capacity = _routing_setup([1.0, 2.0])
+    asked = np.array(asked, dtype=np.intp)
+    quotes = np.ones((len(asked), 2), dtype=bool)  # DO 1's row must not be walked in DO 0's place
+    decisions = {0: StepDecision(1.0, 2), 1: StepDecision(1.0, 0)}
+    with pytest.raises(MarketInvariantError, match="DO 0 at step 7 delegates without being asked"):
+        route_subdelegations(states, queue, decisions, asked, quotes, prices, capacity, 3, 7)
+
+
+def test_step_refuses_a_decision_to_delegate_from_a_do_that_was_not_asked(monkeypatch):
+    # No DO holds a task at step 0, so none is asked for quotes.
+    cfg = resolve_config({"n_dos": 6, "horizon_T": 1, "seeds": [1], "do_params": {"q0": [0, 0]}})
+    world = build_world(cfg, 1, policy_override="lin-greedy")
+    decide = market.decide_for_policy
+
+    def delegating(spec, state, *args):
+        decision = decide(spec, state, *args)
+        return dataclasses.replace(decision, subdelegate_s=1) if state.id == 4 else decision
+
+    monkeypatch.setattr(market, "decide_for_policy", delegating)
+    with pytest.raises(MarketInvariantError, match="DO 4 at step 0 delegates without being asked"):
+        step(world)
 
 
 def _backdate(outcome):

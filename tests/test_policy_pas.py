@@ -48,31 +48,32 @@ def _work(state, mode):
     return decide_work(state_columns(state), mode).item()
 
 
-def _eligible(net, prices, reps, reference_payment, r_min):
-    """`eligible_delegates` asked for DO 0 alone."""
+def _quotes(net, prices, reps, reference_payment, r_min):
+    """`eligible_delegates` asked for DO 0 alone: its one row of quotes."""
     found = eligible_delegates(
         net.adjacency[[0]], prices, reps, np.array([reference_payment]), np.array([r_min])
     )
-    return found.tolist()
+    assert found.shape == (1, len(prices))
+    return found[0].tolist()
 
 
 def test_eligible_delegates_basic_constraint():
     net = trust_network(2, [(0, 1)])
     prices, reps = np.array([1.0, 1.0]), np.array([0.6, 0.9])
-    assert _eligible(net, prices, reps, reference_payment=2.0, r_min=0.5) == [True]
-    assert _eligible(net, prices, reps, reference_payment=0.5, r_min=0.5) == [False]
+    assert _quotes(net, prices, reps, reference_payment=2.0, r_min=0.5) == [False, True]
+    assert _quotes(net, prices, reps, reference_payment=0.5, r_min=0.5) == [False, False]
 
 
 def test_eligible_delegates_empty_neighborhood():
     net = trust_network(2)
     prices, reps = np.array([1.0, 1.0]), np.array([0.6, 0.6])
-    assert _eligible(net, prices, reps, 2.0, 0.5) == [False]
+    assert _quotes(net, prices, reps, 2.0, 0.5) == [False, False]
 
 
 def test_eligible_delegates_reputation_gate():
     net = trust_network(2, [(0, 1)])
     prices, reps = np.array([1.0, 0.1]), np.array([0.6, 0.4])
-    assert _eligible(net, prices, reps, 2.0, 0.5) == [False]
+    assert _quotes(net, prices, reps, 2.0, 0.5) == [False, False]
 
 
 def test_eligible_delegates_answers_each_row_with_its_own_limits():
@@ -81,7 +82,8 @@ def test_eligible_delegates_answers_each_row_with_its_own_limits():
     found = eligible_delegates(
         net.adjacency, prices, reps, np.array([2.0, 3.0, 2.0]), np.array([0.5, 0.95, 0.5])
     )
-    assert found.tolist() == [True, False, True]
+    # DO 1's neighbours 0 and 2 ask no more than 3.0 but neither reaches its 0.95.
+    assert found.tolist() == [[False, True, False], [False, False, False], [False, True, False]]
 
 
 def _tiny_world(n_dos: int, edge_prob: float, policy="rand-greedy"):
@@ -107,7 +109,7 @@ def _tiny_world(n_dos: int, edge_prob: float, policy="rand-greedy"):
 
 def test_delegation_context_uses_infinite_sentinel_without_neighbors():
     world = _tiny_world(1, 0.0)
-    avg, eligible = world._build_contexts(np.array([1.0]), np.array([0.9]))
+    avg, eligible, *_ = world._build_contexts(np.array([1.0]), np.array([0.9]))
     assert avg.tolist() == [math.inf]
     assert eligible.tolist() == [False]
 
@@ -115,20 +117,23 @@ def test_delegation_context_uses_infinite_sentinel_without_neighbors():
 def test_delegation_context_averages_all_neighbors():
     world = _tiny_world(3, 1.0)
     reps = np.array([0.9, 0.9, 0.9])
-    avg, eligible = world._build_contexts(np.array([1.0, 1.0, 3.0]), reps)
+    avg, eligible, *_ = world._build_contexts(np.array([1.0, 1.0, 3.0]), reps)
     assert avg.tolist() == [2.0, 2.0, 1.0]
     assert eligible.tolist() == [True, True, True]  # each has a neighbour asking 1.0 <= 1.5
-    avg, eligible = world._build_contexts(np.array([1.0, 2.0, 3.0]), reps)
+    avg, eligible, asked, quotes = world._build_contexts(np.array([1.0, 2.0, 3.0]), reps)
     assert avg.tolist() == [2.5, 2.0, 1.5]
     assert eligible.tolist() == [False, True, True]  # DO 0's neighbours both ask more than 1.5
+    assert asked.tolist() == [0, 1, 2]
+    assert quotes.tolist() == [[False, False, False], [True, False, False], [True, False, False]]
 
 
 def test_delegation_context_ignores_tasks_at_depth_cap():
     world = _tiny_world(3, 1.0)
     queue = world.queue
     queue["depth"][queue["owner"] == 0] = world.config.market.delegation_depth_max
-    _, eligible = world._build_contexts(np.array([1.0, 1.0, 1.0]), np.array([0.9, 0.9, 0.9]))
+    _, eligible, asked, _ = world._build_contexts(np.array([1.0, 1.0, 1.0]), np.array([0.9, 0.9, 0.9]))
     assert eligible.tolist() == [False, True, True]
+    assert asked.tolist() == [1, 2]
 
 
 def test_threshold_do_that_keeps_its_tasks_local_is_not_asked(monkeypatch):
@@ -142,14 +147,16 @@ def test_threshold_do_that_keeps_its_tasks_local_is_not_asked(monkeypatch):
     monkeypatch.setattr(market, "eligible_delegates", recording)
     prices, reps = np.array([1.0, 1.0]), np.array([0.9, 0.9])
     # Both DOs are in one state: 20 * 1.0 - 5 - 0 >= 0 keeps pas-afl's tasks local.
-    _, eligible = world._build_contexts(prices, reps)
+    _, eligible, rows, quotes = world._build_contexts(prices, reps)
     assert eligible.tolist() == [False, True]
     assert asked == [[[True, False]]]  # DO 1's row alone
+    assert (rows.tolist(), quotes.tolist()) == ([1], [[True, False]])
     # Queue pressure past the neighbour price makes pas-afl read, and be asked.
     world.states["urgency_Q"][0] = 100.0
-    _, eligible = world._build_contexts(prices, reps)
+    _, eligible, rows, quotes = world._build_contexts(prices, reps)
     assert eligible.tolist() == [True, True]
     assert asked[1] == [[False, True], [True, False]]
+    assert (rows.tolist(), quotes.tolist()) == ([0, 1], [[False, True], [True, False]])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
