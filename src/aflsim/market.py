@@ -311,23 +311,21 @@ def route_subdelegations(
 ) -> RoutingOutcome:
     """Move each delegator's highest-payment tasks to the neighbours it was quoted.
 
-    `quotes` is the step's `eligible_delegates` block: for each DO of
-    `asked` (ascending ids), the neighbours trusted enough and no dearer than
-    its best-paying task below the depth cap, at the snapshot prices and
-    reputations the decisions saw.  Only an asked DO can have a goal, so a
+    `quotes` holds the step's `eligible_delegates` row of each DO in `asked`
+    (ascending): its neighbours trusted enough and no dearer than its best
+    task below the depth cap.  A goal needs an eligible delegate, so a
     delegator without a row is a MarketInvariantError.  Delegates are chosen
-    cheapest-first (ties by id); the delegator pays that price per task.
-    Transfers stop early once a task finds no quoted delegate with room and a
-    price within its payment.  Transferred tasks join the delegate's queue as
-    arrivals next step with their payment rewritten to what the delegate was
-    paid.  `capacity_left` is each DO's room for tasks delegated to it this
-    step.
+    cheapest-first (ties by id) at the snapshot prices the decisions saw; the
+    delegator pays that price per task.  Transfers stop early once a task
+    finds no quoted delegate with room at a price within its payment.
+    Transferred tasks join the delegate's queue as arrivals next step with
+    their payment rewritten to what the delegate was paid.  `capacity_left`
+    is each DO's room for tasks delegated to it this step.
 
     Each walk is set up from its delegator's own rows: its tasks, cut to its
-    goal, and its quoted neighbours with room, cheapest first.  Only the walk
-    stays in Python, as each transfer uses up capacity the next one sees;
-    capacity only falls, so a pointer skips the full neighbours, and the
-    tasks a walk moves are a prefix of its own.
+    goal, and its quoted neighbours with room.  Only the walk stays in
+    Python, as each transfer uses up capacity the next one sees; capacity
+    only falls, so a pointer skips the full neighbours.
     """
     n = len(states)
     s_realized = dict.fromkeys(range(n), 0)
@@ -535,9 +533,7 @@ class World:
             return schedule["low_scale"]
         return 1.0
 
-    def _build_contexts(
-        self, prices: np.ndarray, reps: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _build_contexts(self, prices: np.ndarray, reps: np.ndarray) -> tuple[np.ndarray, ...]:
         """Every DO's mean neighbour price (inf without neighbours), whether a
         neighbour could take its best-paying task below the delegation-depth
         cap, and the quotes that answer rests on: the DOs asked (ascending
