@@ -654,8 +654,9 @@ FULL_BEFORE_WALK = (
 
 
 def _routing_case(case):
-    """`route`'s arguments, capacity last, for a case of `routing_cases`: the
-    quotes are built from the drawn graph, which `reference_route` scans itself."""
+    """`route`'s arguments, capacity last, for a case of `routing_cases`:
+    `route` builds the quotes from the drawn graph, which `reference_route`
+    scans itself."""
     prices, reps, r_min, edges, tasks, goals, capacity, depth_max = case
     states = state_columns(*(make_state(id=i, rep_threshold_r_min=r) for i, r in enumerate(r_min)))
     tasks = sorted(tasks, key=lambda task: task[0])  # queues are grouped by owner
