@@ -234,22 +234,19 @@ def _assignment(path, raw):
     return raw if isinstance(raw, str) else _as_tuple(str, path, raw)
 
 
-def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
-    """(field, ok, message) for every constraint a resolved config must meet."""
+def _checks(cfg: ScenarioConfig):
+    """(field, ok, message) for every constraint a resolved config must meet, in
+    order; the overflow rows come last, formed once every row before them holds."""
     do, mu, market, policy, c = cfg.do_params, cfg.mu, cfg.market, cfg.policy, cfg.constants
     schedule = do.rho_schedule
     square = schedule["kind"] == "square"
     names = (policy.assignment,) if isinstance(policy.assignment, str) else policy.assignment
     budget = f"must fit the {MEMORY_BUDGET}-byte memory budget"
-    # Over n_dos * horizon_T DO-steps the run's utility sum adds a price times reputation
-    # (<= 1) per task paid, at most kappa_max - 1 a step; its price sum adds one price.
-    prices_paid = cfg.n_dos * cfg.horizon_T * max(1, do.kappa_hat[1] - 1)
-    paid = "n_dos * horizon_T * max(1, kappa_hat_high - 1)"
     # Only the demand model evaluates exp(a0 + a3*eps) and r**a1; an overflow names the larger term, then factor.
     demand = market.arrival_mode == "demand-model"
     eps_term = c.a3 * do.epsilon[1]
     exp_field = "constants.a0" if c.a0 >= eps_term else "constants.a3" if c.a3 >= do.epsilon[1] else "do_params.epsilon"
-    return [
+    yield from [
         ("n_dos", cfg.n_dos >= 1, "must be >= 1"),
         ("n_dos", cfg.n_dos**2 * ADJACENCY_BYTES <= MEMORY_BUDGET, f"its trust adjacency {budget}"),
         ("n_mus", cfg.n_mus == len(mu.strategies), "must equal the length of mu.strategies"),
@@ -276,7 +273,6 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
         ("do_params.q0_payment_markup", do.q0_payment_markup[0] > 0, "must be > 0"),
         ("do_params.rho_schedule.period", not square or schedule["period"] >= 1, "must be >= 1"),
         ("do_params.rho_schedule.low_scale", not square or schedule["low_scale"] >= 0, "must be >= 0"),
-        ("do_params.rho_schedule.low_scale", not square or math.isfinite(do.rho[1] * schedule["low_scale"]), "rho_high * low_scale must be finite"),
         ("mu.budget_per_step", mu.budget_per_step >= 0, "must be >= 0"),
         ("mu.valuation_markup", mu.valuation_markup[0] >= 0, "must be >= 0"),
         ("mu.strategies", all(s in MU_STRATEGY_NAMES for s in mu.strategies), f"unknown strategy in {list(mu.strategies)}"),
@@ -292,22 +288,7 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
         ("policy.assignment", isinstance(policy.assignment, str) or len(names) == cfg.n_dos, "per-DO list must have one name per DO"),
         ("policy.work_mode", policy.work_mode in ("greedy", "threshold"), "must be 'greedy' or 'threshold'"),
         ("policy.markup_max", policy.markup_max > 0, "must be > 0"),
-        # price_rand draws up to 2 * p_min * (1 + markup_max), price_ampp up to half of it;
-        # as markup_max > 0, the p_min row fails exactly when no markup_max could help.
-        ("do_params.p_min", math.isfinite(prices_paid * 2.0 * do.p_min[1]), f"{paid} * 2 * p_min_high must be finite"),
-        (
-            "policy.markup_max",
-            math.isfinite(prices_paid * 2.0 * do.p_min[1] * (1.0 + policy.markup_max)),
-            f"{paid} * 2 * p_min_high * (1 + markup_max) must be finite",
-        ),
         ("policy.lin_gain", policy.lin_gain >= 1, "must be >= 1, or a lin price falls below the reserve"),
-        ("policy.lin_gain", math.isfinite(prices_paid * do.p_min[1] * policy.lin_gain), f"{paid} * p_min_high * lin_gain must be finite"),
-        # The run's utility sum charges each DO-step up to theta_max_high tasks of work at unit_cost_frac * p_min.
-        (
-            "do_params.unit_cost_frac",
-            math.isfinite(cfg.n_dos * cfg.horizon_T * max(1, do.theta_max[1]) * do.unit_cost_frac[1] * do.p_min[1]),
-            "n_dos * horizon_T * max(1, theta_max_high) * unit_cost_frac_high * p_min_high must be finite",
-        ),
         ("seeds", len(cfg.seeds) > 0, "seed list must be nonempty"),
         ("seeds", len(set(cfg.seeds)) == len(cfg.seeds), "seeds must be unique"),
         ("seeds", all(s >= 0 for s in cfg.seeds), "seeds must be >= 0"),
@@ -322,6 +303,37 @@ def _checks(cfg: ScenarioConfig) -> list[tuple[str, bool, str]]:
             "r_floor ** a1 must not underflow to 0 in demand-model mode",
         ),
     ]
+    # The products a run forms from the config's highs and lows, as {field: factor}; one that is not
+    # finite names its largest factor, and one the run never forms in this mode is left empty.
+    n, T, p_min, scale = cfg.n_dos, cfg.horizon_T, do.p_min[1], schedule.get("low_scale", 1.0)
+    rand = 2.0 * (1.0 + policy.markup_max)  # price_rand draws up to 2 * p_min * (1 + markup_max)
+    markup = {"policy.markup_max": rand} if rand >= policy.lin_gain else {"policy.lin_gain": policy.lin_gain}
+    products = {
+        # A DO-step is paid a price times reputation (<= 1) for up to kappa_hat_high - 1 tasks, and works up to theta_max_high.
+        "n_dos * horizon_T * max(1, kappa_hat_high - 1) * p_min_high * max(2 * (1 + markup_max), lin_gain)": {
+            "n_dos": n, "horizon_T": T, "do_params.kappa_hat": max(1, do.kappa_hat[1] - 1), "do_params.p_min": p_min, **markup,
+        },
+        "n_dos * horizon_T * max(1, theta_max_high) * unit_cost_frac_high * p_min_high": {
+            "n_dos": n, "horizon_T": T, "do_params.theta_max": max(1, do.theta_max[1]),
+            "do_params.unit_cost_frac": do.unit_cost_frac[1], "do_params.p_min": p_min,
+        },
+        # A valuation reaches 1.1 * valuation_markup * p_min; an auction MU sums a bid per DO, and keys greedy bids on rep / price.
+        "n_dos * 1.1 * valuation_markup_high * p_min_high": {
+            "n_dos": 1 if demand else n, "mu.valuation_markup": 1.1 * mu.valuation_markup[1], "do_params.p_min": p_min,
+        },
+        "1 / p_min_low": {} if demand else {"do_params.p_min": 1 / do.p_min[0]},
+        "q0_payment_markup_high * p_min_high": {"do_params.q0_payment_markup": do.q0_payment_markup[1], "do_params.p_min": p_min},
+        # The price sum adds n_dos * horizon_T Lyapunov prices q / (2 * rho * r), each q at most q0_high
+        # plus horizon_T * (kappa_hat_high - 1) admitted tasks.
+        "n_dos * horizon_T * (q0_high + horizon_T * (kappa_hat_high - 1)) / (2 * rho_low * min(1, low_scale) * r_floor)": {
+            "n_dos": n, "horizon_T": T, "do_params.q0": do.q0[1] + T * (do.kappa_hat[1] - 1), "do_params.rho": 1 / (2 * do.rho[0]),
+            "do_params.rho_schedule.low_scale": 1 / min(1.0, scale), "market.r_floor": 1 / market.r_floor,
+        } if do.rho[0] > 0 and scale > 0 else {},  # price_is_degenerate flags a DO at rho 0
+        "rho_high * low_scale": {"do_params.rho": do.rho[1], "do_params.rho_schedule.low_scale": scale},
+    }
+    for product, factors in products.items():
+        if factors:
+            yield max(factors, key=factors.get), math.isfinite(math.prod(factors.values())), f"{product} must be finite"
 
 
 def resolve_config(raw: dict) -> ScenarioConfig:

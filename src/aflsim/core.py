@@ -106,20 +106,11 @@ def sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
 class TrustNetwork:
     """Undirected, irreflexive trust graph over data-owner ids 0..n_dos-1.
 
-    `adjacency` is the symmetric boolean matrix; row i marks the DOs that DO
-    i trusts.
+    `adjacency` is the symmetric boolean matrix `generate_trust_network`
+    builds; row i marks the DOs that DO i trusts.
     """
 
     def __init__(self, adjacency: np.ndarray):
-        adjacency = np.asarray(adjacency, dtype=bool)
-        if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
-            raise ValueError(f"adjacency must be a square matrix, not of shape {adjacency.shape}")
-        if len(adjacency) < 1:
-            raise ValueError("n_dos must be >= 1")
-        if (adjacency != adjacency.T).any():
-            raise ValueError("adjacency must be symmetric")
-        if adjacency.diagonal().any():
-            raise ValueError("self loops are not allowed")
         self.adjacency = adjacency
 
     @property

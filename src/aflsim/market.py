@@ -96,10 +96,6 @@ class MarketInvariantError(RuntimeError):
 
 def generate_trust_network(n_dos: int, edge_prob: float, rng) -> TrustNetwork:
     """Erdos-Renyi graph: each unordered pair connected independently."""
-    if n_dos < 1:
-        raise ValueError("n_dos must be >= 1")
-    if not 0.0 <= edge_prob <= 1.0:
-        raise ValueError("edge_prob must lie in [0, 1]")
     # One draw per pair (i, j), i < j, in row-major order: the order of
     # np.triu_indices, which is how a boolean mask fills its selected cells.
     adjacency = np.zeros((n_dos, n_dos), dtype=bool)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -77,6 +79,12 @@ def test_whole_numbers_resolve_as_ints():
     assert type(cfg.do_params.rho_schedule["low_scale"]) is float
 
 
+MAX = sys.float_info.max
+# Runs in demand-model mode draw arrivals from means no config bound fixes in
+# advance; the engine names a mean it cannot draw from.
+DEMAND = {"market": {"arrival_mode": "demand-model"}}
+
+
 @pytest.mark.parametrize(
     "raw, field",
     [
@@ -142,6 +150,30 @@ def test_whole_numbers_resolve_as_ints():
             },
             "do_params.unit_cost_frac",
         ),
+        # Configs that resolved and then overflowed in the run: an MU's bid sum or valuations,
+        # the initial task payments, the greedy MU's rep / price key, and a Lyapunov price.
+        ({"n_dos": 5, "horizon_T": 4, "mu": {"valuation_markup": [1e308, 1e308]}}, "mu.valuation_markup"),
+        ({"n_dos": 5, "horizon_T": 4, "mu": {"valuation_markup": [MAX, MAX]}}, "mu.valuation_markup"),
+        ({"n_dos": 5, "horizon_T": 4, "mu": {"valuation_markup": [MAX, MAX]}, **DEMAND}, "mu.valuation_markup"),
+        ({"n_dos": 5, "horizon_T": 4, "do_params": {"q0_payment_markup": [MAX, MAX]}}, "do_params.q0_payment_markup"),
+        ({"n_dos": 5, "horizon_T": 4, "do_params": {"q0_payment_markup": [MAX, MAX]}, **DEMAND}, "do_params.q0_payment_markup"),
+        ({"n_dos": 5, "horizon_T": 4, "do_params": {"p_min": [5e-324, 5e-324]}}, "do_params.p_min"),
+        ({"n_dos": 5, "horizon_T": 4, "do_params": {"rho": [5e-324, 5e-324]}}, "do_params.rho"),
+        ({"n_dos": 5, "horizon_T": 4, "do_params": {"rho": [5e-324, 5e-324]}, **DEMAND}, "do_params.rho"),
+        # The rho the step's non-finite-price guard test writes into a valid world as a fault.
+        ({"n_dos": 5, "horizon_T": 4, "do_params": {"rho": [5e-324, 5e-324], "r0": [0.2, 0.2], "q0": [0, 4]}}, "do_params.rho"),
+        (
+            {
+                "n_dos": 5, "horizon_T": 4, "do_params": {"rho": [1e-300, 1e-300], "r0": [1e-10, 1e-10], "q0": [0, 4]},
+                "market": {"r_floor": 1e-10},
+            },
+            "do_params.rho",
+        ),
+        # A reputation at a floor this low prices q / (2 * rho * r_floor) at inf.
+        ({"n_dos": 5, "horizon_T": 4, "do_params": {"r0": [0.0, 0.0]}, "market": {"r_floor": 5e-324}}, "market.r_floor"),
+        # The trust graph's inputs, which generate_trust_network takes as given.
+        ({"n_dos": 0}, "n_dos"),
+        ({"trust_edge_prob": -0.1}, "trust_edge_prob"),
     ],
 )
 def test_out_of_bounds_values_name_field(raw, field):
@@ -171,20 +203,10 @@ BAD = st.one_of(
 )
 
 
-# Runs in demand-model mode draw arrivals from means no config bound fixes in
-# advance; the engine names a mean it cannot draw from.
-DEMAND = {"market": {"arrival_mode": "demand-model"}}
-
-
-@settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(
-    mode=st.sampled_from(["auction", "demand-model"]),
-    path=st.sampled_from(PATHS),
-    value=st.one_of(BAD, BAD.map(lambda v: [v, v])),
-    n_dos=st.integers(1, 4),
-    horizon=st.integers(1, 3),
-)
-def test_one_bad_field_is_rejected_by_name_or_runs_clean(mode, path, value, n_dos, horizon):
+def _rejected_by_name_or_runs_clean(mode, path, value, n_dos, horizon):
+    """Resolve a small config with `value` at `path`, then run it: the config
+    must be rejected naming `path` or a field under it, run its `horizon`
+    steps clean, or stop on the demand model's expected-demand error."""
     raw = {"n_dos": n_dos, "horizon_T": horizon, "seeds": [1], "market": {"arrival_mode": mode}}
     *sections, key = path.split(".")
     node = raw
@@ -202,6 +224,37 @@ def test_one_bad_field_is_rejected_by_name_or_runs_clean(mode, path, value, n_do
         assert cfg.market.arrival_mode == "demand-model" and "expected demand" in str(err)
         return
     assert audited == horizon
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(
+    mode=st.sampled_from(["auction", "demand-model"]),
+    path=st.sampled_from(PATHS),
+    value=st.one_of(BAD, BAD.map(lambda v: [v, v])),
+    n_dos=st.integers(1, 4),
+    horizon=st.integers(1, 3),
+)
+def test_one_bad_field_is_rejected_by_name_or_runs_clean(mode, path, value, n_dos, horizon):
+    _rejected_by_name_or_runs_clean(mode, path, value, n_dos, horizon)
+
+
+# The largest and smallest magnitudes a float holds, where a product of
+# config highs overflows or a quotient by a config low does.
+EXTREMES = (1e300, 1e308, MAX, 1e-300, 5e-324)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extreme_values_are_rejected_by_name_or_run_clean():
+    """Every path at every extreme, alone and as a [v, v] pair, in both
+    arrival modes, on 5 DOs over 4 steps; every failing case is listed."""
+    failed = []
+    for mode, path, v in itertools.product(("auction", "demand-model"), PATHS, EXTREMES):
+        for value in (v, [v, v]):
+            try:
+                _rejected_by_name_or_runs_clean(mode, path, value, 5, 4)
+            except Exception as err:
+                failed.append((mode, path, value, repr(err)))
+    assert not failed, "\n".join(map(str, failed))
 
 
 @pytest.mark.parametrize(

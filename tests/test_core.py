@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aflsim.config import ConfigError, resolve_config
-from aflsim.core import TrustNetwork, validate_states
+from aflsim.core import validate_states
 from helpers import make_state, state_columns, trust_network, validate_decision
 from reference_policy import JointDecision
 
@@ -59,26 +59,6 @@ def test_validate_state_requires_kappa_cap_at_least_one():
 def test_validate_states_names_the_first_invalid_do():
     states = state_columns(make_state(id=0), make_state(id=1, s_max=-1), make_state(id=2, s_max=-1))
     assert validate_states(states) == (1, "s_max")
-
-
-def test_trust_network_rejects_self_loops():
-    with pytest.raises(ValueError):
-        trust_network(3, [(1, 1)])
-
-
-@pytest.mark.parametrize(
-    "adjacency, message",
-    [
-        (np.zeros((2, 3), dtype=bool), "square"),
-        (np.zeros(3, dtype=bool), "square"),
-        (np.zeros((0, 0), dtype=bool), "n_dos"),
-        (np.triu(np.ones((3, 3), dtype=bool), k=1), "symmetric"),
-    ],
-    ids=["non-square", "one-dimensional", "empty", "asymmetric"],
-)
-def test_trust_network_rejects_malformed_adjacency(adjacency, message):
-    with pytest.raises(ValueError, match=message):
-        TrustNetwork(adjacency)
 
 
 def test_trust_network_is_symmetric():

@@ -70,6 +70,17 @@ def test_graph_edge_count_matches_binomial_mean():
     assert abs(mean - 4950 * 0.7) <= band
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n_dos=st.integers(1, 30), edge_prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_generated_graph_is_symmetric_without_self_loops(n_dos, edge_prob, seed):
+    net = generate_trust_network(n_dos, edge_prob, np.random.default_rng(seed))
+    adjacency = net.adjacency
+    assert adjacency.dtype == bool and adjacency.shape == (n_dos, n_dos)
+    assert (adjacency == adjacency.T).all()
+    assert not adjacency.diagonal().any()
+    assert net.n_edges == np.count_nonzero(np.triu(adjacency))
+
+
 def test_graph_is_deterministic_per_seed():
     a = generate_trust_network(30, 0.5, np.random.default_rng(123))
     b = generate_trust_network(30, 0.5, np.random.default_rng(123))

@@ -208,11 +208,13 @@ def test_degenerate_prices_run_clean_and_are_counted(do_params):
     ],
 )
 def test_a_price_that_is_not_finite_stops_the_step_before_settling(do_params, market_params):
+    # resolve_config rejects these rho, so a valid world is given them as a fault.
     cfg = resolve_config({
         "n_dos": 5, "horizon_T": 4, "policy": {"assignment": "pas-afl"},
-        "do_params": {**do_params, "q0": [0, 4]}, "market": market_params,
+        "do_params": {"r0": do_params["r0"], "q0": [0, 4]}, "market": market_params,
     })
     world = build_world(cfg, 1)
+    world.states["availability_rho"] = do_params["rho"][0]
     assert not reference_policy.price_is_degenerate(views(world)[0], cfg.market.r_floor)
     with mock.patch.object(market, "settle", side_effect=AssertionError("settled")):
         with pytest.raises(market.MarketInvariantError, match=r"^DO 0 at step 0 posted a price of inf\b"):
