@@ -306,6 +306,8 @@ def _checks(cfg: ScenarioConfig):
     # The products a run forms from the config's highs and lows, as {field: factor}; one that is not
     # finite names its largest factor, and one the run never forms in this mode is left empty.
     n, T, p_min, scale = cfg.n_dos, cfg.horizon_T, do.p_min[1], schedule.get("low_scale", 1.0)
+    # The least positive rho a DO draws: rho_low, or above a rho_low of 0 the draw at u = 2**-53.
+    least_rho = do.rho[0] if do.rho[0] > 0 else max(do.rho[1] * 2**-53, math.ulp(0.0))
     rand = 2.0 * (1.0 + policy.markup_max)  # price_rand draws up to 2 * p_min * (1 + markup_max)
     markup = {"policy.markup_max": rand} if rand >= policy.lin_gain else {"policy.lin_gain": policy.lin_gain}
     products = {
@@ -325,10 +327,10 @@ def _checks(cfg: ScenarioConfig):
         "q0_payment_markup_high * p_min_high": {"do_params.q0_payment_markup": do.q0_payment_markup[1], "do_params.p_min": p_min},
         # The price sum adds n_dos * horizon_T Lyapunov prices q / (2 * rho * r), each q at most q0_high
         # plus horizon_T * (kappa_hat_high - 1) admitted tasks.
-        "n_dos * horizon_T * (q0_high + horizon_T * (kappa_hat_high - 1)) / (2 * rho_low * min(1, low_scale) * r_floor)": {
-            "n_dos": n, "horizon_T": T, "do_params.q0": do.q0[1] + T * (do.kappa_hat[1] - 1), "do_params.rho": 1 / (2 * do.rho[0]),
+        "n_dos * horizon_T * (q0_high + horizon_T * (kappa_hat_high - 1)) / (2 * least_positive_rho * min(1, low_scale) * r_floor)": {
+            "n_dos": n, "horizon_T": T, "do_params.q0": do.q0[1] + T * (do.kappa_hat[1] - 1), "do_params.rho": 1 / (2 * least_rho),
             "do_params.rho_schedule.low_scale": 1 / min(1.0, scale), "market.r_floor": 1 / market.r_floor,
-        } if do.rho[0] > 0 and scale > 0 else {},  # price_is_degenerate flags a DO at rho 0
+        } if do.rho[1] > 0 and scale > 0 else {},  # price_is_degenerate flags a DO at rho 0
         "rho_high * low_scale": {"do_params.rho": do.rho[1], "do_params.rho_schedule.low_scale": scale},
     }
     for product, factors in products.items():

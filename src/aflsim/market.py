@@ -2,9 +2,10 @@
 
 One simulation step runs a fixed pipeline:
 
-  1. snapshot mean neighbour prices (reused while the posted prices repeat)
-     and, where read, delegate eligibility with the quotes behind it: each
-     asked DO's trusted neighbours cheap enough to take its best task,
+  1. after each DO's work, snapshot mean neighbour prices (reused while the
+     posted prices repeat), each DO's goal and, where it is positive, delegate
+     eligibility with the quotes behind it: each asked DO's trusted neighbours
+     cheap enough to take its best task,
   2. every data owner decides jointly against that snapshot: the rules that
      draw nothing as whole arrays, then one call per DO for its own draws
      (on its `OwnerConstants`); a price that is not finite stops the step,
@@ -32,6 +33,11 @@ caps, state invariants, delegation depth, queue order, and the payment
 ledgers against admitted and moved task counts, bids, budgets and carried
 payments) run every step and raise immediately on violation.
 
+The rules and the MU walk assume a resolved config and audited state, as
+`resolve_config` and the audits own those checks.  The step keeps three more: `update_reputation`'s on-time
+count against the count due (its clamp would hide the fault), a backstop on
+a price that is not finite, and routing's refusal of a delegator not asked.
+
 The six model-user bidding strategies are parameterized stand-ins: each gets
 a distinct target ordering and bid shape, and every data-owner policy in a
 comparison faces the identical bidder population and random streams.
@@ -57,14 +63,13 @@ from .core import (
     validate_states,
 )
 from .demand import expected_demand, realize_demand, zeta
-from .policy_baselines import decide_for_policy, price_lin, resolve_policy
+from .policy_baselines import POLICIES, decide_for_policy, price_lin
 from .policy_pas import (
     decide_acceptance,
     decide_price,
     decide_subdelegation,
     decide_work,
     eligible_delegates,
-    outweighs_queues,
     price_is_degenerate,
     subdelegation_cap,
 )
@@ -222,10 +227,8 @@ def _mu_requests(valuations: np.ndarray, states: np.ndarray, price: np.ndarray, 
         elif strategy == "fedbidder-complex":
             key = -rep * valuation / price
             bid = np.minimum(mu.gains[strategy] * (0.5 + 0.5 * rep) * p_min, valuation)
-        elif strategy in reserve_keys:
-            key, bid = reserve_keys[strategy], np.minimum(mu.gains[strategy] * p_min, valuation)
         else:
-            raise ValueError(f"unknown MU strategy: {strategy!r}")
+            key, bid = reserve_keys[strategy], np.minimum(mu.gains[strategy] * p_min, valuation)
         keyed.append((j, key, bid))
     if keyed:
         # The default sort is not stable, so a row whose sorted keys are not
@@ -454,7 +457,7 @@ class World:
         self.valuations = np.reshape(markups, (n_mus, n)) * self.states["reserve_price_p_min"] * data_factor
         self.mu_rngs = [np.random.default_rng([seed, _STREAM_MU, j, 1000]) for j in range(n_mus)]
         names = [policy_override or config.policy_name_for(i) for i in range(n)]
-        self.policy_specs = [resolve_policy(name) for name in names]
+        self.policy_specs = [POLICIES[name] for name in names]
         # Which DOs' sub-delegation, price and acceptance follow the joint policy's rules.
         self._threshold_rule, self._lyapunov_price, self._lyapunov_accept = np.array([
             [spec.subdel_rule == "threshold" for spec in self.policy_specs],
@@ -529,20 +532,19 @@ class World:
             return schedule["low_scale"]
         return 1.0
 
-    def _build_contexts(self, prices: np.ndarray, reps: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Every DO's mean neighbour price (inf without neighbours), whether a
-        neighbour could take its best-paying task below the delegation-depth
-        cap, and the quotes that answer rests on: the DOs asked (ascending
-        ids) and `eligible_delegates`' block of their neighbours that could.
+    def _build_contexts(self, prices: np.ndarray, reps: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Every DO's mean neighbour price (inf without neighbours), its goal
+        after `theta` tasks of work were a delegate eligible, whether a
+        neighbour could take its best-paying task below the depth cap, and
+        the quotes that answer rests on: the DOs asked (ascending ids) and
+        `eligible_delegates`' block of their neighbours that could.
 
         The mean is read-only, and taken again only when a byte of `prices`
         differs from the last prices: posted prices often repeat, and the graph
-        is fixed.  Only a DO that may delegate and whose rule reads the answer
-        is asked; a threshold-rule DO whose sign test keeps its tasks local
-        reads False.  Routing walks the asked DOs' quotes rows, as the queue
-        and the snapshot are unchanged until the step commits.
+        is fixed.  Only a DO whose goal is positive is asked; the others read
+        False.  Routing walks the asked DOs' quotes rows, as the queue and the
+        snapshot are unchanged until the step commits.
         """
-        cfg = self.config
         states = self.states
         n = len(states)
         key = prices.tobytes()
@@ -552,21 +554,20 @@ class World:
             self._avg_prices = key
         avg = self._avg
 
-        least_work = 0 if cfg.policy.work_mode == "threshold" else states["theta_max"]
-        may_delegate = np.floor(states["pending_q"]) > least_work
-        local = outweighs_queues(states["availability_rho"], avg, states["pending_q"], states["urgency_Q"])
+        cap = subdelegation_cap(states, True, theta)
+        goal = np.where(self._threshold_rule, decide_subdelegation(states, avg, cap), cap)
         queue = self.queue
-        routable = queue["depth"] < cfg.market.delegation_depth_max
+        routable = queue["depth"] < self.config.market.delegation_depth_max
         best = np.full(n, -math.inf)
         np.maximum.at(best, queue["owner"][routable], queue["payment"][routable])
-        asked = np.flatnonzero(may_delegate & ~(self._threshold_rule & local) & (best > -math.inf))
+        asked = np.flatnonzero((goal > 0) & (best > -math.inf))
 
         quotes = eligible_delegates(
             self.network.adjacency[asked], prices, reps, best[asked], states["rep_threshold_r_min"][asked]
         )
         eligible = np.zeros(n, dtype=bool)
         eligible[asked] = quotes.any(axis=1)
-        return avg, eligible, asked, quotes
+        return avg, goal, eligible, asked, quotes
 
 
 def _expected_demand(world: World, rows: np.ndarray, price: np.ndarray) -> np.ndarray:
@@ -629,24 +630,23 @@ def step(world: World) -> dict[str, np.ndarray]:
     states = world.states
     n = len(states)
 
-    # 1. Snapshot the decision inputs; policies must only see last step's market.
-    prices = states["current_price_p"].copy()
-    reps = states["reputation_r"].copy()
-    avg, eligible, asked, quotes = world._build_contexts(prices, reps)
-
-    # 2. Joint decisions.  The rules that draw nothing run as whole arrays:
-    # the threshold or greedy goal, and the Lyapunov or linear price.
+    # 1. Snapshot the decision inputs after work; policies must only see last step's market.
     policy = cfg.policy
     theta = decide_work(states, policy.work_mode)
-    cap = subdelegation_cap(states, eligible, theta)
-    s_goal = np.where(world._threshold_rule, decide_subdelegation(states, avg, cap), cap)
+    prices = states["current_price_p"].copy()
+    reps = states["reputation_r"].copy()
+    avg, goal, eligible, asked, quotes = world._build_contexts(prices, reps, theta)
+
+    # 2. Joint decisions.  The rules that draw nothing run as whole arrays:
+    # the snapshot's goal where a delegate is eligible, and the Lyapunov or linear price.
+    s_goal = np.where(eligible, goal, 0)
     degenerate = world._lyapunov_price & price_is_degenerate(states, cfg.market.r_floor)
     price = np.where(world._lyapunov_price, decide_price(states, degenerate), price_lin(states, policy.lin_gain))
     world.degenerate_price_steps += int(np.count_nonzero(degenerate))
     # Then one call per DO replaces a random rule's value with draws from the
     # DO's own generator.  Acceptance reads the price posted.
     decisions = dict(enumerate(map(
-        decide_for_policy, world.policy_specs, world.owners, s_goal.tolist(), price.tolist(), cap.tolist(),
+        decide_for_policy, world.policy_specs, world.owners, s_goal.tolist(), price.tolist(),
         world.policy_rngs, repeat(policy.markup_max),
     )))
     price = np.fromiter(map(attrgetter("price_p"), decisions.values()), float, count=n)

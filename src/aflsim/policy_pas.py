@@ -18,10 +18,11 @@ Python floats give silently, the rule computes under `np.errstate`.  The
 rules see the market through two per-DO arrays it snapshots each step: the
 mean price over *all* neighbours (+inf with none, which keeps every task
 local), and whether some neighbour could take the DO's best-paying delegable
-task.  The market asks the second only where a rule reads it: a DO whose
-threshold rule keeps its tasks local by `outweighs_queues` is handed False.
-The asked DOs' quotes (`eligible_delegates`) are also the neighbours the
-market routes their sub-delegations to.
+task.  The market asks the second only where the DO's goal after its work
+would be positive with an eligible delegate, and hands the others False.  The
+asked DOs' quotes (`eligible_delegates`) are also the neighbours the market
+routes their sub-delegations to.  The rules assume a resolved config and
+audited state, and check neither.
 """
 
 import numpy as np
@@ -110,7 +111,5 @@ def decide_work(states: np.ndarray, mode: str) -> np.ndarray:
     cap = np.minimum(np.floor(states["pending_q"]).astype(np.intp), states["theta_max"])
     if mode == "greedy":
         return cap
-    if mode == "threshold":
-        local = outweighs_queues(states["availability_rho"], states["unit_cost_c"], states["pending_q"], states["urgency_Q"])
-        return np.where(local, 0, cap)
-    raise ValueError(f"unknown work mode: {mode!r}")
+    local = outweighs_queues(states["availability_rho"], states["unit_cost_c"], states["pending_q"], states["urgency_Q"])
+    return np.where(local, 0, cap)

@@ -64,7 +64,7 @@ def joint_decision(
     s = decide_subdelegation(states, np.array([avg_neighbor_price]), cap) if spec.subdel_rule == "threshold" else cap
     degenerate = price_is_degenerate(states, r_floor) & (spec.price_rule == "lyapunov")
     price = decide_price(states, degenerate) if spec.price_rule == "lyapunov" else price_lin(states, lin_gain)
-    decision = decide_for_policy(spec, state, s.item(), price.item(), cap.item(), rng, markup_max)
+    decision = decide_for_policy(spec, state, s.item(), price.item(), rng, markup_max)
     x = decide_acceptance(states, np.array([decision.price_p])).item() if spec.accept_rule == "lyapunov" else 1
     return JointDecision(x, decision.price_p, decision.subdelegate_s, theta.item(), degenerate.item())
 

@@ -174,6 +174,15 @@ DEMAND = {"market": {"arrival_mode": "demand-model"}}
         # The trust graph's inputs, which generate_trust_network takes as given.
         ({"n_dos": 0}, "n_dos"),
         ({"trust_edge_prob": -0.1}, "trust_edge_prob"),
+        # A rho_low of 0 beside a subnormal rho_high: a DO that draws u = 2**-53 prices q / (2 * rho * r) at inf.
+        ({"n_dos": 5, "horizon_T": 4, "seeds": [1], "do_params": {"rho": [0.0, 1e-310], "q0": [4, 4]}}, "do_params.rho"),
+        ({"n_dos": 5, "horizon_T": 4, "seeds": [1], "do_params": {"rho": [0.0, 1e-310], "q0": [4, 4]}, **DEMAND}, "do_params.rho"),
+        ({"n_dos": 5, "horizon_T": 4, "seeds": [1], "do_params": {"rho": [0.0, 5e-324], "q0": [4, 4]}}, "do_params.rho"),
+        ({"n_dos": 5, "horizon_T": 4, "seeds": [1], "do_params": {"rho": [0.0, 5e-324], "q0": [4, 4]}, **DEMAND}, "do_params.rho"),
+        # Names that only these rows check: the rules and the MU walk read them unchecked.
+        ({"policy": {"work_mode": "lazy"}}, "policy.work_mode"),
+        ({"market": {"integerization": "ceil"}}, "market.integerization"),
+        ({"mu": {"strategies": ["random", "nonsense"]}}, "mu.strategies"),
     ],
 )
 def test_out_of_bounds_values_name_field(raw, field):
@@ -245,11 +254,12 @@ EXTREMES = (1e300, 1e308, MAX, 1e-300, 5e-324)
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_values_are_rejected_by_name_or_run_clean():
-    """Every path at every extreme, alone and as a [v, v] pair, in both
-    arrival modes, on 5 DOs over 4 steps; every failing case is listed."""
+    """Every path at every extreme, alone, as a [v, v] pair and as a [0, v]
+    range, in both arrival modes, on 5 DOs over 4 steps; every failing case
+    is listed."""
     failed = []
     for mode, path, v in itertools.product(("auction", "demand-model"), PATHS, EXTREMES):
-        for value in (v, [v, v]):
+        for value in (v, [v, v], [0, v]):
             try:
                 _rejected_by_name_or_runs_clean(mode, path, value, 5, 4)
             except Exception as err:

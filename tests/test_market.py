@@ -24,7 +24,7 @@ from aflsim.market import (
     update_reputation,
 )
 from aflsim.policy_baselines import POLICIES
-from aflsim.policy_pas import eligible_delegates
+from aflsim.policy_pas import decide_subdelegation, decide_work, eligible_delegates, subdelegation_cap
 from aflsim.simcli import run_scenario
 from helpers import DataOwnerState, R_FLOOR, make_state, run_world, state_columns, trust_network, views
 from reference_policy import reference_decide
@@ -373,8 +373,8 @@ def test_neighbour_mean_is_reused_while_prices_repeat_and_equals_a_fresh_one():
     world = build_world(cfg, 3, policy_override="pas-afl")
     build_contexts, seen = market.World._build_contexts, []
 
-    def contexts(self, prices, reps):
-        snapshot = build_contexts(self, prices, reps)
+    def contexts(self, prices, reps, theta):
+        snapshot = build_contexts(self, prices, reps, theta)
         seen.append((prices.copy(), snapshot[0]))
         return snapshot
 
@@ -393,27 +393,29 @@ def test_neighbour_mean_is_reused_while_prices_repeat_and_equals_a_fresh_one():
 def test_one_ulp_of_one_price_takes_the_mean_anew():
     world = build_world(resolve_config({"n_dos": 12, "horizon_T": 1}), 5)
     prices, reps = world.states["current_price_p"].copy(), world.states["reputation_r"].copy()
-    avg = world._build_contexts(prices, reps)[0]
+    theta = np.zeros(12, dtype=np.intp)
+    avg = world._build_contexts(prices, reps, theta)[0]
     nudged = prices.copy()
     nudged[4] = np.nextafter(nudged[4], math.inf)
-    again = world._build_contexts(nudged, reps)[0]
+    again = world._build_contexts(nudged, reps, theta)[0]
     assert again is not avg
     assert again.tobytes() == fresh_mean(world, nudged).tobytes()
-    assert world._build_contexts(prices, reps)[0].tobytes() == avg.tobytes()
+    assert world._build_contexts(prices, reps, theta)[0].tobytes() == avg.tobytes()
 
 
 def test_worlds_on_different_graphs_keep_their_own_mean():
     cfg = resolve_config({"n_dos": 12, "horizon_T": 1, "trust_edge_prob": 0.4})
     first, second = build_world(cfg, 1), build_world(cfg, 2)
     assert not np.array_equal(first.network.adjacency, second.network.adjacency)
-    prices, reps = np.linspace(1.0, 2.0, 12), np.full(12, 0.9)
+    prices, reps, theta = np.linspace(1.0, 2.0, 12), np.full(12, 0.9), np.zeros(12, dtype=np.intp)
     for world in (first, second, first):
-        assert world._build_contexts(prices, reps)[0].tobytes() == fresh_mean(world, prices).tobytes()
+        assert world._build_contexts(prices, reps, theta)[0].tobytes() == fresh_mean(world, prices).tobytes()
 
 
 def test_the_kept_neighbour_mean_cannot_be_written():
     world = build_world(resolve_config({"n_dos": 6, "horizon_T": 1}), 1)
-    avg = world._build_contexts(world.states["current_price_p"].copy(), world.states["reputation_r"].copy())[0]
+    prices, reps = world.states["current_price_p"].copy(), world.states["reputation_r"].copy()
+    avg = world._build_contexts(prices, reps, np.zeros(6, dtype=np.intp))[0]
     assert not avg.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         avg[0] = 0.0
@@ -776,17 +778,21 @@ Decided = namedtuple("Decided", "avg eligible states decisions degenerate")
 
 def step_decisions(world, snapshot=None) -> Decided:
     """Step `world` and record its decisions.  With `snapshot`, an (avg,
-    eligible) pair, the step decides against it in place of its own; each DO
-    it calls eligible is quoted no neighbour, so nothing routes."""
+    eligible) pair, the step decides against it in place of its own, with the
+    goals its rules set at that mean; each DO it calls eligible is quoted no
+    neighbour, so nothing routes."""
     build_contexts, decide, settle_step = market.World._build_contexts, market.decide_for_policy, market.settle
     seen = {"calls": []}
 
-    def contexts(self, prices, reps):
+    def contexts(self, prices, reps, theta):
         if snapshot is None:
-            seen["snapshot"] = build_contexts(self, prices, reps)
+            seen["snapshot"] = build_contexts(self, prices, reps, theta)
         else:
-            asked = np.flatnonzero(snapshot[1])
-            seen["snapshot"] = (*snapshot, asked, np.zeros((len(asked), len(prices)), dtype=bool))
+            avg, eligible = snapshot
+            cap = subdelegation_cap(self.states, True, theta)
+            goal = np.where(self._threshold_rule, decide_subdelegation(self.states, avg, cap), cap)
+            asked = np.flatnonzero(eligible)
+            seen["snapshot"] = (avg, goal, eligible, asked, np.zeros((len(asked), len(prices)), dtype=bool))
         return seen["snapshot"]
 
     def recording_decide(spec, state, *args):
@@ -805,7 +811,7 @@ def step_decisions(world, snapshot=None) -> Decided:
     states, calls = zip(*seen["calls"])
     x, price, theta = seen["settled"]
     assert [d.price_p for d in calls] == price  # the step posts the prices the calls return
-    avg, eligible = seen["snapshot"][:2]
+    avg, _, eligible = seen["snapshot"][:3]
     return Decided(
         avg.tolist(),
         eligible.tolist(),
@@ -919,7 +925,7 @@ def test_snapshot_decides_and_draws_as_if_every_do_were_asked(case):
     twin = copy.deepcopy(world)
 
     prices, reps = twin.states["current_price_p"].copy(), twin.states["reputation_r"].copy()
-    avg = twin._build_contexts(prices, reps)[0]
+    avg = twin._build_contexts(prices, reps, decide_work(twin.states, work_mode))[0]
     plain_avg, eligible = reference_snapshot(twin, prices.tolist(), reps.tolist())
     assert avg.tolist() == pytest.approx(plain_avg, rel=1e-12)
     want = reference_decisions(twin, avg.tolist(), eligible)

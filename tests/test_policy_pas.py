@@ -86,10 +86,10 @@ def test_eligible_delegates_answers_each_row_with_its_own_limits():
     assert found.tolist() == [[False, True, False], [False, False, False], [False, True, False]]
 
 
-def _tiny_world(n_dos: int, edge_prob: float, policy="rand-greedy"):
-    """Every DO holds five tasks paying 1.5, works two per step and trusts
-    neighbours with reputation >= 0.5, so each DO may delegate.  The default
-    policy's greedy rule reads eligibility wherever it may delegate."""
+def _tiny_world(n_dos: int, edge_prob: float, policy="rand-greedy", work_mode="greedy"):
+    """Every DO holds five tasks paying 1.5, works at most two per step and
+    trusts neighbours with reputation >= 0.5, so each DO may delegate.  The
+    default policy's greedy rule reads eligibility wherever it may delegate."""
     cfg = resolve_config({
         "n_dos": n_dos,
         "trust_edge_prob": edge_prob,
@@ -102,14 +102,19 @@ def _tiny_world(n_dos: int, edge_prob: float, policy="rand-greedy"):
             "q0": [5, 5],
             "q0_payment_markup": [1.5, 1.5],
         },
-        "policy": {"assignment": policy},
+        "policy": {"assignment": policy, "work_mode": work_mode},
     })
     return build_world(cfg, 1)
 
 
+def _contexts(world, prices, reps):
+    """The world's snapshot at `prices` and `reps`, after the work its rule decides."""
+    return world._build_contexts(prices, reps, decide_work(world.states, world.config.policy.work_mode))
+
+
 def test_delegation_context_uses_infinite_sentinel_without_neighbors():
     world = _tiny_world(1, 0.0)
-    avg, eligible, *_ = world._build_contexts(np.array([1.0]), np.array([0.9]))
+    avg, _, eligible, *_ = _contexts(world, np.array([1.0]), np.array([0.9]))
     assert avg.tolist() == [math.inf]
     assert eligible.tolist() == [False]
 
@@ -117,10 +122,10 @@ def test_delegation_context_uses_infinite_sentinel_without_neighbors():
 def test_delegation_context_averages_all_neighbors():
     world = _tiny_world(3, 1.0)
     reps = np.array([0.9, 0.9, 0.9])
-    avg, eligible, *_ = world._build_contexts(np.array([1.0, 1.0, 3.0]), reps)
+    avg, _, eligible, *_ = _contexts(world, np.array([1.0, 1.0, 3.0]), reps)
     assert avg.tolist() == [2.0, 2.0, 1.0]
     assert eligible.tolist() == [True, True, True]  # each has a neighbour asking 1.0 <= 1.5
-    avg, eligible, asked, quotes = world._build_contexts(np.array([1.0, 2.0, 3.0]), reps)
+    avg, _, eligible, asked, quotes = _contexts(world, np.array([1.0, 2.0, 3.0]), reps)
     assert avg.tolist() == [2.5, 2.0, 1.5]
     assert eligible.tolist() == [False, True, True]  # DO 0's neighbours both ask more than 1.5
     assert asked.tolist() == [0, 1, 2]
@@ -131,13 +136,20 @@ def test_delegation_context_ignores_tasks_at_depth_cap():
     world = _tiny_world(3, 1.0)
     queue = world.queue
     queue["depth"][queue["owner"] == 0] = world.config.market.delegation_depth_max
-    _, eligible, asked, _ = world._build_contexts(np.array([1.0, 1.0, 1.0]), np.array([0.9, 0.9, 0.9]))
+    _, _, eligible, asked, _ = _contexts(world, np.array([1.0, 1.0, 1.0]), np.array([0.9, 0.9, 0.9]))
     assert eligible.tolist() == [False, True, True]
     assert asked.tolist() == [1, 2]
 
 
 def test_threshold_do_that_keeps_its_tasks_local_is_not_asked(monkeypatch):
-    world = _tiny_world(2, 1.0, policy=["pas-afl", "rand-greedy"])
+    """Only a DO whose goal would be positive with an eligible delegate is
+    asked for quotes.  In threshold work mode DO 2 works all five of its
+    tasks and DO 3 may sub-delegate none, so neither is asked, though both
+    hold a routable task."""
+    world = _tiny_world(4, 1.0, policy=["pas-afl", "rand-greedy", "rand-greedy", "rand-greedy"], work_mode="threshold")
+    states = world.states
+    states["theta_max"][2], states["urgency_Q"][2] = 5, 100.0  # queue pressure makes DO 2 work its backlog
+    states["s_max"][3] = 0
     asked = []
 
     def recording(adjacency, *args):
@@ -145,18 +157,20 @@ def test_threshold_do_that_keeps_its_tasks_local_is_not_asked(monkeypatch):
         return eligible_delegates(adjacency, *args)
 
     monkeypatch.setattr(market, "eligible_delegates", recording)
-    prices, reps = np.array([1.0, 1.0]), np.array([0.9, 0.9])
-    # Both DOs are in one state: 20 * 1.0 - 5 - 0 >= 0 keeps pas-afl's tasks local.
-    _, eligible, rows, quotes = world._build_contexts(prices, reps)
-    assert eligible.tolist() == [False, True]
-    assert asked == [[[True, False]]]  # DO 1's row alone
-    assert (rows.tolist(), quotes.tolist()) == ([1], [[True, False]])
+    prices, reps = np.array([1.0, 1.0, 1.0, 1.0]), np.array([0.9, 0.9, 0.9, 0.9])
+    # DO 0's sign test, 20 * 1.0 - 5 - 0 >= 0, keeps pas-afl's tasks local.
+    _, goal, eligible, rows, quotes = _contexts(world, prices, reps)
+    assert (goal[0], goal[2], goal[3]) == (0, 0, 0)
+    assert eligible.tolist() == [False, True, False, False]
+    assert asked == [[[True, False, True, True]]]  # DO 1's row alone
+    assert (rows.tolist(), quotes.tolist()) == ([1], [[True, False, True, True]])
     # Queue pressure past the neighbour price makes pas-afl read, and be asked.
-    world.states["urgency_Q"][0] = 100.0
-    _, eligible, rows, quotes = world._build_contexts(prices, reps)
-    assert eligible.tolist() == [True, True]
-    assert asked[1] == [[False, True], [True, False]]
-    assert (rows.tolist(), quotes.tolist()) == ([0, 1], [[False, True], [True, False]])
+    states["urgency_Q"][0] = 100.0
+    _, goal, eligible, rows, quotes = _contexts(world, prices, reps)
+    assert goal[0] > 0
+    assert eligible.tolist() == [True, True, False, False]
+    assert asked[1] == [[False, True, True, True], [True, False, True, True]]
+    assert (rows.tolist(), quotes.tolist()) == ([0, 1], [[False, True, True, True], [True, False, True, True]])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -281,8 +295,6 @@ def test_work_greedy_and_threshold_modes():
     pressured = make_state(availability_rho=1.0, unit_cost_c=0.1, pending_q=3.0, urgency_Q=1.0,
                            theta_max=2)
     assert _work(pressured, mode="threshold") == 2
-    with pytest.raises(ValueError):
-        _work(busy, mode="lazy")
 
 
 def test_joint_composes_component_rules():
