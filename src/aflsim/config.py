@@ -120,7 +120,6 @@ class PolicyParams:
 @dataclass(frozen=True)
 class ScenarioConfig:
     n_dos: int = 100
-    n_mus: int = len(MU_STRATEGY_NAMES)  # must equal len(mu.strategies)
     horizon_T: int = 500
     trust_edge_prob: float = 0.7
     data_size_range: tuple[int, int] = (1000, 10000)
@@ -249,7 +248,6 @@ def _checks(cfg: ScenarioConfig):
     yield from [
         ("n_dos", cfg.n_dos >= 1, "must be >= 1"),
         ("n_dos", cfg.n_dos**2 * ADJACENCY_BYTES <= MEMORY_BUDGET, f"its trust adjacency {budget}"),
-        ("n_mus", cfg.n_mus == len(mu.strategies), "must equal the length of mu.strategies"),
         ("horizon_T", cfg.horizon_T >= 1, "must be >= 1"),
         ("horizon_T", cfg.horizon_T * SERIES_BYTES <= MEMORY_BUDGET, f"its per-step series {budget}"),
         ("trust_edge_prob", 0.0 <= cfg.trust_edge_prob <= 1.0, "must lie in [0, 1]"),
@@ -349,8 +347,6 @@ def resolve_config(raw: dict) -> ScenarioConfig:
         policy=partial(_section, PolicyParams, assignment=_assignment),
         seeds=partial(_as_tuple, int),
     )
-    if "n_mus" not in raw:
-        cfg = replace(cfg, n_mus=len(cfg.mu.strategies))
     for path, ok, message in _checks(cfg):
         if not ok:
             raise ConfigError(path, message)

@@ -31,7 +31,6 @@ CSV_COLUMNS = [
 # demand, so integer storage would be lossy.  Physical task counts moved in a
 # step (work, sub-delegations, arrivals) are integers.
 STATE = np.dtype([
-    ("id", int),
     ("reputation_r", float),            # in [0, 1]
     ("pending_q", float),               # backlog of accepted-but-unfinished tasks
     ("urgency_Q", float),               # accumulated delay pressure

@@ -34,9 +34,10 @@ ledgers against admitted and moved task counts, bids, budgets and carried
 payments) run every step and raise immediately on violation.
 
 The rules and the MU walk assume a resolved config and audited state, as
-`resolve_config` and the audits own those checks.  The step keeps three more: `update_reputation`'s on-time
+`resolve_config` and the audits own those checks.  The step keeps four more: `update_reputation`'s on-time
 count against the count due (its clamp would hide the fault), a backstop on
-a price that is not finite, and routing's refusal of a delegator not asked.
+a price that is not finite, routing's refusal of a delegator not asked, and
+work planned beyond the tasks routing left a DO.
 
 The six model-user bidding strategies are parameterized stand-ins: each gets
 a distinct target ordering and bid shape, and every data-owner policy in a
@@ -516,7 +517,6 @@ class World:
         states = np.zeros(cfg.n_dos, STATE)
         for name, column in zip(_DRAWN_COLUMNS, zip(*drawn)):
             states[name] = column
-        states["id"] = self.ids
         states["avg_demand_kappa_bar"] = cfg.market.kappa_bar_prior
         states["current_price_p"] = states["reserve_price_p_min"]
         self.states = states
@@ -532,7 +532,7 @@ class World:
             return schedule["low_scale"]
         return 1.0
 
-    def _build_contexts(self, prices: np.ndarray, reps: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _build_contexts(self, prices: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
         """Every DO's mean neighbour price (inf without neighbours), its goal
         after `theta` tasks of work were a delegate eligible, whether a
         neighbour could take its best-paying task below the depth cap, and
@@ -543,7 +543,7 @@ class World:
         differs from the last prices: posted prices often repeat, and the graph
         is fixed.  Only a DO whose goal is positive is asked; the others read
         False.  Routing walks the asked DOs' quotes rows, as the queue and the
-        snapshot are unchanged until the step commits.
+        reputations the quotes read are unchanged until the step commits.
         """
         states = self.states
         n = len(states)
@@ -554,7 +554,7 @@ class World:
             self._avg_prices = key
         avg = self._avg
 
-        cap = subdelegation_cap(states, True, theta)
+        cap = subdelegation_cap(states, theta)
         goal = np.where(self._threshold_rule, decide_subdelegation(states, avg, cap), cap)
         queue = self.queue
         routable = queue["depth"] < self.config.market.delegation_depth_max
@@ -563,7 +563,7 @@ class World:
         asked = np.flatnonzero((goal > 0) & (best > -math.inf))
 
         quotes = eligible_delegates(
-            self.network.adjacency[asked], prices, reps, best[asked], states["rep_threshold_r_min"][asked]
+            self.network.adjacency[asked], prices, states["reputation_r"], best[asked], states["rep_threshold_r_min"][asked]
         )
         eligible = np.zeros(n, dtype=bool)
         eligible[asked] = quotes.any(axis=1)
@@ -634,8 +634,7 @@ def step(world: World) -> dict[str, np.ndarray]:
     policy = cfg.policy
     theta = decide_work(states, policy.work_mode)
     prices = states["current_price_p"].copy()
-    reps = states["reputation_r"].copy()
-    avg, goal, eligible, asked, quotes = world._build_contexts(prices, reps, theta)
+    avg, goal, eligible, asked, quotes = world._build_contexts(prices, theta)
 
     # 2. Joint decisions.  The rules that draw nothing run as whole arrays:
     # the snapshot's goal where a delegate is eligible, and the Lyapunov or linear price.

@@ -62,30 +62,26 @@ class PolicySpec:
         return self.price_rule in ("rand", "ampp") or self.subdel_rule == "rand"
 
 
-POLICIES: dict[str, PolicySpec] = {
-    "pas-afl": PolicySpec("lyapunov", "threshold", "lyapunov"),
+BASELINES: dict[str, PolicySpec] = {
     "rand-rand": PolicySpec("rand", "rand", "always"),
     "rand-greedy": PolicySpec("rand", "greedy", "always"),
     "ampp-rand": PolicySpec("ampp", "rand", "always"),
     "ampp-greedy": PolicySpec("ampp", "greedy", "always"),
     "lin-rand": PolicySpec("lin", "rand", "always"),
     "lin-greedy": PolicySpec("lin", "greedy", "always"),
-    # Ablated variants of the joint policy, one component swapped each.
+}
+# Ablated variants of the joint policy, one component swapped each.
+ABLATIONS: dict[str, PolicySpec] = {
     "pas-nopricing-rand": PolicySpec("rand", "threshold", "lyapunov"),
     "pas-nopricing-ampp": PolicySpec("ampp", "threshold", "lyapunov"),
     "pas-nopricing-lin": PolicySpec("lin", "threshold", "lyapunov"),
     "pas-nosubdel-rand": PolicySpec("lyapunov", "rand", "lyapunov"),
     "pas-nosubdel-greedy": PolicySpec("lyapunov", "greedy", "lyapunov"),
 }
+POLICIES: dict[str, PolicySpec] = {"pas-afl": PolicySpec("lyapunov", "threshold", "lyapunov"), **BASELINES, **ABLATIONS}
 
-BASELINE_NAMES = ("rand-rand", "rand-greedy", "ampp-rand", "ampp-greedy", "lin-rand", "lin-greedy")
-ABLATION_NAMES = (
-    "pas-nopricing-rand",
-    "pas-nopricing-ampp",
-    "pas-nopricing-lin",
-    "pas-nosubdel-rand",
-    "pas-nosubdel-greedy",
-)
+BASELINE_NAMES = tuple(BASELINES)
+ABLATION_NAMES = tuple(ABLATIONS)
 
 
 def decide_for_policy(

@@ -54,12 +54,12 @@ def eligible_delegates(
     return adjacency & trusted & cheap
 
 
-def subdelegation_cap(states: np.ndarray, has_eligible_delegate: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The most each DO may sub-delegate this step: the backlog left after its
-    `theta` tasks of work, within `s_max`, and nothing when no neighbour is
-    eligible.  The greedy baseline delegates exactly this."""
+def subdelegation_cap(states: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The most each DO may sub-delegate this step were a delegate eligible:
+    the backlog left after its `theta` tasks of work, within `s_max`.  The
+    greedy baseline delegates exactly this where a delegate is eligible."""
     backlog = np.floor(states["pending_q"]).astype(np.intp) - theta
-    return np.where(has_eligible_delegate, np.maximum(0, np.minimum(backlog, states["s_max"])), 0)
+    return np.maximum(0, np.minimum(backlog, states["s_max"]))
 
 
 def decide_subdelegation(states: np.ndarray, avg_neighbor_price: np.ndarray, cap: np.ndarray) -> np.ndarray:

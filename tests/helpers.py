@@ -60,7 +60,7 @@ def joint_decision(
     draws, then acceptance at the price that call returns."""
     states = state_columns(state)
     theta = decide_work(states, work_mode)
-    cap = subdelegation_cap(states, np.array([has_eligible_delegate]), theta)
+    cap = np.where(has_eligible_delegate, subdelegation_cap(states, theta), 0)
     s = decide_subdelegation(states, np.array([avg_neighbor_price]), cap) if spec.subdel_rule == "threshold" else cap
     degenerate = price_is_degenerate(states, r_floor) & (spec.price_rule == "lyapunov")
     price = decide_price(states, degenerate) if spec.price_rule == "lyapunov" else price_lin(states, lin_gain)
@@ -71,7 +71,6 @@ def joint_decision(
 
 def make_state(**overrides) -> DataOwnerState:
     base = dict(
-        id=0,
         reputation_r=0.6,
         pending_q=0.0,
         urgency_Q=0.0,

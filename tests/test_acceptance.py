@@ -92,7 +92,7 @@ def test_c1_subdelegation_closed_form_matches_enumeration():
     # The rule decides all 1,000 states in one call.
     states, pbars, has_delegates, thetas = zip(*cases)
     columns = state_columns(*states)
-    caps = subdelegation_cap(columns, np.array(has_delegates), np.array(thetas))
+    caps = np.where(has_delegates, subdelegation_cap(columns, np.array(thetas)), 0)
     decisions = decide_subdelegation(columns, np.array(pbars), caps).tolist()
 
     mismatches = 0
@@ -379,7 +379,6 @@ HAND_TRACE = [
 def test_c9_three_step_trace_matches_hand_simulation():
     cfg = resolve_config({
         "n_dos": 1,
-        "n_mus": 1,
         "horizon_T": 3,
         "trust_edge_prob": 0.0,
         "data_size_range": [10000, 10000],

@@ -57,7 +57,7 @@ def test_validate_state_requires_kappa_cap_at_least_one():
 
 
 def test_validate_states_names_the_first_invalid_do():
-    states = state_columns(make_state(id=0), make_state(id=1, s_max=-1), make_state(id=2, s_max=-1))
+    states = state_columns(make_state(), make_state(s_max=-1), make_state(s_max=-1))
     assert validate_states(states) == (1, "s_max")
 
 

@@ -186,7 +186,7 @@ def test_reputation_rejects_impossible_counts():
 
 
 def _single_market(price, valuation, x=1):
-    states = state_columns(make_state(id=0, theta_max=2, kappa_max=5, current_price_p=price))
+    states = state_columns(make_state(theta_max=2, kappa_max=5, current_price_p=price))
     valuations, mu = _roster([Bidder(0, "greedy", valuation, [valuation])])
     return states, np.array([price]), np.array([x]), valuations, mu, [np.random.default_rng(0)]
 
@@ -223,7 +223,7 @@ def test_auction_ignores_declining_data_owners():
 
 
 def test_auction_respects_admission_cap():
-    states = state_columns(make_state(id=0, theta_max=2, kappa_max=4, current_price_p=1.0))
+    states = state_columns(make_state(theta_max=2, kappa_max=4, current_price_p=1.0))
     valuations, mu = _roster([Bidder(j, "greedy", 50.0, [2.0]) for j in range(4)])
     rngs = [np.random.default_rng(j) for j in range(4)]
     outcome, _ = run_auction(valuations, states, np.array([1.0]), np.array([1]), rngs, 0, 0, mu)
@@ -233,7 +233,7 @@ def test_auction_respects_admission_cap():
 def test_auction_ledger_is_deterministic():
     def build():
         states = state_columns(*(
-            make_state(id=i, current_price_p=1.0 + 0.1 * i, reputation_r=0.5 + 0.05 * i)
+            make_state(current_price_p=1.0 + 0.1 * i, reputation_r=0.5 + 0.05 * i)
             for i in range(5)
         ))
         price = np.array([1.0 + 0.1 * i for i in range(5)])
@@ -285,7 +285,7 @@ def reference_mu_requests(mu, states, price, rng, gains):
 
 def _mu_states(reps, p_mins):
     return state_columns(*(
-        make_state(id=i, reputation_r=r, reserve_price_p_min=p, current_price_p=p)
+        make_state(reputation_r=r, reserve_price_p_min=p, current_price_p=p)
         for i, (r, p) in enumerate(zip(reps, p_mins))
     ))
 
@@ -373,8 +373,8 @@ def test_neighbour_mean_is_reused_while_prices_repeat_and_equals_a_fresh_one():
     world = build_world(cfg, 3, policy_override="pas-afl")
     build_contexts, seen = market.World._build_contexts, []
 
-    def contexts(self, prices, reps, theta):
-        snapshot = build_contexts(self, prices, reps, theta)
+    def contexts(self, prices, theta):
+        snapshot = build_contexts(self, prices, theta)
         seen.append((prices.copy(), snapshot[0]))
         return snapshot
 
@@ -392,30 +392,29 @@ def test_neighbour_mean_is_reused_while_prices_repeat_and_equals_a_fresh_one():
 
 def test_one_ulp_of_one_price_takes_the_mean_anew():
     world = build_world(resolve_config({"n_dos": 12, "horizon_T": 1}), 5)
-    prices, reps = world.states["current_price_p"].copy(), world.states["reputation_r"].copy()
+    prices = world.states["current_price_p"].copy()
     theta = np.zeros(12, dtype=np.intp)
-    avg = world._build_contexts(prices, reps, theta)[0]
+    avg = world._build_contexts(prices, theta)[0]
     nudged = prices.copy()
     nudged[4] = np.nextafter(nudged[4], math.inf)
-    again = world._build_contexts(nudged, reps, theta)[0]
+    again = world._build_contexts(nudged, theta)[0]
     assert again is not avg
     assert again.tobytes() == fresh_mean(world, nudged).tobytes()
-    assert world._build_contexts(prices, reps, theta)[0].tobytes() == avg.tobytes()
+    assert world._build_contexts(prices, theta)[0].tobytes() == avg.tobytes()
 
 
 def test_worlds_on_different_graphs_keep_their_own_mean():
     cfg = resolve_config({"n_dos": 12, "horizon_T": 1, "trust_edge_prob": 0.4})
     first, second = build_world(cfg, 1), build_world(cfg, 2)
     assert not np.array_equal(first.network.adjacency, second.network.adjacency)
-    prices, reps, theta = np.linspace(1.0, 2.0, 12), np.full(12, 0.9), np.zeros(12, dtype=np.intp)
+    prices, theta = np.linspace(1.0, 2.0, 12), np.zeros(12, dtype=np.intp)
     for world in (first, second, first):
-        assert world._build_contexts(prices, reps, theta)[0].tobytes() == fresh_mean(world, prices).tobytes()
+        assert world._build_contexts(prices, theta)[0].tobytes() == fresh_mean(world, prices).tobytes()
 
 
 def test_the_kept_neighbour_mean_cannot_be_written():
     world = build_world(resolve_config({"n_dos": 6, "horizon_T": 1}), 1)
-    prices, reps = world.states["current_price_p"].copy(), world.states["reputation_r"].copy()
-    avg = world._build_contexts(prices, reps, np.zeros(6, dtype=np.intp))[0]
+    avg = world._build_contexts(world.states["current_price_p"].copy(), np.zeros(6, dtype=np.intp))[0]
     assert not avg.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         avg[0] = 0.0
@@ -485,8 +484,8 @@ def route(states, queue, decisions, network, prices, reps, capacity_left, depth_
 
 def _routing_setup(payments, neighbor_price=0.5, depth=0):
     states = state_columns(
-        make_state(id=0, pending_q=float(len(payments)), s_max=5, rep_threshold_r_min=0.5),
-        make_state(id=1, current_price_p=neighbor_price,
+        make_state(pending_q=float(len(payments)), s_max=5, rep_threshold_r_min=0.5),
+        make_state(current_price_p=neighbor_price,
                    reserve_price_p_min=min(neighbor_price, 1.0), reputation_r=0.9),
     )
     network = trust_network(2, [(0, 1)])
@@ -551,9 +550,9 @@ def test_routing_respects_receiver_capacity():
 
 def test_routing_breaks_price_ties_by_lower_id():
     states = state_columns(
-        make_state(id=0, pending_q=1.0, s_max=5, rep_threshold_r_min=0.5),
+        make_state(pending_q=1.0, s_max=5, rep_threshold_r_min=0.5),
         *(
-            make_state(id=k, current_price_p=price, reserve_price_p_min=price, reputation_r=0.9)
+            make_state(current_price_p=price, reserve_price_p_min=price, reputation_r=0.9)
             for k, price in ((1, 0.8), (2, 0.5), (3, 0.5))
         ),
     )
@@ -671,7 +670,7 @@ def _routing_case(case):
     `route` builds the quotes from the drawn graph, which `reference_route`
     scans itself."""
     prices, reps, r_min, edges, tasks, goals, capacity, depth_max = case
-    states = state_columns(*(make_state(id=i, rep_threshold_r_min=r) for i, r in enumerate(r_min)))
+    states = state_columns(*(make_state(rep_threshold_r_min=r) for r in r_min))
     tasks = sorted(tasks, key=lambda task: task[0])  # queues are grouped by owner
     queue = np.zeros(len(tasks), dtype=TASK)
     for name, values in zip(("owner", "payment", "depth"), zip(*tasks)):
@@ -728,7 +727,6 @@ def test_zero_mu_world_earns_nothing():
     cfg = resolve_config({
         "n_dos": 8, "horizon_T": 12, "seeds": [1],
         "mu": {"strategies": [], "budget_per_step": 0.0},
-        "n_mus": 0,
     })
     _, records = run_world(build_world(cfg, 1, policy_override="pas-afl"))
     assert all(r.utility_u <= 0.0 for r in records)
@@ -784,12 +782,12 @@ def step_decisions(world, snapshot=None) -> Decided:
     build_contexts, decide, settle_step = market.World._build_contexts, market.decide_for_policy, market.settle
     seen = {"calls": []}
 
-    def contexts(self, prices, reps, theta):
+    def contexts(self, prices, theta):
         if snapshot is None:
-            seen["snapshot"] = build_contexts(self, prices, reps, theta)
+            seen["snapshot"] = build_contexts(self, prices, theta)
         else:
             avg, eligible = snapshot
-            cap = subdelegation_cap(self.states, True, theta)
+            cap = subdelegation_cap(self.states, theta)
             goal = np.where(self._threshold_rule, decide_subdelegation(self.states, avg, cap), cap)
             asked = np.flatnonzero(eligible)
             seen["snapshot"] = (avg, goal, eligible, asked, np.zeros((len(asked), len(prices)), dtype=bool))
@@ -925,7 +923,7 @@ def test_snapshot_decides_and_draws_as_if_every_do_were_asked(case):
     twin = copy.deepcopy(world)
 
     prices, reps = twin.states["current_price_p"].copy(), twin.states["reputation_r"].copy()
-    avg = twin._build_contexts(prices, reps, decide_work(twin.states, work_mode))[0]
+    avg = twin._build_contexts(prices, decide_work(twin.states, work_mode))[0]
     plain_avg, eligible = reference_snapshot(twin, prices.tolist(), reps.tolist())
     assert avg.tolist() == pytest.approx(plain_avg, rel=1e-12)
     want = reference_decisions(twin, avg.tolist(), eligible)
@@ -1228,6 +1226,14 @@ def test_step_refuses_a_decision_to_delegate_from_a_do_that_was_not_asked(monkey
 
     monkeypatch.setattr(market, "decide_for_policy", delegating)
     with pytest.raises(MarketInvariantError, match="DO 4 at step 0 delegates without being asked"):
+        step(world)
+
+
+def test_step_refuses_work_beyond_the_tasks_a_do_holds(monkeypatch):
+    # Every DO plans one completion more than its whole backlog.
+    monkeypatch.setattr(market, "decide_work", lambda states, mode: np.floor(states["pending_q"]).astype(np.intp) + 1)
+    world = build_world(resolve_config({"n_dos": 6, "horizon_T": 2, "seeds": [1]}), 1)
+    with pytest.raises(MarketInvariantError, match="DO 0 planned 7 completions with only 6 pending"):
         step(world)
 
 

@@ -85,14 +85,14 @@ def test_price_lin_values():
 def test_subdel_rand_trivial_zeros():
     rng = np.random.default_rng(5)
     states = state_columns(make_state(pending_q=0.0), make_state(pending_q=6.0))
-    caps = subdelegation_cap(states, np.array([True, False]), np.array([0, 1]))
+    caps = np.where([True, False], subdelegation_cap(states, np.array([0, 1])), 0)
     before = rng.bit_generator.state
     assert [subdel_rand(cap, rng) for cap in caps.tolist()] == [0, 0]
     assert rng.bit_generator.state == before  # nothing could be delegated, so nothing is drawn
 
 
 def test_subdel_rand_support_is_exact():
-    [cap] = subdelegation_cap(state_columns(make_state(pending_q=6.0, s_max=3)), np.array([True]), np.array([1]))
+    [cap] = subdelegation_cap(state_columns(make_state(pending_q=6.0, s_max=3)), np.array([1]))
     rng = np.random.default_rng(6)
     seen = {subdel_rand(int(cap), rng) for _ in range(100_000)}
     assert seen == {0, 1, 2, 3}
@@ -100,7 +100,7 @@ def test_subdel_rand_support_is_exact():
 
 def test_subdel_greedy_values():
     states = state_columns(*(make_state(pending_q=q, s_max=3) for q in (6.0, 1.0, 6.0)))
-    caps = subdelegation_cap(states, np.array([True, True, False]), np.array([1, 1, 1]))
+    caps = np.where([True, True, False], subdelegation_cap(states, np.array([1, 1, 1])), 0)
     assert caps.tolist() == [3, 0, 0]
 
 

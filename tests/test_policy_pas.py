@@ -36,7 +36,7 @@ PAS = POLICIES["pas-afl"]
 def _subdelegation(state, avg_neighbor_price, has_eligible_delegate, theta):
     """The threshold rule's goal for one DO, from its one-row columns."""
     states = state_columns(state)
-    cap = subdelegation_cap(states, np.array([has_eligible_delegate]), np.array([theta]))
+    cap = np.where(has_eligible_delegate, subdelegation_cap(states, np.array([theta])), 0)
     return decide_subdelegation(states, np.array([avg_neighbor_price]), cap).item()
 
 
@@ -87,9 +87,10 @@ def test_eligible_delegates_answers_each_row_with_its_own_limits():
 
 
 def _tiny_world(n_dos: int, edge_prob: float, policy="rand-greedy", work_mode="greedy"):
-    """Every DO holds five tasks paying 1.5, works at most two per step and
-    trusts neighbours with reputation >= 0.5, so each DO may delegate.  The
-    default policy's greedy rule reads eligibility wherever it may delegate."""
+    """Every DO holds five tasks paying 1.5, works at most two per step, has
+    reputation 0.9 and trusts neighbours with reputation >= 0.5, so each DO
+    may delegate.  The default policy's greedy rule reads eligibility
+    wherever it may delegate."""
     cfg = resolve_config({
         "n_dos": n_dos,
         "trust_edge_prob": edge_prob,
@@ -97,6 +98,7 @@ def _tiny_world(n_dos: int, edge_prob: float, policy="rand-greedy", work_mode="g
         "do_params": {
             "p_min": [1.0, 1.0],
             "rho": [20.0, 20.0],
+            "r0": [0.9, 0.9],
             "r_min": [0.5, 0.5],
             "theta_max": [2, 2],
             "q0": [5, 5],
@@ -107,25 +109,24 @@ def _tiny_world(n_dos: int, edge_prob: float, policy="rand-greedy", work_mode="g
     return build_world(cfg, 1)
 
 
-def _contexts(world, prices, reps):
-    """The world's snapshot at `prices` and `reps`, after the work its rule decides."""
-    return world._build_contexts(prices, reps, decide_work(world.states, world.config.policy.work_mode))
+def _contexts(world, prices):
+    """The world's snapshot at `prices`, after the work its rule decides."""
+    return world._build_contexts(prices, decide_work(world.states, world.config.policy.work_mode))
 
 
 def test_delegation_context_uses_infinite_sentinel_without_neighbors():
     world = _tiny_world(1, 0.0)
-    avg, _, eligible, *_ = _contexts(world, np.array([1.0]), np.array([0.9]))
+    avg, _, eligible, *_ = _contexts(world, np.array([1.0]))
     assert avg.tolist() == [math.inf]
     assert eligible.tolist() == [False]
 
 
 def test_delegation_context_averages_all_neighbors():
     world = _tiny_world(3, 1.0)
-    reps = np.array([0.9, 0.9, 0.9])
-    avg, _, eligible, *_ = _contexts(world, np.array([1.0, 1.0, 3.0]), reps)
+    avg, _, eligible, *_ = _contexts(world, np.array([1.0, 1.0, 3.0]))
     assert avg.tolist() == [2.0, 2.0, 1.0]
     assert eligible.tolist() == [True, True, True]  # each has a neighbour asking 1.0 <= 1.5
-    avg, _, eligible, asked, quotes = _contexts(world, np.array([1.0, 2.0, 3.0]), reps)
+    avg, _, eligible, asked, quotes = _contexts(world, np.array([1.0, 2.0, 3.0]))
     assert avg.tolist() == [2.5, 2.0, 1.5]
     assert eligible.tolist() == [False, True, True]  # DO 0's neighbours both ask more than 1.5
     assert asked.tolist() == [0, 1, 2]
@@ -136,7 +137,7 @@ def test_delegation_context_ignores_tasks_at_depth_cap():
     world = _tiny_world(3, 1.0)
     queue = world.queue
     queue["depth"][queue["owner"] == 0] = world.config.market.delegation_depth_max
-    _, _, eligible, asked, _ = _contexts(world, np.array([1.0, 1.0, 1.0]), np.array([0.9, 0.9, 0.9]))
+    _, _, eligible, asked, _ = _contexts(world, np.array([1.0, 1.0, 1.0]))
     assert eligible.tolist() == [False, True, True]
     assert asked.tolist() == [1, 2]
 
@@ -157,16 +158,16 @@ def test_threshold_do_that_keeps_its_tasks_local_is_not_asked(monkeypatch):
         return eligible_delegates(adjacency, *args)
 
     monkeypatch.setattr(market, "eligible_delegates", recording)
-    prices, reps = np.array([1.0, 1.0, 1.0, 1.0]), np.array([0.9, 0.9, 0.9, 0.9])
+    prices = np.array([1.0, 1.0, 1.0, 1.0])
     # DO 0's sign test, 20 * 1.0 - 5 - 0 >= 0, keeps pas-afl's tasks local.
-    _, goal, eligible, rows, quotes = _contexts(world, prices, reps)
+    _, goal, eligible, rows, quotes = _contexts(world, prices)
     assert (goal[0], goal[2], goal[3]) == (0, 0, 0)
     assert eligible.tolist() == [False, True, False, False]
     assert asked == [[[True, False, True, True]]]  # DO 1's row alone
     assert (rows.tolist(), quotes.tolist()) == ([1], [[True, False, True, True]])
     # Queue pressure past the neighbour price makes pas-afl read, and be asked.
     states["urgency_Q"][0] = 100.0
-    _, goal, eligible, rows, quotes = _contexts(world, prices, reps)
+    _, goal, eligible, rows, quotes = _contexts(world, prices)
     assert goal[0] > 0
     assert eligible.tolist() == [True, True, False, False]
     assert asked[1] == [[False, True, True, True], [True, False, True, True]]

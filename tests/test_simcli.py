@@ -109,7 +109,7 @@ def test_write_rows_matches_the_csv_writer_reference(metrics):
 def test_defaults_fill_minimal_config():
     cfg = resolve_config({})
     assert cfg.n_dos == 100
-    assert cfg.n_mus == 6
+    assert len(cfg.mu.strategies) == 6
     assert cfg.trust_edge_prob == 0.7
     assert cfg.horizon_T == 500
     assert cfg.data_size_range == (1000, 10000)
@@ -141,10 +141,11 @@ def test_unknown_policy_rejected():
     assert err.value.field == "policy.assignment"
 
 
-def test_mu_roster_length_must_match_n_mus():
-    with pytest.raises(ConfigError) as err:
-        resolve_config({"n_mus": 3})
-    assert err.value.field == "n_mus"
+def test_n_mus_is_an_unknown_key():
+    # The roster's length is len(mu.strategies); there is no separate count to set.
+    with pytest.raises(ConfigError, match=r"unknown keys: \['n_mus'\]") as err:
+        resolve_config({"n_mus": 6})
+    assert err.value.field == "config"
 
 
 def test_inverted_range_rejected():
