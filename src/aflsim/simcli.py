@@ -19,6 +19,7 @@ directory carries a manifest embedding the resolved config.
 import argparse
 import csv
 import json
+import os
 import statistics
 import sys
 from dataclasses import asdict, dataclass, field
@@ -82,6 +83,9 @@ def run_scenario(
 
     With `csv_path` set, the CSV header goes out first and each step's
     metrics rows follow, through `_write_rows`, as the step produces them.
+    They go to `<csv_path>.partial`, which moves to `csv_path` after the last
+    step: a CSV under its final name holds a whole run, and a run that stops
+    midway leaves only the partial file.
     """
     world = build_world(config, seed, policy_override=policy)
 
@@ -90,7 +94,8 @@ def run_scenario(
 
     handle = None
     if csv_path is not None:
-        handle = open(csv_path, "w", newline="", encoding="utf-8")
+        partial = f"{csv_path}.partial"
+        handle = open(partial, "w", newline="", encoding="utf-8")
         handle.write(",".join(CSV_COLUMNS) + "\r\n")
     try:
         for t in range(config.horizon_T):
@@ -102,6 +107,8 @@ def run_scenario(
     finally:
         if handle is not None:
             handle.close()
+    if handle is not None:
+        os.replace(partial, csv_path)
 
     denom = config.n_dos * config.horizon_T
     return RunResult(

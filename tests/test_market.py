@@ -28,6 +28,7 @@ from aflsim.policy_pas import decide_subdelegation, decide_work, eligible_delega
 from aflsim.simcli import run_scenario
 from helpers import DataOwnerState, R_FLOOR, make_state, run_world, state_columns, trust_network, views
 from reference_policy import reference_decide
+from reference_world import reference_data_owners
 
 GAINS = {"lin": 1.25, "bmub": 1.45, "fedbidder-simple": 1.1, "fedbidder-complex": 1.35}
 
@@ -451,6 +452,103 @@ def test_data_owner_draws_equal_rng_uniform_on_a_twin_generator():
     for name, column in zip(market._DRAWN_COLUMNS, zip(*rows)):
         assert world.states[name].tolist() == list(column), name
     assert world.queue["payment"].tolist() == np.concatenate(payments).tolist()
+
+
+def _assert_data_owners_equal_the_reference(raw: dict, seed: int) -> None:
+    cfg = resolve_config({"horizon_T": 1, **raw})
+    world = build_world(cfg, seed)
+    states, queue = reference_data_owners(cfg, seed)
+    for name in STATE.names:
+        assert world.states[name].tobytes() == states[name].tobytes(), name
+    assert world.queue.tobytes() == queue.tobytes()
+
+
+# The bench workloads' worlds; a DO's draws read only n_dos, do_params and data_size_range.
+BENCH_WORLDS = {
+    "compare-n100": {"n_dos": 100},
+    "dense-n800": {"n_dos": 800},
+    "demand-mixed-n400": {
+        "n_dos": 400,
+        "trust_edge_prob": 0.05,
+        "market": {"arrival_mode": "demand-model"},
+        "do_params": {"rho_schedule": {"kind": "square", "period": 25}},
+        "policy": {"work_mode": "threshold"},
+    },
+}
+PINNED = {name: [1, 1] for name in ("p_min", "unit_cost_frac", "rho", "r0", "epsilon", "q0_payment_markup")}
+PINNED.update(r_min=[0.4, 0.4], theta_max=[2, 2], s_max=[3, 3], kappa_hat=[6, 6], m_positive=[1, 1])
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param({"n_dos": 30, "do_params": {**PINNED, "q0": [0, 0]}, "data_size_range": [5, 5]}, id="all-pinned-q0-0"),
+        pytest.param({"n_dos": 30, "do_params": {**PINNED, "q0": [4, 4]}, "data_size_range": [5, 5]}, id="all-pinned-q0-4"),
+        # One draw reads a half-word, so DOs alternate between starting with one buffered and not.
+        pytest.param({"n_dos": 31, "do_params": {**PINNED, "q0": [0, 9]}, "data_size_range": [5, 5]}, id="q0-only-int-draw"),
+        # Five draws read half-words, so each odd DO's first one reads the last DO's high half.
+        pytest.param({"n_dos": 40, "do_params": {"theta_max": [2, 2]}}, id="odd-half-word-draws"),
+        pytest.param({"n_dos": 40, "data_size_range": [0, 2**32 - 1]}, id="span-2**32-1-reads-the-half-word"),
+        pytest.param({"n_dos": 40, "data_size_range": [0, 2**40]}, id="span-2**40-reads-a-raw"),
+        # Lemire redraws about half the draws over [0, 2**31], a quarter over [0, 3 * 2**30] (so the
+        # draw-by-draw walk starts a few DOs in) and a quarter of the 64-bit draws over [0, 2**62].
+        pytest.param({"n_dos": 60, "data_size_range": [0, 2**31], "do_params": {"m_positive": [0, 2**31]}}, id="half-redrawn"),
+        pytest.param({"n_dos": 60, "data_size_range": [0, 3 * 2**30]}, id="quarter-redrawn"),
+        pytest.param({"n_dos": 60, "data_size_range": [0, 2**62]}, id="quarter-redrawn-64-bit"),
+        # The first block holds no payment, so its extensions hold them all.
+        pytest.param({"n_dos": 20, "do_params": {"q0": [0, 3000]}}, id="q0-beyond-the-first-block"),
+        *(pytest.param(BENCH_WORLDS[name], id=name) for name in BENCH_WORLDS),
+    ],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_data_owners_equal_the_reference_loop(raw, seed):
+    _assert_data_owners_equal_the_reference(raw, seed)
+
+
+_SPANS = st.one_of(
+    st.integers(0, 40),
+    st.integers(0, 2**33),
+    st.sampled_from([2**31, 3 * 2**30, 2**32 - 2, 2**32 - 1, 2**32, 2**62]),
+    st.integers(0, 2**62),
+)
+
+
+def _int_range(lo_min: int, lo_max: int = 2**40, spans=_SPANS):
+    return st.tuples(st.integers(lo_min, lo_max), spans).map(lambda pair: [pair[0], pair[0] + pair[1]])
+
+
+def _float_range(values):
+    return st.one_of(st.lists(values, min_size=2, max_size=2).map(sorted), values.map(lambda v: [v, v]))
+
+
+_POSITIVE = st.floats(1e-3, 100.0)
+_NON_NEGATIVE = st.one_of(st.just(0.0), _POSITIVE)
+_UNIT = st.floats(0.0, 1.0, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n_dos=st.integers(1, 60),
+    seed=st.integers(0, 2**32),
+    do_params=st.fixed_dictionaries({
+        "p_min": _float_range(_POSITIVE),
+        "unit_cost_frac": _float_range(_NON_NEGATIVE),
+        "rho": _float_range(_NON_NEGATIVE),
+        "r0": _float_range(_UNIT),
+        "r_min": _float_range(_UNIT),
+        "theta_max": _int_range(0),
+        "s_max": _int_range(0),
+        "kappa_hat": _int_range(1),
+        "epsilon": _float_range(_NON_NEGATIVE),
+        "m_positive": _int_range(0),
+        "q0": _int_range(0, 50, st.integers(0, 250)),
+        "q0_payment_markup": _float_range(_POSITIVE),
+    }),
+    data_size_range=_int_range(0),
+)
+def test_data_owners_equal_the_reference_loop_on_drawn_configs(n_dos, seed, do_params, data_size_range):
+    raw = {"n_dos": n_dos, "do_params": do_params, "data_size_range": data_size_range}
+    _assert_data_owners_equal_the_reference(raw, seed)
 
 
 def _queue(owner, payments, depth=0):

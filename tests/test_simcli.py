@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from aflsim import simcli
 from aflsim.config import ConfigError, load_config, resolve_config
 from aflsim.core import CSV_COLUMNS
+from aflsim.market import MarketInvariantError
 from aflsim.simcli import (
     COMPARE_POLICIES,
     MissingArtifactError,
@@ -194,6 +196,29 @@ def test_run_preset_writes_flat_artifacts_for_the_config_assignment(tmp_path):
     assert row.mean_utility == statistics.fmean(row.per_seed_mean_utility)
     written = json.loads((tmp_path / "summary.json").read_text())
     assert written["rows"][0]["policy"] == "pas-afl"
+
+
+def test_a_run_stopped_midway_leaves_no_csv_under_its_final_name(tmp_path, monkeypatch):
+    real_step = simcli.step
+
+    def step(world):
+        if world.t == 2:
+            raise MarketInvariantError("stopped at step 2")
+        return real_step(world)
+
+    monkeypatch.setattr(simcli, "step", step)
+    with pytest.raises(MarketInvariantError):
+        run_preset(with_policy("pas-afl"), out_dir=tmp_path)
+    assert not (tmp_path / "metrics_seed1.csv").exists()
+    assert not list(tmp_path.glob("metrics_seed*.csv"))
+    # The partial file holds the header and the two steps that ran.
+    lines = (tmp_path / "metrics_seed1.csv.partial").read_text().splitlines()
+    assert len(lines) == 1 + 2 * TINY["n_dos"]
+
+
+def test_a_whole_run_leaves_no_partial_file(tmp_path):
+    run_preset(with_policy("pas-afl"), out_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.glob("metrics_seed*")) == ["metrics_seed1.csv", "metrics_seed2.csv"]
 
 
 def test_rerun_is_byte_identical(tmp_path):
