@@ -209,8 +209,7 @@ def test_a_run_stopped_midway_leaves_no_csv_under_its_final_name(tmp_path, monke
     monkeypatch.setattr(simcli, "step", step)
     with pytest.raises(MarketInvariantError):
         run_preset(with_policy("pas-afl"), out_dir=tmp_path)
-    assert not (tmp_path / "metrics_seed1.csv").exists()
-    assert not list(tmp_path.glob("metrics_seed*.csv"))
+    assert not list(tmp_path.glob("metrics_seed*.csv"))  # the glob plotdata reads
     # The partial file holds the header and the two steps that ran.
     lines = (tmp_path / "metrics_seed1.csv.partial").read_text().splitlines()
     assert len(lines) == 1 + 2 * TINY["n_dos"]
