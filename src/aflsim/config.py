@@ -130,7 +130,10 @@ class ScenarioConfig:
     market: MarketParams = field(default_factory=MarketParams)
     policy: PolicyParams = field(default_factory=PolicyParams)
     seeds: tuple[int, ...] = tuple(range(1, 11))
-    output_dir: str = "runs_out"
+
+    def with_assignment(self, name: str) -> "ScenarioConfig":
+        """This config with every DO on the registry policy `name`."""
+        return replace(self, policy=replace(self.policy, assignment=name))
 
     def policy_name_for(self, do_id: int) -> str:
         if isinstance(self.policy.assignment, str):

@@ -7,13 +7,14 @@ Verbs:
   plotdata  post-process run artifacts into plot-ready tabular files
 
 The first three are rows of one table, `VERBS`, and share one runner,
-`run_preset`, over policies x seeds: `run` passes no policy names and writes
-flat into its output directory, `compare` and `ablate` pass registry names
-and write one directory per policy.
+`run_preset`, over policies x seeds, writing under the required `--out`:
+`run` passes no policy names and writes flat into it, `compare` and `ablate`
+pass registry names and write one directory per policy.
 
 Every output byte is determined by (config, seed): metrics are one CSV per
 seed with a fixed column order and 9-significant-digit floats, and each run
-directory carries a manifest embedding the resolved config.
+directory carries a manifest embedding the config its runs used, so that
+config run over its seeds writes the same CSVs again.
 """
 
 import argparse
@@ -30,7 +31,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ScenarioConfig, load_config, resolve_config
 from .core import CSV_COLUMNS, sequential_sum
-from .market import build_world, step
+from .market import MarketInvariantError, build_world, step
 from .policy_baselines import ABLATION_NAMES, BASELINE_NAMES
 
 COMPARE_POLICIES = ("pas-afl",) + BASELINE_NAMES
@@ -73,12 +74,7 @@ class PolicySummary:
     per_seed_mean_utility: list[float] = field(default_factory=list)
 
 
-def run_scenario(
-    config: ScenarioConfig,
-    seed: int,
-    policy: str | None = None,
-    csv_path=None,
-) -> RunResult:
+def run_scenario(config: ScenarioConfig, seed: int, csv_path=None) -> RunResult:
     """Run one seeded world for the configured horizon.
 
     With `csv_path` set, the CSV header goes out first and each step's
@@ -87,7 +83,7 @@ def run_scenario(
     step: a CSV under its final name holds a whole run, and a run that stops
     midway leaves only the partial file.
     """
-    world = build_world(config, seed, policy_override=policy)
+    world = build_world(config, seed)
 
     mean_q = np.empty(config.horizon_T)
     max_Q = np.empty(config.horizon_T)
@@ -145,13 +141,8 @@ def _summarize(policy: str, results: list[RunResult]) -> PolicySummary:
     )
 
 
-def _write_manifest(out_dir: Path, config: ScenarioConfig, policy: str, seeds) -> None:
-    manifest = {
-        "package_version": __version__,
-        "policy": policy,
-        "seeds": list(seeds),
-        "resolved_config": asdict(config),
-    }
+def _write_manifest(out_dir: Path, config: ScenarioConfig, policy: str) -> None:
+    manifest = {"package_version": __version__, "policy": policy, "resolved_config": asdict(config)}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -160,38 +151,35 @@ def _write_summary(out_dir: Path, summary: dict[str, PolicySummary]) -> None:
     (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def run_preset(
-    config: ScenarioConfig,
-    policies=None,
-    out_dir=None,
-    seed_offset: int = 0,
-    quiet: bool = True,
-) -> dict[str, PolicySummary]:
-    """Run each policy over every configured seed, writing artifacts and a summary.
+def run_preset(config: ScenarioConfig, policies=None, *, out_dir, quiet: bool = True) -> dict[str, PolicySummary]:
+    """Run each policy over the config's seeds, writing artifacts and a summary.
 
     With `policies` None the config's own assignment runs and writes its
-    metrics CSVs and manifest flat into `out_dir`; named registry policies
-    each write into `out_dir/<policy>/`.  `summary.json`, one row per
-    policy, goes to `out_dir` either way, which defaults to the config's
-    `output_dir`.  Returns each policy's summary by name, in run order.
+    metrics CSVs and manifest flat into `out_dir`; each named registry policy
+    runs on the config with every DO assigned to it, and writes into
+    `out_dir/<policy>/`.  A cell's manifest embeds the config the cell ran.
+    `summary.json`, one row per policy, goes to `out_dir` either way.  The
+    manifests and summary about to be written are removed before the first
+    cell runs, so a run that stops leaves none naming its files.  Returns
+    each policy's summary by name, in run order.
     """
-    out = Path(out_dir if out_dir is not None else config.output_dir)
-    seeds = [s + seed_offset for s in config.seeds]
-    if min(seeds) < 0:
-        raise ConfigError("seeds", f"seed offset {seed_offset} makes seed {min(seeds)} negative")
+    out = Path(out_dir)
     if policies is None:
-        cells = [(None, str(config.policy.assignment), out)]
+        cells = [(str(config.policy.assignment), config, out)]
     else:
-        cells = [(policy, policy, out / policy) for policy in policies]
+        cells = [(name, config.with_assignment(name), out / name) for name in policies]
+    for *_, cell_dir in cells:
+        (cell_dir / "manifest.json").unlink(missing_ok=True)
+    (out / "summary.json").unlink(missing_ok=True)
 
     summary = {}
-    for override, name, cell_dir in cells:
+    for name, cell_config, cell_dir in cells:
         cell_dir.mkdir(parents=True, exist_ok=True)
         results = []
-        for seed in seeds:
+        for seed in cell_config.seeds:
             csv_path = cell_dir / f"metrics_seed{seed}.csv"
             try:
-                result = run_scenario(config, seed, policy=override, csv_path=csv_path)
+                result = run_scenario(cell_config, seed, csv_path=csv_path)
             except OSError as exc:
                 raise OSError(f"failed writing metrics to {csv_path}: {exc}") from exc
             results.append(result)
@@ -201,7 +189,7 @@ def run_preset(
                     f"mean_utility={result.mean_utility:.6g} "
                     f"acceptance_rate={result.acceptance_rate:.3f}"
                 )
-        _write_manifest(cell_dir, config, name, seeds)
+        _write_manifest(cell_dir, cell_config, name)
         summary[name] = _summarize(name, results)
 
     _write_summary(out, summary)
@@ -287,11 +275,9 @@ def main(argv=None) -> int:
     for verb, (help_text, policies) in VERBS.items():
         flat = policies is None
         config_help = "scenario JSON (defaults apply when omitted)" if flat else "base scenario JSON"
-        out_help = "output directory (default: config output_dir)" if flat else None
         verb_p = sub.add_parser(verb, help=help_text)
         verb_p.add_argument("--config", help=config_help)
-        verb_p.add_argument("--out", required=not flat, help=out_help)
-        verb_p.add_argument("--seed-offset", type=int, default=0)
+        verb_p.add_argument("--out", required=True)
     plot_p = sub.add_parser("plotdata", help="emit plot-ready tables from run artifacts")
     plot_p.add_argument("--runs", required=True, help="directory produced by run/compare/ablate")
     plot_p.add_argument("--out", required=True)
@@ -308,9 +294,7 @@ def main(argv=None) -> int:
             policies = VERBS[args.verb][1]
             if policies is None and not args.quiet:
                 print(json.dumps(asdict(config), indent=2, sort_keys=True))
-            summary = run_preset(
-                config, policies, out_dir=args.out, seed_offset=args.seed_offset, quiet=args.quiet
-            )
+            summary = run_preset(config, policies, out_dir=args.out, quiet=args.quiet)
             if not args.quiet:
                 _print_summary(summary)
     except ConfigError as exc:
@@ -322,6 +306,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"aflsim: i/o error: {exc}", file=sys.stderr)
         return 4
+    except MarketInvariantError as exc:
+        print(f"aflsim: invariant broken: {exc}", file=sys.stderr)
+        return 5
     return 0
 
 

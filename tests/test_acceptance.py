@@ -43,7 +43,7 @@ def compare_matrix():
     cfg = resolve_config({})
     start = time.perf_counter()
     matrix = {
-        policy: [run_scenario(cfg, seed, policy=policy) for seed in cfg.seeds]
+        policy: [run_scenario(cfg.with_assignment(policy), seed) for seed in cfg.seeds]
         for policy in ("pas-afl",) + BASELINE_NAMES
     }
     elapsed = time.perf_counter() - start
@@ -55,7 +55,7 @@ def ablate_matrix(compare_matrix):
     cfg, compare, _ = compare_matrix
     matrix = {"pas-afl": compare["pas-afl"]}
     for policy in ABLATION_NAMES:
-        matrix[policy] = [run_scenario(cfg, seed, policy=policy) for seed in cfg.seeds]
+        matrix[policy] = [run_scenario(cfg.with_assignment(policy), seed) for seed in cfg.seeds]
     return cfg, matrix
 
 
@@ -256,13 +256,13 @@ def test_c3_drift_never_exceeds_bound(drift_run):
 
 
 def test_c4_queues_stay_stable_long_horizon():
-    cfg = resolve_config({"horizon_T": 2000})
+    cfg = resolve_config({"horizon_T": 2000, "policy": {"assignment": "pas-afl"}})
     half = cfg.horizon_T // 2
     t = np.arange(half, cfg.horizon_T)
     worst_q_slope = -math.inf
     worst_Q_slope = -math.inf
     for seed in cfg.seeds:
-        result = run_scenario(cfg, seed, policy="pas-afl")
+        result = run_scenario(cfg, seed)
         q_slope = float(np.polyfit(t, result.per_step_mean_q[half:], 1)[0])
         Q_slope = float(np.polyfit(t, result.per_step_max_Q[half:], 1)[0])
         assert np.isfinite(result.per_step_max_Q[half:]).all()

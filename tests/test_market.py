@@ -1212,9 +1212,9 @@ def test_whole_array_arrivals_match_the_scalar_loop(case):
 def test_price_degeneracy_is_counted():
     cfg = resolve_config({
         "n_dos": 4, "horizon_T": 5, "seeds": [1],
-        "do_params": {"rho": [0.0, 0.0], "q0": [0, 0]},
+        "do_params": {"rho": [0.0, 0.0], "q0": [0, 0]}, "policy": {"assignment": "pas-afl"},
     })
-    res = run_scenario(cfg, 1, policy="pas-afl")
+    res = run_scenario(cfg, 1)
     assert res.price_degenerate_steps == 4 * 5
     assert res.acceptance_rate == 0.0
 

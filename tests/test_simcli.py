@@ -21,6 +21,7 @@ from aflsim.simcli import (
     emit_plot_data,
     main,
     run_preset,
+    run_scenario,
 )
 
 TINY = {
@@ -150,6 +151,13 @@ def test_n_mus_is_an_unknown_key():
     assert err.value.field == "config"
 
 
+def test_output_dir_is_an_unknown_key():
+    # Where a run writes is the CLI's required --out; the config names no directory.
+    with pytest.raises(ConfigError, match=r"unknown keys: \['output_dir'\]") as err:
+        resolve_config({"output_dir": "runs_out"})
+    assert err.value.field == "config"
+
+
 def test_inverted_range_rejected():
     with pytest.raises(ConfigError) as err:
         resolve_config({"do_params": {"rho": [5.0, 1.0]}})
@@ -189,7 +197,7 @@ def test_run_preset_writes_flat_artifacts_for_the_config_assignment(tmp_path):
     assert (tmp_path / "metrics_seed2.csv").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["policy"] == "pas-afl"
-    assert manifest["seeds"] == [1, 2]
+    assert manifest["resolved_config"]["seeds"] == [1, 2]
     assert manifest["resolved_config"]["n_dos"] == 6
 
     row = summary["pas-afl"]
@@ -215,6 +223,50 @@ def test_a_run_stopped_midway_leaves_no_csv_under_its_final_name(tmp_path, monke
     assert len(lines) == 1 + 2 * TINY["n_dos"]
 
 
+def test_a_rerun_that_stops_leaves_no_stale_manifest_or_summary(tmp_path, monkeypatch):
+    run_preset(resolve_config({**TINY, "horizon_T": 5}), out_dir=tmp_path)
+    assert (tmp_path / "manifest.json").exists() and (tmp_path / "summary.json").exists()
+    real_step = simcli.step
+    worlds = []
+
+    def step(world):
+        if world not in worlds:
+            worlds.append(world)
+        if len(worlds) == 2 and world.t == 2:
+            raise MarketInvariantError("stopped at step 2 of seed 2")
+        return real_step(world)
+
+    monkeypatch.setattr(simcli, "step", step)
+    with pytest.raises(MarketInvariantError):
+        run_preset(resolve_config({**TINY, "horizon_T": 3}), out_dir=tmp_path)
+    # Seed 1's CSV was rewritten at T=3; no manifest may still describe the T=5 run.
+    lines = (tmp_path / "metrics_seed1.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3 * TINY["n_dos"]
+    assert not (tmp_path / "manifest.json").exists()
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "ablate"])
+def test_every_manifest_reproduces_its_run(tmp_path, verb):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(TINY))
+    out = tmp_path / "out"
+    assert main(["--quiet", verb, "--config", str(config_path), "--out", str(out)]) == 0
+    manifests = sorted(out.rglob("manifest.json"))
+    assert len(manifests) == (1 if verb == "run" else len(simcli.VERBS[verb][1]))
+    again = tmp_path / "again.csv"
+    mismatched = []
+    for manifest in manifests:
+        cfg = resolve_config(json.loads(manifest.read_text())["resolved_config"])
+        beside = sorted(p.name for p in manifest.parent.glob("metrics_seed*.csv"))
+        assert beside == sorted(f"metrics_seed{seed}.csv" for seed in cfg.seeds)
+        for seed in cfg.seeds:
+            run_scenario(cfg, seed, csv_path=again)
+            if again.read_bytes() != (manifest.parent / f"metrics_seed{seed}.csv").read_bytes():
+                mismatched.append((manifest.parent.name, seed))
+    assert mismatched == []
+
+
 def test_a_whole_run_leaves_no_partial_file(tmp_path):
     run_preset(with_policy("pas-afl"), out_dir=tmp_path)
     assert sorted(p.name for p in tmp_path.glob("metrics_seed*")) == ["metrics_seed1.csv", "metrics_seed2.csv"]
@@ -228,26 +280,6 @@ def test_rerun_is_byte_identical(tmp_path):
         a = (tmp_path / "a" / f"metrics_seed{seed}.csv").read_bytes()
         b = (tmp_path / "b" / f"metrics_seed{seed}.csv").read_bytes()
         assert a == b
-
-
-def test_seed_offset_shifts_all_seeds(tmp_path):
-    cfg = resolve_config(TINY)
-    run_preset(cfg, out_dir=tmp_path, seed_offset=100)
-    assert (tmp_path / "metrics_seed101.csv").exists()
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["seeds"] == [101, 102]
-
-
-def test_negative_shifted_seed_is_rejected_before_any_output(tmp_path):
-    config_path = tmp_path / "cfg.json"
-    config_path.write_text(json.dumps({"n_dos": 4, "horizon_T": 4, "seeds": [1]}))
-    with pytest.raises(ConfigError) as err:
-        run_preset(load_config(config_path), out_dir=tmp_path / "direct", seed_offset=-5)
-    assert err.value.field == "seeds"
-    out = tmp_path / "cmp"
-    code = main(["--quiet", "compare", "--config", str(config_path), "--out", str(out), "--seed-offset", "-5"])
-    assert code == 2
-    assert not out.exists() and not (tmp_path / "direct").exists()
 
 
 def test_summary_matches_independent_csv_pass(tmp_path):
@@ -317,6 +349,18 @@ def test_cli_reports_wrong_typed_config_with_code_2(tmp_path, capsys):
     code = main(["--quiet", "run", "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error: n_dos:" in capsys.readouterr().err
+
+
+def test_cli_reports_a_broken_invariant_with_code_5(tmp_path, monkeypatch, capsys):
+    def step(world):
+        raise MarketInvariantError("task ledger off by one")
+
+    monkeypatch.setattr(simcli, "step", step)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(TINY))
+    code = main(["--quiet", "run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 5
+    assert capsys.readouterr().err == "aflsim: invariant broken: task ledger off by one\n"
 
 
 def test_cli_reports_missing_artifacts_with_code_3(tmp_path):
