@@ -421,81 +421,115 @@ _DRAWN_COLUMNS = (
 )
 # The float draws among them; the others are integer draws.
 _FLOAT_COLUMNS = frozenset(_DRAWN_COLUMNS[:5] + ("alignment_epsilon",))
+_Q0 = _DRAWN_COLUMNS.index("pending_q")
 
-# How numpy's Generator reads its PCG64 stream of raw 64-bit outputs.  A float
-# draw takes a fresh raw.  An integer draw over a span below 2**32 takes a
-# 32-bit half-word: the buffered one if there is one, else the low half of a
-# fresh raw, whose high half it buffers (float draws leave the buffer alone).
-# A wider span takes a fresh raw, and a span of 0 takes nothing.  An integer
-# draw is Lemire's: the high bits of word * (span + 1), drawn again while the
-# low bits fall below (2**bits - span - 1) % (span + 1).
+# How numpy's Generator reads its PCG64 stream of raw 64-bit outputs, for the
+# draws the decoder takes.  A float draw takes a fresh raw.  An integer draw
+# over a span from 1 to 2**32 - 1 takes a 32-bit half-word: the buffered one
+# if there is one, else the low half of a fresh raw, whose high half it
+# buffers (float draws leave the buffer alone).  A span of 0 takes nothing.
+# An integer draw is Lemire's: the high half of word * (span + 1), drawn again
+# while the low half falls below (2**32 - span - 1) % (span + 1).  A wider
+# span, or a word numpy would draw again, is left to numpy's own calls.
 _FLOAT = "float"
+_HALF = "half"
 _MASK32 = 2**32 - 1
 _PRE = -1  # in a DO's pattern of sources: the half-word buffered when it starts
 
 
-def _int_bits(span: int) -> int | None:
-    """The word width an integer draw over `span` reads: 32, 64, or None for no draw."""
-    return None if span == 0 else 32 if span <= _MASK32 else 64
-
-
-def _draw_sources(kinds, s: int, buf: int, accepted=None) -> tuple[list[int], int, int]:
+def _draw_sources(kinds, buf: int) -> tuple[list[int], int, int]:
     """Where one DO's draws of `kinds` read the stream when they start at raw
-    `s` with half-word `buf` buffered (0 for none): a half-word index per draw
-    (twice its raw's index, plus 1 for a high half; 0 for no draw), then the
-    next raw and the half-word buffered after.  `accepted(k, h)` says whether
-    integer draw k keeps the word at h; without it no draw is redrawn."""
-    sources = []
-    for k, kind in enumerate(kinds):
+    0 with half-word `buf` buffered (`_PRE`, or 0 for none): a half-word
+    index per draw (twice its raw's index, plus 1 for a high half; 0 for no
+    draw), then its raw count and the half-word it leaves buffered."""
+    sources, s = [], 0
+    for kind in kinds:
         h = 0
-        while kind is not None:
-            if kind != 32:
-                h, s = 2 * s, s + 1
-            elif buf:
-                h, buf = buf, 0
-            else:
-                h, buf, s = 2 * s, 2 * s + 1, s + 1
-            if kind == _FLOAT or accepted is None or accepted(k, h):
-                break
+        if kind == _FLOAT:
+            h, s = 2 * s, s + 1
+        elif kind == _HALF and buf:
+            h, buf = buf, 0
+        elif kind == _HALF:
+            h, buf, s = 2 * s, 2 * s + 1, s + 1
         sources.append(h)
     return sources, s, buf
 
 
-class _RawStream:
-    """A bit generator's raw outputs, drawn in blocks as far as they are read."""
-
-    def __init__(self, bit_generator, size: int):
-        self.bit_generator = bit_generator
-        self.raws = bit_generator.random_raw(size)
-
-    def reserve(self, size: int) -> None:
-        """Draw on to at least `size` raws, at least doubling, so extensions stay few."""
-        if size > len(self.raws):
-            more = self.bit_generator.random_raw(max(size - len(self.raws), len(self.raws)))
-            self.raws = np.concatenate((self.raws, more))
-
-    def word(self, h: int, bits: int) -> int:
-        """The word an integer draw of `bits` reads at half-word h."""
-        self.reserve((h >> 1) + 1)
-        raw = int(self.raws[h >> 1])
-        return raw if bits == 64 else raw >> 32 if h & 1 else raw & _MASK32
-
-
-def _decode(kind, lo, hi, raws: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each DO's draw of `kind` over [lo, hi] read at its half-word h, and
-    whether numpy would have drawn it again."""
-    if kind is None:
-        return np.full(len(h), lo), np.zeros(len(h), bool)
+def _decode(kind, lo, hi, raws: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+    """Each DO's draw of `kind` over [lo, hi] read at its half-word h; None
+    if numpy would draw any of them again.  Over a span of 0 any word gives lo."""
     raw = raws[h >> 1]
     if kind == _FLOAT:
-        return lo + (hi - lo) * ((raw >> 11) * 2**-53), np.zeros(len(h), bool)
+        return lo + (hi - lo) * ((raw >> 11) * 2**-53)
     factor = hi - lo + 1
-    if kind == 32:
-        product = np.where(h & 1, raw >> 32, raw & _MASK32) * np.uint64(factor)
-    else:
-        product = raw.astype(object) * factor  # 128-bit products, as Python ints
-    redrawn = (product & (2**kind - 1)) < (2**kind - factor) % factor
-    return lo + (product >> kind).astype(np.int64), redrawn.astype(bool)
+    product = np.where(h & 1, raw >> 32, raw & _MASK32) * np.uint64(factor)
+    if np.any((product & _MASK32) < (2**32 - factor) % factor):
+        return None
+    return lo + (product >> 32).astype(np.int64)
+
+
+def _decode_data_owners(bit_generator, ranges, n: int, markup) -> tuple[list, np.ndarray] | None:
+    """Every DO's draws over `ranges` (one column each) and its q0 payment
+    markups over `markup` (in DO order), decoded from the generator's raw
+    outputs; None if numpy reads any of them otherwise."""
+    kinds = [_FLOAT if name in _FLOAT_COLUMNS else _HALF if hi > lo else None for name, (lo, hi) in zip(_DRAWN_COLUMNS, ranges)]
+    if any(kind == _HALF and hi - lo > _MASK32 for kind, (lo, hi) in zip(kinds, ranges)):
+        return None
+    q0_lo, q0_hi = ranges[_Q0]
+    # The sources relative to a DO's first raw, its raw count before its
+    # payments and the half-word it leaves buffered: without one buffered
+    # when it starts, and with one, as DOs alternate when an odd count of
+    # draws read half-words.
+    patterns = [_draw_sources(kinds, buf) for buf in (0, _PRE)]
+    raws = bit_generator.random_raw(n * max(pattern[1] for pattern in patterns) + n * q0_lo)
+
+    def reserve(size: int) -> None:
+        # Draw on to at least `size` raws, at least doubling, so extensions stay few.
+        nonlocal raws
+        if size > len(raws):
+            raws = np.concatenate((raws, bit_generator.random_raw(max(size - len(raws), len(raws)))))
+
+    def q0_at(h: int) -> int:
+        reserve((h >> 1) + 1)
+        raw = int(raws[h >> 1])
+        return q0_lo + ((raw >> 32 if h & 1 else raw & _MASK32) * (q0_hi - q0_lo + 1) >> 32)
+
+    starts, bufs, pays = [], [], []
+    s = buf = 0
+    for _ in range(n):
+        sources, count, end = patterns[buf != 0]
+        h = sources[_Q0]
+        q0 = q0_at(buf if h == _PRE else 2 * s + h)
+        starts.append(s)
+        bufs.append(buf)
+        pays.append(s + count)
+        buf = 2 * s + end if end else 0
+        s += count + q0
+    reserve(s)
+    starts, bufs = np.array(starts), np.array(bufs)
+    rel = np.array([pattern[0] for pattern in patterns])[(bufs != 0).astype(np.intp)]
+    src = np.where(rel == _PRE, bufs[:, None], 2 * starts[:, None] + rel)
+    columns = [_decode(kind, lo, hi, raws, src[:, k]) for k, (kind, (lo, hi)) in enumerate(zip(kinds, ranges))]
+    if any(column is None for column in columns):
+        return None
+
+    q0 = columns[_Q0].astype(np.intp)
+    offsets = np.arange(q0.sum()) - np.repeat(np.cumsum(q0) - q0 - np.array(pays), q0)
+    return columns, _decode(_FLOAT, *markup, raws, 2 * offsets)
+
+
+def _draw_data_owners(rng, ranges, n: int, markup) -> tuple[list, np.ndarray]:
+    """What `_decode_data_owners` decodes, drawn by numpy's own calls on
+    `rng`, one DO at a time."""
+    rows, markups = [], []
+    for _ in range(n):
+        row = [
+            rng.uniform(lo, hi) if name in _FLOAT_COLUMNS else rng.integers(lo, hi + 1)
+            for name, (lo, hi) in zip(_DRAWN_COLUMNS, ranges)
+        ]
+        markups.append(rng.uniform(*markup, size=row[_Q0]))
+        rows.append(row)
+    return list(zip(*rows)), np.concatenate(markups)
 
 
 class World:
@@ -572,70 +606,24 @@ class World:
         decoded from one block of the generator's raw outputs.  Where a DO's
         draws sit in the block follows from where the last DO's ended, the
         half-word it left buffered and its q0, so one walk reads each q0 and
-        every column is a gather.  A redraw moves the rest: from the first
-        DO with one on, the walk goes draw by draw.
+        every column is a gather.  An integer span above 2**32 - 1, or a word
+        numpy would draw again, hands the whole world to those calls instead,
+        from the generator's state on entry.
         """
         cfg, do, n = self.config, self.config.do_params, self.config.n_dos
         ranges = (
             do.p_min, do.unit_cost_frac, do.rho, do.r0, do.r_min, do.theta_max, do.s_max,
             do.kappa_hat, do.epsilon, do.m_positive, do.q0, cfg.data_size_range,
         )
-        kinds = [_FLOAT if name in _FLOAT_COLUMNS else _int_bits(hi - lo) for name, (lo, hi) in zip(_DRAWN_COLUMNS, ranges)]
-        q0k = _DRAWN_COLUMNS.index("pending_q")
-        (q0_lo, q0_hi), q0_bits = do.q0, kinds[q0k]
-        # The sources relative to a DO's first raw, its raw count before its
-        # payments and the half-word it leaves buffered: without one buffered
-        # when it starts, and with one, as DOs alternate when an odd count of
-        # draws read half-words.
-        patterns = [_draw_sources(kinds, 0, buf) for buf in (0, _PRE)]
-        used = [pattern[1] for pattern in patterns]
-        fixed = n * used[0] if kinds.count(32) % 2 == 0 else (n + 1) // 2 * used[0] + n // 2 * used[1]
-        stream = _RawStream(rng.bit_generator, fixed + n * q0_lo)
-
-        def q0_at(h: int) -> int:
-            if q0_bits is None:
-                return q0_lo
-            return q0_lo + (stream.word(h, q0_bits) * (q0_hi - q0_lo + 1) >> q0_bits)
-
-        starts, bufs, pays = [], [], []
-        s = buf = 0
-        for _ in range(n):
-            sources, count, end = patterns[buf != 0]
-            h = sources[q0k]
-            q0 = q0_at(buf if h == _PRE else 2 * s + h)
-            starts.append(s)
-            bufs.append(buf)
-            pays.append(s + count)
-            buf = 2 * s + end if end else 0
-            s += count + q0
-        stream.reserve(s)
-        starts, bufs = np.array(starts), np.array(bufs)
-        rel = np.array([pattern[0] for pattern in patterns])[(bufs != 0).astype(np.intp)]
-        src = np.where(rel == _PRE, bufs[:, None], 2 * starts[:, None] + rel)
-
-        def decoded():
-            return [_decode(kind, lo, hi, stream.raws, src[:, k]) for k, (kind, (lo, hi)) in enumerate(zip(kinds, ranges))]
-
-        columns = decoded()
-        redrawn = np.flatnonzero(np.any([again for _, again in columns], axis=0))
-        if len(redrawn):
-            def accepted(k: int, h: int) -> bool:
-                bits, (lo, hi) = kinds[k], ranges[k]
-                factor = hi - lo + 1
-                return stream.word(h, bits) * factor % 2**bits >= (2**bits - factor) % factor
-
-            first = redrawn[0]
-            s, buf = int(starts[first]), int(bufs[first])
-            for i in range(first, n):
-                sources, s, buf = _draw_sources(kinds, s, buf, accepted)
-                src[i] = sources
-                pays[i] = s
-                s += q0_at(sources[q0k])
-            stream.reserve(s)
-            columns = decoded()
+        entry = rng.bit_generator.state
+        drawn = _decode_data_owners(rng.bit_generator, ranges, n, do.q0_payment_markup)
+        if drawn is None:
+            rng.bit_generator.state = entry
+            drawn = _draw_data_owners(rng, ranges, n, do.q0_payment_markup)
+        columns, markups = drawn
 
         states = np.zeros(n, STATE)
-        for name, (values, _) in zip(_DRAWN_COLUMNS, columns):
+        for name, values in zip(_DRAWN_COLUMNS, columns):
             states[name] = values
         states["unit_cost_c"] *= states["reserve_price_p_min"]
         states["avg_demand_kappa_bar"] = cfg.market.kappa_bar_prior
@@ -643,12 +631,8 @@ class World:
         self.states = states
         self.rho_base = states["availability_rho"].copy()  # the schedule starts high
 
-        q0 = states["pending_q"].astype(np.intp)
-        owner = np.repeat(self.ids, q0)
-        offsets = np.arange(len(owner)) - np.repeat(np.cumsum(q0) - q0 - np.array(pays), q0)
-        markup_lo, markup_hi = do.q0_payment_markup
-        payments = _decode(_FLOAT, markup_lo, markup_hi, stream.raws, 2 * offsets)[0] * states["reserve_price_p_min"][owner]
-        self.queue, self.next_task_id = _new_tasks(owner, payments, 0, 0)
+        owner = np.repeat(self.ids, states["pending_q"].astype(np.intp))
+        self.queue, self.next_task_id = _new_tasks(owner, markups * states["reserve_price_p_min"][owner], 0, 0)
 
     def _rho_scale(self, t: int) -> float:
         """The availability schedule's factor on every DO's base at step t."""

@@ -154,8 +154,9 @@ def _write_summary(out_dir: Path, summary: dict[str, PolicySummary]) -> None:
 def run_preset(config: ScenarioConfig, policies=None, *, out_dir, quiet: bool = True) -> dict[str, PolicySummary]:
     """Run each policy over the config's seeds, writing artifacts and a summary.
 
-    With `policies` None the config's own assignment runs and writes its
-    metrics CSVs and manifest flat into `out_dir`; each named registry policy
+    With `policies` None the config's own assignment runs, named by its
+    policy or `mixed` for a per-DO list, and writes its metrics CSVs and
+    manifest flat into `out_dir`; each named registry policy
     runs on the config with every DO assigned to it, and writes into
     `out_dir/<policy>/`.  A cell's manifest embeds the config the cell ran.
     `summary.json`, one row per policy, goes to `out_dir` either way.  The
@@ -165,7 +166,8 @@ def run_preset(config: ScenarioConfig, policies=None, *, out_dir, quiet: bool = 
     """
     out = Path(out_dir)
     if policies is None:
-        cells = [(str(config.policy.assignment), config, out)]
+        assignment = config.policy.assignment
+        cells = [(assignment if isinstance(assignment, str) else "mixed", config, out)]
     else:
         cells = [(name, config.with_assignment(name), out / name) for name in policies]
     for *_, cell_dir in cells:
@@ -196,33 +198,22 @@ def run_preset(config: ScenarioConfig, policies=None, *, out_dir, quiet: bool = 
     return summary
 
 
-def _discover_policy_dirs(runs_dir: Path) -> list[tuple[str, Path]]:
-    """Find (policy, dir) pairs holding metrics CSVs under a runs directory."""
-    found = []
-    if any(runs_dir.glob("metrics_seed*.csv")):
-        name = "run"
-        manifest = runs_dir / "manifest.json"
-        if manifest.exists():
-            name = json.loads(manifest.read_text()).get("policy", name)
-        found.append((name, runs_dir))
-    for child in sorted(runs_dir.iterdir()) if runs_dir.is_dir() else []:
-        if child.is_dir() and any(child.glob("metrics_seed*.csv")):
-            found.append((child.name, child))
-    return found
-
-
 def emit_plot_data(runs_dir, out_dir) -> list[Path]:
     """Reduce run artifacts to plot-ready tables.
 
+    Reads the runs named by a manifest in `runs_dir` or in a directory just
+    under it: exactly `metrics_seed<s>.csv` for each of the manifest's seeds,
+    each the header and then n_dos x horizon_T rows for steps 0 to
+    horizon_T - 1.  Anything else is a MissingArtifactError naming the file.
     Writes utility-vs-time and backlog-vs-time series (per policy, averaged
     over data owners and seeds) plus a per-policy comparison bar table.
     """
     runs = Path(runs_dir)
     if not runs.is_dir():
         raise MissingArtifactError(f"runs directory not found: {runs}")
-    policy_dirs = _discover_policy_dirs(runs)
-    if not policy_dirs:
-        raise MissingArtifactError(f"no metrics CSVs under {runs}")
+    manifests = [path for path in (runs / "manifest.json", *sorted(runs.glob("*/manifest.json"))) if path.is_file()]
+    if not manifests:
+        raise MissingArtifactError(f"no manifest.json in {runs} or a directory under it")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -230,17 +221,31 @@ def emit_plot_data(runs_dir, out_dir) -> list[Path]:
     utility_rows = []
     backlog_rows = []
     comparison_rows = []
-    for policy, policy_dir in policy_dirs:
+    for manifest in manifests:
+        run = json.loads(manifest.read_text())
+        policy, config = run["policy"], run["resolved_config"]
+        n, horizon = config["n_dos"], config["horizon_T"]
+        steps = [str(t) for t in range(horizon) for _ in range(n)]
         utility_by_step: dict[int, list[float]] = {}
         backlog_by_step: dict[int, list[float]] = {}
         prices = []
-        for csv_file in sorted(policy_dir.glob("metrics_seed*.csv")):
+        for seed in config["seeds"]:
+            csv_file = manifest.parent / f"metrics_seed{seed}.csv"
+            if not csv_file.is_file():
+                raise MissingArtifactError(f"{csv_file} not found; {manifest} names seed {seed}")
             with open(csv_file, newline="", encoding="utf-8") as handle:
-                for row in csv.DictReader(handle):
-                    t = int(row["step"])
-                    utility_by_step.setdefault(t, []).append(float(row["utility_u"]))
-                    backlog_by_step.setdefault(t, []).append(float(row["pending_q"]))
-                    prices.append(float(row["price_p"]))
+                reader = csv.DictReader(handle)
+                rows = list(reader)
+            if reader.fieldnames != list(CSV_COLUMNS) or [row["step"] for row in rows] != steps:
+                raise MissingArtifactError(
+                    f"{csv_file} holds {len(rows)} rows; {manifest} names the header and then "
+                    f"{len(steps)} ({n} DOs x steps 0 to {horizon - 1})"
+                )
+            for row in rows:
+                t = int(row["step"])
+                utility_by_step.setdefault(t, []).append(float(row["utility_u"]))
+                backlog_by_step.setdefault(t, []).append(float(row["pending_q"]))
+                prices.append(float(row["price_p"]))
         for t in sorted(utility_by_step):
             utility_rows.append((policy, t, f"{statistics.fmean(utility_by_step[t]):.9g}"))
             backlog_rows.append((policy, t, f"{statistics.fmean(backlog_by_step[t]):.9g}"))

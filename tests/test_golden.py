@@ -306,13 +306,13 @@ GOLDEN = {
     },
     "run-mixed-auction-threshold-square": {
         "manifest.json":
-            "92295b34248a1570e845f6affc558068f0f122d96512928bfcf352946f1ada59",
+            "fafac433ec6b700b29d1b5a54d5e8585132b92375179e91ae3913f6c428a6dc2",
         "metrics_seed1.csv":
             "ea64bfc59accbc6e1ced8484da07924c204d9b80760dd99cbc62a749da1f155d",
         "metrics_seed2.csv":
             "c865854d82ac3507187983ea7a4af0a6768a06a7802936d3e9296747533d8320",
         "summary.json":
-            "9b07cf623113660ebe0246d4b253b94ec0844401270d1e1a225b895cdf9d29c9",
+            "9780a06e6b9dc7dc2bdc5b7fb4bc912cd1dc282ed85da37f411ab3f5fc7cd581",
     },
 }
 

@@ -490,8 +490,8 @@ PINNED.update(r_min=[0.4, 0.4], theta_max=[2, 2], s_max=[3, 3], kappa_hat=[6, 6]
         pytest.param({"n_dos": 40, "do_params": {"theta_max": [2, 2]}}, id="odd-half-word-draws"),
         pytest.param({"n_dos": 40, "data_size_range": [0, 2**32 - 1]}, id="span-2**32-1-reads-the-half-word"),
         pytest.param({"n_dos": 40, "data_size_range": [0, 2**40]}, id="span-2**40-reads-a-raw"),
-        # Lemire redraws about half the draws over [0, 2**31], a quarter over [0, 3 * 2**30] (so the
-        # draw-by-draw walk starts a few DOs in) and a quarter of the 64-bit draws over [0, 2**62].
+        # Lemire redraws about half the draws over [0, 2**31], a quarter over [0, 3 * 2**30] and a quarter
+        # of the 64-bit draws over [0, 2**62]; a redraw, like a span past 2**32 - 1, leaves it to numpy.
         pytest.param({"n_dos": 60, "data_size_range": [0, 2**31], "do_params": {"m_positive": [0, 2**31]}}, id="half-redrawn"),
         pytest.param({"n_dos": 60, "data_size_range": [0, 3 * 2**30]}, id="quarter-redrawn"),
         pytest.param({"n_dos": 60, "data_size_range": [0, 2**62]}, id="quarter-redrawn-64-bit"),
@@ -503,6 +503,25 @@ PINNED.update(r_min=[0.4, 0.4], theta_max=[2, 2], s_max=[3, 3], kappa_hat=[6, 6]
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_data_owners_equal_the_reference_loop(raw, seed):
     _assert_data_owners_equal_the_reference(raw, seed)
+
+
+@pytest.mark.parametrize(
+    ("raw", "seeds", "drawn_by_numpy"),
+    [
+        # Set-up stays fast only while these worlds are decoded from raw draws.
+        *(pytest.param(BENCH_WORLDS[name], [1, 2, 3], 0, id=name) for name in BENCH_WORLDS),
+        pytest.param({}, range(1, 11), 0, id="default"),
+        pytest.param({"n_dos": 40, "data_size_range": [0, 2**40]}, [1], 1, id="span-2**40-reads-a-raw"),
+        pytest.param(
+            {"n_dos": 60, "data_size_range": [0, 2**31], "do_params": {"m_positive": [0, 2**31]}}, [1], 1, id="half-redrawn"
+        ),
+    ],
+)
+def test_only_a_wide_span_or_a_redraw_hands_the_world_to_numpys_calls(raw, seeds, drawn_by_numpy):
+    with mock.patch.object(market, "_draw_data_owners", wraps=market._draw_data_owners) as fallback:
+        for seed in seeds:
+            _assert_data_owners_equal_the_reference(raw, seed)
+    assert fallback.call_count == drawn_by_numpy
 
 
 _SPANS = st.one_of(

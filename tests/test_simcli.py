@@ -387,3 +387,80 @@ def test_cli_plotdata_verb(tmp_path):
     assert main(["--quiet", "run", "--config", str(config_path), "--out", str(tmp_path / "runs")]) == 0
     assert main(["--quiet", "plotdata", "--runs", str(tmp_path / "runs"), "--out", str(tmp_path / "plots")]) == 0
     assert (tmp_path / "plots" / "backlog_vs_time.csv").exists()
+
+
+def stop_at_step(monkeypatch, t: int, world: int) -> None:
+    """Patch `simcli.step` to raise at step `t` of the `world`-th world it steps (from 1)."""
+    real_step = simcli.step
+    worlds = []
+
+    def step(w):
+        if w not in worlds:
+            worlds.append(w)
+        if len(worlds) == world and w.t == t:
+            raise MarketInvariantError(f"stopped at step {t} of world {world}")
+        return real_step(w)
+
+    monkeypatch.setattr(simcli, "step", step)
+
+
+def plotdata_error(runs, tmp_path, capsys) -> str:
+    """What `plotdata` prints to stderr on `runs`, where it must exit with code 3."""
+    assert main(["--quiet", "plotdata", "--runs", str(runs), "--out", str(tmp_path / "plots")]) == 3
+    return capsys.readouterr().err
+
+
+def test_plotdata_refuses_a_directory_two_runs_left_stale(tmp_path, monkeypatch, capsys):
+    # A T=5 run over seeds 1 and 2, then a T=3 rerun stopped at step 2 of seed 2: seed 1's CSV is
+    # the rerun's, seed 2's is the first run's, and no manifest says which run either belongs to.
+    runs = tmp_path / "runs"
+    run_preset(resolve_config({**TINY, "horizon_T": 5}), out_dir=runs)
+    stop_at_step(monkeypatch, 2, world=2)
+    with pytest.raises(MarketInvariantError):
+        run_preset(resolve_config({**TINY, "horizon_T": 3}), out_dir=runs)
+    assert sorted(p.name for p in runs.glob("metrics_seed*.csv")) == ["metrics_seed1.csv", "metrics_seed2.csv"]
+    assert "manifest.json" in plotdata_error(runs, tmp_path, capsys)
+
+
+def test_plotdata_refuses_a_run_stopped_midway(tmp_path, monkeypatch, capsys):
+    stop_at_step(monkeypatch, 2, world=1)
+    with pytest.raises(MarketInvariantError):
+        run_preset(with_policy("pas-afl"), out_dir=tmp_path / "runs")
+    assert "manifest.json" in plotdata_error(tmp_path / "runs", tmp_path, capsys)
+
+
+def test_plotdata_names_a_metrics_file_its_manifest_does_not_match(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    run_preset(with_policy("pas-afl"), out_dir=runs)
+    # Seed 2's file as a run stopped after step 1 leaves it: the header and two steps' rows.
+    seed2 = runs / "metrics_seed2.csv"
+    seed2.write_text("".join(seed2.read_text().splitlines(keepends=True)[: 1 + 2 * TINY["n_dos"]]))
+    err = plotdata_error(runs, tmp_path, capsys)
+    assert "metrics_seed2.csv holds 12 rows" in err and "48 (6 DOs x steps 0 to 7)" in err
+    (runs / "metrics_seed1.csv").unlink()
+    assert "metrics_seed1.csv not found" in plotdata_error(runs, tmp_path, capsys)
+
+
+def test_plotdata_reads_only_the_seeds_its_manifest_names(tmp_path):
+    # A T=5 run over seeds 1 and 2, then a whole T=3 run of seed 1 into the same directory: seed
+    # 2's stale file stays, and the tables equal those of the T=3 run alone.
+    stale = resolve_config({**TINY, "horizon_T": 5})
+    fresh = resolve_config({**TINY, "horizon_T": 3, "seeds": [1]})
+    run_preset(stale, out_dir=tmp_path / "mixed")
+    run_preset(fresh, out_dir=tmp_path / "mixed")
+    run_preset(fresh, out_dir=tmp_path / "clean")
+    assert (tmp_path / "mixed" / "metrics_seed2.csv").exists()
+    for name in ("mixed", "clean"):
+        emit_plot_data(tmp_path / name, tmp_path / f"{name}-plots")
+    for table in ("utility_vs_time.csv", "backlog_vs_time.csv", "policy_comparison.csv"):
+        assert (tmp_path / "mixed-plots" / table).read_bytes() == (tmp_path / "clean-plots" / table).read_bytes()
+
+
+def test_a_flat_run_with_a_per_do_assignment_is_named_mixed(tmp_path):
+    assignment = ["pas-afl", "lin-rand", "ampp-greedy", "rand-rand", "pas-afl", "lin-greedy"]
+    summary = run_preset(resolve_config({**TINY, "policy": {"assignment": assignment}}), out_dir=tmp_path)
+    assert list(summary) == ["mixed"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["policy"] == "mixed"
+    assert manifest["resolved_config"]["policy"]["assignment"] == assignment
+    assert [row["policy"] for row in json.loads((tmp_path / "summary.json").read_text())["rows"]] == ["mixed"]
