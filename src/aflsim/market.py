@@ -299,7 +299,7 @@ class RoutingOutcome:
 
 
 def route_subdelegations(
-    states: np.ndarray,
+    n: int,
     queue: np.ndarray,
     decisions: dict[int, StepDecision],
     asked: np.ndarray,
@@ -320,14 +320,13 @@ def route_subdelegations(
     finds no quoted delegate with room at a price within its payment.
     Transferred tasks join the delegate's queue as arrivals next step with
     their payment rewritten to what the delegate was paid.  `capacity_left`
-    is each DO's room for tasks delegated to it this step.
+    is each of the `n` DOs' room for tasks delegated to it this step.
 
     Each walk is set up from its delegator's own rows: its tasks, cut to its
     goal, and its quoted neighbours with room.  Only the walk stays in
     Python, as each transfer uses up capacity the next one sees; capacity
     only falls, so a pointer skips the full neighbours.
     """
-    n = len(states)
     s_realized = dict.fromkeys(range(n), 0)
     moved, delegates = [], []
     goals = {do_id: d.subdelegate_s for do_id, d in decisions.items() if d.subdelegate_s > 0}
@@ -779,7 +778,7 @@ def step(world: World) -> dict[str, np.ndarray]:
     # receiver's arrival headroom.
     capacity_left = (states["kappa_max"] - 1) - kappa
     routing = route_subdelegations(
-        states,
+        n,
         world.queue,
         decisions,
         asked,

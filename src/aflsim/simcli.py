@@ -7,12 +7,12 @@ Verbs:
   plotdata  post-process run artifacts into plot-ready tabular files
 
 The first three are rows of one table, `VERBS`, and share one runner,
-`run_preset`, over policies x seeds, writing under the required `--out`:
-`run` passes no policy names and writes flat into it, `compare` and `ablate`
-pass registry names and write one directory per policy.
+`run_preset`, over policies x seeds.  Each verb writes one directory per
+cell under the required `--out`, `--out/<policy>/`, and `--out/summary.json`
+names the cells; `plotdata` reads the cells it names.
 
 Every output byte is determined by (config, seed): metrics are one CSV per
-seed with a fixed column order and 9-significant-digit floats, and each run
+seed with a fixed column order and 9-significant-digit floats, and each cell
 directory carries a manifest embedding the config its runs used, so that
 config run over its seeds writes the same CSVs again.
 """
@@ -37,7 +37,7 @@ from .policy_baselines import ABLATION_NAMES, BASELINE_NAMES
 COMPARE_POLICIES = ("pas-afl",) + BASELINE_NAMES
 ABLATE_POLICIES = ("pas-afl",) + ABLATION_NAMES
 
-# verb -> (help, the registry policies it runs; None runs the config's own assignment)
+# verb -> (help, the registry policies it runs; None runs the config's own assignment), each into --out/<policy>/
 VERBS = {
     "run": ("run one scenario config over its seeds", None),
     "compare": ("run the 7-policy comparison preset", COMPARE_POLICIES),
@@ -155,21 +155,18 @@ def run_preset(config: ScenarioConfig, policies=None, *, out_dir, quiet: bool = 
     """Run each policy over the config's seeds, writing artifacts and a summary.
 
     With `policies` None the config's own assignment runs, named by its
-    policy or `mixed` for a per-DO list, and writes its metrics CSVs and
-    manifest flat into `out_dir`; each named registry policy
-    runs on the config with every DO assigned to it, and writes into
-    `out_dir/<policy>/`.  A cell's manifest embeds the config the cell ran.
-    `summary.json`, one row per policy, goes to `out_dir` either way.  The
-    manifests and summary about to be written are removed before the first
-    cell runs, so a run that stops leaves none naming its files.  Returns
-    each policy's summary by name, in run order.
+    policy or `mixed` for a per-DO list; each named registry policy runs on
+    the config with every DO assigned to it.  Either way a cell writes its
+    metrics CSVs and a manifest embedding the config it ran into
+    `out_dir/<name>/`, and `summary.json`, one row per cell, goes to
+    `out_dir`.  The manifests and summary about to be written are removed
+    before the first cell runs, so a run that stops leaves none naming its
+    files.  Returns each policy's summary by name, in run order.
     """
     out = Path(out_dir)
-    if policies is None:
-        assignment = config.policy.assignment
-        cells = [(assignment if isinstance(assignment, str) else "mixed", config, out)]
-    else:
-        cells = [(name, config.with_assignment(name), out / name) for name in policies]
+    assignment = config.policy.assignment
+    names = (assignment if isinstance(assignment, str) else "mixed",) if policies is None else policies
+    cells = [(name, config if policies is None else config.with_assignment(name), out / name) for name in names]
     for *_, cell_dir in cells:
         (cell_dir / "manifest.json").unlink(missing_ok=True)
     (out / "summary.json").unlink(missing_ok=True)
@@ -198,22 +195,31 @@ def run_preset(config: ScenarioConfig, policies=None, *, out_dir, quiet: bool = 
     return summary
 
 
+def _read_json(path: Path, read):
+    """`read` applied to the JSON in `path`.  A file that is missing, is not
+    JSON, or lacks what `read` looks up is a MissingArtifactError naming it."""
+    try:
+        return read(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise MissingArtifactError(f"{path} is missing or malformed ({type(exc).__name__}: {exc})") from exc
+
+
 def emit_plot_data(runs_dir, out_dir) -> list[Path]:
     """Reduce run artifacts to plot-ready tables.
 
-    Reads the runs named by a manifest in `runs_dir` or in a directory just
-    under it: exactly `metrics_seed<s>.csv` for each of the manifest's seeds,
-    each the header and then n_dos x horizon_T rows for steps 0 to
-    horizon_T - 1.  Anything else is a MissingArtifactError naming the file.
-    Writes utility-vs-time and backlog-vs-time series (per policy, averaged
-    over data owners and seeds) plus a per-policy comparison bar table.
+    Reads the cells `runs_dir/summary.json` names, in sorted name order: for
+    each, `runs_dir/<policy>/manifest.json`, and then exactly
+    `metrics_seed<s>.csv` beside it for each of the manifest's seeds, each
+    the header and then n_dos x horizon_T rows for steps 0 to horizon_T - 1.
+    Anything else is a MissingArtifactError naming the file.  Writes
+    utility-vs-time and backlog-vs-time series (per policy, averaged over
+    data owners and seeds) plus a per-policy comparison bar table.
     """
     runs = Path(runs_dir)
-    if not runs.is_dir():
-        raise MissingArtifactError(f"runs directory not found: {runs}")
-    manifests = [path for path in (runs / "manifest.json", *sorted(runs.glob("*/manifest.json"))) if path.is_file()]
-    if not manifests:
-        raise MissingArtifactError(f"no manifest.json in {runs} or a directory under it")
+    index = runs / "summary.json"
+    names = _read_json(index, lambda summary: sorted(row["policy"] for row in summary["rows"]))
+    if not names:
+        raise MissingArtifactError(f"{index} names no cell")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -221,15 +227,19 @@ def emit_plot_data(runs_dir, out_dir) -> list[Path]:
     utility_rows = []
     backlog_rows = []
     comparison_rows = []
-    for manifest in manifests:
-        run = json.loads(manifest.read_text())
-        policy, config = run["policy"], run["resolved_config"]
-        n, horizon = config["n_dos"], config["horizon_T"]
+    for name in names:
+        manifest = runs / name / "manifest.json"
+        policy, seeds, n, horizon = _read_json(
+            manifest,
+            lambda run: (run["policy"], *(run["resolved_config"][key] for key in ("seeds", "n_dos", "horizon_T"))),
+        )
+        if policy != name:
+            raise MissingArtifactError(f"{manifest} names policy {policy!r}; {index} names {name!r}")
         steps = [str(t) for t in range(horizon) for _ in range(n)]
         utility_by_step: dict[int, list[float]] = {}
         backlog_by_step: dict[int, list[float]] = {}
         prices = []
-        for seed in config["seeds"]:
+        for seed in seeds:
             csv_file = manifest.parent / f"metrics_seed{seed}.csv"
             if not csv_file.is_file():
                 raise MissingArtifactError(f"{csv_file} not found; {manifest} names seed {seed}")
@@ -278,8 +288,7 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (help_text, policies) in VERBS.items():
-        flat = policies is None
-        config_help = "scenario JSON (defaults apply when omitted)" if flat else "base scenario JSON"
+        config_help = "scenario JSON (defaults apply when omitted)" if policies is None else "base scenario JSON"
         verb_p = sub.add_parser(verb, help=help_text)
         verb_p.add_argument("--config", help=config_help)
         verb_p.add_argument("--out", required=True)

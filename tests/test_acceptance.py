@@ -345,8 +345,8 @@ def test_c8_identical_reruns_are_byte_identical(tmp_path):
     cfg = resolve_config({"seeds": [12345]})
     run_preset(cfg, out_dir=tmp_path / "first")
     run_preset(cfg, out_dir=tmp_path / "second")
-    first = (tmp_path / "first" / "metrics_seed12345.csv").read_bytes()
-    second = (tmp_path / "second" / "metrics_seed12345.csv").read_bytes()
+    first = (tmp_path / "first" / "pas-afl" / "metrics_seed12345.csv").read_bytes()
+    second = (tmp_path / "second" / "pas-afl" / "metrics_seed12345.csv").read_bytes()
 
     ok = first == second and len(first) > 0
     _report("C8 determinism", ok, f"{len(first)} bytes compared")

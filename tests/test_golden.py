@@ -2,14 +2,14 @@
 
 Each case runs one CLI verb on a small world (20 DOs, 50 steps, seeds 1 and
 2) and pins the SHA-256 of every `metrics_seed*.csv`, `manifest.json` and
-`summary.json` it writes, keyed by the path relative to `--out`.  For one
-flat `run` case and one per-policy `compare` case it also runs `plotdata` on
-that output and pins its three tables, keyed `plotdata/<file>`.  Together
-the cases cover all twelve registered policies, both arrival modes, both
-work modes, the square availability schedule, a delegation-depth cap that
-binds (a task delegated once may not move again), a per-DO mixed assignment
-under `run`, and both output layouts: flat for `run`, one directory per
-policy for `compare` and `ablate`.
+`summary.json` it writes, keyed by the path relative to `--out`: every verb
+writes one directory per cell, `<policy>/`, and `summary.json` beside them.
+For one `run` case and one `compare` case it also runs `plotdata` on that
+output and pins its three tables, keyed `plotdata/<file>`.  Together the
+cases cover all twelve registered policies, both arrival modes, both work
+modes, the square availability schedule, a delegation-depth cap that binds
+(a task delegated once may not move again), and a per-DO mixed assignment
+under `run`, whose cell is `mixed/`.
 
 A hash may change only in a change that names the semantic change it makes
 to the simulation's output.  To print the hashes of the code in the working
@@ -289,11 +289,11 @@ GOLDEN = {
             "8ed2bd4fdf4201f163f7c9c4ecdca260ff84557dc399f5161765563da068947f",
     },
     "run-lin-rand-demand-round": {
-        "manifest.json":
+        "lin-rand/manifest.json":
             "75042f903aa0668de9781fb418de80f5821f4fc6d002f01bc5bb64825085d9a7",
-        "metrics_seed1.csv":
+        "lin-rand/metrics_seed1.csv":
             "6ae3b95810c9777a9d3143d6ca894d07e76156db3190def15a796d49440e80a5",
-        "metrics_seed2.csv":
+        "lin-rand/metrics_seed2.csv":
             "818c74a2dfedab11e72b00ac96550ab8156bb12da0f23e02f54ae3a56f5f4059",
         "plotdata/backlog_vs_time.csv":
             "839f3dc89e1927767748147cb7745b27e09199cff15c75bc2b3544db64faf35c",
@@ -305,11 +305,11 @@ GOLDEN = {
             "a4fe4667346b66c6f253a126feb8289e9f9125db27a6c4a775a3def982e25075",
     },
     "run-mixed-auction-threshold-square": {
-        "manifest.json":
+        "mixed/manifest.json":
             "fafac433ec6b700b29d1b5a54d5e8585132b92375179e91ae3913f6c428a6dc2",
-        "metrics_seed1.csv":
+        "mixed/metrics_seed1.csv":
             "ea64bfc59accbc6e1ced8484da07924c204d9b80760dd99cbc62a749da1f155d",
-        "metrics_seed2.csv":
+        "mixed/metrics_seed2.csv":
             "c865854d82ac3507187983ea7a4af0a6768a06a7802936d3e9296747533d8320",
         "summary.json":
             "9780a06e6b9dc7dc2bdc5b7fb4bc912cd1dc282ed85da37f411ab3f5fc7cd581",

@@ -596,7 +596,7 @@ def route(states, queue, decisions, network, prices, reps, capacity_left, depth_
     quotes = eligible_delegates(
         network.adjacency[asked], prices, reps, best[asked], states["rep_threshold_r_min"][asked]
     )
-    return route_subdelegations(states, queue, decisions, asked, quotes, prices, capacity_left, depth_max, step_index)
+    return route_subdelegations(len(states), queue, decisions, asked, quotes, prices, capacity_left, depth_max, step_index)
 
 
 def _routing_setup(payments, neighbor_price=0.5, depth=0):
@@ -1328,7 +1328,7 @@ def test_routing_refuses_a_delegator_without_quotes(asked):
     quotes = np.ones((len(asked), 2), dtype=bool)  # DO 1's row must not be walked in DO 0's place
     decisions = {0: StepDecision(1.0, 2), 1: StepDecision(1.0, 0)}
     with pytest.raises(MarketInvariantError, match="DO 0 at step 7 delegates without being asked"):
-        route_subdelegations(states, queue, decisions, asked, quotes, prices, capacity, 3, 7)
+        route_subdelegations(len(states), queue, decisions, asked, quotes, prices, capacity, 3, 7)
 
 
 def test_step_refuses_a_decision_to_delegate_from_a_do_that_was_not_asked(monkeypatch):

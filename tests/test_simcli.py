@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import shutil
 import statistics
 import sys
 from itertools import repeat
@@ -190,12 +191,12 @@ def with_policy(name: str):
     return resolve_config({**TINY, "policy": {"assignment": name}})
 
 
-def test_run_preset_writes_flat_artifacts_for_the_config_assignment(tmp_path):
+def test_run_preset_writes_the_config_assignment_into_its_cell_directory(tmp_path):
     cfg = with_policy("pas-afl")
     summary = run_preset(cfg, out_dir=tmp_path)
-    assert (tmp_path / "metrics_seed1.csv").exists()
-    assert (tmp_path / "metrics_seed2.csv").exists()
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert (tmp_path / "pas-afl" / "metrics_seed1.csv").exists()
+    assert (tmp_path / "pas-afl" / "metrics_seed2.csv").exists()
+    manifest = json.loads((tmp_path / "pas-afl" / "manifest.json").read_text())
     assert manifest["policy"] == "pas-afl"
     assert manifest["resolved_config"]["seeds"] == [1, 2]
     assert manifest["resolved_config"]["n_dos"] == 6
@@ -217,15 +218,15 @@ def test_a_run_stopped_midway_leaves_no_csv_under_its_final_name(tmp_path, monke
     monkeypatch.setattr(simcli, "step", step)
     with pytest.raises(MarketInvariantError):
         run_preset(with_policy("pas-afl"), out_dir=tmp_path)
-    assert not list(tmp_path.glob("metrics_seed*.csv"))  # the glob plotdata reads
+    assert not list((tmp_path / "pas-afl").glob("metrics_seed*.csv"))  # the names plotdata reads
     # The partial file holds the header and the two steps that ran.
-    lines = (tmp_path / "metrics_seed1.csv.partial").read_text().splitlines()
+    lines = (tmp_path / "pas-afl" / "metrics_seed1.csv.partial").read_text().splitlines()
     assert len(lines) == 1 + 2 * TINY["n_dos"]
 
 
 def test_a_rerun_that_stops_leaves_no_stale_manifest_or_summary(tmp_path, monkeypatch):
     run_preset(resolve_config({**TINY, "horizon_T": 5}), out_dir=tmp_path)
-    assert (tmp_path / "manifest.json").exists() and (tmp_path / "summary.json").exists()
+    assert (tmp_path / "pas-afl" / "manifest.json").exists() and (tmp_path / "summary.json").exists()
     real_step = simcli.step
     worlds = []
 
@@ -240,9 +241,9 @@ def test_a_rerun_that_stops_leaves_no_stale_manifest_or_summary(tmp_path, monkey
     with pytest.raises(MarketInvariantError):
         run_preset(resolve_config({**TINY, "horizon_T": 3}), out_dir=tmp_path)
     # Seed 1's CSV was rewritten at T=3; no manifest may still describe the T=5 run.
-    lines = (tmp_path / "metrics_seed1.csv").read_text().splitlines()
+    lines = (tmp_path / "pas-afl" / "metrics_seed1.csv").read_text().splitlines()
     assert len(lines) == 1 + 3 * TINY["n_dos"]
-    assert not (tmp_path / "manifest.json").exists()
+    assert not (tmp_path / "pas-afl" / "manifest.json").exists()
     assert not (tmp_path / "summary.json").exists()
 
 
@@ -269,7 +270,8 @@ def test_every_manifest_reproduces_its_run(tmp_path, verb):
 
 def test_a_whole_run_leaves_no_partial_file(tmp_path):
     run_preset(with_policy("pas-afl"), out_dir=tmp_path)
-    assert sorted(p.name for p in tmp_path.glob("metrics_seed*")) == ["metrics_seed1.csv", "metrics_seed2.csv"]
+    seeds_written = sorted(p.name for p in (tmp_path / "pas-afl").glob("metrics_seed*"))
+    assert seeds_written == ["metrics_seed1.csv", "metrics_seed2.csv"]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -277,8 +279,8 @@ def test_rerun_is_byte_identical(tmp_path):
     run_preset(cfg, out_dir=tmp_path / "a")
     run_preset(cfg, out_dir=tmp_path / "b")
     for seed in (1, 2):
-        a = (tmp_path / "a" / f"metrics_seed{seed}.csv").read_bytes()
-        b = (tmp_path / "b" / f"metrics_seed{seed}.csv").read_bytes()
+        a = (tmp_path / "a" / "rand-rand" / f"metrics_seed{seed}.csv").read_bytes()
+        b = (tmp_path / "b" / "rand-rand" / f"metrics_seed{seed}.csv").read_bytes()
         assert a == b
 
 
@@ -287,7 +289,7 @@ def test_summary_matches_independent_csv_pass(tmp_path):
     summary = run_preset(cfg, out_dir=tmp_path)
     utilities, backlogs, prices = [], [], []
     for seed in (1, 2):
-        with open(tmp_path / f"metrics_seed{seed}.csv", newline="") as handle:
+        with open(tmp_path / "ampp-rand" / f"metrics_seed{seed}.csv", newline="") as handle:
             for row in csv.DictReader(handle):
                 utilities.append(float(row["utility_u"]))
                 backlogs.append(float(row["pending_q"]))
@@ -333,7 +335,7 @@ def test_cli_run_verb(tmp_path):
     config_path.write_text(json.dumps(TINY))
     code = main(["--quiet", "run", "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert code == 0
-    assert (tmp_path / "out" / "metrics_seed1.csv").exists()
+    assert (tmp_path / "out" / "pas-afl" / "metrics_seed1.csv").exists()
 
 
 def test_cli_reports_config_errors_with_code_2(tmp_path):
@@ -412,32 +414,34 @@ def plotdata_error(runs, tmp_path, capsys) -> str:
 
 def test_plotdata_refuses_a_directory_two_runs_left_stale(tmp_path, monkeypatch, capsys):
     # A T=5 run over seeds 1 and 2, then a T=3 rerun stopped at step 2 of seed 2: seed 1's CSV is
-    # the rerun's, seed 2's is the first run's, and no manifest says which run either belongs to.
+    # the rerun's, seed 2's is the first run's, and no summary or manifest says which run either
+    # belongs to.
     runs = tmp_path / "runs"
     run_preset(resolve_config({**TINY, "horizon_T": 5}), out_dir=runs)
     stop_at_step(monkeypatch, 2, world=2)
     with pytest.raises(MarketInvariantError):
         run_preset(resolve_config({**TINY, "horizon_T": 3}), out_dir=runs)
-    assert sorted(p.name for p in runs.glob("metrics_seed*.csv")) == ["metrics_seed1.csv", "metrics_seed2.csv"]
-    assert "manifest.json" in plotdata_error(runs, tmp_path, capsys)
+    seeds_written = sorted(p.name for p in (runs / "pas-afl").glob("metrics_seed*.csv"))
+    assert seeds_written == ["metrics_seed1.csv", "metrics_seed2.csv"]
+    assert "summary.json" in plotdata_error(runs, tmp_path, capsys)
 
 
 def test_plotdata_refuses_a_run_stopped_midway(tmp_path, monkeypatch, capsys):
     stop_at_step(monkeypatch, 2, world=1)
     with pytest.raises(MarketInvariantError):
         run_preset(with_policy("pas-afl"), out_dir=tmp_path / "runs")
-    assert "manifest.json" in plotdata_error(tmp_path / "runs", tmp_path, capsys)
+    assert "summary.json" in plotdata_error(tmp_path / "runs", tmp_path, capsys)
 
 
 def test_plotdata_names_a_metrics_file_its_manifest_does_not_match(tmp_path, capsys):
     runs = tmp_path / "runs"
     run_preset(with_policy("pas-afl"), out_dir=runs)
     # Seed 2's file as a run stopped after step 1 leaves it: the header and two steps' rows.
-    seed2 = runs / "metrics_seed2.csv"
+    seed2 = runs / "pas-afl" / "metrics_seed2.csv"
     seed2.write_text("".join(seed2.read_text().splitlines(keepends=True)[: 1 + 2 * TINY["n_dos"]]))
     err = plotdata_error(runs, tmp_path, capsys)
     assert "metrics_seed2.csv holds 12 rows" in err and "48 (6 DOs x steps 0 to 7)" in err
-    (runs / "metrics_seed1.csv").unlink()
+    (runs / "pas-afl" / "metrics_seed1.csv").unlink()
     assert "metrics_seed1.csv not found" in plotdata_error(runs, tmp_path, capsys)
 
 
@@ -449,18 +453,73 @@ def test_plotdata_reads_only_the_seeds_its_manifest_names(tmp_path):
     run_preset(stale, out_dir=tmp_path / "mixed")
     run_preset(fresh, out_dir=tmp_path / "mixed")
     run_preset(fresh, out_dir=tmp_path / "clean")
-    assert (tmp_path / "mixed" / "metrics_seed2.csv").exists()
+    assert (tmp_path / "mixed" / "pas-afl" / "metrics_seed2.csv").exists()
     for name in ("mixed", "clean"):
         emit_plot_data(tmp_path / name, tmp_path / f"{name}-plots")
     for table in ("utility_vs_time.csv", "backlog_vs_time.csv", "policy_comparison.csv"):
         assert (tmp_path / "mixed-plots" / table).read_bytes() == (tmp_path / "clean-plots" / table).read_bytes()
 
 
-def test_a_flat_run_with_a_per_do_assignment_is_named_mixed(tmp_path):
+def test_a_run_with_a_per_do_assignment_is_named_mixed(tmp_path):
     assignment = ["pas-afl", "lin-rand", "ampp-greedy", "rand-rand", "pas-afl", "lin-greedy"]
     summary = run_preset(resolve_config({**TINY, "policy": {"assignment": assignment}}), out_dir=tmp_path)
     assert list(summary) == ["mixed"]
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "mixed" / "manifest.json").read_text())
     assert manifest["policy"] == "mixed"
     assert manifest["resolved_config"]["policy"]["assignment"] == assignment
     assert [row["policy"] for row in json.loads((tmp_path / "summary.json").read_text())["rows"]] == ["mixed"]
+
+
+# Files of a whole pas-afl run over TINY, as plotdata reads them, each rewritten to something it
+# cannot tabulate: not JSON, `{}`, a JSON object without a key plotdata looks up, a summary that
+# names no cell, or a manifest that names another policy than its cell.
+MALFORMED = {
+    "summary-not-json": ("summary.json", "not json"),
+    "summary-empty": ("summary.json", "{}"),
+    "summary-row-without-policy": ("summary.json", '{"rows": [{}]}'),
+    "summary-without-rows": ("summary.json", '{"rows": []}'),
+    "manifest-not-json": ("pas-afl/manifest.json", "not json"),
+    "manifest-empty": ("pas-afl/manifest.json", "{}"),
+    "manifest-without-horizon": (
+        "pas-afl/manifest.json",
+        '{"policy": "pas-afl", "resolved_config": {"seeds": [1, 2], "n_dos": 6}}',
+    ),
+    "manifest-of-another-policy": (
+        "pas-afl/manifest.json",
+        '{"policy": "lin-rand", "resolved_config": {"seeds": [1, 2], "n_dos": 6, "horizon_T": 8}}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_plotdata_names_a_malformed_summary_or_manifest(tmp_path, capsys, name):
+    path, text = MALFORMED[name]
+    runs = tmp_path / "runs"
+    run_preset(with_policy("pas-afl"), out_dir=runs)
+    (runs / path).write_text(text)
+    assert str(runs / path) in plotdata_error(runs, tmp_path, capsys)
+
+
+def test_plotdata_names_the_manifest_of_a_cell_directory_that_is_gone(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    run_preset(with_policy("pas-afl"), out_dir=runs)
+    shutil.rmtree(runs / "pas-afl")
+    assert str(runs / "pas-afl" / "manifest.json") in plotdata_error(runs, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "assignment", ["pas-afl", ["pas-afl", "lin-rand", "pas-afl", "rand-rand"]], ids=["pas-afl", "mixed"]
+)
+def test_compare_after_run_into_one_directory_tabulates_only_the_compare_cells(tmp_path, assignment):
+    base = {"n_dos": 4, "horizon_T": 4, "seeds": [1]}
+    (tmp_path / "base.json").write_text(json.dumps(base))
+    (tmp_path / "own.json").write_text(json.dumps({**base, "policy": {"assignment": assignment}}))
+    sequences = {"both": [("run", "own.json"), ("compare", "base.json")], "clean": [("compare", "base.json")]}
+    for name, runs in sequences.items():
+        for verb, config in runs:
+            assert main(["--quiet", verb, "--config", str(tmp_path / config), "--out", str(tmp_path / name)]) == 0
+        assert main(["--quiet", "plotdata", "--runs", str(tmp_path / name), "--out", str(tmp_path / f"{name}-plots")]) == 0
+    for table in ("utility_vs_time.csv", "backlog_vs_time.csv", "policy_comparison.csv"):
+        assert (tmp_path / "both-plots" / table).read_bytes() == (tmp_path / "clean-plots" / table).read_bytes()
+    with open(tmp_path / "both-plots" / "policy_comparison.csv", newline="") as handle:
+        assert [row["policy"] for row in csv.DictReader(handle)] == sorted(COMPARE_POLICIES)
