@@ -9,7 +9,9 @@ Verbs:
 The first three are rows of one table, `VERBS`, and share one runner,
 `run_preset`, over policies x seeds.  Each verb writes one directory per
 cell under the required `--out`, `--out/<policy>/`, and `--out/summary.json`
-names the cells; `plotdata` reads the cells it names.
+names the cells; `plotdata` reads the cells it names, and a cell named
+twice, a manifest whose `resolved_config` is not a resolved config, or an
+unreadable metrics file is a missing artifact (exit code 3).
 
 Every output byte is determined by (config, seed): metrics are one CSV per
 seed with a fixed column order and 9-significant-digit floats, and each cell
@@ -21,10 +23,10 @@ import argparse
 import csv
 import json
 import os
-import statistics
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from statistics import fmean, pstdev
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from . import __version__
 from .config import ConfigError, ScenarioConfig, load_config, resolve_config
 from .core import CSV_COLUMNS, sequential_sum
 from .market import MarketInvariantError, build_world, step
-from .policy_baselines import ABLATION_NAMES, BASELINE_NAMES
+from .policy_baselines import ABLATION_NAMES, BASELINE_NAMES, POLICIES
 
 COMPARE_POLICIES = ("pas-afl",) + BASELINE_NAMES
 ABLATE_POLICIES = ("pas-afl",) + ABLATION_NAMES
@@ -46,7 +48,7 @@ VERBS = {
 
 
 class MissingArtifactError(FileNotFoundError):
-    """Expected run artifacts (metrics CSVs, summary) are absent."""
+    """Expected run artifacts (metrics CSVs, manifests, summary) are absent or unreadable."""
 
 
 @dataclass
@@ -132,23 +134,17 @@ def _summarize(policy: str, results: list[RunResult]) -> PolicySummary:
     per_seed = [r.mean_utility for r in results]
     return PolicySummary(
         policy=policy,
-        mean_utility=statistics.fmean(per_seed),
-        std_across_seeds=statistics.pstdev(per_seed) if len(per_seed) > 1 else 0.0,
-        mean_backlog=statistics.fmean(r.mean_backlog for r in results),
-        mean_price=statistics.fmean(r.mean_price for r in results),
-        acceptance_rate=statistics.fmean(r.acceptance_rate for r in results),
+        mean_utility=fmean(per_seed),
+        std_across_seeds=pstdev(per_seed),
+        mean_backlog=fmean(r.mean_backlog for r in results),
+        mean_price=fmean(r.mean_price for r in results),
+        acceptance_rate=fmean(r.acceptance_rate for r in results),
         per_seed_mean_utility=per_seed,
     )
 
 
-def _write_manifest(out_dir: Path, config: ScenarioConfig, policy: str) -> None:
-    manifest = {"package_version": __version__, "policy": policy, "resolved_config": asdict(config)}
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _write_summary(out_dir: Path, summary: dict[str, PolicySummary]) -> None:
-    payload = {"rows": [asdict(row) for row in summary.values()]}
-    (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def run_preset(config: ScenarioConfig, policies=None, *, out_dir, quiet: bool = True) -> dict[str, PolicySummary]:
@@ -188,20 +184,45 @@ def run_preset(config: ScenarioConfig, policies=None, *, out_dir, quiet: bool = 
                     f"mean_utility={result.mean_utility:.6g} "
                     f"acceptance_rate={result.acceptance_rate:.3f}"
                 )
-        _write_manifest(cell_dir, cell_config, name)
+        manifest = {"package_version": __version__, "policy": name, "resolved_config": asdict(cell_config)}
+        _write_json(cell_dir / "manifest.json", manifest)
         summary[name] = _summarize(name, results)
 
-    _write_summary(out, summary)
+    _write_json(out / "summary.json", {"rows": [asdict(row) for row in summary.values()]})
     return summary
 
 
-def _read_json(path: Path, read):
-    """`read` applied to the JSON in `path`.  A file that is missing, is not
-    JSON, or lacks what `read` looks up is a MissingArtifactError naming it."""
+def _read(path: Path, parse):
+    """`parse` applied to the text of `path`.  A file that is missing, is not
+    UTF-8, or that `parse` rejects is a MissingArtifactError naming it."""
     try:
-        return read(json.loads(path.read_text(encoding="utf-8")))
+        return parse(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, LookupError, TypeError) as exc:
-        raise MissingArtifactError(f"{path} is missing or malformed ({type(exc).__name__}: {exc})") from exc
+        why = "not found" if isinstance(exc, FileNotFoundError) else f"is malformed ({type(exc).__name__}: {exc})"
+        raise MissingArtifactError(f"{path} {why}") from exc
+
+
+def _cell_names(text: str) -> list[str]:
+    """The cells a summary names, sorted: at least one, each once, each a registry policy or `mixed`."""
+    names = [row["policy"] for row in json.loads(text)["rows"]]
+    if not names or len(set(names)) < len(names) or not set(names) <= {*POLICIES, "mixed"}:
+        raise ValueError(f"names cells {names}, not one or more distinct registry policies or mixed")
+    return sorted(names)
+
+
+def _manifest(text: str) -> tuple[str, ScenarioConfig]:
+    """A manifest's policy and config; its `resolved_config` must be the one `resolve_config` makes of it."""
+    manifest = json.loads(text)
+    cfg = resolve_config(manifest["resolved_config"])
+    if json.loads(json.dumps(asdict(cfg))) != manifest["resolved_config"]:
+        raise ValueError("resolved_config is not a resolved config")
+    return manifest["policy"], cfg
+
+
+def _metrics(text: str) -> tuple[list[str], np.ndarray]:
+    """A metrics CSV's header, and its rows as one float array."""
+    header, *rows = csv.reader(text.splitlines())
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
 
 
 def emit_plot_data(runs_dir, out_dir) -> list[Path]:
@@ -211,73 +232,51 @@ def emit_plot_data(runs_dir, out_dir) -> list[Path]:
     each, `runs_dir/<policy>/manifest.json`, and then exactly
     `metrics_seed<s>.csv` beside it for each of the manifest's seeds, each
     the header and then n_dos x horizon_T rows for steps 0 to horizon_T - 1.
-    Anything else is a MissingArtifactError naming the file.  Writes
+    Every file goes through `_read`, and anything else is a
+    MissingArtifactError naming the file: one missing or not UTF-8, a cell
+    named twice or not a policy, a manifest whose `resolved_config` is not a
+    resolved config, or a metrics file not of that shape.  Writes
     utility-vs-time and backlog-vs-time series (per policy, averaged over
     data owners and seeds) plus a per-policy comparison bar table.
     """
     runs = Path(runs_dir)
-    index = runs / "summary.json"
-    names = _read_json(index, lambda summary: sorted(row["policy"] for row in summary["rows"]))
-    if not names:
-        raise MissingArtifactError(f"{index} names no cell")
+    names = _read(runs / "summary.json", _cell_names)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    utility_rows = []
-    backlog_rows = []
-    comparison_rows = []
+    utility_rows, backlog_rows, comparison_rows = [], [], []
     for name in names:
         manifest = runs / name / "manifest.json"
-        policy, seeds, n, horizon = _read_json(
-            manifest,
-            lambda run: (run["policy"], *(run["resolved_config"][key] for key in ("seeds", "n_dos", "horizon_T"))),
-        )
+        policy, cfg = _read(manifest, _manifest)
         if policy != name:
-            raise MissingArtifactError(f"{manifest} names policy {policy!r}; {index} names {name!r}")
-        steps = [str(t) for t in range(horizon) for _ in range(n)]
-        utility_by_step: dict[int, list[float]] = {}
-        backlog_by_step: dict[int, list[float]] = {}
-        prices = []
-        for seed in seeds:
+            raise MissingArtifactError(f"{manifest} names policy {policy!r}, not {name!r}")
+        per_seed = []
+        for seed in cfg.seeds:
             csv_file = manifest.parent / f"metrics_seed{seed}.csv"
-            if not csv_file.is_file():
-                raise MissingArtifactError(f"{csv_file} not found; {manifest} names seed {seed}")
-            with open(csv_file, newline="", encoding="utf-8") as handle:
-                reader = csv.DictReader(handle)
-                rows = list(reader)
-            if reader.fieldnames != list(CSV_COLUMNS) or [row["step"] for row in rows] != steps:
+            header, table = _read(csv_file, _metrics)
+            if header != CSV_COLUMNS or not np.array_equal(table[:, 0], np.arange(cfg.horizon_T).repeat(cfg.n_dos)):
                 raise MissingArtifactError(
-                    f"{csv_file} holds {len(rows)} rows; {manifest} names the header and then "
-                    f"{len(steps)} ({n} DOs x steps 0 to {horizon - 1})"
+                    f"{csv_file} holds {len(table)} rows; {manifest} names the header and then "
+                    f"{cfg.n_dos * cfg.horizon_T} ({cfg.n_dos} DOs x steps 0 to {cfg.horizon_T - 1})"
                 )
-            for row in rows:
-                t = int(row["step"])
-                utility_by_step.setdefault(t, []).append(float(row["utility_u"]))
-                backlog_by_step.setdefault(t, []).append(float(row["pending_q"]))
-                prices.append(float(row["price_p"]))
-        for t in sorted(utility_by_step):
-            utility_rows.append((policy, t, f"{statistics.fmean(utility_by_step[t]):.9g}"))
-            backlog_rows.append((policy, t, f"{statistics.fmean(backlog_by_step[t]):.9g}"))
-        all_utilities = [u for step_vals in utility_by_step.values() for u in step_vals]
-        all_backlogs = [q for step_vals in backlog_by_step.values() for q in step_vals]
-        means = (statistics.fmean(values) for values in (all_utilities, all_backlogs, prices))
-        comparison_rows.append((policy, *(f"{mean:.9g}" for mean in means)))
+            per_seed.append(table)
+        # Three columns shaped (step, DO x seed); fmean's fsum is exactly rounded, so no mean depends on term order.
+        cell = np.stack(per_seed, axis=1).reshape(cfg.horizon_T, -1, len(CSV_COLUMNS))
+        utility_u, pending_q, price_p = (cell[..., CSV_COLUMNS.index(c)] for c in ("utility_u", "pending_q", "price_p"))
+        utility_rows += ((name, t, f"{fmean(u):.9g}") for t, u in enumerate(utility_u.tolist()))
+        backlog_rows += ((name, t, f"{fmean(q):.9g}") for t, q in enumerate(pending_q.tolist()))
+        comparison_rows.append((name, *(f"{fmean(c.ravel().tolist()):.9g}" for c in (utility_u, pending_q, price_p))))
 
     tables = (
         ("utility_vs_time.csv", ("policy", "step", "mean_utility"), utility_rows),
         ("backlog_vs_time.csv", ("policy", "step", "mean_pending_q"), backlog_rows),
         ("policy_comparison.csv", ("policy", "mean_utility", "mean_pending_q", "mean_price"), comparison_rows),
     )
-    paths = []
     for name, header, rows in tables:
-        path = out / name
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
-        paths.append(path)
-    return paths
+        with open(out / name, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows([header, *rows])
+    return [out / name for name, *_ in tables]
 
 
 def main(argv=None) -> int:

@@ -472,12 +472,14 @@ def test_a_run_with_a_per_do_assignment_is_named_mixed(tmp_path):
 
 # Files of a whole pas-afl run over TINY, as plotdata reads them, each rewritten to something it
 # cannot tabulate: not JSON, `{}`, a JSON object without a key plotdata looks up, a summary that
-# names no cell, or a manifest that names another policy than its cell.
+# names no cell or a null one, or a manifest that names another policy than its cell or whose
+# seeds are a number.
 MALFORMED = {
     "summary-not-json": ("summary.json", "not json"),
     "summary-empty": ("summary.json", "{}"),
     "summary-row-without-policy": ("summary.json", '{"rows": [{}]}'),
     "summary-without-rows": ("summary.json", '{"rows": []}'),
+    "summary-row-of-null-policy": ("summary.json", '{"rows": [{"policy": null}]}'),
     "manifest-not-json": ("pas-afl/manifest.json", "not json"),
     "manifest-empty": ("pas-afl/manifest.json", "{}"),
     "manifest-without-horizon": (
@@ -487,6 +489,10 @@ MALFORMED = {
     "manifest-of-another-policy": (
         "pas-afl/manifest.json",
         '{"policy": "lin-rand", "resolved_config": {"seeds": [1, 2], "n_dos": 6, "horizon_T": 8}}',
+    ),
+    "manifest-of-a-number-of-seeds": (
+        "pas-afl/manifest.json",
+        '{"policy": "pas-afl", "resolved_config": {"seeds": 1, "n_dos": 6, "horizon_T": 8}}',
     ),
 }
 
@@ -498,6 +504,45 @@ def test_plotdata_names_a_malformed_summary_or_manifest(tmp_path, capsys, name):
     run_preset(with_policy("pas-afl"), out_dir=runs)
     (runs / path).write_text(text)
     assert str(runs / path) in plotdata_error(runs, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "path, edit",
+    [
+        ("pas-afl/metrics_seed1.csv", lambda data: b""),
+        ("pas-afl/metrics_seed1.csv", lambda data: b"\xff\xfe"),
+        ("summary.json", lambda data: json.dumps({"rows": json.loads(data)["rows"] * 2}).encode()),
+    ],
+    ids=["metrics-empty", "metrics-not-utf-8", "summary-naming-its-cell-twice"],
+)
+def test_plotdata_names_an_unreadable_metrics_file_or_a_cell_named_twice(tmp_path, capsys, path, edit):
+    runs = tmp_path / "runs"
+    run_preset(with_policy("pas-afl"), out_dir=runs)
+    (runs / path).write_bytes(edit((runs / path).read_bytes()))
+    assert str(runs / path) in plotdata_error(runs, tmp_path, capsys)
+
+
+# Edits to a whole run's manifest that leave every key plotdata reads in place: a resolved_config
+# with a key the config no longer has (as manifests from before n_mus and output_dir went hold),
+# one without a section, and a manifest that names another cell's policy.
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda manifest: manifest["resolved_config"].update(n_mus=6),
+        lambda manifest: manifest["resolved_config"].update(output_dir="runs_out"),
+        lambda manifest: manifest["resolved_config"].pop("mu"),
+        lambda manifest: manifest.update(policy="lin-rand"),
+    ],
+    ids=["with-n_mus", "with-output_dir", "without-mu", "of-another-policy"],
+)
+def test_plotdata_refuses_a_manifest_a_run_did_not_write(tmp_path, capsys, edit):
+    runs = tmp_path / "runs"
+    run_preset(with_policy("pas-afl"), out_dir=runs)
+    path = runs / "pas-afl" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    assert str(path) in plotdata_error(runs, tmp_path, capsys)
 
 
 def test_plotdata_names_the_manifest_of_a_cell_directory_that_is_gone(tmp_path, capsys):
