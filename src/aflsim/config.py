@@ -32,12 +32,12 @@ MU_STRATEGY_NAMES = (
 
 # The memory, in bytes, that a config may ask the engine to allocate for each
 # of the structures its size fields set, checked before anything is built:
-# `n_dos` sets the n_dos**2 trust adjacency, held once as booleans and once as
-# floats (ADJACENCY_BYTES per pair); `n_dos * do_params.q0` sets the initial
-# task queue (TASK.itemsize bytes per task); `horizon_T` sets the two float
-# per-step series a run returns (SERIES_BYTES per step).
+# `n_dos` sets the n_dos**2 trust adjacency, as booleans, floats and int16 or
+# narrower neighbour ids (ADJACENCY_BYTES per pair; a step's quotes gather at
+# most one float per pair); `n_dos * do_params.q0` sets the initial task queue
+# (TASK.itemsize bytes per task); `horizon_T` the two per-step float series (SERIES_BYTES per step).
 MEMORY_BUDGET = 2**30
-ADJACENCY_BYTES = np.dtype(bool).itemsize + np.dtype(float).itemsize
+ADJACENCY_BYTES = np.dtype(bool).itemsize + np.dtype(float).itemsize + np.dtype(np.int16).itemsize
 SERIES_BYTES = 2 * np.dtype(float).itemsize
 
 

@@ -48,6 +48,7 @@ import math
 import sys
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING
@@ -312,14 +313,14 @@ def route_subdelegations(
     """Move each delegator's highest-payment tasks to the neighbours it was quoted.
 
     `quotes` holds the step's `eligible_delegates` row of each DO in `asked`
-    (ascending): its neighbours trusted enough and no dearer than its best
-    task below the depth cap.  A goal needs an eligible delegate, so a
-    delegator without a row is a MarketInvariantError.  Delegates are chosen
-    cheapest-first (ties by id) at the snapshot prices the decisions saw; the
-    delegator pays that price per task.  Transfers stop early once a task
-    finds no quoted delegate with room at a price within its payment.
-    Transferred tasks join the delegate's queue as arrivals next step with
-    their payment rewritten to what the delegate was paid.  `capacity_left`
+    (ascending): the ids of its neighbours trusted enough and no dearer than
+    its best task below the depth cap, else -1.  A goal needs an eligible
+    delegate, so a delegator without a row is a MarketInvariantError.
+    Delegates are chosen cheapest-first (ties by id) at the snapshot prices
+    the decisions saw; the delegator pays that price per task.  Transfers stop
+    early once a task finds no quoted delegate with room at a price within its
+    payment.  Transferred tasks join the delegate's queue as arrivals next step
+    with their payment rewritten to what the delegate was paid.  `capacity_left`
     is each of the `n` DOs' room for tasks delegated to it this step.
 
     Each walk is set up from its delegator's own rows: its tasks, cut to its
@@ -341,35 +342,37 @@ def route_subdelegations(
         goal[delegators] = list(goals.values())
         # Every delegator's tasks below the depth cap, best-paying first, ties
         # by id, cut to the goal it walks: three sorts, each stable after the
-        # first, as ids are unique.
+        # first, as ids are unique; the last by radix on 16-bit or narrower ids.
         owner = queue["owner"]
         rows = np.flatnonzero((goal[owner] > 0) & (queue["depth"] < depth_max))
         rows = rows[np.argsort(queue["id"][rows])]
         rows = rows[np.argsort(-queue["payment"][rows], kind="stable")]
-        rows = rows[np.argsort(owner[rows], kind="stable")]
+        rows = rows[np.argsort(owner[rows].astype(np.min_scalar_type(n)), kind="stable")]
         first = _group_starts(owner[rows], n)[0]
         rows = rows[np.arange(len(rows)) - first[owner[rows]] < goal[owner[rows]]]
         task_first, task_count = (column[delegators] for column in _group_starts(owner[rows], n))
         # Their quoted neighbours with room, cheapest first, ties by id, as
-        # slices of one flat list.  Only a delegator with a task and such a
-        # neighbour walks.
-        price_rank = np.empty(n, dtype=np.intp)
-        price_rank[np.argsort(prices, kind="stable")] = np.arange(n)
-        walk_of, neighbour = np.divmod(np.flatnonzero(quotes[quote_row] & (capacity_left > 0)), n)
-        neighbours = neighbour[np.argsort(walk_of * n + price_rank[neighbour])].tolist()
-        neighbour_first, neighbour_count = _group_starts(walk_of, len(delegators))
-        walking = (task_count > 0) & (neighbour_count > 0)
+        # slices of one flat list: each quote row sorted by price rank, where
+        # rank n (a DO without room, or the -1 padding) is left out.
+        by_price = np.argsort(prices, kind="stable")
+        price_rank = np.full(n + 1, n)
+        price_rank[by_price] = np.where(capacity_left[by_price] > 0, np.arange(n), n)
+        rank = np.sort(price_rank[quotes[quote_row]], axis=1)
+        listed = rank < n
+        neighbours = by_price[rank[listed]].tolist()
+        neighbour_count = listed.sum(axis=1)
+        neighbour_first = np.cumsum(neighbour_count) - neighbour_count
 
         capacity = capacity_left.tolist()
         price_of = prices.tolist()
         candidates = rows.tolist()
         candidate_pay = queue["payment"][rows].tolist()
         walks = zip(
-            delegators[walking].tolist(),
-            task_first[walking].tolist(),
-            (task_first + task_count)[walking].tolist(),
-            neighbour_first[walking].tolist(),
-            (neighbour_first + neighbour_count)[walking].tolist(),
+            delegators.tolist(),
+            task_first.tolist(),
+            (task_first + task_count).tolist(),
+            neighbour_first.tolist(),
+            (neighbour_first + neighbour_count).tolist(),
         )
         for do_id, first, end, at, last in walks:
             k = first
@@ -640,17 +643,25 @@ class World:
             return schedule["low_scale"]
         return 1.0
 
+    @cached_property
+    def _neighbour_ids(self) -> np.ndarray:
+        """Row i: DO i's neighbour ids, ascending, padded with -1; built row by row on the first ask for quotes."""
+        table = np.full((len(self._deg), int(self._deg.max(initial=0))), -1, np.min_scalar_type(-len(self._deg)))
+        for row, ids in zip(table, map(np.flatnonzero, self.network.adjacency)):
+            row[: len(ids)] = ids
+        return table
+
     def _build_contexts(self, prices: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
         """Every DO's mean neighbour price (inf without neighbours), its goal
         after `theta` tasks of work were a delegate eligible, whether a
         neighbour could take its best-paying task below the depth cap, and
         the quotes that answer rests on: the DOs asked (ascending ids) and
-        `eligible_delegates`' block of their neighbours that could.
+        `eligible_delegates`' ids of their neighbours that could (-1 padded).
 
         The mean is read-only, and taken again only when a byte of `prices`
         differs from the last prices: posted prices often repeat, and the graph
         is fixed.  Only a DO whose goal is positive is asked; the others read
-        False.  Routing walks the asked DOs' quotes rows, as the queue and the
+        False.  Routing walks the asked DOs' quote rows, as the queue and the
         reputations the quotes read are unchanged until the step commits.
         """
         states = self.states
@@ -670,11 +681,10 @@ class World:
         np.maximum.at(best, queue["owner"][routable], queue["payment"][routable])
         asked = np.flatnonzero((goal > 0) & (best > -math.inf))
 
-        quotes = eligible_delegates(
-            self.network.adjacency[asked], prices, states["reputation_r"], best[asked], states["rep_threshold_r_min"][asked]
-        )
+        rows = self._neighbour_ids[asked] if asked.size else np.empty((0, 0), np.intp)
+        quotes = eligible_delegates(rows, prices, states["reputation_r"], best[asked], states["rep_threshold_r_min"][asked])
         eligible = np.zeros(n, dtype=bool)
-        eligible[asked] = quotes.any(axis=1)
+        eligible[asked] = (quotes >= 0).any(axis=1)
         return avg, goal, eligible, asked, quotes
 
 

@@ -20,9 +20,9 @@ mean price over *all* neighbours (+inf with none, which keeps every task
 local), and whether some neighbour could take the DO's best-paying delegable
 task.  The market asks the second only where the DO's goal after its work
 would be positive with an eligible delegate, and hands the others False.  The
-asked DOs' quotes (`eligible_delegates`) are also the neighbours the market
-routes their sub-delegations to.  The rules assume a resolved config and
-audited state, and check neither.
+asked DOs' quotes (`eligible_delegates`: neighbour ids, -1 where none) are
+also the neighbours the market routes their sub-delegations to.  The rules
+assume a resolved config and audited state, and check neither.
 """
 
 import numpy as np
@@ -38,20 +38,20 @@ def outweighs_queues(rho, value, pending_q, urgency_Q):
 
 
 def eligible_delegates(
-    adjacency: np.ndarray,
+    neighbours: np.ndarray,
     prices: np.ndarray,
     reps: np.ndarray,
     reference_payment: np.ndarray,
     r_min: np.ndarray,
 ) -> np.ndarray:
-    """The quotes of the asking DOs, one per row of `adjacency` (that DO's
-    neighbour mask): which neighbours are trusted enough (reputation >= its
-    `r_min`) and cheap enough (price <= its `reference_payment`) to take a
-    task.  A DO has an eligible delegate iff its row has a quote.  `prices`
-    and `reps` are snapshots indexed by DO id."""
-    trusted = reps >= r_min[:, None]
-    cheap = prices <= reference_payment[:, None]
-    return adjacency & trusted & cheap
+    """The quotes of the asking DOs, one per row of `neighbours` (that DO's
+    neighbour ids, ascending, padded with -1): the ids of those trusted
+    enough (reputation >= its `r_min`) and cheap enough (price <= its
+    `reference_payment`) to take a task, and -1 elsewhere.  A DO has an
+    eligible delegate iff its row holds an id.  `prices` and `reps` are
+    snapshots by DO id; a padding cell reads the last DO's and stays -1."""
+    quoted = (reps[neighbours] >= r_min[:, None]) & (prices[neighbours] <= reference_payment[:, None])
+    return np.where(quoted, neighbours, -1)
 
 
 def subdelegation_cap(states: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -104,6 +104,26 @@ def trust_network(n_dos: int, edges=()) -> TrustNetwork:
     return TrustNetwork(adjacency)
 
 
+def neighbour_rows(network: TrustNetwork, dos) -> np.ndarray:
+    """The neighbour-table rows of `dos`: each DO's neighbour ids, ascending,
+    padded with -1 to the graph's largest degree."""
+    ids = [np.flatnonzero(row) for row in network.adjacency]
+    width = max(map(len, ids), default=0)
+    table = np.full((len(ids), width), -1, dtype=np.intp)
+    for row, found in zip(table, ids):
+        row[: len(found)] = found
+    return table[dos]
+
+
+def quoted_mask(ids: np.ndarray, n: int) -> np.ndarray:
+    """Rows of DO ids padded with -1, such as `eligible_delegates`' quotes,
+    as boolean rows over the n DOs that mark each id a row holds."""
+    mask = np.zeros((len(ids), n), dtype=bool)
+    row, cell = np.nonzero(ids >= 0)
+    mask[row, ids[row, cell]] = True
+    return mask
+
+
 def step_records(world: World) -> list[Record]:
     """Step `world` once; return its metrics as one Record per DO."""
     metrics = step(world)

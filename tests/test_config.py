@@ -3,10 +3,11 @@ import math
 import sys
 from dataclasses import fields, is_dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aflsim.config import MEMORY_BUDGET, ConfigError, ScenarioConfig, resolve_config
+from aflsim.config import ADJACENCY_BYTES, MEMORY_BUDGET, ConfigError, ScenarioConfig, resolve_config
 from aflsim.market import MarketInvariantError
 from aflsim.simcli import run_scenario
 
@@ -189,6 +190,17 @@ def test_out_of_bounds_values_name_field(raw, field):
     with pytest.raises(ConfigError) as err:
         resolve_config(raw)
     assert err.value.field == field
+
+
+def test_the_largest_admitted_world_holds_each_form_of_its_adjacency_within_the_budget():
+    n = math.isqrt(MEMORY_BUDGET // ADJACENCY_BYTES)
+    assert resolve_config({"n_dos": n}).n_dos == n
+    with pytest.raises(ConfigError, match="n_dos: its trust adjacency"):
+        resolve_config({"n_dos": n + 1})
+    # Sizes computed, not allocated: the boolean and float adjacency, and the
+    # neighbour table at its widest, where every DO neighbours every other.
+    table = n * (n - 1) * np.min_scalar_type(-n).itemsize
+    assert n**2 * (np.dtype(bool).itemsize + np.dtype(float).itemsize) + table <= MEMORY_BUDGET
 
 
 def _paths(obj, name=""):

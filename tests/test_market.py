@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import sys
+import tracemalloc
 from collections import namedtuple
 from unittest import mock
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from aflsim import market
+from aflsim import market, simcli
 from aflsim.config import MarketConstants, MuParams, resolve_config
 from aflsim.core import STATE, TASK, OwnerConstants, StepDecision
 from aflsim.market import (
@@ -26,7 +27,9 @@ from aflsim.market import (
 from aflsim.policy_baselines import POLICIES
 from aflsim.policy_pas import decide_subdelegation, decide_work, eligible_delegates, subdelegation_cap
 from aflsim.simcli import run_scenario
-from helpers import DataOwnerState, R_FLOOR, make_state, run_world, state_columns, trust_network, views
+from helpers import (
+    DataOwnerState, R_FLOOR, make_state, neighbour_rows, run_world, state_columns, trust_network, views,
+)
 from reference_policy import reference_decide
 from reference_world import reference_data_owners
 
@@ -421,6 +424,76 @@ def test_the_kept_neighbour_mean_cannot_be_written():
         avg[0] = 0.0
 
 
+def test_neighbour_table_rows_are_each_dos_neighbour_ids_padded_with_minus_one():
+    world = build_world(resolve_config({"n_dos": 15, "horizon_T": 1, "trust_edge_prob": 0.3}), 2)
+    adjacency = world.network.adjacency
+    degree = adjacency.sum(axis=1)
+    table = world._neighbour_ids
+    assert table.dtype == np.int8 and table.shape == (15, degree.max())
+    assert degree.min() < degree.max()  # so some row is padded
+    for i, row in enumerate(table.tolist()):
+        ids = np.flatnonzero(adjacency[i]).tolist()
+        assert row == ids + [-1] * (table.shape[1] - len(ids))
+
+
+def test_neighbour_table_is_built_without_a_block_the_size_of_the_graph():
+    # Every DO neighbours every other; ids of all n * (n - 1) edges at once
+    # would take 8 bytes each, the table 2.
+    world = build_world(resolve_config({"n_dos": 300, "horizon_T": 1, "trust_edge_prob": 1.0}), 1)
+    tracemalloc.start()
+    try:
+        table = world._neighbour_ids
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int16 and table.shape == (300, 299)
+    assert peak < 1.5 * table.nbytes
+
+
+def _asked_per_step(monkeypatch):
+    """How many DOs each later step asks for quotes, as `eligible_delegates` is called."""
+    asked, real = [], market.eligible_delegates
+
+    def recording(neighbours, *args):
+        asked.append(len(neighbours))
+        return real(neighbours, *args)
+
+    monkeypatch.setattr(market, "eligible_delegates", recording)
+    return asked
+
+
+def test_a_world_whose_dos_are_never_asked_builds_no_neighbour_table(monkeypatch):
+    # pas-afl at the defaults keeps every task local, so no DO is asked for quotes.
+    cfg = resolve_config({"n_dos": 20, "horizon_T": 6})
+    world = build_world(cfg, 1)
+    asked = _asked_per_step(monkeypatch)
+    for _ in range(cfg.horizon_T):
+        step(world)
+    assert asked == [0] * cfg.horizon_T
+    assert "_neighbour_ids" not in vars(world)
+
+
+@pytest.mark.parametrize("edge_prob, width", [(0.0, 0), (1.0, 11)])
+def test_whole_runs_that_ask_for_quotes_pass_every_audit_at_the_extreme_edge_probabilities(
+    monkeypatch, edge_prob, width
+):
+    """At edge probability 0 the neighbour table has no column and nothing
+    routes; at 1 every DO neighbours every other, and tasks move."""
+    cfg = resolve_config({
+        "n_dos": 12, "horizon_T": 25, "trust_edge_prob": edge_prob,
+        "do_params": {"q0": [4, 12]}, "policy": {"assignment": sorted(POLICIES)},
+    })
+    worlds, moved = [], []
+    build, route = simcli.build_world, market.route_subdelegations
+    monkeypatch.setattr(simcli, "build_world", lambda *args: worlds.append(build(*args)) or worlds[-1])
+    monkeypatch.setattr(market, "route_subdelegations", lambda *args: moved.append(route(*args)) or moved[-1])
+    asked = _asked_per_step(monkeypatch)
+    assert run_scenario(cfg, 1).audit_checks == cfg.horizon_T
+    assert sum(asked) > 0
+    assert vars(worlds[0])["_neighbour_ids"].shape == (12, width)
+    assert (sum(len(outcome.moved) for outcome in moved) > 0) == (edge_prob == 1.0)
+
+
 def test_views_equal_the_state_records_field_by_field_and_type_by_type():
     cfg = resolve_config({"n_dos": 7, "horizon_T": 3, "do_params": {"q0": [0, 4]}})
     world = build_world(cfg, 3)
@@ -594,7 +667,7 @@ def route(states, queue, decisions, network, prices, reps, capacity_left, depth_
     best = np.full(len(states), -math.inf)
     np.maximum.at(best, queue["owner"][routable], queue["payment"][routable])
     quotes = eligible_delegates(
-        network.adjacency[asked], prices, reps, best[asked], states["rep_threshold_r_min"][asked]
+        neighbour_rows(network, asked), prices, reps, best[asked], states["rep_threshold_r_min"][asked]
     )
     return route_subdelegations(len(states), queue, decisions, asked, quotes, prices, capacity_left, depth_max, step_index)
 
@@ -907,7 +980,7 @@ def step_decisions(world, snapshot=None) -> Decided:
             cap = subdelegation_cap(self.states, theta)
             goal = np.where(self._threshold_rule, decide_subdelegation(self.states, avg, cap), cap)
             asked = np.flatnonzero(eligible)
-            seen["snapshot"] = (avg, goal, eligible, asked, np.zeros((len(asked), len(prices)), dtype=bool))
+            seen["snapshot"] = (avg, goal, eligible, asked, np.full((len(asked), 1), -1))
         return seen["snapshot"]
 
     def recording_decide(spec, state, *args):
@@ -1325,7 +1398,7 @@ def test_delegation_ledger_audit_catches_a_tampered_entry(monkeypatch, tamper, m
 def test_routing_refuses_a_delegator_without_quotes(asked):
     states, queue, _, prices, _, capacity = _routing_setup([1.0, 2.0])
     asked = np.array(asked, dtype=np.intp)
-    quotes = np.ones((len(asked), 2), dtype=bool)  # DO 1's row must not be walked in DO 0's place
+    quotes = np.tile([0, 1], (len(asked), 1))  # DO 1's row must not be walked in DO 0's place
     decisions = {0: StepDecision(1.0, 2), 1: StepDecision(1.0, 0)}
     with pytest.raises(MarketInvariantError, match="DO 0 at step 7 delegates without being asked"):
         route_subdelegations(len(states), queue, decisions, asked, quotes, prices, capacity, 3, 7)

@@ -23,6 +23,8 @@ from helpers import (
     joint_decision,
     lyapunov_price,
     make_state,
+    neighbour_rows,
+    quoted_mask,
     state_columns,
     trust_network,
     validate_decision,
@@ -49,12 +51,13 @@ def _work(state, mode):
 
 
 def _quotes(net, prices, reps, reference_payment, r_min):
-    """`eligible_delegates` asked for DO 0 alone: its one row of quotes."""
+    """`eligible_delegates` asked for DO 0 alone: its one row of quotes, as a
+    boolean row over the DOs."""
     found = eligible_delegates(
-        net.adjacency[[0]], prices, reps, np.array([reference_payment]), np.array([r_min])
+        neighbour_rows(net, [0]), prices, reps, np.array([reference_payment]), np.array([r_min])
     )
-    assert found.shape == (1, len(prices))
-    return found[0].tolist()
+    assert found.shape == neighbour_rows(net, [0]).shape
+    return quoted_mask(found, len(prices))[0].tolist()
 
 
 def test_eligible_delegates_basic_constraint():
@@ -80,10 +83,10 @@ def test_eligible_delegates_answers_each_row_with_its_own_limits():
     net = trust_network(3, [(0, 1), (1, 2)])
     prices, reps = np.array([1.0, 2.0, 3.0]), np.array([0.9, 0.6, 0.9])
     found = eligible_delegates(
-        net.adjacency, prices, reps, np.array([2.0, 3.0, 2.0]), np.array([0.5, 0.95, 0.5])
+        neighbour_rows(net, [0, 1, 2]), prices, reps, np.array([2.0, 3.0, 2.0]), np.array([0.5, 0.95, 0.5])
     )
     # DO 1's neighbours 0 and 2 ask no more than 3.0 but neither reaches its 0.95.
-    assert found.tolist() == [[False, True, False], [False, False, False], [False, True, False]]
+    assert quoted_mask(found, 3).tolist() == [[False, True, False], [False, False, False], [False, True, False]]
 
 
 def _tiny_world(n_dos: int, edge_prob: float, policy="rand-greedy", work_mode="greedy"):
@@ -130,7 +133,7 @@ def test_delegation_context_averages_all_neighbors():
     assert avg.tolist() == [2.5, 2.0, 1.5]
     assert eligible.tolist() == [False, True, True]  # DO 0's neighbours both ask more than 1.5
     assert asked.tolist() == [0, 1, 2]
-    assert quotes.tolist() == [[False, False, False], [True, False, False], [True, False, False]]
+    assert quoted_mask(quotes, 3).tolist() == [[False, False, False], [True, False, False], [True, False, False]]
 
 
 def test_delegation_context_ignores_tasks_at_depth_cap():
@@ -153,9 +156,9 @@ def test_threshold_do_that_keeps_its_tasks_local_is_not_asked(monkeypatch):
     states["s_max"][3] = 0
     asked = []
 
-    def recording(adjacency, *args):
-        asked.append(adjacency.tolist())
-        return eligible_delegates(adjacency, *args)
+    def recording(neighbours, *args):
+        asked.append(quoted_mask(neighbours, 4).tolist())
+        return eligible_delegates(neighbours, *args)
 
     monkeypatch.setattr(market, "eligible_delegates", recording)
     prices = np.array([1.0, 1.0, 1.0, 1.0])
@@ -164,14 +167,16 @@ def test_threshold_do_that_keeps_its_tasks_local_is_not_asked(monkeypatch):
     assert (goal[0], goal[2], goal[3]) == (0, 0, 0)
     assert eligible.tolist() == [False, True, False, False]
     assert asked == [[[True, False, True, True]]]  # DO 1's row alone
-    assert (rows.tolist(), quotes.tolist()) == ([1], [[True, False, True, True]])
+    assert (rows.tolist(), quoted_mask(quotes, 4).tolist()) == ([1], [[True, False, True, True]])
     # Queue pressure past the neighbour price makes pas-afl read, and be asked.
     states["urgency_Q"][0] = 100.0
     _, goal, eligible, rows, quotes = _contexts(world, prices)
     assert goal[0] > 0
     assert eligible.tolist() == [True, True, False, False]
     assert asked[1] == [[False, True, True, True], [True, False, True, True]]
-    assert (rows.tolist(), quotes.tolist()) == ([0, 1], [[False, True, True, True], [True, False, True, True]])
+    assert (rows.tolist(), quoted_mask(quotes, 4).tolist()) == (
+        [0, 1], [[False, True, True, True], [True, False, True, True]]
+    )
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
