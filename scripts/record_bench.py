@@ -3,11 +3,16 @@
     python3 scripts/record_bench.py --out BENCH_26.json --parent 618be65
 
 The change is HEAD, or, when tracked files differ from HEAD, a snapshot
-commit of the work tree (`git stash create`), which no branch holds.  Each
+commit of the work tree (`git stash create`), which no branch holds.  That
+snapshot leaves untracked files out, so the script refuses to start while
+`git ls-files --others --exclude-standard` lists any, and names them.  Each
 side runs `bench/run.py` in a subprocess, from a `git archive` of its
 commit unpacked in a fresh temporary directory.  Each of the 10 pairs runs
 every workload of BENCHMARK.json untraced for its `run_seconds` on both
 sides, alternating which side goes first (odd pairs run the parent first).
+The two trees also trade directory names every other pair, as the run
+directory's name alone has moved `peak_rss_mb` and `setup_s`, so each side
+runs half its pairs under each name.
 Then each side runs each workload traced once, at `--seconds 0`, for its
 deterministic counters; a single traced run's times cannot compare two
 commits, so none are kept.  Without `--parent` the file records the change
@@ -15,9 +20,10 @@ alone, as a baseline that claims nothing.
 
 The file holds, per workload and end-to-end metric, each side's runs,
 median and IQR share ((q3 - q1) / median), the change/parent ratio of the
-medians and the pairs the change won; each side's traced counters; and
-each side's commit with the hash of its `src` tree, which `git rev-parse
-<commit>:src` of the merged commit can be checked against.  The script
+medians and the pairs the change won; the directory of each run; each
+side's traced counters; and each side's commit with the hash of its `src`
+tree, which `git rev-parse <commit>:src` of the merged commit can be
+checked against.  The script
 prints each ratio beside the metric's bound in BENCHMARK.json, and the
 change's medians against the newest earlier BENCH_*.json.
 """
@@ -35,6 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 PAIRS = 10
+# The directory names the sides' trees trade: side i of pair k runs in TREES[(i + k) % 2].
+TREES = ("tree-a", "tree-b")
 
 
 def _git(*args: str, **kwargs) -> subprocess.CompletedProcess:
@@ -48,6 +56,14 @@ def _unpack(commit: str, into: Path) -> Path:
     return into
 
 
+def _place(trees: dict[str, Path], k: int) -> None:
+    """Rename each side's tree to its directory for pair `k`."""
+    for side, tree in trees.items():
+        trees[side] = tree.rename(tree.with_name(f"{tree.name}-moving"))
+    for i, (side, tree) in enumerate(trees.items()):
+        trees[side] = tree.rename(tree.with_name(TREES[(i + k) % 2]))
+
+
 def _bench(tree: Path, workload: str, seconds: float, trace: int) -> dict:
     """One `bench/run.py` run in `tree`: the record it writes, with its notes."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
@@ -57,7 +73,7 @@ def _bench(tree: Path, workload: str, seconds: float, trace: int) -> dict:
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} in {tree} exited {done.returncode}:\n{done.stderr}")
     record = tree / ".bench_out" / f"{workload}-seed{SEED}-trace{trace}.json"
-    return json.loads(record.read_text())
+    return {**json.loads(record.read_text()), "directory": tree.name}
 
 
 def _spread(runs: list[float]) -> dict:
@@ -92,6 +108,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not re.fullmatch(r"BENCH_\d+\.json", args.out.name):
         parser.error("--out must be named BENCH_<number>.json")
+    untracked = _git("ls-files", "--others", "--exclude-standard", text=True).stdout.splitlines()
+    if untracked:
+        raise SystemExit("untracked files, which the snapshot commit would leave out; "
+                         f"add or remove them first: {', '.join(untracked)}")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = declared["run_seconds"]
@@ -107,11 +127,12 @@ def main(argv=None) -> int:
         trees = {side: _unpack(commit, Path(scratch) / side) for side, commit in commits.items()}
         untraced = {w: {side: [] for side in commits} for w in workloads}
         for k in range(PAIRS):
+            _place(trees, k)
             order = list(commits) if k % 2 == 0 else list(reversed(commits))
             for w in workloads:
                 for side in order:
                     untraced[w][side].append(_bench(trees[side], w, seconds, 0))
-                    print(f"pair {k + 1}/{PAIRS} {w} {side}: "
+                    print(f"pair {k + 1}/{PAIRS} {w} {side} in {trees[side].name}: "
                           f"{untraced[w][side][-1]['metrics']['do_steps_per_s']['value']}", file=sys.stderr)
         traced = {w: {side: _bench(trees[side], w, 0, 1) for side in commits} for w in workloads}
 
@@ -120,7 +141,8 @@ def main(argv=None) -> int:
         "what": (
             f"bench/run.py --seed {SEED} --seconds {seconds:g} --trace 0, {PAIRS} runs per side and "
             "workload in alternating pairs (odd pairs run the parent first), each side from a git archive "
-            "of its commit in a fresh directory with OPENBLAS_NUM_THREADS=1; medians with IQR share "
+            f"of its commit in a fresh directory, the sides trading the names {' and '.join(TREES)} every "
+            "other pair, with OPENBLAS_NUM_THREADS=1; medians with IQR share "
             "(statistics.quantiles n=4, (q3 - q1) / median), change/parent ratios and the pairs the change "
             "won; the deterministic per-layer counters of one --seconds 0 --trace 1 run per side"
         ),
@@ -144,9 +166,11 @@ def main(argv=None) -> int:
             "all_correct": all(r["correct"] for side in runs.values() for r in side),
             "failed_cells": sum(r["failed"] for side in runs.values() for r in side),
             "attempted_cells": {side: sum(r["attempted"] for r in found) for side, found in runs.items()},
+            "directories": {side: [r["directory"] for r in found] for side, found in runs.items()},
             "metrics": {},
             "traced": {
-                side: {"correct": r["correct"], "absent_hooks": r["notes"].get("absent_hooks"),
+                side: {"correct": r["correct"], "directory": r["directory"],
+                       "absent_hooks": r["notes"].get("absent_hooks"),
                        **{name: r["metrics"][name]["value"] for name in counters if name in r["metrics"]}}
                 for side, r in traced[w].items()
             },

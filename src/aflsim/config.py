@@ -363,4 +363,6 @@ def load_config(path) -> ScenarioConfig:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config", f"not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}") from None
     return resolve_config(raw)

@@ -34,10 +34,10 @@ ledgers against admitted and moved task counts, bids, budgets and carried
 payments) run every step and raise immediately on violation.
 
 The rules and the MU walk assume a resolved config and audited state, as
-`resolve_config` and the audits own those checks.  The step keeps four more: `update_reputation`'s on-time
-count against the count due (its clamp would hide the fault), a backstop on
-a price that is not finite, routing's refusal of a delegator not asked, and
-work planned beyond the tasks routing left a DO.
+`resolve_config` and the audits own those checks.  The step keeps four
+more: `settle`'s on-time count against the count due (its clamp would hide
+the fault), a backstop on a price that is not finite, routing's refusal of a
+delegator not asked, and work planned beyond the tasks routing left a DO.
 
 The six model-user bidding strategies are parameterized stand-ins: each gets
 a distinct target ordering and bid shape, and every data-owner policy in a
@@ -75,7 +75,6 @@ from .policy_pas import (
     price_is_degenerate,
     subdelegation_cap,
 )
-from .queues import update_pending_queue, update_urgency_queue, utility
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .config import MuParams, ScenarioConfig
@@ -142,48 +141,39 @@ def _group_starts(owner: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(counts) - counts, counts
 
 
-def update_reputation(
-    states: np.ndarray,
-    completed_on_time: np.ndarray,
-    due: np.ndarray,
-    ema_beta: float,
-    r_floor: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """EMA of the on-time completion ratio, weighting the old reputation by
-    `ema_beta`; rating count grows with on-time work.  Elementwise over the
-    DOs of `states`.
-
-    Returns the new (reputation, positive_ratings) columns; reputation is
-    clamped to [r_floor, 1] and left unchanged when nothing was due.
-    """
-    if np.any(completed_on_time > due):
-        raise ValueError("completed_on_time cannot exceed due")
-    reputation = states["reputation_r"]
-    worked = due > 0
-    ratio = np.divide(completed_on_time, due, out=np.zeros(np.shape(due)), where=worked)
-    ema = ema_beta * reputation + (1.0 - ema_beta) * ratio
-    new_r = np.minimum(1.0, np.maximum(r_floor, np.where(worked, ema, reputation)))
-    return new_r, states["positive_ratings_Mp"] + completed_on_time
-
-
 def settle(states, x, price, theta, s, kappa, delegated_in, on_time, avg_neighbor_price, ema_beta, r_floor):
     """One step's queues, utility and reputation for every DO of `states`.
 
     `theta` tasks were worked, `on_time` of them within the window, `s`
     delegated out and `delegated_in` received; `kappa` arrived from the
-    market.  Returns the new columns (utility, pending_q, urgency_Q,
-    reputation_r, positive_ratings_Mp).  Utility uses the decision-time
-    reputation and the realized auction demand, and prices delegation at the
-    snapshot neighbour mean.
+    market.  Elementwise, with left = q - theta - s:
+
+        q'  = max(left, 0) + x * kappa + delegated_in
+        Q'  = max(Q - theta - s + kappa_bar * [left > 0], 0)
+        u   = x * p * r * kappa - pbar * s - c * theta
+        r'  = min(1, max(r_floor, beta * r + (1 - beta) * on_time / theta)),
+              or r unchanged where theta = 0; and Mp' = Mp + on_time.
+
+    Urgency grows only when the step left backlog unserved.  Utility uses the
+    decision-time reputation and the realized auction demand, and prices
+    delegation at the snapshot neighbour mean, zero where s = 0 (the
+    no-neighbour price is +inf).  Returns the new columns (utility, pending_q,
+    urgency_Q, reputation_r, positive_ratings_Mp).
     """
-    q = states["pending_q"]
-    # Urgency grows only when the step left backlog unserved; work that
-    # clears the whole queue means nothing "remained incomplete".
-    carried_over = q - theta - s > 0
-    new_q = update_pending_queue(q, theta, s, x, kappa) + delegated_in
-    new_Q = update_urgency_queue(states["urgency_Q"], theta, s, states["avg_demand_kappa_bar"], carried_over)
-    u = utility(x, price, states["reputation_r"], kappa, avg_neighbor_price, s, states["unit_cost_c"], theta)
-    return (u, new_q, new_Q, *update_reputation(states, on_time, theta, ema_beta, r_floor))
+    if np.any(on_time > theta):
+        raise ValueError("completed_on_time cannot exceed due")
+    left = states["pending_q"] - theta - s
+    new_q = np.maximum(left, 0.0) + x * kappa + delegated_in
+    growth = np.where(left > 0, states["avg_demand_kappa_bar"], 0.0)
+    new_Q = np.maximum(states["urgency_Q"] - theta - s + growth, 0.0)
+    delegation = np.multiply(avg_neighbor_price, s, out=np.zeros(np.shape(s)), where=np.not_equal(s, 0))
+    reputation = states["reputation_r"]
+    u = x * price * reputation * kappa - delegation - states["unit_cost_c"] * theta
+    worked = theta > 0
+    ratio = np.divide(on_time, theta, out=np.zeros(np.shape(theta)), where=worked)
+    ema = ema_beta * reputation + (1.0 - ema_beta) * ratio
+    new_r = np.minimum(1.0, np.maximum(r_floor, np.where(worked, ema, reputation)))
+    return u, new_q, new_Q, new_r, states["positive_ratings_Mp"] + on_time
 
 
 @dataclass

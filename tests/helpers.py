@@ -7,7 +7,7 @@ import numpy as np
 
 from aflsim.config import resolve_config
 from aflsim.core import CSV_COLUMNS, STATE, TrustNetwork
-from aflsim.market import World, step
+from aflsim.market import World, settle, step
 from aflsim.policy_baselines import decide_for_policy, price_lin
 from aflsim.policy_pas import (
     decide_acceptance,
@@ -94,6 +94,16 @@ def make_state(**overrides) -> DataOwnerState:
 def state_columns(*states: DataOwnerState) -> np.ndarray:
     """The `STATE` columns of the given DO states, one record each."""
     return np.array([tuple(state) for state in states], dtype=STATE)
+
+
+def settle_one(
+    state: DataOwnerState, *, x=0, price=1.0, theta=0, s=0, kappa=0, delegated_in=0, on_time=0, pbar=1.0,
+    ema_beta=0.9, r_floor=R_FLOOR,
+) -> tuple:
+    """`market.settle` of one DO on one-row columns: its new (utility,
+    pending_q, urgency_Q, reputation_r, positive_ratings_Mp) as Python numbers."""
+    columns = (np.array([value]) for value in (x, price, theta, s, kappa, delegated_in, on_time, pbar))
+    return tuple(column.item() for column in settle(state_columns(state), *columns, ema_beta, r_floor))
 
 
 def trust_network(n_dos: int, edges=()) -> TrustNetwork:

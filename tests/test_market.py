@@ -22,13 +22,13 @@ from aflsim.market import (
     run_auction,
     settle,
     step,
-    update_reputation,
 )
 from aflsim.policy_baselines import POLICIES
 from aflsim.policy_pas import decide_subdelegation, decide_work, eligible_delegates, subdelegation_cap
 from aflsim.simcli import run_scenario
 from helpers import (
-    DataOwnerState, R_FLOOR, make_state, neighbour_rows, run_world, state_columns, trust_network, views,
+    DataOwnerState, R_FLOOR, make_state, neighbour_rows, run_world, settle_one, state_columns, trust_network,
+    views,
 )
 from reference_policy import reference_decide
 from reference_world import reference_data_owners
@@ -161,32 +161,30 @@ def test_columnar_settle_matches_scalar_reference_bit_for_bit(rows, ema_beta, r_
 
 def test_reputation_unchanged_when_nothing_due():
     state = make_state(reputation_r=0.5)
-    r, mp = update_reputation(state_columns(state), np.array([0]), np.array([0]), ema_beta=0.9, r_floor=R_FLOOR)
+    r, mp = settle_one(state, theta=0, on_time=0)[3:]
     assert r == 0.5
     assert mp == state.positive_ratings_Mp
 
 
 def test_reputation_ema_hand_value():
     state = make_state(reputation_r=0.5, positive_ratings_Mp=3)
-    r, mp = update_reputation(state_columns(state), np.array([2]), np.array([2]), ema_beta=0.9, r_floor=R_FLOOR)
+    r, mp = settle_one(state, theta=2, on_time=2)[3:]
     assert r == pytest.approx(0.55)
     assert mp == 5
 
 
 def test_reputation_contracts_to_floor_under_failures():
-    states = state_columns(make_state(reputation_r=0.5))
-    prev = states["reputation_r"][0]
+    state = make_state(reputation_r=0.5)
     for _ in range(200):
-        r, _ = update_reputation(states, np.array([0]), np.array([1]), ema_beta=0.9, r_floor=1e-3)
-        assert r <= prev
-        states["reputation_r"] = r
-        prev = r[0]
-    assert states["reputation_r"][0] == pytest.approx(1e-3)
+        r = settle_one(state, theta=1, on_time=0, r_floor=1e-3)[3]
+        assert r <= state.reputation_r
+        state = state._replace(reputation_r=r)
+    assert state.reputation_r == pytest.approx(1e-3)
 
 
 def test_reputation_rejects_impossible_counts():
-    with pytest.raises(ValueError):
-        update_reputation(state_columns(make_state()), np.array([2]), np.array([1]), ema_beta=0.9, r_floor=R_FLOOR)
+    with pytest.raises(ValueError, match="completed_on_time cannot exceed due"):
+        settle_one(make_state(), theta=1, on_time=2)
 
 
 def _single_market(price, valuation, x=1):

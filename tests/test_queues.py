@@ -4,23 +4,16 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from aflsim.queues import (
-    subdelegation_cost,
-    training_cost,
-    update_pending_queue,
-    update_urgency_queue,
-    utility as columnar_utility,
-)
-from helpers import DataOwnerState, make_state
+from helpers import DataOwnerState, make_state, settle_one
 from reference_policy import JointDecision
 
 
-def utility(state: DataOwnerState, decision: JointDecision, demand_f: float, pbar: float) -> float:
-    """`queues.utility` read from one DO's state and decision."""
-    return columnar_utility(
-        decision.accept_x, decision.price_p, state.reputation_r, demand_f, pbar,
-        decision.subdelegate_s, state.unit_cost_c, decision.work_theta,
-    )
+def settled_utility(state: DataOwnerState, decision: JointDecision, demand_f: float, pbar: float) -> float:
+    """The utility `market.settle` books for one DO's state and decision."""
+    return settle_one(
+        state, x=decision.accept_x, price=decision.price_p, theta=decision.work_theta,
+        s=decision.subdelegate_s, kappa=demand_f, pbar=pbar,
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -92,27 +85,31 @@ def objective_value(
 
 
 def test_pending_queue_hand_values():
-    assert update_pending_queue(5.0, 2, 1, 1, 3) == 5.0
-    assert update_pending_queue(0.0, 0, 0, 0, 9) == 0.0
-    assert update_pending_queue(2.0, 5, 0, 1, 1) == 1.0
+    assert settle_one(make_state(pending_q=5.0), theta=2, s=1, x=1, kappa=3)[1] == 5.0
+    assert settle_one(make_state(pending_q=0.0), x=0, kappa=9)[1] == 0.0
+    assert settle_one(make_state(pending_q=2.0), theta=5, x=1, kappa=1)[1] == 1.0
 
 
 def test_urgency_queue_hand_values():
-    assert update_urgency_queue(4.0, 1, 1, 2.0, True) == 4.0
-    assert update_urgency_queue(0.0, 0, 0, 5.0, False) == 0.0
-    assert update_urgency_queue(1.0, 3, 0, 0.5, True) == 0.0
+    # Q grows by kappa_bar only where q - theta - s > 0: backlog left unserved.
+    assert settle_one(make_state(pending_q=3.0, urgency_Q=4.0, avg_demand_kappa_bar=2.0), theta=1, s=1)[2] == 4.0
+    assert settle_one(make_state(pending_q=0.0, urgency_Q=0.0, avg_demand_kappa_bar=5.0))[2] == 0.0
+    assert settle_one(make_state(pending_q=4.0, urgency_Q=1.0, avg_demand_kappa_bar=0.5), theta=3)[2] == 0.0
+    assert settle_one(make_state(pending_q=2.0, urgency_Q=1.0, avg_demand_kappa_bar=5.0), theta=2)[2] == 0.0
 
 
 def test_queues_never_go_negative():
     rng = np.random.default_rng(11)
     for _ in range(2000):
-        q = float(rng.uniform(0, 10))
-        Q = float(rng.uniform(0, 10))
-        theta = int(rng.integers(0, 6))
-        s = int(rng.integers(0, 6))
-        kappa = int(rng.integers(0, 6))
-        assert update_pending_queue(q, theta, s, 1, kappa) >= 0.0
-        assert update_urgency_queue(Q, theta, s, float(rng.uniform(0, 4)), bool(rng.integers(2))) >= 0.0
+        state = make_state(
+            pending_q=float(rng.uniform(0, 10)),
+            urgency_Q=float(rng.uniform(0, 10)),
+            avg_demand_kappa_bar=float(rng.uniform(0, 4)),
+        )
+        theta, s, kappa = (int(v) for v in rng.integers(0, 6, 3))
+        _, new_q, new_Q, _, _ = settle_one(state, x=1, theta=theta, s=s, kappa=kappa)
+        assert new_q >= 0.0
+        assert new_Q >= 0.0
 
 
 def test_average_demand():
@@ -174,33 +171,33 @@ def test_realized_drift_never_exceeds_bound():
                            pending_q=q, urgency_Q=Q, avg_demand_kappa_bar=kappa_bar)
         decision = JointDecision(accept_x=x, price_p=1.0, subdelegate_s=s, work_theta=theta)
         arrivals = x * kappa
-        new_q = update_pending_queue(q, theta, s, x, kappa)
-        new_Q = update_urgency_queue(Q, theta, s, kappa_bar, q > 0)
+        _, new_q, new_Q, _, _ = settle_one(state, x=x, theta=theta, s=s, kappa=kappa)
         drift = lyapunov_value(new_q, new_Q) - lyapunov_value(q, Q)
         assert drift <= drift_bound(state, decision, arrivals).bound + 1e-9
 
 
 def test_cost_hand_values():
-    assert subdelegation_cost(2.0, 3) == 6.0
-    assert subdelegation_cost(5.0, 0) == 0.0
-    assert subdelegation_cost(0.0, 4) == 0.0
-    assert subdelegation_cost(math.inf, 0) == 0.0
-    assert training_cost(0.5, 2) == 1.0
-    assert training_cost(3.0, 0) == 0.0
-    assert training_cost(0.0, 9) == 0.0
+    # With nothing accepted, the utility is minus the step's costs.
+    assert settle_one(make_state(), s=3, pbar=2.0)[0] == -6.0
+    assert settle_one(make_state(), s=0, pbar=5.0)[0] == 0.0
+    assert settle_one(make_state(), s=4, pbar=0.0)[0] == 0.0
+    assert settle_one(make_state(), s=0, pbar=math.inf)[0] == 0.0
+    assert settle_one(make_state(unit_cost_c=0.5), theta=2)[0] == -1.0
+    assert settle_one(make_state(unit_cost_c=3.0), theta=0)[0] == 0.0
+    assert settle_one(make_state(unit_cost_c=0.0), theta=9)[0] == 0.0
 
 
 def test_utility_hand_values():
     state = make_state(reputation_r=1.0, unit_cost_c=0.5)
     decision = JointDecision(accept_x=1, price_p=2.0, subdelegate_s=1, work_theta=2)
-    assert utility(state, decision, 3.0, 1.0) == 4.0
+    assert settled_utility(state, decision, 3.0, 1.0) == 4.0
 
     idle = JointDecision(accept_x=0, price_p=2.0, subdelegate_s=0, work_theta=0)
-    assert utility(state, idle, 3.0, 1.0) == 0.0
+    assert settled_utility(state, idle, 3.0, 1.0) == 0.0
 
     costly = JointDecision(accept_x=0, price_p=2.0, subdelegate_s=1, work_theta=1)
     state2 = make_state(reputation_r=1.0, unit_cost_c=1.0)
-    assert utility(state2, costly, 3.0, 2.0) == -3.0
+    assert settled_utility(state2, costly, 3.0, 2.0) == -3.0
 
 
 def test_utility_decomposes_into_components():
@@ -219,9 +216,9 @@ def test_utility_decomposes_into_components():
         f = float(rng.uniform(0, 6))
         pbar = float(rng.uniform(0, 4))
         revenue = decision.accept_x * decision.price_p * state.reputation_r * f
-        assert utility(state, decision, f, pbar) == revenue - subdelegation_cost(
-            pbar, decision.subdelegate_s
-        ) - training_cost(state.unit_cost_c, decision.work_theta)
+        delegation = 0.0 if decision.subdelegate_s == 0 else pbar * decision.subdelegate_s
+        training = state.unit_cost_c * decision.work_theta
+        assert settled_utility(state, decision, f, pbar) == revenue - delegation - training
 
 
 def test_objective_all_zero_leaves_constant():

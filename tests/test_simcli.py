@@ -353,6 +353,15 @@ def test_cli_reports_wrong_typed_config_with_code_2(tmp_path, capsys):
     assert "config error: n_dos:" in capsys.readouterr().err
 
 
+def test_cli_reports_a_config_that_is_not_utf8_with_code_2(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_bytes(b"\xff\xfe{}")
+    code = main(["--quiet", "run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "aflsim: config error: config: not UTF-8: byte 0xff at offset 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_reports_a_broken_invariant_with_code_5(tmp_path, monkeypatch, capsys):
     def step(world):
         raise MarketInvariantError("task ledger off by one")
