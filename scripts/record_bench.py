@@ -15,13 +15,17 @@ directory's name alone has moved `peak_rss_mb` and `setup_s`, so each side
 runs half its pairs under each name.
 Then each side runs each workload traced once, at `--seconds 0`, for its
 deterministic counters; a single traced run's times cannot compare two
-commits, so none are kept.  Without `--parent` the file records the change
-alone, as a baseline that claims nothing.
+commits, so none are kept.  Last, each side runs one pass of each workload
+under tracemalloc, in a process of its own in its tree, for the peak of
+what Python allocated: `peak_rss_mb` also follows the heap's layout, and
+has moved by 7% between two trees that allocate the same.  Without
+`--parent` the file records the change alone, as a baseline that claims
+nothing.
 
 The file holds, per workload and end-to-end metric, each side's runs,
 median and IQR share ((q3 - q1) / median), the change/parent ratio of the
 medians and the pairs the change won; the directory of each run; each
-side's traced counters; and each side's commit with the hash of its `src`
+side's traced counters and tracemalloc peak; and each side's commit with the hash of its `src`
 tree, which `git rev-parse <commit>:src` of the merged commit can be
 checked against.  The script
 prints each ratio beside the metric's bound in BENCHMARK.json, and the
@@ -43,6 +47,23 @@ SEED = 1
 PAIRS = 10
 # The directory names the sides' trees trade: side i of pair k runs in TREES[(i + k) % 2].
 TREES = ("tree-a", "tree-b")
+# One pass of workload argv[1] at seed argv[2] under tracemalloc, run in a
+# side's tree; prints its peak in MiB and the cells whose output digest
+# differs from bench/digests.json, or failed.
+TRACEMALLOC_PASS = """
+import json, sys, tempfile, tracemalloc
+from pathlib import Path
+sys.path.insert(0, "bench")
+import harness
+wl, seed = harness.WORKLOADS[sys.argv[1]], int(sys.argv[2])
+with tempfile.TemporaryDirectory() as work, harness.StepProbe() as probe:
+    tracemalloc.start()
+    result = harness.run_pass(wl, seed, Path(work), probe)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+failed = harness.count_failures(result, harness.load_stored_digests().get(wl.name, {}), True)
+print(json.dumps({"peak_mib": peak / 2**20, "failed": failed}))
+"""
 
 
 def _git(*args: str, **kwargs) -> subprocess.CompletedProcess:
@@ -64,16 +85,28 @@ def _place(trees: dict[str, Path], k: int) -> None:
         trees[side] = tree.rename(tree.with_name(TREES[(i + k) % 2]))
 
 
-def _bench(tree: Path, workload: str, seconds: float, trace: int) -> dict:
-    """One `bench/run.py` run in `tree`: the record it writes, with its notes."""
-    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
-            "--seconds", str(seconds), "--trace", str(trace)]
+def _python(tree: Path, *args: str) -> str:
+    """The stdout of Python run with `args` in `tree`, with one BLAS thread."""
+    argv = [sys.executable, *args]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} in {tree} exited {done.returncode}:\n{done.stderr}")
+    return done.stdout
+
+
+def _bench(tree: Path, workload: str, seconds: float, trace: int) -> dict:
+    """One `bench/run.py` run in `tree`: the record it writes, with its notes."""
+    _python(tree, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+            "--seconds", str(seconds), "--trace", str(trace))
     record = tree / ".bench_out" / f"{workload}-seed{SEED}-trace{trace}.json"
     return {**json.loads(record.read_text()), "directory": tree.name}
+
+
+def _tracemalloc_pass(tree: Path, workload: str) -> dict:
+    """One pass of `workload` under tracemalloc in `tree`: its peak (MiB) and failed cells."""
+    found = json.loads(_python(tree, "-c", TRACEMALLOC_PASS, workload, str(SEED)).splitlines()[-1])
+    return {**found, "directory": tree.name}
 
 
 def _spread(runs: list[float]) -> dict:
@@ -135,6 +168,7 @@ def main(argv=None) -> int:
                     print(f"pair {k + 1}/{PAIRS} {w} {side} in {trees[side].name}: "
                           f"{untraced[w][side][-1]['metrics']['do_steps_per_s']['value']}", file=sys.stderr)
         traced = {w: {side: _bench(trees[side], w, 0, 1) for side in commits} for w in workloads}
+        tracemalloc = {w: {side: _tracemalloc_pass(trees[side], w) for side in commits} for w in workloads}
 
     env = untraced[workloads[0]]["change"][0]["env"]
     payload = {
@@ -144,7 +178,8 @@ def main(argv=None) -> int:
             f"of its commit in a fresh directory, the sides trading the names {' and '.join(TREES)} every "
             "other pair, with OPENBLAS_NUM_THREADS=1; medians with IQR share "
             "(statistics.quantiles n=4, (q3 - q1) / median), change/parent ratios and the pairs the change "
-            "won; the deterministic per-layer counters of one --seconds 0 --trace 1 run per side"
+            "won; the deterministic per-layer counters of one --seconds 0 --trace 1 run per side; "
+            "the tracemalloc peak (MiB) of one pass per side, each in a process of its own"
         ),
         "environment": {
             "nproc": os.cpu_count(),
@@ -174,6 +209,7 @@ def main(argv=None) -> int:
                        **{name: r["metrics"][name]["value"] for name in counters if name in r["metrics"]}}
                 for side, r in traced[w].items()
             },
+            "tracemalloc": tracemalloc[w],
         }
         for metric in metrics:
             name = metric["name"]
@@ -193,6 +229,11 @@ def main(argv=None) -> int:
                 line += f"  x{row['change']['median'] / earlier[w, name]:.4f} of {earlier_name}"
             print(line)
             entry["metrics"][name] = row
+        peaks = {side: found["peak_mib"] for side, found in tracemalloc[w].items()}
+        line = f"{w:18} {'tracemalloc_mib':15} change {peaks['change']:.6g}"
+        if "parent" in peaks:
+            line += f"  x{peaks['change'] / peaks['parent']:.4f} of parent ({peaks['parent']:.6g})"
+        print(line)
         payload["workloads"][w] = entry
 
     args.out.write_text(json.dumps(payload, indent=1) + "\n")

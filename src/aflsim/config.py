@@ -365,4 +365,6 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError("config", f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError("config", f"not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}") from None
+    except RecursionError:
+        raise ConfigError("config", "nested deeper than the JSON parser can read") from None
     return resolve_config(raw)

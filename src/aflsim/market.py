@@ -141,6 +141,19 @@ def _group_starts(owner: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(counts) - counts, counts
 
 
+def _nonzero_counts(counts: np.ndarray) -> dict[int, int]:
+    """The nonzero entries of a per-DO count array, keyed by DO id."""
+    ids = np.flatnonzero(counts)
+    return dict(zip(ids.tolist(), counts[ids].tolist()))
+
+
+def _scatter(counts: dict[int, int], n: int) -> np.ndarray:
+    """The per-DO intp array of `counts`, 0 for every DO it does not hold."""
+    dense = np.zeros(n, np.intp)
+    dense[np.fromiter(counts, np.intp, len(counts))] = np.fromiter(counts.values(), np.intp, len(counts))
+    return dense
+
+
 def settle(states, x, price, theta, s, kappa, delegated_in, on_time, avg_neighbor_price, ema_beta, r_floor):
     """One step's queues, utility and reputation for every DO of `states`.
 
@@ -160,7 +173,7 @@ def settle(states, x, price, theta, s, kappa, delegated_in, on_time, avg_neighbo
     no-neighbour price is +inf).  Returns the new columns (utility, pending_q,
     urgency_Q, reputation_r, positive_ratings_Mp).
     """
-    if np.any(on_time > theta):
+    if (on_time > theta).any():
         raise ValueError("completed_on_time cannot exceed due")
     left = states["pending_q"] - theta - s
     new_q = np.maximum(left, 0.0) + x * kappa + delegated_in
@@ -178,7 +191,10 @@ def settle(states, x, price, theta, s, kappa, delegated_in, on_time, avg_neighbo
 
 @dataclass
 class AuctionOutcome:
-    kappa: dict[int, int]     # admitted tasks per DO
+    """One step's arrivals.  `kappa` holds only the DOs admitted at least one
+    task, so its values sum to len(tasks); bench counters sum its values."""
+
+    kappa: dict[int, int]     # admitted tasks per DO that was admitted any
     tasks: np.ndarray         # the admitted tasks (TASK), in clearing order
     payments: np.ndarray      # one LEDGER row per admitted task
 
@@ -277,12 +293,16 @@ def run_auction(
     cleared["amount"] = price[cleared["payee"]]
 
     tasks, next_task_id = _new_tasks(cleared["payee"], cleared["amount"], step_index, next_task_id)
-    kappa = np.bincount(cleared["payee"], minlength=len(states))
-    return AuctionOutcome(kappa=dict(enumerate(kappa.tolist())), tasks=tasks, payments=cleared), next_task_id
+    kappa = _nonzero_counts(np.bincount(cleared["payee"], minlength=len(states)))
+    return AuctionOutcome(kappa=kappa, tasks=tasks, payments=cleared), next_task_id
 
 
 @dataclass
 class RoutingOutcome:
+    """One step's sub-delegations.  `s_realized` holds only the delegators,
+    every DO whose goal was positive, 0 for one that moved nothing; its
+    values sum to len(moved), and bench counters sum them."""
+
     moved: np.ndarray                 # queue rows of the tasks moved out
     incoming: np.ndarray              # the moved tasks (TASK) as their delegates hold them
     s_realized: dict[int, int]        # tasks actually moved out per delegator
@@ -316,66 +336,68 @@ def route_subdelegations(
     Each walk is set up from its delegator's own rows: its tasks, cut to its
     goal, and its quoted neighbours with room.  Only the walk stays in
     Python, as each transfer uses up capacity the next one sees; capacity
-    only falls, so a pointer skips the full neighbours.
+    only falls, so a pointer skips the full neighbours.  `s_realized` holds
+    the delegators only; with none, the step routes nothing and returns at
+    once with empty ledgers.
     """
-    s_realized = dict.fromkeys(range(n), 0)
-    moved, delegates = [], []
     goals = {do_id: d.subdelegate_s for do_id, d in decisions.items() if d.subdelegate_s > 0}
-    if goals:
-        delegators = np.fromiter(goals, dtype=np.intp, count=len(goals))
-        quote_row = np.searchsorted(asked, delegators)
-        _check(
-            np.append(asked, -1)[quote_row] != delegators,
-            lambda k: f"DO {delegators[k]} at step {step_index} delegates without being asked for quotes",
-        )
-        goal = np.zeros(n, dtype=np.intp)
-        goal[delegators] = list(goals.values())
-        # Every delegator's tasks below the depth cap, best-paying first, ties
-        # by id, cut to the goal it walks: three sorts, each stable after the
-        # first, as ids are unique; the last by radix on 16-bit or narrower ids.
-        owner = queue["owner"]
-        rows = np.flatnonzero((goal[owner] > 0) & (queue["depth"] < depth_max))
-        rows = rows[np.argsort(queue["id"][rows])]
-        rows = rows[np.argsort(-queue["payment"][rows], kind="stable")]
-        rows = rows[np.argsort(owner[rows].astype(np.min_scalar_type(n)), kind="stable")]
-        first = _group_starts(owner[rows], n)[0]
-        rows = rows[np.arange(len(rows)) - first[owner[rows]] < goal[owner[rows]]]
-        task_first, task_count = (column[delegators] for column in _group_starts(owner[rows], n))
-        # Their quoted neighbours with room, cheapest first, ties by id, as
-        # slices of one flat list: each quote row sorted by price rank, where
-        # rank n (a DO without room, or the -1 padding) is left out.
-        by_price = np.argsort(prices, kind="stable")
-        price_rank = np.full(n + 1, n)
-        price_rank[by_price] = np.where(capacity_left[by_price] > 0, np.arange(n), n)
-        rank = np.sort(price_rank[quotes[quote_row]], axis=1)
-        listed = rank < n
-        neighbours = by_price[rank[listed]].tolist()
-        neighbour_count = listed.sum(axis=1)
-        neighbour_first = np.cumsum(neighbour_count) - neighbour_count
+    if not goals:
+        return RoutingOutcome(np.empty(0, np.intp), np.empty(0, TASK), {}, np.empty(0, LEDGER))
+    s_realized, moved, delegates = {}, [], []
+    delegators = np.fromiter(goals, dtype=np.intp, count=len(goals))
+    quote_row = np.searchsorted(asked, delegators)
+    _check(
+        np.append(asked, -1)[quote_row] != delegators,
+        lambda k: f"DO {delegators[k]} at step {step_index} delegates without being asked for quotes",
+    )
+    goal = np.zeros(n, dtype=np.intp)
+    goal[delegators] = list(goals.values())
+    # Every delegator's tasks below the depth cap, best-paying first, ties
+    # by id, cut to the goal it walks: three sorts, each stable after the
+    # first, as ids are unique; the last by radix on 16-bit or narrower ids.
+    owner = queue["owner"]
+    rows = np.flatnonzero((goal[owner] > 0) & (queue["depth"] < depth_max))
+    rows = rows[np.argsort(queue["id"][rows])]
+    rows = rows[np.argsort(-queue["payment"][rows], kind="stable")]
+    rows = rows[np.argsort(owner[rows].astype(np.min_scalar_type(n)), kind="stable")]
+    first = _group_starts(owner[rows], n)[0]
+    rows = rows[np.arange(len(rows)) - first[owner[rows]] < goal[owner[rows]]]
+    task_first, task_count = (column[delegators] for column in _group_starts(owner[rows], n))
+    # Their quoted neighbours with room, cheapest first, ties by id, as
+    # slices of one flat list: each quote row sorted by price rank, where
+    # rank n (a DO without room, or the -1 padding) is left out.
+    by_price = np.argsort(prices, kind="stable")
+    price_rank = np.full(n + 1, n)
+    price_rank[by_price] = np.where(capacity_left[by_price] > 0, np.arange(n), n)
+    rank = np.sort(price_rank[quotes[quote_row]], axis=1)
+    listed = rank < n
+    neighbours = by_price[rank[listed]].tolist()
+    neighbour_count = listed.sum(axis=1)
+    neighbour_first = np.cumsum(neighbour_count) - neighbour_count
 
-        capacity = capacity_left.tolist()
-        price_of = prices.tolist()
-        candidates = rows.tolist()
-        candidate_pay = queue["payment"][rows].tolist()
-        walks = zip(
-            delegators.tolist(),
-            task_first.tolist(),
-            (task_first + task_count).tolist(),
-            neighbour_first.tolist(),
-            (neighbour_first + neighbour_count).tolist(),
-        )
-        for do_id, first, end, at, last in walks:
-            k = first
-            while k < end:
-                while at < last and capacity[neighbours[at]] <= 0:
-                    at += 1
-                if at == last or price_of[neighbours[at]] > candidate_pay[k]:
-                    break
-                delegates.append(neighbours[at])
-                capacity[neighbours[at]] -= 1
-                k += 1
-            moved += candidates[first:k]
-            s_realized[do_id] = k - first
+    capacity = capacity_left.tolist()
+    price_of = prices.tolist()
+    candidates = rows.tolist()
+    candidate_pay = queue["payment"][rows].tolist()
+    walks = zip(
+        delegators.tolist(),
+        task_first.tolist(),
+        (task_first + task_count).tolist(),
+        neighbour_first.tolist(),
+        (neighbour_first + neighbour_count).tolist(),
+    )
+    for do_id, first, end, at, last in walks:
+        k = first
+        while k < end:
+            while at < last and capacity[neighbours[at]] <= 0:
+                at += 1
+            if at == last or price_of[neighbours[at]] > candidate_pay[k]:
+                break
+            delegates.append(neighbours[at])
+            capacity[neighbours[at]] -= 1
+            k += 1
+        moved += candidates[first:k]
+        s_realized[do_id] = k - first
 
     moved = np.array(moved, dtype=np.intp)
     delegates = np.array(delegates, dtype=np.intp)
@@ -665,11 +687,13 @@ class World:
 
         cap = subdelegation_cap(states, theta)
         goal = np.where(self._threshold_rule, decide_subdelegation(states, avg, cap), cap)
-        queue = self.queue
-        routable = queue["depth"] < self.config.market.delegation_depth_max
+        positive = goal > 0
         best = np.full(n, -math.inf)
-        np.maximum.at(best, queue["owner"][routable], queue["payment"][routable])
-        asked = np.flatnonzero((goal > 0) & (best > -math.inf))
+        if positive.any():  # else no DO is asked, and eligible_delegates gets zero rows
+            queue = self.queue
+            routable = queue["depth"] < self.config.market.delegation_depth_max
+            np.maximum.at(best, queue["owner"][routable], queue["payment"][routable])
+        asked = np.flatnonzero(positive & (best > -math.inf))
 
         rows = self._neighbour_ids[asked] if asked.size else np.empty((0, 0), np.intp)
         quotes = eligible_delegates(rows, prices, states["reputation_r"], best[asked], states["rep_threshold_r_min"][asked])
@@ -728,7 +752,7 @@ def _demand_model_arrivals(world: World, price: np.ndarray, accept: np.ndarray) 
     owner = np.repeat(world.ids, admitted)
     tasks, next_task_id = _new_tasks(owner, price[owner], world.t, world.next_task_id)
     payments = _records(LEDGER, len(owner), payer=-1, payee=owner, amount=price[owner], offer=price[owner])
-    return AuctionOutcome(kappa=dict(enumerate(admitted.tolist())), tasks=tasks, payments=payments), next_task_id
+    return AuctionOutcome(kappa=_nonzero_counts(admitted), tasks=tasks, payments=payments), next_task_id
 
 
 def step(world: World) -> dict[str, np.ndarray]:
@@ -764,14 +788,15 @@ def step(world: World) -> dict[str, np.ndarray]:
     # 3. Post the fresh prices; these are the asks the auction clears against.
     states["current_price_p"] = price
 
-    # 4. Arrivals.
+    # 4. Arrivals.  The outcome's kappa holds only the DOs admitted a task
+    # (the bench counters sum it); scattered back to every DO here.
     if cfg.market.arrival_mode == "auction":
         auction, world.next_task_id = run_auction(
             world.valuations, states, price, x, world.mu_rngs, t, world.next_task_id, cfg.mu
         )
     else:
         auction, world.next_task_id = _demand_model_arrivals(world, price, x)
-    kappa = np.fromiter(auction.kappa.values(), dtype=np.intp, count=n)
+    kappa = _scatter(auction.kappa, n)
     world.created_tasks += int(kappa.sum())
 
     # 5. Sub-delegation routing over the snapshot's quotes, capped by each
@@ -804,8 +829,9 @@ def step(world: World) -> dict[str, np.ndarray]:
     on_time = np.bincount(owner[worked & in_window], minlength=n)
     world.completed_tasks += int(theta.sum())
 
-    # 7. Queues, utility and reputation.
-    s_done = np.fromiter(routing.s_realized.values(), dtype=np.intp, count=n)
+    # 7. Queues, utility and reputation.  Routing's s_realized holds only the
+    # delegators (the bench counters sum it); scattered back to every DO here.
+    s_done = _scatter(routing.s_realized, n)
     delegated_in = np.bincount(routing.incoming["owner"], minlength=n)
     u, new_q, new_Q, new_r, new_mp = settle(
         states, x, price, theta, s_done, kappa, delegated_in, on_time,
@@ -850,9 +876,8 @@ def step(world: World) -> dict[str, np.ndarray]:
 
 def _check(bad: np.ndarray, message) -> None:
     """Raise MarketInvariantError with `message(i)` for the first index i where `bad` holds."""
-    hits = np.flatnonzero(bad)
-    if hits.size:
-        raise MarketInvariantError(message(int(hits[0])))
+    if bad.any():
+        raise MarketInvariantError(message(int(bad.argmax())))
 
 
 def _run_step_audits(
@@ -867,7 +892,7 @@ def _run_step_audits(
 ) -> None:
     """Check the step's ledgers, caps and queues against `kappa`, `s_done` and
     `received`, the per-DO admitted, delegated and received task counts that
-    `step` read from the outcomes."""
+    `step` scattered from the outcomes."""
     states = world.states
     queue = world.queue
     n = len(states)

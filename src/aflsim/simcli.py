@@ -194,10 +194,11 @@ def run_preset(config: ScenarioConfig, policies=None, *, out_dir, quiet: bool = 
 
 def _read(path: Path, parse):
     """`parse` applied to the text of `path`.  A file that is missing, is not
-    UTF-8, or that `parse` rejects is a MissingArtifactError naming it."""
+    UTF-8, is nested too deeply to parse, or that `parse` rejects is a
+    MissingArtifactError naming it."""
     try:
         return parse(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, LookupError, TypeError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, RecursionError) as exc:
         why = "not found" if isinstance(exc, FileNotFoundError) else f"is malformed ({type(exc).__name__}: {exc})"
         raise MissingArtifactError(f"{path} {why}") from exc
 

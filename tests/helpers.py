@@ -106,6 +106,12 @@ def settle_one(
     return tuple(column.item() for column in settle(state_columns(state), *columns, ema_beta, r_floor))
 
 
+def dense(counts: dict[int, int], n: int) -> list[int]:
+    """A per-DO count dict, such as an outcome's `kappa` or `s_realized`,
+    which holds only the DOs that acted, as the full list over the n DOs."""
+    return [counts.get(i, 0) for i in range(n)]
+
+
 def trust_network(n_dos: int, edges=()) -> TrustNetwork:
     """The trust graph over DOs 0..n_dos-1 with the given undirected edges."""
     adjacency = np.zeros((n_dos, n_dos), dtype=bool)

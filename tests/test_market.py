@@ -27,7 +27,7 @@ from aflsim.policy_baselines import POLICIES
 from aflsim.policy_pas import decide_subdelegation, decide_work, eligible_delegates, subdelegation_cap
 from aflsim.simcli import run_scenario
 from helpers import (
-    DataOwnerState, R_FLOOR, make_state, neighbour_rows, run_world, settle_one, state_columns, trust_network,
+    DataOwnerState, R_FLOOR, dense, make_state, neighbour_rows, run_world, settle_one, state_columns, trust_network,
     views,
 )
 from reference_policy import reference_decide
@@ -201,7 +201,7 @@ def _paid(ledger):
 def test_auction_clears_nothing_when_priced_out():
     states, price, x, valuations, mu, rngs = _single_market(price=100.0, valuation=2.0)
     outcome, _ = run_auction(valuations, states, price, x, rngs, 0, 0, mu)
-    assert outcome.kappa[0] == 0
+    assert dense(outcome.kappa, 1)[0] == 0
     assert outcome.payments.tolist() == []
 
 
@@ -221,7 +221,7 @@ def test_auction_single_clearing_pays_posted_price():
 def test_auction_ignores_declining_data_owners():
     states, price, x, valuations, mu, rngs = _single_market(price=1.5, valuation=2.0, x=0)
     outcome, _ = run_auction(valuations, states, price, x, rngs, 0, 0, mu)
-    assert outcome.kappa[0] == 0
+    assert dense(outcome.kappa, 1)[0] == 0
 
 
 def test_auction_respects_admission_cap():
@@ -882,7 +882,7 @@ def test_pointer_walk_routing_matches_the_per_task_scan(case):
     moved, incoming, s_realized, payments = reference_route(*args, capacity, depth_max, 4)
     assert got.moved.tolist() == moved
     assert got.incoming.tolist() == incoming
-    assert got.s_realized == s_realized
+    assert dense(got.s_realized, len(s_realized)) == list(s_realized.values())
     assert got.payments.tolist() == payments
 
 
@@ -894,7 +894,7 @@ def test_routing_examples_cover_what_they_claim():
     *args, capacity, depth_max = _routing_case(DEPTH_AND_ZERO_GOAL)
     outcome = route(*args, capacity, depth_max, 0)
     assert _paid(outcome.payments) == [(0, 2, 0.5)]
-    assert outcome.s_realized == {0: 1, 1: 0, 2: 0, 3: 0}
+    assert dense(outcome.s_realized, 4) == [1, 0, 0, 0]
     *args, capacity, depth_max = _routing_case(EQUAL_PAY_CUT)
     queue = args[1]
     assert queue["id"][:2].tolist() == [2, 1] and queue["payment"][:2].tolist() == [2.0, 2.0]
@@ -904,11 +904,11 @@ def test_routing_examples_cover_what_they_claim():
     *args, capacity, depth_max = _routing_case(BELOW_R_MIN)
     outcome = route(*args, capacity, depth_max, 0)
     assert _paid(outcome.payments) == [(3, 1, 0.5)]
-    assert outcome.s_realized == {0: 0, 1: 0, 2: 0, 3: 1}
+    assert dense(outcome.s_realized, 4) == [0, 0, 0, 1]
     *args, capacity, depth_max = _routing_case(FULL_BEFORE_WALK)
     outcome = route(*args, capacity, depth_max, 0)
     assert _paid(outcome.payments) == [(0, 2, 0.5)]
-    assert outcome.s_realized == {0: 1, 1: 0, 2: 0, 3: 0}
+    assert dense(outcome.s_realized, 4) == [1, 0, 0, 0]
 
 
 def test_zero_mu_world_earns_nothing():
@@ -1293,7 +1293,7 @@ def test_whole_array_arrivals_match_the_scalar_loop(case):
         assert str(got.value) == str(err)
         return
     outcome, _ = market._demand_model_arrivals(world, price, accept)
-    assert list(outcome.kappa.values()) == want
+    assert dense(outcome.kappa, len(want)) == want
     assert [rng.bit_generator.state for rng in world.demand_rngs] == [
         rng.bit_generator.state for rng in twin.demand_rngs
     ]
@@ -1390,6 +1390,105 @@ def test_auction_budget_audit_catches_one_mu_billed_for_all(monkeypatch):
 )
 def test_delegation_ledger_audit_catches_a_tampered_entry(monkeypatch, tamper, message):
     _step_until_tampered(monkeypatch, "route_subdelegations", tamper, "lin-greedy", message)
+
+
+# Small worlds where DOs delegate: lin-greedy DOs under demand-model arrivals
+# delegate on 9 of 30 steps and not on the other 21, and on one step a
+# delegator moves nothing.
+DELEGATING = {"n_dos": 10, "horizon_T": 30, "seeds": [1], "market": {"arrival_mode": "demand-model"}}
+
+
+def _recorded(monkeypatch, name, raw, policy) -> list:
+    """(arguments, outcome) of every `market.<name>` call over a whole run of the config `raw`."""
+    real, calls = getattr(market, name), []
+
+    def recording(*args):
+        result = real(*args)
+        calls.append((args, result[0] if isinstance(result, tuple) else result))
+        return result
+
+    monkeypatch.setattr(market, name, recording)
+    run_world(build_world(resolve_config(raw), 1, policy_override=policy))
+    return calls
+
+
+def _claim_for_a_non_payer(outcome):
+    payers = set(outcome.payments["payer"].tolist())
+    outcome.s_realized[min(set(range(10)) - payers)] = 1  # a DO that made no payment
+
+
+def _claim_past_the_goal(outcome):
+    outcome.s_realized[int(outcome.payments["payer"][0])] = 10**6  # past any goal s_max allows
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_claim_for_a_non_payer, r"DO \d+ made 0 payments for 1 delegated tasks"),
+        (_claim_past_the_goal, r"DO \d+ made \d+ payments for 1000000 delegated tasks"),
+    ],
+    ids=["non-payer", "past-the-goal"],
+)
+def test_delegation_count_audit_catches_a_tampered_s_realized(monkeypatch, tamper, message):
+    _step_until_tampered(monkeypatch, "route_subdelegations", tamper, "lin-greedy", message)
+
+
+def test_goal_audit_catches_routing_past_the_goals_step_read(monkeypatch):
+    # Routing walks one task more per delegator than the decisions `step`
+    # read; the ledgers stay consistent, so only the goal audit can tell.
+    real = market.route_subdelegations
+
+    def overreaching(n, queue, decisions, *args):
+        raised = {i: dataclasses.replace(d, subdelegate_s=d.subdelegate_s + 1) if d.subdelegate_s else d
+                  for i, d in decisions.items()}
+        return real(n, queue, raised, *args)
+
+    monkeypatch.setattr(market, "route_subdelegations", overreaching)
+    world = build_world(resolve_config(DELEGATING), 1, policy_override="lin-greedy")
+    with pytest.raises(MarketInvariantError, match=r"DO \d+ routed more tasks than it decided to delegate"):
+        for _ in range(world.config.horizon_T):
+            step(world)
+
+
+@pytest.mark.parametrize(
+    "name, arrival_mode", [("run_auction", "auction"), ("_demand_model_arrivals", "demand-model")]
+)
+def test_kappa_holds_exactly_the_dos_admitted_a_task(monkeypatch, name, arrival_mode):
+    raw = {**DELEGATING, "market": {"arrival_mode": arrival_mode}}
+    calls = _recorded(monkeypatch, name, raw, "lin-greedy")
+    assert len(calls) == raw["horizon_T"]
+    assert any(0 < len(outcome.kappa) < raw["n_dos"] for _, outcome in calls)
+    for _, outcome in calls:
+        assert set(outcome.kappa) == set(outcome.tasks["owner"].tolist())
+        assert 0 not in outcome.kappa.values()
+        assert sum(outcome.kappa.values()) == len(outcome.tasks)
+
+
+def test_s_realized_holds_exactly_the_delegators(monkeypatch):
+    calls = _recorded(monkeypatch, "route_subdelegations", DELEGATING, "lin-greedy")
+    assert any(0 in outcome.s_realized.values() for _, outcome in calls)  # a delegator that moved nothing
+    assert any(len(outcome.moved) for _, outcome in calls)
+    for args, outcome in calls:
+        decisions = args[2]
+        assert set(outcome.s_realized) == {i for i, d in decisions.items() if d.subdelegate_s > 0}
+        assert sum(outcome.s_realized.values()) == len(outcome.moved)
+
+
+def test_a_step_without_a_positive_goal_routes_nothing(monkeypatch):
+    calls = _recorded(monkeypatch, "route_subdelegations", DELEGATING, "lin-greedy")
+    idle = [outcome for args, outcome in calls if not any(d.subdelegate_s for d in args[2].values())]
+    assert len(idle) == 21
+    for outcome in idle:
+        assert outcome.s_realized == {}
+        assert outcome.moved.tolist() == [] and outcome.moved.dtype == np.intp
+        assert outcome.incoming.tolist() == [] and outcome.incoming.dtype == TASK
+        assert outcome.payments.tolist() == [] and outcome.payments.dtype == market.LEDGER
+    # Without a goal no quote is read, so none need exist.
+    _, queue, _, prices, _, capacity = _routing_setup([1.0, 2.0])
+    decisions = {0: StepDecision(1.0, 0), 1: StepDecision(1.0, 0)}
+    no_quotes = np.empty((0, 0), np.intp)
+    outcome = route_subdelegations(2, queue, decisions, np.empty(0, np.intp), no_quotes, prices, capacity, 3, 0)
+    assert outcome.s_realized == {} and outcome.moved.tolist() == []
 
 
 @pytest.mark.parametrize("asked", [[], [1]], ids=["none-asked", "another-asked"])

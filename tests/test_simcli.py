@@ -362,6 +362,15 @@ def test_cli_reports_a_config_that_is_not_utf8_with_code_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_reports_a_config_nested_too_deeply_with_code_2(tmp_path, capsys):
+    config_path = tmp_path / "deep.json"
+    config_path.write_text("[" * 100_000)
+    code = main(["--quiet", "run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "aflsim: config error: config: nested deeper than the JSON parser can read\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_reports_a_broken_invariant_with_code_5(tmp_path, monkeypatch, capsys):
     def step(world):
         raise MarketInvariantError("task ledger off by one")
@@ -480,16 +489,18 @@ def test_a_run_with_a_per_do_assignment_is_named_mixed(tmp_path):
 
 
 # Files of a whole pas-afl run over TINY, as plotdata reads them, each rewritten to something it
-# cannot tabulate: not JSON, `{}`, a JSON object without a key plotdata looks up, a summary that
-# names no cell or a null one, or a manifest that names another policy than its cell or whose
-# seeds are a number.
+# cannot tabulate: not JSON, JSON nested deeper than the parser can read, `{}`, a JSON object
+# without a key plotdata looks up, a summary that names no cell or a null one, or a manifest that
+# names another policy than its cell or whose seeds are a number.
 MALFORMED = {
     "summary-not-json": ("summary.json", "not json"),
     "summary-empty": ("summary.json", "{}"),
     "summary-row-without-policy": ("summary.json", '{"rows": [{}]}'),
     "summary-without-rows": ("summary.json", '{"rows": []}'),
     "summary-row-of-null-policy": ("summary.json", '{"rows": [{"policy": null}]}'),
+    "summary-nested-too-deeply": ("summary.json", '{"rows": ' + "[" * 100_000),
     "manifest-not-json": ("pas-afl/manifest.json", "not json"),
+    "manifest-nested-too-deeply": ("pas-afl/manifest.json", "[" * 100_000),
     "manifest-empty": ("pas-afl/manifest.json", "{}"),
     "manifest-without-horizon": (
         "pas-afl/manifest.json",
