@@ -20,7 +20,8 @@ under tracemalloc, in a process of its own in its tree, for the peak of
 what Python allocated: `peak_rss_mb` also follows the heap's layout, and
 has moved by 7% between two trees that allocate the same.  Without
 `--parent` the file records the change alone, as a baseline that claims
-nothing.
+nothing; a `--parent` that names no commit is refused (exit code 2) before
+anything is unpacked.
 
 The file holds, per workload and end-to-end metric, each side's runs,
 median and IQR share ((q3 - q1) / median), the change/parent ratio of the
@@ -29,7 +30,10 @@ side's traced counters and tracemalloc peak; and each side's commit with the has
 tree, which `git rev-parse <commit>:src` of the merged commit can be
 checked against.  The script
 prints each ratio beside the metric's bound in BENCHMARK.json, and the
-change's medians against the newest earlier BENCH_*.json.
+change's medians against the newest earlier BENCH_*.json.  A run that
+`bench/run.py` reports not correct, or a tracemalloc pass with failed cells,
+is still written to the file, and then named, by workload, side and pair,
+with exit code 3.
 """
 
 import argparse
@@ -141,6 +145,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not re.fullmatch(r"BENCH_\d+\.json", args.out.name):
         parser.error("--out must be named BENCH_<number>.json")
+    commits = {}
+    if args.parent:
+        try:
+            commits["parent"] = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}", text=True).stdout.strip()
+        except subprocess.CalledProcessError:
+            parser.error(f"--parent {args.parent!r} names no commit")
     untracked = _git("ls-files", "--others", "--exclude-standard", text=True).stdout.splitlines()
     if untracked:
         raise SystemExit("untracked files, which the snapshot commit would leave out; "
@@ -152,9 +162,7 @@ def main(argv=None) -> int:
     metrics = declared["end_to_end"]
     counters = [m["name"] for m in declared["per_layer"] if m["unit"] in ("count", "bytes")]
     change = _git("stash", "create", text=True).stdout.strip() or "HEAD"
-    commits = {"change": _git("rev-parse", f"{change}^{{commit}}", text=True).stdout.strip()}
-    if args.parent:
-        commits = {"parent": _git("rev-parse", f"{args.parent}^{{commit}}", text=True).stdout.strip(), **commits}
+    commits["change"] = _git("rev-parse", f"{change}^{{commit}}", text=True).stdout.strip()
 
     with tempfile.TemporaryDirectory(prefix="record_bench-") as scratch:
         trees = {side: _unpack(commit, Path(scratch) / side) for side, commit in commits.items()}
@@ -238,6 +246,16 @@ def main(argv=None) -> int:
 
     args.out.write_text(json.dumps(payload, indent=1) + "\n")
     print(f"wrote {args.out}")
+    faults = [f"{w} {side} pair {k + 1}: untraced run not correct"
+              for w in workloads for side, found in untraced[w].items()
+              for k, r in enumerate(found) if not r["correct"]]
+    faults += [f"{w} {side}: traced run not correct"
+               for w in workloads for side, r in traced[w].items() if not r["correct"]]
+    faults += [f"{w} {side}: tracemalloc pass failed {r['failed']} cells"
+               for w in workloads for side, r in tracemalloc[w].items() if r["failed"]]
+    if faults:
+        print(f"{args.out} records incorrect runs:", *faults, sep="\n  ", file=sys.stderr)
+        return 3
     return 0
 
 

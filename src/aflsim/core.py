@@ -87,7 +87,7 @@ def validate_states(states: np.ndarray) -> tuple[int, str] | None:
         ("positive_ratings_Mp", s["positive_ratings_Mp"] >= 0),
     )
     for name, ok in checks:
-        if not ok.all():
+        if np.count_nonzero(ok) < len(ok):
             return int(np.argmin(ok)), name
     return None
 
@@ -97,9 +97,9 @@ def sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
 
     `np.sum` adds pairwise, which rounds differently; the run aggregates keep
     the left-to-right order so that their bytes do not depend on the engine's
-    layout.  `np.cumsum` is a sequential scan.
+    layout.  `cumsum` is a sequential scan.
     """
-    return float(np.cumsum(np.concatenate(([start], values)))[-1])
+    return float(np.concatenate(([start], values)).cumsum()[-1])
 
 
 class TrustNetwork:

@@ -40,7 +40,7 @@ def zeta(constants: "MarketConstants", alignment_epsilon, positive_ratings_Mp) -
 def expected_demand(price_p, reputation_r, zeta_value, a1: float, r_floor: float) -> np.ndarray:
     """Expected task offers per step: zeta * p / max(r, r_floor)**a1."""
     denominator = np.fromiter(map(pow, np.maximum(reputation_r, r_floor).tolist(), repeat(a1)), float)
-    if not denominator.all():
+    if np.count_nonzero(denominator) < len(denominator):
         raise ZeroDivisionError("max(r, r_floor) ** a1 underflows to 0")
     return np.asarray(zeta_value, dtype=float) * np.asarray(price_p, dtype=float) / denominator
 

@@ -19,8 +19,10 @@ One simulation step runs a fixed pipeline:
 
 The world holds its state as numpy columns: a `STATE` record per data owner
 and one `TASK` array of every pending task, grouped by owner in FIFO order.
-Records move whole, by np.take, np.compress and joins of raw-byte views, as
-fancy indexing, masks and np.concatenate copy them one field at a time.
+Records move whole, by the ndarray methods `take` and `compress` and joins
+of raw-byte views, as fancy indexing, masks and np.concatenate copy them one
+field at a time.  Hot-path calls use ndarray methods and np.count_nonzero,
+not numpy's Python-level wrappers, as a step is mostly per-call fixed cost.
 Each phase is a whole-array pass around at most one irreducible per-element
 operation: each DO's decision draws and, in demand-model arrivals, the
 Poisson draw per accepting DO (each on that DO's own generator), and the walk
@@ -128,22 +130,22 @@ def _new_tasks(owner, payment, step_index: int, next_task_id: int) -> tuple[np.n
 
 def _rank_within(keys: np.ndarray) -> np.ndarray:
     """For each element, how many earlier elements share its key."""
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     ranked = keys[order]
     rank = np.empty(len(keys), np.intp)
-    rank[order] = np.arange(len(keys)) - np.searchsorted(ranked, ranked)
+    rank[order] = np.arange(len(keys)) - ranked.searchsorted(ranked)
     return rank
 
 
 def _group_starts(owner: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(first row, row count) of each owner's group in an owner-grouped array."""
     counts = np.bincount(owner, minlength=n)
-    return np.cumsum(counts) - counts, counts
+    return counts.cumsum() - counts, counts
 
 
 def _nonzero_counts(counts: np.ndarray) -> dict[int, int]:
     """The nonzero entries of a per-DO count array, keyed by DO id."""
-    ids = np.flatnonzero(counts)
+    ids = counts.nonzero()[0]
     return dict(zip(ids.tolist(), counts[ids].tolist()))
 
 
@@ -173,7 +175,7 @@ def settle(states, x, price, theta, s, kappa, delegated_in, on_time, avg_neighbo
     no-neighbour price is +inf).  Returns the new columns (utility, pending_q,
     urgency_Q, reputation_r, positive_ratings_Mp).
     """
-    if (on_time > theta).any():
+    if np.count_nonzero(on_time > theta):
         raise ValueError("completed_on_time cannot exceed due")
     left = states["pending_q"] - theta - s
     new_q = np.maximum(left, 0.0) + x * kappa + delegated_in
@@ -243,26 +245,27 @@ def _mu_requests(valuations: np.ndarray, states: np.ndarray, price: np.ndarray, 
         # strictly increasing is sorted again stably: ties keep ascending DO id.
         rows, keys, by_do = map(np.array, zip(*keyed))
         at = np.arange(len(rows))[:, None]
-        sorted_order = np.argsort(keys, axis=1)
+        sorted_order = keys.argsort(axis=1)
         ranked = keys[at, sorted_order]
-        tied = ~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1)
-        sorted_order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+        tied = ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
+        if np.count_nonzero(tied):
+            sorted_order[tied] = keys[tied].argsort(axis=1, kind="stable")
         order[rows] = sorted_order
         bids[rows] = by_do[at, sorted_order]
 
     # A walk adds its positive bids in order, as cumsum does, and stops at
     # the first that overshoots the budget.
     positive = bids > 0.0
-    submitted = np.cumsum(np.where(positive, bids, 0.0), axis=1)
+    submitted = np.where(positive, bids, 0.0).cumsum(axis=1)
     over = positive & (submitted > mu.budget_per_step)
     sent = positive & ~over
     for j, (rng, state) in walked.items():
         # Rewind, then draw as many values as the walk used: through the
         # overshooting bid, or all of them.
         rng.bit_generator.state = state
-        rng.random(over[j].argmax() + 1 if over[j].any() else n)
+        rng.random(over[j].argmax() + 1 if np.count_nonzero(over[j]) else n)
 
-    payer = np.repeat(np.arange(len(valuations)), np.count_nonzero(sent, axis=1))
+    payer = np.arange(len(valuations)).repeat(sent.sum(axis=1))
     return _records(LEDGER, len(payer), payer=payer, payee=order[sent], amount=0.0, offer=bids[sent])
 
 
@@ -285,11 +288,11 @@ def run_auction(
     cap went to that DO.
     """
     requests = _mu_requests(valuations, states, price, mu_rngs, mu)
-    requests = np.take(requests, np.argsort(-requests["offer"], kind="stable"))
+    requests = requests.take((-requests["offer"]).argsort(kind="stable"))
     do = requests["payee"]
-    requests = np.compress((accept[do] == 1) & (requests["offer"] >= price[do]), requests)
+    requests = requests.compress((accept[do] == 1) & (requests["offer"] >= price[do]))
     cap = np.minimum(states["theta_max"], states["kappa_max"] - 1)
-    cleared = np.compress(_rank_within(requests["payee"]) < cap[requests["payee"]], requests)
+    cleared = requests.compress(_rank_within(requests["payee"]) < cap[requests["payee"]])
     cleared["amount"] = price[cleared["payee"]]
 
     tasks, next_task_id = _new_tasks(cleared["payee"], cleared["amount"], step_index, next_task_id)
@@ -345,7 +348,7 @@ def route_subdelegations(
         return RoutingOutcome(np.empty(0, np.intp), np.empty(0, TASK), {}, np.empty(0, LEDGER))
     s_realized, moved, delegates = {}, [], []
     delegators = np.fromiter(goals, dtype=np.intp, count=len(goals))
-    quote_row = np.searchsorted(asked, delegators)
+    quote_row = asked.searchsorted(delegators)
     _check(
         np.append(asked, -1)[quote_row] != delegators,
         lambda k: f"DO {delegators[k]} at step {step_index} delegates without being asked for quotes",
@@ -356,24 +359,24 @@ def route_subdelegations(
     # by id, cut to the goal it walks: three sorts, each stable after the
     # first, as ids are unique; the last by radix on 16-bit or narrower ids.
     owner = queue["owner"]
-    rows = np.flatnonzero((goal[owner] > 0) & (queue["depth"] < depth_max))
-    rows = rows[np.argsort(queue["id"][rows])]
-    rows = rows[np.argsort(-queue["payment"][rows], kind="stable")]
-    rows = rows[np.argsort(owner[rows].astype(np.min_scalar_type(n)), kind="stable")]
+    rows = ((goal[owner] > 0) & (queue["depth"] < depth_max)).nonzero()[0]
+    rows = rows[queue["id"][rows].argsort()]
+    rows = rows[(-queue["payment"][rows]).argsort(kind="stable")]
+    rows = rows[owner[rows].astype(np.min_scalar_type(n)).argsort(kind="stable")]
     first = _group_starts(owner[rows], n)[0]
     rows = rows[np.arange(len(rows)) - first[owner[rows]] < goal[owner[rows]]]
     task_first, task_count = (column[delegators] for column in _group_starts(owner[rows], n))
     # Their quoted neighbours with room, cheapest first, ties by id, as
     # slices of one flat list: each quote row sorted by price rank, where
     # rank n (a DO without room, or the -1 padding) is left out.
-    by_price = np.argsort(prices, kind="stable")
+    by_price = prices.argsort(kind="stable")
     price_rank = np.full(n + 1, n)
     price_rank[by_price] = np.where(capacity_left[by_price] > 0, np.arange(n), n)
     rank = np.sort(price_rank[quotes[quote_row]], axis=1)
     listed = rank < n
     neighbours = by_price[rank[listed]].tolist()
     neighbour_count = listed.sum(axis=1)
-    neighbour_first = np.cumsum(neighbour_count) - neighbour_count
+    neighbour_first = neighbour_count.cumsum() - neighbour_count
 
     capacity = capacity_left.tolist()
     price_of = prices.tolist()
@@ -402,7 +405,7 @@ def route_subdelegations(
     moved = np.array(moved, dtype=np.intp)
     delegates = np.array(delegates, dtype=np.intp)
     paid = prices[delegates]
-    carried = np.take(queue, moved)
+    carried = queue.take(moved)
     incoming = _records(
         TASK,
         len(moved),
@@ -477,7 +480,7 @@ def _decode(kind, lo, hi, raws: np.ndarray, h: np.ndarray) -> np.ndarray | None:
         return lo + (hi - lo) * ((raw >> 11) * 2**-53)
     factor = hi - lo + 1
     product = np.where(h & 1, raw >> 32, raw & _MASK32) * np.uint64(factor)
-    if np.any((product & _MASK32) < (2**32 - factor) % factor):
+    if np.count_nonzero((product & _MASK32) < (2**32 - factor) % factor):
         return None
     return lo + (product >> 32).astype(np.int64)
 
@@ -528,7 +531,7 @@ def _decode_data_owners(bit_generator, ranges, n: int, markup) -> tuple[list, np
         return None
 
     q0 = columns[_Q0].astype(np.intp)
-    offsets = np.arange(q0.sum()) - np.repeat(np.cumsum(q0) - q0 - np.array(pays), q0)
+    offsets = np.arange(q0.sum()) - (q0.cumsum() - q0 - np.array(pays)).repeat(q0)
     return columns, _decode(_FLOAT, *markup, raws, 2 * offsets)
 
 
@@ -645,7 +648,7 @@ class World:
         self.states = states
         self.rho_base = states["availability_rho"].copy()  # the schedule starts high
 
-        owner = np.repeat(self.ids, states["pending_q"].astype(np.intp))
+        owner = self.ids.repeat(states["pending_q"].astype(np.intp))
         self.queue, self.next_task_id = _new_tasks(owner, markups * states["reserve_price_p_min"][owner], 0, 0)
 
     def _rho_scale(self, t: int) -> float:
@@ -689,11 +692,11 @@ class World:
         goal = np.where(self._threshold_rule, decide_subdelegation(states, avg, cap), cap)
         positive = goal > 0
         best = np.full(n, -math.inf)
-        if positive.any():  # else no DO is asked, and eligible_delegates gets zero rows
+        if np.count_nonzero(positive):  # else no DO is asked, and eligible_delegates gets zero rows
             queue = self.queue
             routable = queue["depth"] < self.config.market.delegation_depth_max
             np.maximum.at(best, queue["owner"][routable], queue["payment"][routable])
-        asked = np.flatnonzero(positive & (best > -math.inf))
+        asked = (positive & (best > -math.inf)).nonzero()[0]
 
         rows = self._neighbour_ids[asked] if asked.size else np.empty((0, 0), np.intp)
         quotes = eligible_delegates(rows, prices, states["reputation_r"], best[asked], states["rep_threshold_r_min"][asked])
@@ -739,7 +742,7 @@ def _demand_model_arrivals(world: World, price: np.ndarray, accept: np.ndarray) 
     limit = _POISSON_LAM_MAX if mode == "poisson" else sys.float_info.max
     s = world.states
     accepting = accept == 1
-    rows = np.flatnonzero(accepting)
+    rows = accepting.nonzero()[0]
     f = _expected_demand(world, rows, price)
     _check(
         ~(f <= limit),
@@ -749,7 +752,7 @@ def _demand_model_arrivals(world: World, price: np.ndarray, accept: np.ndarray) 
     admitted = np.zeros(len(s), dtype=np.intp)
     admitted[rows] = np.minimum(realize_demand(f, s["kappa_max"][rows], rngs, mode), s["theta_max"][rows])
 
-    owner = np.repeat(world.ids, admitted)
+    owner = world.ids.repeat(admitted)
     tasks, next_task_id = _new_tasks(owner, price[owner], world.t, world.next_task_id)
     payments = _records(LEDGER, len(owner), payer=-1, payee=owner, amount=price[owner], offer=price[owner])
     return AuctionOutcome(kappa=_nonzero_counts(admitted), tasks=tasks, payments=payments), next_task_id
@@ -817,9 +820,9 @@ def step(world: World) -> dict[str, np.ndarray]:
     # 6. Work: each DO completes the front of what routing left it.
     kept = np.ones(len(world.queue), dtype=bool)
     kept[routing.moved] = False
-    queue = np.compress(kept, world.queue)
+    queue = world.queue.compress(kept)
     starts, counts = _group_starts(queue["owner"], n)
-    short = np.flatnonzero(theta > counts)
+    short = (theta > counts).nonzero()[0]
     if short.size:
         i = short[0]
         raise MarketInvariantError(f"DO {i} planned {theta[i]} completions with only {counts[i]} pending")
@@ -840,10 +843,10 @@ def step(world: World) -> dict[str, np.ndarray]:
     arrivals_total = x * kappa + delegated_in
 
     # 8. Commit: survivors, then auction arrivals, then delegated tasks, as raw bytes.
-    parts = (np.compress(~worked, queue), auction.tasks, routing.incoming)
+    parts = (queue.compress(~worked), auction.tasks, routing.incoming)
     queue = np.concatenate([part.view((np.void, TASK.itemsize)) for part in parts]).view(TASK)
     del parts  # the survivors' copy need not outlive the join
-    world.queue = np.take(queue, np.argsort(queue["owner"], kind="stable"))
+    world.queue = queue.take(queue["owner"].argsort(kind="stable"))
     states["pending_q"] = new_q
     states["urgency_Q"] = new_Q
     states["reputation_r"] = new_r
@@ -876,7 +879,7 @@ def step(world: World) -> dict[str, np.ndarray]:
 
 def _check(bad: np.ndarray, message) -> None:
     """Raise MarketInvariantError with `message(i)` for the first index i where `bad` holds."""
-    if bad.any():
+    if np.count_nonzero(bad):
         raise MarketInvariantError(message(int(bad.argmax())))
 
 

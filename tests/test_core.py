@@ -61,6 +61,12 @@ def test_validate_states_names_the_first_invalid_do():
     assert validate_states(states) == (1, "s_max")
 
 
+def test_validate_states_names_an_invalid_last_do():
+    # One failing record of n: its count of valid records is n - 1, not n.
+    states = state_columns(make_state(), make_state(), make_state(kappa_max=0))
+    assert validate_states(states) == (2, "kappa_max")
+
+
 def test_trust_network_is_symmetric():
     net = trust_network(4, [(0, 2), (2, 3), (3, 2)])
     assert [np.flatnonzero(row).tolist() for row in net.adjacency] == [[2], [], [0, 3], [2]]
