@@ -36,10 +36,12 @@ ledgers against admitted and moved task counts, bids, budgets and carried
 payments) run every step and raise immediately on violation.
 
 The rules and the MU walk assume a resolved config and audited state, as
-`resolve_config` and the audits own those checks.  The step keeps four
+`resolve_config` and the audits own those checks.  The step keeps five
 more: `settle`'s on-time count against the count due (its clamp would hide
-the fault), a backstop on a price that is not finite, routing's refusal of a
-delegator not asked, and work planned beyond the tasks routing left a DO.
+the fault), `_expected_demand`'s ZeroDivisionError for an r**a1 that
+underflows to 0 (libm's semantics), a backstop on a price that is not
+finite, routing's refusal of a delegator not asked, and work planned beyond
+the tasks routing left a DO.
 
 The six model-user bidding strategies are parameterized stand-ins: each gets
 a distinct target ordering and bid shape, and every data-owner policy in a
@@ -66,7 +68,6 @@ from .core import (
     sequential_sum,
     validate_states,
 )
-from .demand import expected_demand, realize_demand, zeta
 from .policy_baselines import POLICIES, decide_for_policy, price_lin
 from .policy_pas import (
     decide_acceptance,
@@ -79,7 +80,7 @@ from .policy_pas import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .config import MuParams, ScenarioConfig
+    from .config import MarketConstants, MuParams, ScenarioConfig
 
 # Child-seed tags so each random stream is independent of the others.
 _STREAM_GRAPH = 1
@@ -662,8 +663,8 @@ class World:
     def _neighbour_ids(self) -> np.ndarray:
         """Row i: DO i's neighbour ids, ascending, padded with -1; built row by row on the first ask for quotes."""
         table = np.full((len(self._deg), int(self._deg.max(initial=0))), -1, np.min_scalar_type(-len(self._deg)))
-        for row, ids in zip(table, map(np.flatnonzero, self.network.adjacency)):
-            row[: len(ids)] = ids
+        for padded, ids in zip(table, (row.nonzero()[0] for row in self.network.adjacency)):
+            padded[: len(ids)] = ids
         return table
 
     def _build_contexts(self, prices: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -705,25 +706,39 @@ class World:
         return avg, goal, eligible, asked, quotes
 
 
-def _expected_demand(world: World, rows: np.ndarray, price: np.ndarray) -> np.ndarray:
-    """The expected demand of the DOs `rows` at their posted prices; inf for
-    a DO whose mean overflows or divides by zero on the way."""
-    cfg = world.config
-    c = cfg.constants
-    s = world.states
+@np.errstate(over="ignore", invalid="ignore")
+def _expected_demand(constants: "MarketConstants", r_floor: float, states: np.ndarray, price: np.ndarray) -> np.ndarray:
+    """Expected task offers per step of the DOs whose `STATE` records are
+    `states`, at their posted prices `price`:
 
-    def mean(which):
-        multiplier = zeta(c, s["alignment_epsilon"][which], s["positive_ratings_Mp"][which])
-        return expected_demand(price[which], s["reputation_r"][which], multiplier, c.a1, cfg.market.r_floor)
+        exp(a0 + a3*eps) * Mp**a2 * p / max(r, r_floor)**a1     (0**0 == 1)
+
+    Offers scale linearly with the price and shrink with reputation; the
+    coefficients are scenario inputs, not fitted values.  `exp` and `pow` are
+    libm's, taken element by element on Python floats: numpy's own differ in
+    the last bit on some inputs, which would change a run's output.  Products
+    and quotients overflow to inf without a warning, as Python floats do.  A
+    DO whose mean libm cannot evaluate (an overflow, or an r**a1 that
+    underflows to 0, which divides by zero) reads inf.
+    """
+    c = constants
+
+    def mean(s, p):
+        base = np.fromiter(map(math.exp, (c.a0 + c.a3 * s["alignment_epsilon"]).tolist()), float)
+        multiplier = base * np.fromiter(map(pow, s["positive_ratings_Mp"].astype(float).tolist(), repeat(c.a2)), float)
+        denominator = np.fromiter(map(pow, np.maximum(s["reputation_r"], r_floor).tolist(), repeat(c.a1)), float)
+        if np.count_nonzero(denominator) < len(denominator):
+            raise ZeroDivisionError("max(r, r_floor) ** a1 underflows to 0")
+        return multiplier * p / denominator
 
     try:
-        return mean(rows)
+        return mean(states, price)
     except (OverflowError, ZeroDivisionError):
         # Some mean cannot be evaluated; find which, one DO at a time.
-        f = np.full(len(rows), math.inf)
-        for k in range(len(rows)):
+        f = np.full(len(states), math.inf)
+        for k in range(len(states)):
             with suppress(OverflowError, ZeroDivisionError):
-                f[k] = mean(rows[k : k + 1])[0]
+                f[k] = mean(states[k : k + 1], price[k : k + 1])[0]
         return f
 
 
@@ -732,25 +747,30 @@ def _demand_model_arrivals(world: World, price: np.ndarray, accept: np.ndarray) 
     the expected-demand curve, paid at the posted price.
 
     Every accepting DO's mean, its check and its clamps are whole arrays; what
-    runs per DO is only the Poisson draw on that DO's own generator.  A mean
-    that overflows, is not finite, or (for Poisson draws) exceeds what numpy
-    can draw is a MarketInvariantError naming the first such DO and the step,
-    raised before anything is drawn.
+    runs per DO is only the Poisson draw on that DO's own generator (round
+    mode rounds half to even and draws nothing).  A mean that overflows, is
+    not finite, or (for Poisson draws) exceeds what numpy can draw is a
+    MarketInvariantError naming the first such DO and the step, raised before
+    anything is drawn.  Each draw is clamped to kappa_max - 1, then theta_max.
     """
     cfg = world.config
     mode = cfg.market.integerization
     limit = _POISSON_LAM_MAX if mode == "poisson" else sys.float_info.max
-    s = world.states
     accepting = accept == 1
     rows = accepting.nonzero()[0]
-    f = _expected_demand(world, rows, price)
+    s = world.states.take(rows)
+    f = _expected_demand(cfg.constants, cfg.market.r_floor, s, price.take(rows))
     _check(
         ~(f <= limit),
         lambda k: f"DO {rows[k]} at step {world.t}: expected demand {f[k]} is not a mean a {mode} draw can take",
     )
-    rngs = compress(world.demand_rngs, accepting.tolist())
-    admitted = np.zeros(len(s), dtype=np.intp)
-    admitted[rows] = np.minimum(realize_demand(f, s["kappa_max"][rows], rngs, mode), s["theta_max"][rows])
+    if mode == "poisson":
+        rngs = compress(world.demand_rngs, accepting.tolist())
+        drawn = np.fromiter(map(np.random.Generator.poisson, rngs, f.tolist()), np.int64, count=len(f))
+    else:
+        drawn = np.rint(f)
+    admitted = np.zeros(len(world.states), dtype=np.intp)
+    admitted[rows] = np.minimum(np.minimum(drawn, s["kappa_max"] - 1).astype(np.int64), s["theta_max"])
 
     owner = world.ids.repeat(admitted)
     tasks, next_task_id = _new_tasks(owner, price[owner], world.t, world.next_task_id)

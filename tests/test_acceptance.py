@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from aflsim.config import MarketConstants, resolve_config
-from aflsim.demand import zeta
 from aflsim.market import build_world
 from aflsim.policy_baselines import ABLATION_NAMES, BASELINE_NAMES
 from aflsim.policy_pas import decide_subdelegation, subdelegation_cap
@@ -139,7 +138,9 @@ def test_c2_pricing_closed_form_matches_grid_search():
             a2=float(rng.uniform(0.0, 0.7)),
             a3=float(rng.uniform(0.0, 1.0)),
         )
-        [z] = zeta(constants, [float(rng.uniform(0.0, 1.0))], [int(rng.integers(1, 50))])
+        epsilon, mp = float(rng.uniform(0.0, 1.0)), int(rng.integers(1, 50))
+        # The demand multiplier exp(a0 + a3*eps) * Mp**a2, with libm's exp and pow as the market takes them.
+        z = math.exp(constants.a0 + constants.a3 * epsilon) * pow(float(mp), constants.a2)
         state = make_state(
             reserve_price_p_min=p_min,
             current_price_p=p_min,

@@ -1309,26 +1309,33 @@ def test_price_degeneracy_is_counted():
     assert res.acceptance_rate == 0.0
 
 
+def _step_until_audit(monkeypatch, name, wrapper, raw, policy, match):
+    """Step a world of the config `raw` with `market.<name>` replaced by
+    `wrapper(real)`, and expect an audit matching `match` within its horizon."""
+    monkeypatch.setattr(market, name, wrapper(getattr(market, name)))
+    world = build_world(resolve_config(raw), 1, policy_override=policy)
+    with pytest.raises(MarketInvariantError, match=match):
+        for _ in range(world.config.horizon_T):
+            step(world)
+
+
 def _step_until_tampered(monkeypatch, name, tamper, policy, match, mu_budget=60.0):
     """Step a small world with `market.<name>` wrapped so that `tamper` edits
     the first outcome it sees with a ledger entry, and expect an audit matching `match`."""
-    real = getattr(market, name)
     tampered = []
 
-    def wrapped(*args, **kwargs):
-        result = real(*args, **kwargs)
-        outcome = result[0] if isinstance(result, tuple) else result
-        if len(outcome.payments) and not tampered:
-            tamper(outcome)
-            tampered.append(True)
-        return result
+    def wrapper(real):
+        def wrapped(*args, **kwargs):
+            result = real(*args, **kwargs)
+            outcome = result[0] if isinstance(result, tuple) else result
+            if len(outcome.payments) and not tampered:
+                tamper(outcome)
+                tampered.append(True)
+            return result
+        return wrapped
 
-    monkeypatch.setattr(market, name, wrapped)
-    cfg = resolve_config({"n_dos": 10, "horizon_T": 30, "seeds": [1], "mu": {"budget_per_step": mu_budget}})
-    world = build_world(cfg, 1, policy_override=policy)
-    with pytest.raises(MarketInvariantError, match=match):
-        for _ in range(cfg.horizon_T):
-            step(world)
+    raw = {"n_dos": 10, "horizon_T": 30, "seeds": [1], "mu": {"budget_per_step": mu_budget}}
+    _step_until_audit(monkeypatch, name, wrapper, raw, policy, match)
     assert tampered
 
 
@@ -1436,18 +1443,17 @@ def test_delegation_count_audit_catches_a_tampered_s_realized(monkeypatch, tampe
 def test_goal_audit_catches_routing_past_the_goals_step_read(monkeypatch):
     # Routing walks one task more per delegator than the decisions `step`
     # read; the ledgers stay consistent, so only the goal audit can tell.
-    real = market.route_subdelegations
+    def wrapper(real):
+        def overreaching(n, queue, decisions, *args):
+            raised = {i: dataclasses.replace(d, subdelegate_s=d.subdelegate_s + 1) if d.subdelegate_s else d
+                      for i, d in decisions.items()}
+            return real(n, queue, raised, *args)
+        return overreaching
 
-    def overreaching(n, queue, decisions, *args):
-        raised = {i: dataclasses.replace(d, subdelegate_s=d.subdelegate_s + 1) if d.subdelegate_s else d
-                  for i, d in decisions.items()}
-        return real(n, queue, raised, *args)
-
-    monkeypatch.setattr(market, "route_subdelegations", overreaching)
-    world = build_world(resolve_config(DELEGATING), 1, policy_override="lin-greedy")
-    with pytest.raises(MarketInvariantError, match=r"DO \d+ routed more tasks than it decided to delegate"):
-        for _ in range(world.config.horizon_T):
-            step(world)
+    _step_until_audit(
+        monkeypatch, "route_subdelegations", wrapper, DELEGATING, "lin-greedy",
+        r"DO \d+ routed more tasks than it decided to delegate",
+    )
 
 
 @pytest.mark.parametrize(
@@ -1522,6 +1528,52 @@ def test_step_refuses_work_beyond_the_tasks_a_do_holds(monkeypatch):
     world = build_world(resolve_config({"n_dos": 6, "horizon_T": 2, "seeds": [1]}), 1)
     with pytest.raises(MarketInvariantError, match="DO 0 planned 7 completions with only 6 pending"):
         step(world)
+
+
+def test_conservation_audit_catches_a_task_counted_twice():
+    world = build_world(resolve_config({"n_dos": 10, "horizon_T": 5, "seeds": [1]}), 1)
+    for _ in range(3):
+        step(world)
+    world.created_tasks += 1
+    with pytest.raises(MarketInvariantError, match="task conservation broken at step 3"):
+        step(world)
+
+
+def test_queue_audit_catches_a_virtual_queue_one_task_long(monkeypatch):
+    def wrapper(real):
+        def longer(*args):
+            u, new_q, *rest = real(*args)
+            new_q[0] += 1
+            return (u, new_q, *rest)
+        return longer
+
+    raw = {"n_dos": 10, "horizon_T": 30, "seeds": [1]}
+    _step_until_audit(monkeypatch, "settle", wrapper, raw, "pas-afl", r"DO 0 virtual queue 7\.0 != physical queue 6$")
+
+
+def test_cap_audit_catches_an_auction_that_sees_larger_caps(monkeypatch):
+    def wrapper(real):
+        def loosened(valuations, states, *args):
+            states = states.copy()
+            states["theta_max"] += 10
+            states["kappa_max"] += 10
+            return real(valuations, states, *args)
+        return loosened
+
+    raw = {"n_dos": 10, "horizon_T": 30, "seeds": [1]}
+    _step_until_audit(monkeypatch, "run_auction", wrapper, raw, "pas-afl", r"DO 0 admitted 5 > cap 2$")
+
+
+def test_arrivals_audit_catches_routing_past_the_receivers_headroom(monkeypatch):
+    def wrapper(real):
+        def roomier(n, queue, decisions, asked, quotes, prices, capacity_left, *args):
+            return real(n, queue, decisions, asked, quotes, prices, capacity_left + 100, *args)
+        return roomier
+
+    raw = {**DELEGATING, "do_params": {"kappa_hat": [2, 2]}}
+    _step_until_audit(
+        monkeypatch, "route_subdelegations", wrapper, raw, "lin-greedy", r"DO 1 total arrivals exceed kappa_max - 1$"
+    )
 
 
 def _backdate(outcome):

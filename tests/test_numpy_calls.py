@@ -30,22 +30,28 @@ WRAPPERS = frozenset({"argsort", "cumsum", "take", "compress", "repeat", "search
 
 
 def wrapper_calls(tree: ast.AST) -> list[tuple[int, str]]:
-    """(line, call) of each `np.<wrapper>(...)` and each argument-free `.any()` or `.all()` in `tree`."""
+    """(line, use) of each `np.<wrapper>` in `tree`, called or passed as a
+    value (say, to `map`), and each argument-free `.any()` or `.all()`."""
     found = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-            continue
-        name = node.func.attr
-        if isinstance(node.func.value, ast.Name) and node.func.value.id == "np" and name in WRAPPERS:
-            found.append((node.lineno, f"np.{name}(...)"))
-        elif name in ("any", "all") and not node.args and not node.keywords:
-            found.append((node.lineno, f".{name}()"))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np":
+            if node.attr in WRAPPERS:
+                found.append((node.lineno, f"np.{node.attr}"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+            if name in ("any", "all") and not node.args and not node.keywords:
+                found.append((node.lineno, f".{name}()"))
     return sorted(found)
 
 
 def test_the_guard_finds_each_kind_of_call():
-    source = "np.argsort(x)\nnp.any(x, axis=1)\nx.all()\nx.any(axis=0)\nx.argsort()\nany(x)\nnp.count_nonzero(x)\n"
-    assert wrapper_calls(ast.parse(source)) == [(1, "np.argsort(...)"), (2, "np.any(...)"), (3, ".all()")]
+    source = (
+        "np.argsort(x)\nnp.any(x, axis=1)\nx.all()\nx.any(axis=0)\nx.argsort()\nany(x)\nnp.count_nonzero(x)\n"
+        "map(np.flatnonzero, rows)\n"
+    )
+    assert wrapper_calls(ast.parse(source)) == [
+        (1, "np.argsort"), (2, "np.any"), (3, ".all()"), (8, "np.flatnonzero"),
+    ]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
