@@ -9,13 +9,14 @@ One simulation step runs a fixed pipeline:
   2. every data owner decides jointly against that snapshot: the rules that
      draw nothing as whole arrays, then one call per DO for its own draws
      (on its `OwnerConstants`); a price that is not finite stops the step,
-  3. the auction clears model-user requests at posted prices,
-  4. sub-delegations route over the delegators' quotes from step 1, never
+  3. the fresh prices are posted,
+  4. arrivals: the auction clears model-user requests at those prices, or
+     the demand model draws each accepting DO's tasks,
+  5. sub-delegations route over the delegators' quotes from step 1, never
      the trust graph again (tasks land next step),
-  5. work completes pending tasks oldest-first,
-  6. the two virtual queues advance,
-  7. reputations and rating counts update from on-time completions,
-  8. the step's metrics are emitted, one array per CSV column.
+  6. work completes pending tasks oldest-first,
+  7. one `settle` call: virtual queues, utility, reputations and ratings,
+  8. commit, then the audits; metrics return one array per CSV column.
 
 The world holds its state as numpy columns: a `STATE` record per data owner
 and one `TASK` array of every pending task, grouped by owner in FIFO order.

@@ -157,7 +157,8 @@ def run_preset(config: ScenarioConfig, policies=None, *, out_dir, quiet: bool = 
     `out_dir/<name>/`, and `summary.json`, one row per cell, goes to
     `out_dir`.  The manifests and summary about to be written are removed
     before the first cell runs, so a run that stops leaves none naming its
-    files.  Returns each policy's summary by name, in run order.
+    files; a step check that stops a run names its policy, seed and partial
+    CSV.  Returns each policy's summary by name, in run order.
     """
     out = Path(out_dir)
     assignment = config.policy.assignment
@@ -177,6 +178,9 @@ def run_preset(config: ScenarioConfig, policies=None, *, out_dir, quiet: bool = 
                 result = run_scenario(cell_config, seed, csv_path=csv_path)
             except OSError as exc:
                 raise OSError(f"failed writing metrics to {csv_path}: {exc}") from exc
+            except MarketInvariantError as exc:
+                where = f"policy {name}, seed {seed}; partial metrics in {csv_path}.partial"
+                raise MarketInvariantError(f"{exc} ({where})") from exc
             results.append(result)
             if not quiet:
                 print(

@@ -106,6 +106,16 @@ def settle_one(
     return tuple(column.item() for column in settle(state_columns(state), *columns, ema_beta, r_floor))
 
 
+def drift_bound(q, Q, arrivals, moved, kappa_bar, theta_max, s_max, kappa_max) -> float:
+    """The upper bound on one step's growth of the queue energy (q**2 + Q**2) / 2
+    from pending queue `q` and urgency queue `Q`, for `arrivals` admitted
+    tasks, `moved` = theta + s served or delegated and the running average
+    demand `kappa_bar`: xi + q * (arrivals - moved) + Q * (kappa_bar - moved),
+    with xi = (theta_max + s_max)**2 + kappa_max**2."""
+    xi = (theta_max + s_max) ** 2 + kappa_max**2
+    return xi + q * (arrivals - moved) + Q * (kappa_bar - moved)
+
+
 def dense(counts: dict[int, int], n: int) -> list[int]:
     """A per-DO count dict, such as an outcome's `kappa` or `s_realized`,
     which holds only the DOs that acted, as the full list over the n DOs."""

@@ -3,13 +3,12 @@
 These are the references the whole-array rules of `policy_pas` and
 `policy_baselines`, and `market.step`'s composition of them with each DO's
 `decide_for_policy` draws, must equal bit for bit, with the same draws from
-each DO's generator in the same order.
+each DO's generator in the same order.  They draw with numpy's own calls and
+import no rule from `aflsim`.
 """
 
 import math
 from collections import namedtuple
-
-from aflsim.policy_baselines import price_ampp, price_rand
 
 # One DO's full joint decision for a step.
 JointDecision = namedtuple(
@@ -82,9 +81,9 @@ def reference_decide(
         degenerate = price_is_degenerate(state, r_floor)
         price = decide_price(state, degenerate)
     elif spec.price_rule == "rand":
-        price = price_rand(state, rng, markup_max)
+        price = rng.uniform(state.reserve_price_p_min, 2 * state.reserve_price_p_min * (1 + markup_max))
     elif spec.price_rule == "ampp":
-        price = price_ampp(state, rng, markup_max)
+        price = state.reserve_price_p_min * (1 + rng.uniform(0, markup_max))
     else:
         price = lin_gain * state.reserve_price_p_min
 

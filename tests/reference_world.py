@@ -1,8 +1,9 @@
 """A world's data-owner parameters drawn one DO at a time, as the model reads.
 
 `World._build_data_owners` decodes the same numbers from blocks of the
-generator's raw outputs.  This loop, on a generator seeded as the world seeds
-its DO-parameter stream, is the reference it must equal byte for byte.
+generator's raw outputs.  This loop draws with numpy's own `rng.uniform` and
+`rng.integers`, on a generator seeded as the world seeds its DO-parameter
+stream: it is the reference the decoder must equal byte for byte.
 """
 
 import numpy as np
@@ -18,24 +19,19 @@ def reference_data_owners(cfg, seed: int) -> tuple[np.ndarray, np.ndarray]:
     do = cfg.do_params
     ds_lo, ds_hi = cfg.data_size_range
 
-    def uniform(bounds: tuple[float, float]) -> float:
-        # The value rng.uniform(lo, hi) returns, from the same draw.
-        lo, hi = bounds
-        return lo + (hi - lo) * rng.random()
-
     drawn, payments = [], []
     for _ in range(cfg.n_dos):
-        p_min = uniform(do.p_min)
+        p_min = rng.uniform(*do.p_min)
         row = (
             p_min,
-            uniform(do.unit_cost_frac) * p_min,
-            uniform(do.rho),
-            uniform(do.r0),
-            uniform(do.r_min),
+            rng.uniform(*do.unit_cost_frac) * p_min,
+            rng.uniform(*do.rho),
+            rng.uniform(*do.r0),
+            rng.uniform(*do.r_min),
             int(rng.integers(do.theta_max[0], do.theta_max[1] + 1)),
             int(rng.integers(do.s_max[0], do.s_max[1] + 1)),
             int(rng.integers(do.kappa_hat[0], do.kappa_hat[1] + 1)),
-            uniform(do.epsilon),
+            rng.uniform(*do.epsilon),
             int(rng.integers(do.m_positive[0], do.m_positive[1] + 1)),
             int(rng.integers(do.q0[0], do.q0[1] + 1)),
             int(rng.integers(ds_lo, ds_hi + 1)),

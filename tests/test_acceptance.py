@@ -26,8 +26,7 @@ from aflsim.market import build_world
 from aflsim.policy_baselines import ABLATION_NAMES, BASELINE_NAMES
 from aflsim.policy_pas import decide_subdelegation, subdelegation_cap
 from aflsim.simcli import run_preset, run_scenario
-from helpers import run_world
-from helpers import lyapunov_prices, make_state, state_columns
+from helpers import drift_bound, lyapunov_prices, make_state, run_world, state_columns
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
@@ -221,18 +220,12 @@ def test_c3_drift_never_exceeds_bound(drift_run):
     checked = 0
     for do_id, recs in by_do.items():
         recs.sort(key=lambda r: r.step)
-        theta_max, s_max, kappa_max = caps[do_id]
-        xi = (theta_max + s_max) ** 2 + kappa_max**2
         q_pre, Q_pre = initial[do_id]
         ksum, kn = 0.0, 0
         for rec in recs:
             kappa_bar = cfg.market.kappa_bar_prior if kn == 0 else ksum / kn
             moved = rec.completed_theta + rec.subdelegated_s
-            bound = (
-                xi
-                + q_pre * (rec.accepted_kappa - moved)
-                + Q_pre * (kappa_bar - moved)
-            )
+            bound = drift_bound(q_pre, Q_pre, rec.accepted_kappa, moved, kappa_bar, *caps[do_id])
             drift = 0.5 * (rec.pending_q**2 + rec.urgency_Q**2) - 0.5 * (
                 q_pre**2 + Q_pre**2
             )

@@ -184,6 +184,9 @@ DEMAND = {"market": {"arrival_mode": "demand-model"}}
         ({"policy": {"work_mode": "lazy"}}, "policy.work_mode"),
         ({"market": {"integerization": "ceil"}}, "market.integerization"),
         ({"mu": {"strategies": ["random", "nonsense"]}}, "mu.strategies"),
+        # A demand price exponent a1 and a horizon of 0: both must be positive.
+        ({"constants": {"a1": 0.0}}, "constants.a1"),
+        ({"horizon_T": 0}, "horizon_T"),
     ],
 )
 def test_out_of_bounds_values_name_field(raw, field):

@@ -1,7 +1,5 @@
 import numpy as np
-import pytest
 
-from aflsim.config import ConfigError, resolve_config
 from aflsim.core import validate_states
 from helpers import make_state, state_columns, trust_network, validate_decision
 from reference_policy import JointDecision
@@ -11,23 +9,6 @@ def validate_state(state):
     """The field the columnar validator names for a one-DO array, or None."""
     found = validate_states(state_columns(state))
     return None if found is None else found[1]
-
-
-def test_market_constants_accept_positive_coefficients():
-    cfg = resolve_config({"constants": {"a0": 0.1, "a1": 1.0, "a2": 0.3, "a3": 0.5}, "horizon_T": 10})
-    assert cfg.constants.a1 == 1.0
-
-
-def test_market_constants_reject_nonpositive_a1():
-    with pytest.raises(ConfigError) as err:
-        resolve_config({"constants": {"a0": 0.0, "a1": 0.0, "a2": 0.0, "a3": 0.0}})
-    assert err.value.field == "constants.a1"
-
-
-def test_market_constants_reject_bad_horizon():
-    with pytest.raises(ConfigError) as err:
-        resolve_config({"constants": {"a0": 0.0, "a1": 1.0, "a2": 0.0, "a3": 0.0}, "horizon_T": 0})
-    assert err.value.field == "horizon_T"
 
 
 def test_validate_state_accepts_midpoint_state():

@@ -27,8 +27,8 @@ from aflsim.policy_baselines import POLICIES
 from aflsim.policy_pas import decide_subdelegation, decide_work, eligible_delegates, subdelegation_cap
 from aflsim.simcli import run_scenario
 from helpers import (
-    DataOwnerState, R_FLOOR, dense, make_state, neighbour_rows, run_world, settle_one, state_columns, trust_network,
-    views,
+    DataOwnerState, R_FLOOR, dense, drift_bound, make_state, neighbour_rows, run_world, settle_one, state_columns,
+    trust_network, views,
 )
 from reference_policy import reference_decide
 from reference_world import reference_data_owners
@@ -185,6 +185,97 @@ def test_reputation_contracts_to_floor_under_failures():
 def test_reputation_rejects_impossible_counts():
     with pytest.raises(ValueError, match="completed_on_time cannot exceed due"):
         settle_one(make_state(), theta=1, on_time=2)
+
+
+def test_pending_queue_hand_values():
+    assert settle_one(make_state(pending_q=5.0), theta=2, s=1, x=1, kappa=3)[1] == 5.0
+    assert settle_one(make_state(pending_q=0.0), x=0, kappa=9)[1] == 0.0
+    assert settle_one(make_state(pending_q=2.0), theta=5, x=1, kappa=1)[1] == 1.0
+
+
+def test_urgency_queue_hand_values():
+    # Q grows by kappa_bar only where q - theta - s > 0: backlog left unserved.
+    assert settle_one(make_state(pending_q=3.0, urgency_Q=4.0, avg_demand_kappa_bar=2.0), theta=1, s=1)[2] == 4.0
+    assert settle_one(make_state(pending_q=0.0, urgency_Q=0.0, avg_demand_kappa_bar=5.0))[2] == 0.0
+    assert settle_one(make_state(pending_q=4.0, urgency_Q=1.0, avg_demand_kappa_bar=0.5), theta=3)[2] == 0.0
+    assert settle_one(make_state(pending_q=2.0, urgency_Q=1.0, avg_demand_kappa_bar=5.0), theta=2)[2] == 0.0
+
+
+def test_queues_never_go_negative():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        state = make_state(
+            pending_q=float(rng.uniform(0, 10)),
+            urgency_Q=float(rng.uniform(0, 10)),
+            avg_demand_kappa_bar=float(rng.uniform(0, 4)),
+        )
+        theta, s, kappa = (int(v) for v in rng.integers(0, 6, 3))
+        _, new_q, new_Q, _, _ = settle_one(state, x=1, theta=theta, s=s, kappa=kappa)
+        assert new_q >= 0.0
+        assert new_Q >= 0.0
+
+
+def test_drift_bound_hand_value():
+    # xi = (2 + 1)**2 + 3**2 = 18, q * (3 - 2) = 5 and Q * (1 - 2) = -2.
+    bound = drift_bound(5.0, 2.0, arrivals=3, moved=2, kappa_bar=1.0, theta_max=2, s_max=1, kappa_max=3)
+    assert bound == 18.0 + 5.0 - 2.0
+
+
+def test_realized_drift_never_exceeds_bound():
+    # the algebraic inequality behind queue stability, checked on random transitions
+    rng = np.random.default_rng(99)
+    for _ in range(3000):
+        theta_max = int(rng.integers(0, 5))
+        s_max = int(rng.integers(0, 5))
+        kappa_max = int(rng.integers(1, 8))
+        q = float(rng.uniform(0, 20))
+        Q = float(rng.uniform(0, 20))
+        theta = int(rng.integers(0, theta_max + 1))
+        s = int(rng.integers(0, s_max + 1))
+        x = int(rng.integers(0, 2))
+        kappa = int(rng.integers(0, kappa_max))  # arrivals stay below the cap
+        kappa_bar = float(rng.uniform(0, kappa_max))
+        state = make_state(theta_max=theta_max, s_max=s_max, kappa_max=kappa_max,
+                           pending_q=q, urgency_Q=Q, avg_demand_kappa_bar=kappa_bar)
+        _, new_q, new_Q, _, _ = settle_one(state, x=x, theta=theta, s=s, kappa=kappa)
+        drift = 0.5 * (new_q**2 + new_Q**2) - 0.5 * (q**2 + Q**2)
+        assert drift <= drift_bound(q, Q, x * kappa, theta + s, kappa_bar, theta_max, s_max, kappa_max) + 1e-9
+
+
+def test_cost_hand_values():
+    # With nothing accepted, the utility is minus the step's costs.
+    assert settle_one(make_state(), s=3, pbar=2.0)[0] == -6.0
+    assert settle_one(make_state(), s=0, pbar=5.0)[0] == 0.0
+    assert settle_one(make_state(), s=4, pbar=0.0)[0] == 0.0
+    assert settle_one(make_state(), s=0, pbar=math.inf)[0] == 0.0
+    assert settle_one(make_state(unit_cost_c=0.5), theta=2)[0] == -1.0
+    assert settle_one(make_state(unit_cost_c=3.0), theta=0)[0] == 0.0
+    assert settle_one(make_state(unit_cost_c=0.0), theta=9)[0] == 0.0
+
+
+def test_utility_hand_values():
+    state = make_state(reputation_r=1.0, unit_cost_c=0.5)
+    assert settle_one(state, x=1, price=2.0, s=1, theta=2, kappa=3.0, pbar=1.0)[0] == 4.0
+    assert settle_one(state, x=0, price=2.0, s=0, theta=0, kappa=3.0, pbar=1.0)[0] == 0.0
+    costly = make_state(reputation_r=1.0, unit_cost_c=1.0)
+    assert settle_one(costly, x=0, price=2.0, s=1, theta=1, kappa=3.0, pbar=2.0)[0] == -3.0
+
+
+def test_utility_decomposes_into_components():
+    rng = np.random.default_rng(3)
+    for _ in range(1000):
+        state = make_state(
+            reputation_r=float(rng.uniform(0, 1)),
+            unit_cost_c=float(rng.uniform(0, 3)),
+        )
+        x = int(rng.integers(0, 2))
+        price = float(rng.uniform(1.0, 5.0))
+        s = int(rng.integers(0, 4))
+        theta = int(rng.integers(0, 4))
+        f = float(rng.uniform(0, 6))
+        pbar = float(rng.uniform(0, 4))
+        got = settle_one(state, x=x, price=price, theta=theta, s=s, kappa=f, pbar=pbar)[0]
+        assert got == reference_settle(state, x, price, theta, s, f, 0, 0, pbar, 0.9, R_FLOOR)[0]
 
 
 def _single_market(price, valuation, x=1):
@@ -503,26 +594,6 @@ def test_views_equal_the_state_records_field_by_field_and_type_by_type():
         for name, value in zip(STATE.names, view):
             want = record[name].item()
             assert type(value) is type(want) and value == want, name
-
-
-def test_data_owner_draws_equal_rng_uniform_on_a_twin_generator():
-    cfg = resolve_config({"n_dos": 40, "horizon_T": 1})
-    world = build_world(cfg, 11)
-    rng = np.random.default_rng([11, market._STREAM_DO_PARAMS])
-    do = cfg.do_params
-    rows, payments = [], []
-    for _ in range(cfg.n_dos):
-        p_min = float(rng.uniform(*do.p_min))
-        drawn = [p_min, float(rng.uniform(*do.unit_cost_frac)) * p_min]
-        drawn += [float(rng.uniform(*bounds)) for bounds in (do.rho, do.r0, do.r_min)]
-        drawn += [int(rng.integers(lo, hi + 1)) for lo, hi in (do.theta_max, do.s_max, do.kappa_hat)]
-        drawn.append(float(rng.uniform(*do.epsilon)))
-        drawn += [int(rng.integers(lo, hi + 1)) for lo, hi in (do.m_positive, do.q0, cfg.data_size_range)]
-        rows.append(drawn)
-        payments.append(rng.uniform(*do.q0_payment_markup, size=drawn[-2]) * p_min)
-    for name, column in zip(market._DRAWN_COLUMNS, zip(*rows)):
-        assert world.states[name].tolist() == list(column), name
-    assert world.queue["payment"].tolist() == np.concatenate(payments).tolist()
 
 
 def _assert_data_owners_equal_the_reference(raw: dict, seed: int) -> None:
@@ -1177,29 +1248,189 @@ def test_array_rules_and_draws_equal_the_scalar_references(case):
     assert generator_states(world) == generator_states(twin)
 
 
-def test_demand_model_arrivals_respect_caps_and_determinism():
-    cfg = resolve_config({
-        "n_dos": 10, "horizon_T": 20, "seeds": [9],
-        "market": {"arrival_mode": "demand-model"},
-    })
-    world = build_world(cfg, 9, policy_override="pas-afl")
-    _, first = run_world(world)
-    _, second = run_world(build_world(cfg, 9, policy_override="pas-afl"))
-    assert first == second
-    # audits inside step() already enforce the admission caps; spot-check records
-    for rec in first:
-        assert rec.accepted_kappa <= world.states["kappa_max"][rec.do_id] - 1
-    assert any(r.accepted_kappa > 0 for r in first)
+# The demand model: `market._expected_demand` on `STATE` rows, and the
+# arrivals `market._demand_model_arrivals` draws around it.
 
 
-def test_demand_model_round_integerization_is_deterministic():
-    cfg = resolve_config({
-        "n_dos": 6, "horizon_T": 10, "seeds": [2],
-        "market": {"arrival_mode": "demand-model", "integerization": "round"},
-    })
-    _, a = run_world(build_world(cfg, 2, policy_override="lin-greedy"))
-    _, b = run_world(build_world(cfg, 2, policy_override="lin-greedy"))
-    assert a == b
+def consts(a0=0.0, a1=1.0, a2=0.0, a3=0.0):
+    return MarketConstants(a0=a0, a1=a1, a2=a2, a3=a3)
+
+
+def demand(c, price, reputation, epsilon=0.0, mp=1, r_floor=R_FLOOR) -> np.ndarray:
+    """`market._expected_demand` of one DO per price, each a `make_state`
+    record with the given reputation, epsilon and Mp (scalars or columns)."""
+    price = np.atleast_1d(np.asarray(price, dtype=float))
+    states = state_columns(*[make_state()] * len(price))
+    states["reputation_r"], states["alignment_epsilon"], states["positive_ratings_Mp"] = reputation, epsilon, mp
+    return market._expected_demand(c, r_floor, states, price)
+
+
+# At price 1 and reputation 1 the expected demand is the multiplier
+# exp(a0 + a3*eps) * Mp**a2 itself.
+
+
+def test_zeta_identity_case():
+    assert demand(consts(a0=0.0, a3=0.0, a2=1.0), 1.0, 1.0, 0.0, 1).tolist() == [1.0]
+
+
+def test_zeta_hand_value():
+    # exp(1 + 2*0.5) * 4**0.5 = 2 * e**2
+    value = demand(consts(a0=1.0, a3=2.0, a2=0.5), 1.0, 1.0, 0.5, 4)
+    assert value.tolist() == pytest.approx([14.7781121978613], rel=1e-12)
+
+
+def test_zeta_zero_ratings_kill_multiplier():
+    assert demand(consts(a2=1.0), 1.0, 1.0, 0.0, 0).tolist() == [0.0]
+
+
+def test_zeta_zero_ratings_with_zero_exponent():
+    # convention 0**0 == 1, so the exponential survives
+    assert demand(consts(a0=1.0, a2=0.0), 1.0, 1.0, 0.0, 0).tolist() == pytest.approx([math.e])
+
+
+# With a0 = a3 = 0 and a2 = 1 the multiplier is Mp exactly.
+
+
+def test_expected_demand_unit_denominator():
+    assert demand(consts(), 2.0, 1.0).tolist() == [2.0]
+
+
+def test_expected_demand_hand_value():
+    # 3 * 2 / 0.25**0.5 = 6 / 0.5
+    assert demand(consts(a1=0.5, a2=1.0), 2.0, 0.25, mp=3).tolist() == pytest.approx([12.0])
+
+
+def test_expected_demand_zero_price():
+    assert demand(consts(a1=2.0, a2=1.0), 0.0, 0.5, mp=7).tolist() == [0.0]
+
+
+def test_expected_demand_uses_reputation_floor():
+    spiky = demand(consts(), 1.0, 0.0, r_floor=1e-3)
+    assert np.isfinite(spiky).all()
+    assert spiky.tolist() == pytest.approx([1000.0])
+
+
+def test_demand_monotone_in_price_and_reputation():
+    rng = np.random.default_rng(42)
+    for _ in range(100):
+        r = rng.uniform(1e-3, 1.0, 10)
+        z = rng.uniform(0.1, 5.0, 10)
+        a1 = float(rng.uniform(0.2, 2.0))
+        p = rng.uniform(0.1, 10.0, 10)
+        c, eps = consts(a1=a1, a3=1.0), np.log(z)  # multiplier exp(log z) = z
+        assert (demand(c, p * 1.01, r, eps) > demand(c, p, r, eps)).all()
+        r_hi = np.minimum(1.0, r * 1.01 + 1e-6)
+        assert (demand(c, p, r_hi, eps) < demand(c, p, r, eps)).all()
+
+
+def test_demand_matches_loglinear_form():
+    # ln f == a0 + a2 ln Mp + a3 eps - a1 ln r + ln p for r above the floor
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        a0, a2, a3 = rng.uniform(0.0, 1.5, size=3)
+        a1 = float(rng.uniform(0.2, 2.0))
+        eps = float(rng.uniform(0.0, 2.0))
+        mp = int(rng.integers(1, 200))
+        r = float(rng.uniform(1e-3, 1.0))
+        p = float(rng.uniform(0.01, 20.0))
+        c = MarketConstants(a0=float(a0), a1=a1, a2=float(a2), a3=float(a3))
+        [f] = demand(c, p, r, eps, mp)
+        expected_log = a0 + a2 * math.log(mp) + a3 * eps - a1 * math.log(r) + math.log(p)
+        assert math.log(f) == pytest.approx(expected_log, rel=1e-12, abs=1e-12)
+
+
+def scalar_demand(c, price, reputation, epsilon, mp, r_floor):
+    """One DO's expected demand in Python floats, as the formulas read."""
+    return math.exp(c.a0 + c.a3 * epsilon) * float(mp) ** c.a2 * price / max(reputation, r_floor) ** c.a1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 1.0), st.floats(0.0, 2.0), st.integers(0, 10**6)),
+        min_size=1,
+        max_size=8,
+    ),
+    # Mostly ordinary coefficients, then ones that overflow exp or pow or
+    # underflow r ** a1 to 0.
+    a0=st.one_of(st.floats(0.0, 3.0), st.just(720.0)),
+    a1=st.one_of(st.floats(0.2, 2.0), st.sampled_from([120.0, 1100.0])),
+    a2=st.one_of(st.floats(0.0, 1.0), st.just(60.0)),
+    a3=st.floats(0.0, 1.0),
+    r_floor=st.sampled_from([1e-3, 0.5, 2.0]),
+)
+def test_elementwise_demand_equals_the_scalar_formula_bit_for_bit(rows, a0, a1, a2, a3, r_floor):
+    # Each row reads the scalar formula's bits where it evaluates, and inf
+    # where libm raises, whatever the other rows do.
+    c = consts(a0=a0, a1=a1, a2=a2, a3=a3)
+    want = []
+    for row in rows:
+        try:
+            want.append(scalar_demand(c, *row, r_floor))
+        except (OverflowError, ZeroDivisionError):
+            want.append(math.inf)
+    got = demand(c, *(list(column) for column in zip(*rows)), r_floor=r_floor)
+    assert [value.hex() for value in got.tolist()] == [value.hex() for value in want]
+
+
+def unit_world(n, kappa_hat=4, mode="poisson"):
+    """A demand-model world of `n` DOs whose expected demand is its posted
+    price: a0 = a2 = a3 = 0 and reputation 1, with theta_max past kappa_hat."""
+    return build_world(resolve_config({
+        "n_dos": n, "horizon_T": 1, "seeds": [1],
+        "market": {"arrival_mode": "demand-model", "integerization": mode},
+        "constants": {"a0": 0.0, "a2": 0.0, "a3": 0.0},
+        "do_params": {"r0": [1.0, 1.0], "kappa_hat": [kappa_hat, kappa_hat], "theta_max": [20, 20]},
+    }), 1)
+
+
+def arrivals(world, price) -> list[int]:
+    """Each DO's admitted count from one `_demand_model_arrivals` call, every DO accepting at `price`."""
+    outcome, _ = market._demand_model_arrivals(world, np.asarray(price, dtype=float), np.ones(len(price), np.intp))
+    return dense(outcome.kappa, len(price))
+
+
+def test_realize_demand_zero_mean_is_zero():
+    assert arrivals(unit_world(1, kappa_hat=5), [0.0]) == [0]
+
+
+def test_realize_demand_clamp_dominates():
+    world = unit_world(200, kappa_hat=3)
+    assert max(arrivals(world, np.full(200, 100.0))) <= 2
+
+
+def test_realize_demand_bounds_hold_generally():
+    rng = np.random.default_rng(5)
+    world = unit_world(200, kappa_hat=6)
+    draws = [k for _ in range(10) for k in arrivals(world, rng.uniform(0, 8, 200))]
+    assert all(type(k) is int for k in draws)
+    assert all(0 <= k <= 5 for k in draws)
+
+
+def test_realize_demand_mean_matches_truncated_poisson():
+    # independent oracle: enumerate the clamped Poisson mean directly
+    lam, cap = 3.0, 4
+    oracle = 0.0
+    tail = 1.0
+    for k in range(cap - 1):
+        pk = math.exp(-lam) * lam**k / math.factorial(k)
+        oracle += k * pk
+        tail -= pk
+    oracle += (cap - 1) * tail
+
+    world = unit_world(200, kappa_hat=cap)
+    draws = [k for _ in range(500) for k in arrivals(world, np.full(200, lam))]
+    assert np.mean(draws) == pytest.approx(oracle, abs=0.02)
+
+
+def test_realize_demand_round_mode_is_deterministic():
+    # Halves round to even, as Python's round does; nothing is drawn.
+    expected, caps = [2.4, 2.6, 99.0, 2.5, 3.5, 0.5], [10, 10, 4, 10, 10, 10]
+    world = unit_world(6, kappa_hat=10, mode="round")
+    world.states["kappa_max"] = caps
+    entry = [rng.bit_generator.state for rng in world.demand_rngs]
+    assert arrivals(world, expected) == [2, 3, 3, 2, 4, 0] == [min(round(f), cap - 1) for f, cap in zip(expected, caps)]
+    assert [rng.bit_generator.state for rng in world.demand_rngs] == entry
 
 
 def reference_arrivals(world, price, accept):
@@ -1215,8 +1446,9 @@ def reference_arrivals(world, price, accept):
             admitted.append(0)
             continue
         try:
-            multiplier = math.exp(c.a0 + c.a3 * state.alignment_epsilon) * float(state.positive_ratings_Mp) ** c.a2
-            f = multiplier * float(price[i]) / max(state.reputation_r, r_floor) ** c.a1
+            f = scalar_demand(
+                c, float(price[i]), state.reputation_r, state.alignment_epsilon, state.positive_ratings_Mp, r_floor
+            )
         except (OverflowError, ZeroDivisionError):
             f = math.inf
         if not f <= limit:

@@ -45,18 +45,6 @@ def test_price_ampp_mean():
     assert min(draws) >= 2.0
 
 
-def test_random_prices_equal_rng_uniform_on_a_twin_generator():
-    draws = np.random.default_rng(5)
-    direct, uniform = np.random.default_rng(6), np.random.default_rng(6)
-    for _ in range(2000):
-        p_min = float(draws.uniform(0.01, 50.0))
-        markup = float(draws.uniform(1e-6, 20.0))
-        state = make_state(reserve_price_p_min=p_min, current_price_p=p_min)
-        assert price_rand(state, direct, markup) == uniform.uniform(p_min, 2.0 * p_min * (1.0 + markup))
-        assert price_ampp(state, direct, markup) == p_min * (1.0 + uniform.uniform(0.0, markup))
-    assert direct.bit_generator.state == uniform.bit_generator.state
-
-
 def test_lyapunov_price_tests_degeneracy_once_per_decision(monkeypatch):
     calls = []
     real = market.price_is_degenerate

@@ -380,7 +380,11 @@ def test_cli_reports_a_broken_invariant_with_code_5(tmp_path, monkeypatch, capsy
     config_path.write_text(json.dumps(TINY))
     code = main(["--quiet", "run", "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert code == 5
-    assert capsys.readouterr().err == "aflsim: invariant broken: task ledger off by one\n"
+    partial = tmp_path / "out" / "pas-afl" / "metrics_seed1.csv.partial"
+    assert capsys.readouterr().err == (
+        f"aflsim: invariant broken: task ledger off by one (policy pas-afl, seed 1; partial metrics in {partial})\n"
+    )
+    assert partial.is_file()
 
 
 def test_cli_reports_missing_artifacts_with_code_3(tmp_path):
