@@ -247,9 +247,6 @@ def emit_plot_data(runs_dir, out_dir) -> list[Path]:
     runs = Path(runs_dir)
     names = _read(runs / "summary.json", _cell_names)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     utility_rows, backlog_rows, comparison_rows = [], [], []
     for name in names:
         manifest = runs / name / "manifest.json"
@@ -278,6 +275,8 @@ def emit_plot_data(runs_dir, out_dir) -> list[Path]:
         ("backlog_vs_time.csv", ("policy", "step", "mean_pending_q"), backlog_rows),
         ("policy_comparison.csv", ("policy", "mean_utility", "mean_pending_q", "mean_price"), comparison_rows),
     )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for name, header, rows in tables:
         with open(out / name, "w", newline="", encoding="utf-8") as handle:
             csv.writer(handle).writerows([header, *rows])

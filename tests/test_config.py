@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import sys
 from dataclasses import fields, is_dataclass
@@ -7,19 +8,50 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aflsim.config import ADJACENCY_BYTES, MEMORY_BUDGET, ConfigError, ScenarioConfig, resolve_config
+from aflsim.config import ADJACENCY_BYTES, MEMORY_BUDGET, ConfigError, ScenarioConfig, load_config, resolve_config
 from aflsim.market import MarketInvariantError
 from aflsim.simcli import run_scenario
 
 SECTIONS = ("constants", "do_params", "mu", "reputation", "market", "policy")
 
 
-@pytest.mark.parametrize("section", ("config",) + SECTIONS)
-def test_unknown_keys_rejected(section):
-    raw = {"surprise": 1} if section == "config" else {section: {"surprise": 1}}
+def test_defaults_fill_minimal_config():
+    cfg = resolve_config({})
+    assert cfg.n_dos == 100
+    assert len(cfg.mu.strategies) == 6
+    assert cfg.trust_edge_prob == 0.7
+    assert cfg.horizon_T == 500
+    assert cfg.data_size_range == (1000, 10000)
+    assert cfg.seeds == tuple(range(1, 11))
+    assert cfg.constants.a1 > 0
+
+
+def test_load_config_round_trip(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"n_dos": 9, "horizon_T": 4}))
+    cfg = load_config(path)
+    assert cfg.n_dos == 9
+    assert cfg.horizon_T == 4
+
+
+def test_load_config_reports_parse_position(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{\n  'bad': 1\n}")
     with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.field == "config"
+    assert str(err.value) == "config: invalid JSON at line 2: Expecting property name enclosed in double quotes"
+
+
+# An unknown key in each section, and two top-level keys the config does not have: n_mus (the
+# roster's length is len(mu.strategies)) and output_dir (a run writes where the CLI's --out says).
+@pytest.mark.parametrize("section", ("config",) + SECTIONS + ("n_mus", "output_dir"))
+def test_unknown_keys_rejected(section):
+    key = section if section in ("n_mus", "output_dir") else "surprise"
+    raw = {section: {key: 1}} if section in SECTIONS else {key: 1}
+    with pytest.raises(ConfigError, match=rf"unknown keys: \['{key}'\]") as err:
         resolve_config(raw)
-    assert err.value.field == section
+    assert err.value.field == (section if section in SECTIONS else "config")
 
 
 @pytest.mark.parametrize(
@@ -187,6 +219,13 @@ DEMAND = {"market": {"arrival_mode": "demand-model"}}
         # A demand price exponent a1 and a horizon of 0: both must be positive.
         ({"constants": {"a1": 0.0}}, "constants.a1"),
         ({"horizon_T": 0}, "horizon_T"),
+        ({"trust_edge_prob": 1.3}, "trust_edge_prob"),
+        ({"seeds": []}, "seeds"),
+        ({"seeds": [1, 2, 1]}, "seeds"),
+        ({"policy": {"assignment": "mystery"}}, "policy.assignment"),
+        ({"do_params": {"rho": [5.0, 1.0]}}, "do_params.rho"),
+        # A per-DO assignment names one policy for each DO.
+        ({"n_dos": 3, "policy": {"assignment": ["pas-afl", "lin-rand"]}}, "policy.assignment"),
     ],
 )
 def test_out_of_bounds_values_name_field(raw, field):

@@ -991,16 +991,6 @@ def test_zero_mu_world_earns_nothing():
     assert all(r.utility_u <= 0.0 for r in records)
 
 
-def test_step_keeps_virtual_and_physical_queues_aligned():
-    cfg = resolve_config({"n_dos": 12, "horizon_T": 30, "seeds": [3]})
-    world = build_world(cfg, 3, policy_override="pas-afl")
-    for _ in range(cfg.horizon_T):
-        step(world)
-        held = np.bincount(world.queue["owner"], minlength=cfg.n_dos)
-        assert world.states["pending_q"].tolist() == held.tolist()
-    assert world.audit_checks == cfg.horizon_T
-
-
 def test_step_queue_updates_match_recurrences():
     # reconstruct both queue recurrences from the emitted records
     cfg = resolve_config({"n_dos": 15, "horizon_T": 40, "seeds": [5]})
@@ -1026,11 +1016,11 @@ def test_step_queue_updates_match_recurrences():
             kn += 1
 
 
-# What one step decided, DO by DO: the snapshot it decided against, the
-# record each decide_for_policy call read (a full DataOwnerState in the scalar
-# reference's replay), each DO's (accept_x, price_p, subdelegate_s,
-# work_theta), and how many prices fell back to the reserve as degenerate.
-Decided = namedtuple("Decided", "avg eligible states decisions degenerate")
+# What one step decided, DO by DO: the record each decide_for_policy call
+# read (a full DataOwnerState in the scalar reference's replay), each DO's
+# (accept_x, price_p, subdelegate_s, work_theta), and how many prices fell
+# back to the reserve as degenerate.
+Decided = namedtuple("Decided", "states decisions degenerate")
 
 
 def step_decisions(world, snapshot=None) -> Decided:
@@ -1043,14 +1033,12 @@ def step_decisions(world, snapshot=None) -> Decided:
 
     def contexts(self, prices, theta):
         if snapshot is None:
-            seen["snapshot"] = build_contexts(self, prices, theta)
-        else:
-            avg, eligible = snapshot
-            cap = subdelegation_cap(self.states, theta)
-            goal = np.where(self._threshold_rule, decide_subdelegation(self.states, avg, cap), cap)
-            asked = np.flatnonzero(eligible)
-            seen["snapshot"] = (avg, goal, eligible, asked, np.full((len(asked), 1), -1))
-        return seen["snapshot"]
+            return build_contexts(self, prices, theta)
+        avg, eligible = snapshot
+        cap = subdelegation_cap(self.states, theta)
+        goal = np.where(self._threshold_rule, decide_subdelegation(self.states, avg, cap), cap)
+        asked = np.flatnonzero(eligible)
+        return avg, goal, eligible, asked, np.full((len(asked), 1), -1)
 
     def recording_decide(spec, state, *args):
         seen["calls"].append((state, decide(spec, state, *args)))
@@ -1068,10 +1056,7 @@ def step_decisions(world, snapshot=None) -> Decided:
     states, calls = zip(*seen["calls"])
     x, price, theta = seen["settled"]
     assert [d.price_p for d in calls] == price  # the step posts the prices the calls return
-    avg, _, eligible = seen["snapshot"][:3]
     return Decided(
-        avg.tolist(),
-        eligible.tolist(),
         list(states),
         [(accept, p, d.subdelegate_s, work) for accept, p, d, work in zip(x, price, calls, theta)],
         world.degenerate_price_steps - degenerate,
@@ -1089,28 +1074,11 @@ def reference_decisions(world, avg, eligible) -> Decided:
         reference_decide(spec, view, a, e, rng, *knobs)
         for spec, view, a, e, rng in zip(world.policy_specs, full, avg, eligible, world.policy_rngs)
     ]
-    return Decided(avg, eligible, full, [d[:4] for d in want], sum(d.price_degenerate for d in want))
+    return Decided(full, [d[:4] for d in want], sum(d.price_degenerate for d in want))
 
 
 def generator_states(world) -> list:
     return [rng and rng.bit_generator.state for rng in world.policy_rngs]
-
-
-def test_step_decisions_depend_only_on_snapshot():
-    cfg = resolve_config({"n_dos": 10, "horizon_T": 15, "seeds": [2]})
-    for policy in ("pas-afl", "lin-greedy"):
-        world = build_world(cfg, 2, policy_override=policy)
-        for _ in range(cfg.horizon_T):
-            twin = copy.deepcopy(world)
-            got = step_decisions(world)
-            # Each call reads its own DO's id and reserve price.
-            columns = zip(twin.ids.tolist(), twin.states["reserve_price_p_min"].tolist())
-            assert [(record.id, record.reserve_price_p_min) for record in got.states] == list(columns)
-            # Replayed on the state before the step and the snapshot the step took.
-            want = reference_decisions(twin, got.avg, got.eligible)
-            assert (got.avg, got.eligible, got.decisions, got.degenerate) == (
-                want.avg, want.eligible, want.decisions, want.degenerate
-            )
 
 
 def reference_snapshot(world, prices, reps):
@@ -1140,8 +1108,11 @@ def test_each_do_is_handed_one_record_for_the_whole_run():
         "policy": {"assignment": POLICY_NAMES},
     })
     world = build_world(cfg, 4)
+    columns = list(zip(world.ids.tolist(), world.states["reserve_price_p_min"].tolist()))
     first = step_decisions(world).states
     assert [type(record) for record in first] == [OwnerConstants] * cfg.n_dos
+    # Each call reads its own DO's id and reserve price.
+    assert [(record.id, record.reserve_price_p_min) for record in first] == columns
     for _ in range(cfg.horizon_T - 1):
         assert list(map(id, step_decisions(world).states)) == list(map(id, first))
 

@@ -12,12 +12,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from aflsim import simcli
-from aflsim.config import ConfigError, load_config, resolve_config
+from aflsim.config import resolve_config
 from aflsim.core import CSV_COLUMNS
 from aflsim.market import MarketInvariantError
 from aflsim.simcli import (
     COMPARE_POLICIES,
-    MissingArtifactError,
     _write_rows,
     emit_plot_data,
     main,
@@ -33,15 +32,6 @@ TINY = {
 }
 
 
-def written_rows(metrics) -> list[tuple[str, ...]]:
-    """The fields of each line `_write_rows` writes for one step's metrics."""
-    handle = io.StringIO()
-    _write_rows(handle, metrics)
-    text = handle.getvalue()
-    assert text.endswith("\r\n")
-    return [tuple(line.split(",")) for line in text.split("\r\n")[:-1]]
-
-
 def reference_rows_text(metrics) -> str:
     """One step's metrics as `csv.writer` writes them from `format(v, ".9g")`
     for float columns and `str` for the rest."""
@@ -51,32 +41,6 @@ def reference_rows_text(metrics) -> str:
         zip(*(map(format, c.tolist(), repeat(".9g")) if c.dtype.kind == "f" else map(str, c.tolist()) for c in columns))
     )
     return handle.getvalue()
-
-
-def test_csv_rows_format_floats():
-    metrics = {
-        "step": np.array([3, 3]),
-        "do_id": np.array([0, 1]),
-        "utility_u": np.array([0.123456789123, -0.25]),
-        "pending_q": np.array([2.0, 0.0]),
-        "urgency_Q": np.array([0.0, 1.5]),
-        "accepted_kappa": np.array([2, 0]),
-        "completed_theta": np.array([1, 0]),
-        "subdelegated_s": np.array([0, 0]),
-        "price_p": np.array([1.0, 2.5]),
-        "reputation_r": np.array([0.5, 1.0]),
-    }
-    row = written_rows(metrics)[0]
-    assert row[0] == "3" and row[1] == "0"
-    assert row[2] == "0.123456789"
-    assert row[3] == "2"
-
-
-def test_csv_float_format_matches_the_fstring_on_edge_values():
-    values = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308, 3.0, -7.0, 1e16, 0.1]
-    rows = written_rows({name: np.array(values) for name in CSV_COLUMNS})
-    assert rows == [(f"{v:.9g}",) * len(CSV_COLUMNS) for v in values]
-    assert [row[0] for row in rows[:4]] == ["-0", "0", "inf", "-inf"]
 
 
 EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, sys.float_info.max, 3.0, -7.0, 1e16]
@@ -110,83 +74,6 @@ def test_write_rows_matches_the_csv_writer_reference(metrics):
     assert handle.getvalue() == reference_rows_text(metrics)
 
 
-def test_defaults_fill_minimal_config():
-    cfg = resolve_config({})
-    assert cfg.n_dos == 100
-    assert len(cfg.mu.strategies) == 6
-    assert cfg.trust_edge_prob == 0.7
-    assert cfg.horizon_T == 500
-    assert cfg.data_size_range == (1000, 10000)
-    assert cfg.seeds == tuple(range(1, 11))
-    assert cfg.constants.a1 > 0
-
-
-def test_bad_edge_probability_names_field():
-    with pytest.raises(ConfigError) as err:
-        resolve_config({"trust_edge_prob": 1.3})
-    assert err.value.field == "trust_edge_prob"
-
-
-def test_empty_seed_list_names_field():
-    with pytest.raises(ConfigError) as err:
-        resolve_config({"seeds": []})
-    assert err.value.field == "seeds"
-
-
-def test_duplicate_seeds_name_field():
-    with pytest.raises(ConfigError) as err:
-        resolve_config({"seeds": [1, 2, 1]})
-    assert err.value.field == "seeds"
-
-
-def test_unknown_policy_rejected():
-    with pytest.raises(ConfigError) as err:
-        resolve_config({"policy": {"assignment": "mystery"}})
-    assert err.value.field == "policy.assignment"
-
-
-def test_n_mus_is_an_unknown_key():
-    # The roster's length is len(mu.strategies); there is no separate count to set.
-    with pytest.raises(ConfigError, match=r"unknown keys: \['n_mus'\]") as err:
-        resolve_config({"n_mus": 6})
-    assert err.value.field == "config"
-
-
-def test_output_dir_is_an_unknown_key():
-    # Where a run writes is the CLI's required --out; the config names no directory.
-    with pytest.raises(ConfigError, match=r"unknown keys: \['output_dir'\]") as err:
-        resolve_config({"output_dir": "runs_out"})
-    assert err.value.field == "config"
-
-
-def test_inverted_range_rejected():
-    with pytest.raises(ConfigError) as err:
-        resolve_config({"do_params": {"rho": [5.0, 1.0]}})
-    assert err.value.field == "do_params.rho"
-
-
-def test_per_do_assignment_must_cover_every_do():
-    with pytest.raises(ConfigError) as err:
-        resolve_config({"n_dos": 3, "policy": {"assignment": ["pas-afl", "lin-rand"]}})
-    assert err.value.field == "policy.assignment"
-
-
-def test_load_config_round_trip(tmp_path):
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({"n_dos": 9, "horizon_T": 4}))
-    cfg = load_config(path)
-    assert cfg.n_dos == 9
-    assert cfg.horizon_T == 4
-
-
-def test_load_config_reports_parse_position(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{\n  'bad': 1\n}")
-    with pytest.raises(ConfigError) as err:
-        load_config(path)
-    assert "line" in str(err.value)
-
-
 def with_policy(name: str):
     return resolve_config({**TINY, "policy": {"assignment": name}})
 
@@ -194,8 +81,8 @@ def with_policy(name: str):
 def test_run_preset_writes_the_config_assignment_into_its_cell_directory(tmp_path):
     cfg = with_policy("pas-afl")
     summary = run_preset(cfg, out_dir=tmp_path)
-    assert (tmp_path / "pas-afl" / "metrics_seed1.csv").exists()
-    assert (tmp_path / "pas-afl" / "metrics_seed2.csv").exists()
+    seeds_written = sorted(p.name for p in (tmp_path / "pas-afl").glob("metrics_seed*"))
+    assert seeds_written == ["metrics_seed1.csv", "metrics_seed2.csv"]  # and no .partial file
     manifest = json.loads((tmp_path / "pas-afl" / "manifest.json").read_text())
     assert manifest["policy"] == "pas-afl"
     assert manifest["resolved_config"]["seeds"] == [1, 2]
@@ -207,46 +94,6 @@ def test_run_preset_writes_the_config_assignment_into_its_cell_directory(tmp_pat
     assert written["rows"][0]["policy"] == "pas-afl"
 
 
-def test_a_run_stopped_midway_leaves_no_csv_under_its_final_name(tmp_path, monkeypatch):
-    real_step = simcli.step
-
-    def step(world):
-        if world.t == 2:
-            raise MarketInvariantError("stopped at step 2")
-        return real_step(world)
-
-    monkeypatch.setattr(simcli, "step", step)
-    with pytest.raises(MarketInvariantError):
-        run_preset(with_policy("pas-afl"), out_dir=tmp_path)
-    assert not list((tmp_path / "pas-afl").glob("metrics_seed*.csv"))  # the names plotdata reads
-    # The partial file holds the header and the two steps that ran.
-    lines = (tmp_path / "pas-afl" / "metrics_seed1.csv.partial").read_text().splitlines()
-    assert len(lines) == 1 + 2 * TINY["n_dos"]
-
-
-def test_a_rerun_that_stops_leaves_no_stale_manifest_or_summary(tmp_path, monkeypatch):
-    run_preset(resolve_config({**TINY, "horizon_T": 5}), out_dir=tmp_path)
-    assert (tmp_path / "pas-afl" / "manifest.json").exists() and (tmp_path / "summary.json").exists()
-    real_step = simcli.step
-    worlds = []
-
-    def step(world):
-        if world not in worlds:
-            worlds.append(world)
-        if len(worlds) == 2 and world.t == 2:
-            raise MarketInvariantError("stopped at step 2 of seed 2")
-        return real_step(world)
-
-    monkeypatch.setattr(simcli, "step", step)
-    with pytest.raises(MarketInvariantError):
-        run_preset(resolve_config({**TINY, "horizon_T": 3}), out_dir=tmp_path)
-    # Seed 1's CSV was rewritten at T=3; no manifest may still describe the T=5 run.
-    lines = (tmp_path / "pas-afl" / "metrics_seed1.csv").read_text().splitlines()
-    assert len(lines) == 1 + 3 * TINY["n_dos"]
-    assert not (tmp_path / "pas-afl" / "manifest.json").exists()
-    assert not (tmp_path / "summary.json").exists()
-
-
 @pytest.mark.parametrize("verb", ["run", "compare", "ablate"])
 def test_every_manifest_reproduces_its_run(tmp_path, verb):
     config_path = tmp_path / "cfg.json"
@@ -255,6 +102,8 @@ def test_every_manifest_reproduces_its_run(tmp_path, verb):
     assert main(["--quiet", verb, "--config", str(config_path), "--out", str(out)]) == 0
     manifests = sorted(out.rglob("manifest.json"))
     assert len(manifests) == (1 if verb == "run" else len(simcli.VERBS[verb][1]))
+    rows = json.loads((out / "summary.json").read_text())["rows"]
+    assert sorted(row["policy"] for row in rows) == [manifest.parent.name for manifest in manifests]
     again = tmp_path / "again.csv"
     mismatched = []
     for manifest in manifests:
@@ -266,22 +115,6 @@ def test_every_manifest_reproduces_its_run(tmp_path, verb):
             if again.read_bytes() != (manifest.parent / f"metrics_seed{seed}.csv").read_bytes():
                 mismatched.append((manifest.parent.name, seed))
     assert mismatched == []
-
-
-def test_a_whole_run_leaves_no_partial_file(tmp_path):
-    run_preset(with_policy("pas-afl"), out_dir=tmp_path)
-    seeds_written = sorted(p.name for p in (tmp_path / "pas-afl").glob("metrics_seed*"))
-    assert seeds_written == ["metrics_seed1.csv", "metrics_seed2.csv"]
-
-
-def test_rerun_is_byte_identical(tmp_path):
-    cfg = with_policy("rand-rand")
-    run_preset(cfg, out_dir=tmp_path / "a")
-    run_preset(cfg, out_dir=tmp_path / "b")
-    for seed in (1, 2):
-        a = (tmp_path / "a" / "rand-rand" / f"metrics_seed{seed}.csv").read_bytes()
-        b = (tmp_path / "b" / "rand-rand" / f"metrics_seed{seed}.csv").read_bytes()
-        assert a == b
 
 
 def test_summary_matches_independent_csv_pass(tmp_path):
@@ -300,15 +133,6 @@ def test_summary_matches_independent_csv_pass(tmp_path):
     assert row.mean_price == pytest.approx(statistics.fmean(prices), abs=1e-9)
 
 
-def test_plot_data_requires_artifacts(tmp_path):
-    with pytest.raises(MissingArtifactError):
-        emit_plot_data(tmp_path / "nowhere", tmp_path / "out")
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    with pytest.raises(MissingArtifactError):
-        emit_plot_data(empty, tmp_path / "out")
-
-
 def test_plot_data_series_covers_horizon(tmp_path):
     cfg = resolve_config({**TINY, "seeds": [1]})
     run_preset(cfg, out_dir=tmp_path / "runs")
@@ -317,32 +141,6 @@ def test_plot_data_series_covers_horizon(tmp_path):
         rows = list(csv.DictReader(handle))
     assert len(rows) == cfg.horizon_T
     assert {int(r["step"]) for r in rows} == set(range(cfg.horizon_T))
-
-
-def test_comparison_preset_yields_seven_rows(tmp_path):
-    cfg = resolve_config({"n_dos": 5, "horizon_T": 5, "seeds": [1]})
-    summary = run_preset(cfg, COMPARE_POLICIES, out_dir=tmp_path / "runs")
-    assert [row.policy for row in summary.values()] == list(COMPARE_POLICIES)
-
-    emit_plot_data(tmp_path / "runs", tmp_path / "plots")
-    with open(tmp_path / "plots" / "policy_comparison.csv", newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    assert len(rows) == 7
-
-
-def test_cli_run_verb(tmp_path):
-    config_path = tmp_path / "cfg.json"
-    config_path.write_text(json.dumps(TINY))
-    code = main(["--quiet", "run", "--config", str(config_path), "--out", str(tmp_path / "out")])
-    assert code == 0
-    assert (tmp_path / "out" / "pas-afl" / "metrics_seed1.csv").exists()
-
-
-def test_cli_reports_config_errors_with_code_2(tmp_path):
-    config_path = tmp_path / "cfg.json"
-    config_path.write_text(json.dumps({"trust_edge_prob": 2.0}))
-    code = main(["--quiet", "run", "--config", str(config_path), "--out", str(tmp_path / "out")])
-    assert code == 2
 
 
 def test_cli_reports_wrong_typed_config_with_code_2(tmp_path, capsys):
@@ -392,25 +190,30 @@ def test_cli_reports_missing_artifacts_with_code_3(tmp_path):
     assert code == 3
 
 
-def test_cli_compare_and_ablate_verbs(tmp_path):
-    config_path = tmp_path / "cfg.json"
-    config_path.write_text(json.dumps({"n_dos": 4, "horizon_T": 4, "seeds": [1]}))
-    assert main(["--quiet", "compare", "--config", str(config_path),
-                 "--out", str(tmp_path / "cmp")]) == 0
-    summary = json.loads((tmp_path / "cmp" / "summary.json").read_text())
-    assert len(summary["rows"]) == 7
-    assert main(["--quiet", "ablate", "--config", str(config_path),
-                 "--out", str(tmp_path / "abl")]) == 0
-    summary = json.loads((tmp_path / "abl" / "summary.json").read_text())
-    assert len(summary["rows"]) == 6  # the joint policy plus five ablations
-
-
-def test_cli_plotdata_verb(tmp_path):
-    config_path = tmp_path / "cfg.json"
-    config_path.write_text(json.dumps({**TINY, "seeds": [4]}))
-    assert main(["--quiet", "run", "--config", str(config_path), "--out", str(tmp_path / "runs")]) == 0
-    assert main(["--quiet", "plotdata", "--runs", str(tmp_path / "runs"), "--out", str(tmp_path / "plots")]) == 0
-    assert (tmp_path / "plots" / "backlog_vs_time.csv").exists()
+# Paths a verb cannot read or write: a run's --out that is a file, a metrics file's partial name
+# taken by a directory, a plotdata --out that is a file, and a --config that does not exist.
+@pytest.mark.parametrize(
+    "case", ["run-out-is-a-file", "partial-metrics-is-a-directory", "plotdata-out-is-a-file", "config-missing"]
+)
+def test_cli_reports_io_errors_with_code_4(tmp_path, capsys, case):
+    config, runs, plots = tmp_path / "cfg.json", tmp_path / "runs", tmp_path / "plots"
+    config.write_text(json.dumps(TINY))
+    argv, named = ["run", "--config", str(config), "--out", str(runs)], runs
+    if case == "run-out-is-a-file":
+        runs.write_text("")
+    elif case == "partial-metrics-is-a-directory":
+        (runs / "pas-afl" / "metrics_seed1.csv.partial").mkdir(parents=True)
+        named = f"failed writing metrics to {runs / 'pas-afl' / 'metrics_seed1.csv'}"
+    elif case == "plotdata-out-is-a-file":
+        run_preset(with_policy("pas-afl"), out_dir=runs)
+        plots.write_text("")
+        argv, named = ["plotdata", "--runs", str(runs), "--out", str(plots)], plots
+    else:
+        config.unlink()
+        named = config
+    assert main(["--quiet", *argv]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("aflsim: i/o error: ") and str(named) in err
 
 
 def stop_at_step(monkeypatch, t: int, world: int) -> None:
@@ -429,8 +232,9 @@ def stop_at_step(monkeypatch, t: int, world: int) -> None:
 
 
 def plotdata_error(runs, tmp_path, capsys) -> str:
-    """What `plotdata` prints to stderr on `runs`, where it must exit with code 3."""
+    """What `plotdata` prints to stderr on `runs`, where it must exit with code 3 and write nothing."""
     assert main(["--quiet", "plotdata", "--runs", str(runs), "--out", str(tmp_path / "plots")]) == 3
+    assert not (tmp_path / "plots").exists()
     return capsys.readouterr().err
 
 
@@ -440,19 +244,28 @@ def test_plotdata_refuses_a_directory_two_runs_left_stale(tmp_path, monkeypatch,
     # belongs to.
     runs = tmp_path / "runs"
     run_preset(resolve_config({**TINY, "horizon_T": 5}), out_dir=runs)
+    assert (runs / "pas-afl" / "manifest.json").exists() and (runs / "summary.json").exists()
     stop_at_step(monkeypatch, 2, world=2)
     with pytest.raises(MarketInvariantError):
         run_preset(resolve_config({**TINY, "horizon_T": 3}), out_dir=runs)
     seeds_written = sorted(p.name for p in (runs / "pas-afl").glob("metrics_seed*.csv"))
     assert seeds_written == ["metrics_seed1.csv", "metrics_seed2.csv"]
+    assert len((runs / "pas-afl" / "metrics_seed1.csv").read_text().splitlines()) == 1 + 3 * TINY["n_dos"]
+    assert not (runs / "pas-afl" / "manifest.json").exists()
+    assert not (runs / "summary.json").exists()
     assert "summary.json" in plotdata_error(runs, tmp_path, capsys)
 
 
 def test_plotdata_refuses_a_run_stopped_midway(tmp_path, monkeypatch, capsys):
+    runs = tmp_path / "runs"
     stop_at_step(monkeypatch, 2, world=1)
     with pytest.raises(MarketInvariantError):
-        run_preset(with_policy("pas-afl"), out_dir=tmp_path / "runs")
-    assert "summary.json" in plotdata_error(tmp_path / "runs", tmp_path, capsys)
+        run_preset(with_policy("pas-afl"), out_dir=runs)
+    assert not list((runs / "pas-afl").glob("metrics_seed*.csv"))  # the names plotdata reads
+    # The partial file holds the header and the two steps that ran.
+    lines = (runs / "pas-afl" / "metrics_seed1.csv.partial").read_text().splitlines()
+    assert len(lines) == 1 + 2 * TINY["n_dos"]
+    assert "summary.json" in plotdata_error(runs, tmp_path, capsys)
 
 
 def test_plotdata_names_a_metrics_file_its_manifest_does_not_match(tmp_path, capsys):
