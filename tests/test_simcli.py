@@ -231,6 +231,29 @@ def stop_at_step(monkeypatch, t: int, world: int) -> None:
     monkeypatch.setattr(simcli, "step", step)
 
 
+def test_a_run_stopped_midway_leaves_no_csv_under_its_final_name(tmp_path, monkeypatch):
+    stop_at_step(monkeypatch, 2, world=1)
+    with pytest.raises(MarketInvariantError):
+        run_preset(with_policy("pas-afl"), out_dir=tmp_path)
+    assert not list((tmp_path / "pas-afl").glob("metrics_seed*.csv"))  # the names plotdata reads
+    # The partial file holds the header and the two steps that ran.
+    lines = (tmp_path / "pas-afl" / "metrics_seed1.csv.partial").read_text().splitlines()
+    assert len(lines) == 1 + 2 * TINY["n_dos"]
+
+
+def test_a_rerun_that_stops_leaves_no_stale_manifest_or_summary(tmp_path, monkeypatch):
+    run_preset(resolve_config({**TINY, "horizon_T": 5}), out_dir=tmp_path)
+    assert (tmp_path / "pas-afl" / "manifest.json").exists() and (tmp_path / "summary.json").exists()
+    stop_at_step(monkeypatch, 2, world=2)
+    with pytest.raises(MarketInvariantError):
+        run_preset(resolve_config({**TINY, "horizon_T": 3}), out_dir=tmp_path)
+    # Seed 1's CSV was rewritten at T=3; no manifest may still describe the T=5 run.
+    lines = (tmp_path / "pas-afl" / "metrics_seed1.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3 * TINY["n_dos"]
+    assert not (tmp_path / "pas-afl" / "manifest.json").exists()
+    assert not (tmp_path / "summary.json").exists()
+
+
 def plotdata_error(runs, tmp_path, capsys) -> str:
     """What `plotdata` prints to stderr on `runs`, where it must exit with code 3 and write nothing."""
     assert main(["--quiet", "plotdata", "--runs", str(runs), "--out", str(tmp_path / "plots")]) == 3
@@ -244,28 +267,19 @@ def test_plotdata_refuses_a_directory_two_runs_left_stale(tmp_path, monkeypatch,
     # belongs to.
     runs = tmp_path / "runs"
     run_preset(resolve_config({**TINY, "horizon_T": 5}), out_dir=runs)
-    assert (runs / "pas-afl" / "manifest.json").exists() and (runs / "summary.json").exists()
     stop_at_step(monkeypatch, 2, world=2)
     with pytest.raises(MarketInvariantError):
         run_preset(resolve_config({**TINY, "horizon_T": 3}), out_dir=runs)
     seeds_written = sorted(p.name for p in (runs / "pas-afl").glob("metrics_seed*.csv"))
     assert seeds_written == ["metrics_seed1.csv", "metrics_seed2.csv"]
-    assert len((runs / "pas-afl" / "metrics_seed1.csv").read_text().splitlines()) == 1 + 3 * TINY["n_dos"]
-    assert not (runs / "pas-afl" / "manifest.json").exists()
-    assert not (runs / "summary.json").exists()
     assert "summary.json" in plotdata_error(runs, tmp_path, capsys)
 
 
 def test_plotdata_refuses_a_run_stopped_midway(tmp_path, monkeypatch, capsys):
-    runs = tmp_path / "runs"
     stop_at_step(monkeypatch, 2, world=1)
     with pytest.raises(MarketInvariantError):
-        run_preset(with_policy("pas-afl"), out_dir=runs)
-    assert not list((runs / "pas-afl").glob("metrics_seed*.csv"))  # the names plotdata reads
-    # The partial file holds the header and the two steps that ran.
-    lines = (runs / "pas-afl" / "metrics_seed1.csv.partial").read_text().splitlines()
-    assert len(lines) == 1 + 2 * TINY["n_dos"]
-    assert "summary.json" in plotdata_error(runs, tmp_path, capsys)
+        run_preset(with_policy("pas-afl"), out_dir=tmp_path / "runs")
+    assert "summary.json" in plotdata_error(tmp_path / "runs", tmp_path, capsys)
 
 
 def test_plotdata_names_a_metrics_file_its_manifest_does_not_match(tmp_path, capsys):
