@@ -54,11 +54,12 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import (
     STATE,
@@ -551,6 +552,81 @@ def _draw_data_owners(rng, ranges, n: int, markup) -> tuple[list, np.ndarray]:
     return list(zip(*rows)), np.concatenate(markups)
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx): the
+# start and multiplier of the constant that hashes entropy into the pool of 4
+# words, the same for the one that hashes the pool into state words, and the
+# two multipliers that mix pool words together.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_steps(h: int, mult: int):
+    """The hash constant's successive (xor, multiplier) pairs: each use
+    multiplies it by `mult` between the two."""
+    while True:
+        xor, h = h, h * mult & _MASK32
+        yield xor, h
+
+
+def _hashmix(words: np.ndarray, steps, k: int) -> np.ndarray:
+    """SeedSequence's hashmix by the next `k` hash constants, one per row of
+    the result: `words` holds k rows, or one row hashed k times.  uint32
+    arrays wrap as numpy's uint32_t code does."""
+    xor, mult = np.array(list(islice(steps, k)), np.uint32).T[..., None]
+    words = (words ^ xor) * mult
+    return words ^ words >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words `x` with hashed words `y`."""
+    words = _MIX_L * x - _MIX_R * y
+    return words ^ words >> 16
+
+
+class _StateWords(ISeedSequence):
+    """Hands PCG64 the 4 state words already computed for it; it cannot
+    spawn, and nothing in aflsim spawns."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _stream_generators(seed: int, stream: int, ids: list[int]) -> list:
+    """`np.random.default_rng([seed, stream, i])` for each i in `ids`, in
+    that order and in the same state: one pass of SeedSequence's hash over
+    every id's entropy (`seed`'s 32-bit words, low first, then `stream` and
+    i, each id below 2**32), then `generate_state(4, np.uint64)` on each
+    pool.  Builds nothing, and hashes nothing, for no ids."""
+    if not ids:
+        return []
+    head = []
+    while True:
+        head.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    head.append(stream)
+    # Entropy shorter than the pool is padded with 0s; longer is mixed in after.
+    entropy = np.zeros((max(len(head) + 1, 4), len(ids)), np.uint32)
+    entropy[: len(head)] = [[word] for word in head]
+    entropy[len(head)] = ids
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = _hashmix(entropy[:4], steps, 4)
+    # Each pool word mixes into the other three, hashed anew for each.
+    for src, others in enumerate(([1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2])):
+        pool[others] = _mix(pool[others], _hashmix(pool[src], steps, 3))
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, steps, 4))
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_steps(_INIT_B, _MULT_B), 8)
+    # Each DO's 8 words, joined into 4 uint64 as little-endian pairs.
+    words = state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+    return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in words]
+
+
 class World:
     """Mutable simulation state for one seeded run."""
 
@@ -597,13 +673,13 @@ class World:
         ])
         # Generators are built only for the streams a run draws from; each is
         # seeded per DO, so which others exist changes none of its numbers.
-        self.policy_rngs = [
-            np.random.default_rng([seed, _STREAM_POLICY, i]) if spec.draws else None
-            for i, spec in enumerate(self.policy_specs)
-        ]
+        # One array pass seeds them all, as default_rng([seed, stream, i]) would.
+        draws = [spec.draws for spec in self.policy_specs]
+        drawn = iter(_stream_generators(seed, _STREAM_POLICY, list(compress(range(n), draws))))
+        self.policy_rngs = [next(drawn) if d else None for d in draws]
         self.demand_rngs = None
         if config.market.arrival_mode == "demand-model":
-            self.demand_rngs = [np.random.default_rng([seed, _STREAM_DEMAND, i]) for i in range(n)]
+            self.demand_rngs = _stream_generators(seed, _STREAM_DEMAND, list(range(n)))
 
         self.audit_checks = 0
         self.degenerate_price_steps = 0

@@ -164,6 +164,7 @@ def run_preset(config: ScenarioConfig, policies=None, *, out_dir, quiet: bool = 
     assignment = config.policy.assignment
     names = (assignment if isinstance(assignment, str) else "mixed",) if policies is None else policies
     cells = [(name, config if policies is None else config.with_assignment(name), out / name) for name in names]
+    out.mkdir(parents=True, exist_ok=True)  # an --out that is a file is named as given, not by a path under it
     for *_, cell_dir in cells:
         (cell_dir / "manifest.json").unlink(missing_ok=True)
     (out / "summary.json").unlink(missing_ok=True)

@@ -712,6 +712,57 @@ def test_data_owners_equal_the_reference_loop_on_drawn_configs(n_dos, seed, do_p
     _assert_data_owners_equal_the_reference(raw, seed)
 
 
+def _assert_generators_equal_default_rng(generators, seed: int, stream: int, ids) -> None:
+    assert len(generators) == len(ids)
+    for rng, i in zip(generators, ids):
+        want = np.random.default_rng([seed, stream, i])
+        assert rng.bit_generator.state == want.bit_generator.state, i
+        assert rng.random(3).tolist() == want.random(3).tolist(), i
+
+
+# A seed of 2**32 or more fills the pool of 4 entropy words, and one of 2**64 or more overflows it.
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 10**30])
+@pytest.mark.parametrize("stream", [4, 5])
+def test_stream_generators_equal_default_rng(seed, stream):
+    ids = [0, 1, 255, 256, 65_535, 10_921]  # 10,921 is the last DO config.MEMORY_BUDGET admits
+    _assert_generators_equal_default_rng(market._stream_generators(seed, stream, ids), seed, stream, ids)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**80),
+    stream=st.sampled_from([4, 5]),
+    ids=st.sets(st.integers(0, 10_921), max_size=8).map(sorted),
+)
+def test_stream_generators_equal_default_rng_on_drawn_seeds_and_ids(seed, stream, ids):
+    _assert_generators_equal_default_rng(market._stream_generators(seed, stream, ids), seed, stream, ids)
+
+
+@pytest.mark.parametrize("seed", [3, 2**40 + 3])
+@pytest.mark.parametrize("arrival_mode", ["auction", "demand-model"])
+def test_a_world_seeds_each_drawing_do_as_default_rng_does(seed, arrival_mode):
+    cfg = resolve_config({
+        "n_dos": 12, "horizon_T": 1, "market": {"arrival_mode": arrival_mode}, "policy": {"assignment": POLICY_NAMES},
+    })
+    world = build_world(cfg, seed)
+    draws = [spec.draws for spec in world.policy_specs]
+    assert 0 < sum(draws) < cfg.n_dos
+    assert [rng is not None for rng in world.policy_rngs] == draws
+    drawing = [i for i, d in enumerate(draws) if d]
+    _assert_generators_equal_default_rng([world.policy_rngs[i] for i in drawing], seed, 4, drawing)
+    if arrival_mode == "auction":
+        assert world.demand_rngs is None
+    else:
+        _assert_generators_equal_default_rng(world.demand_rngs, seed, 5, range(cfg.n_dos))
+
+
+def test_a_world_that_draws_on_no_per_do_stream_hashes_no_seed():
+    with mock.patch.object(market, "_hashmix", wraps=market._hashmix) as hashmix:
+        world = build_world(resolve_config({"n_dos": 12, "horizon_T": 1}), 1)
+    assert world.policy_rngs == [None] * 12 and world.demand_rngs is None
+    assert hashmix.call_count == 0
+
+
 def _queue(owner, payments, depth=0):
     """A task queue: task k is held by `owner` and pays `payments[k]`."""
     tasks = np.zeros(len(payments), dtype=TASK)

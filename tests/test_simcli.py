@@ -214,6 +214,8 @@ def test_cli_reports_io_errors_with_code_4(tmp_path, capsys, case):
     assert main(["--quiet", *argv]) == 4
     err = capsys.readouterr().err
     assert err.startswith("aflsim: i/o error: ") and str(named) in err
+    if case == "run-out-is-a-file":
+        assert f"'{runs}'" in err and "manifest.json" not in err
 
 
 def stop_at_step(monkeypatch, t: int, world: int) -> None:
